@@ -1,8 +1,7 @@
 """Compressible barotropic Navier-Stokes on moving domains, desk scale.
 
 Characteristics-based transport, Lagrangian-transformed momentum solves,
-boundary-data extension, Picard iteration, a penalized fixed-box solver,
-and energy / relative-energy diagnostics.
+boundary-data extension, and energy / relative-energy diagnostics.
 """
 
 from . import errors

@@ -136,7 +136,6 @@ class TestWithContext:
         bd = transformed_boundary_data(u, V, fm, t, params)
         ext = extend_boundary_data(bd, g, u_ref=u, V=V, flow_map=fm,
                                    params=params, t=t)
-        h = g.spacing[0]
         for face in g.face_names:
             flat = np.ravel_multi_index(g.face_index(face, closed=True), g.shape)
             from nsmove.fields import FACE_NORMALS
@@ -144,10 +143,13 @@ class TestWithContext:
             trace = ext.field.values.reshape(2, -1).T[flat] @ n_ref
             s = g.axis_coords(1 if face in ("x0", "x1") else 0)
             mid = (s > 0.3) & (s < 0.7)
-            assert np.max(np.abs(trace - bd.normal(face))[mid]) <= 1e-8
+            # Linear u: both identities close to round-off away from the
+            # corners (measured <= 4.4e-15); in the corner collars the data
+            # do not vanish and the error is O(0.1).
+            assert np.max(np.abs(trace - bd.normal(face))[mid]) <= 1e-12
             got = stress_trace_fd(ext, g, params, face)
             errs = np.abs(got - bd.stress(face))[mid]
-            assert np.max(errs) <= 5.0 * h
+            assert np.max(errs) <= 1e-12
 
     def test_monitor_nonincreasing_in_horizon(self):
         g, V, _, u, params = self.setup_context(n=33, t=0.21)

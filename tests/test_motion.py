@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from nsmove.errors import InvalidArgumentError
 from nsmove.fields import Field, Grid, differentiate
 from nsmove.motion import (
     MotionField,
+    _OdeState,
+    _rhs,
     advect_flow_map,
     boundary_frame,
     flow_jacobians,
@@ -18,6 +22,42 @@ def grid1d(n=17):
 
 def grid2d(n=9):
     return Grid((n, n), (0.0, 0.0), (1.0, 1.0))
+
+
+def _quadratic_1d(a):
+    """V = a x^2 in 1D, with analytic first and second gradients."""
+    return MotionField.expression(
+        lambda t, p: a * p ** 2, 1,
+        grad_fn=lambda t, p: (2 * a * p)[..., None],
+        grad2_fn=lambda t, p: np.full(p.shape + (1, 1), 2 * a))
+
+
+def _nonlinear_2d():
+    """V = (0.2 sin(pi x)(1 + y), 0.1 y^2 + 0.1 x y) with analytic derivatives."""
+    def vel(t, p):
+        x, y = p[..., 0], p[..., 1]
+        return np.stack([0.2 * np.sin(np.pi * x) * (1 + y),
+                         0.1 * y ** 2 + 0.1 * x * y], axis=-1)
+
+    def grad(t, p):
+        x, y = p[..., 0], p[..., 1]
+        g = np.zeros(p.shape + (2,))
+        g[..., 0, 0] = 0.2 * np.pi * np.cos(np.pi * x) * (1 + y)
+        g[..., 0, 1] = 0.2 * np.sin(np.pi * x)
+        g[..., 1, 0] = 0.1 * y
+        g[..., 1, 1] = 0.2 * y + 0.1 * x
+        return g
+
+    def grad2(t, p):
+        x, y = p[..., 0], p[..., 1]
+        g2 = np.zeros(p.shape + (2, 2))
+        g2[..., 0, 0, 0] = -0.2 * np.pi ** 2 * np.sin(np.pi * x) * (1 + y)
+        g2[..., 0, 0, 1] = g2[..., 0, 1, 0] = 0.2 * np.pi * np.cos(np.pi * x)
+        g2[..., 1, 0, 1] = g2[..., 1, 1, 0] = 0.1
+        g2[..., 1, 1, 1] = 0.2
+        return g2
+
+    return MotionField.expression(vel, 2, grad_fn=grad, grad2_fn=grad2)
 
 
 class TestAdvect:
@@ -81,6 +121,34 @@ class TestInvert:
         back = fm.eval_forward(0.5, z)
         assert np.max(np.abs(back - x)) < 1e-9
 
+    def test_round_trip_nonlinear(self):
+        g = grid2d(65)
+        fm = advect_flow_map(_nonlinear_2d(), g, 0.2, 0.01)
+        z0 = np.random.default_rng(3).uniform(0.05, 0.95, size=(500, 2))
+        x = fm.eval_forward(0.2, z0)
+        z = fm.invert(0.2, x)
+        assert np.max(np.abs(fm.eval_forward(0.2, z) - x)) <= 1e-10
+
+    def test_node_images_return_nodes(self):
+        g = grid2d(65)
+        fm = advect_flow_map(_nonlinear_2d(), g, 0.2, 0.01)
+        z = fm.invert(0.2, fm.positions(0.2))
+        assert np.max(np.abs(z - g.node_coords())) <= 1e-12
+
+    def test_invert_peak_allocation(self):
+        # the seed search must not build an all-pairs distance array
+        g = grid2d(65)
+        fm = advect_flow_map(_nonlinear_2d(), g, 0.2, 0.01)
+        x = fm.positions(0.2)
+        fm.invert(0.2, x)  # warm-up: fills the per-time interpolation cache
+        tracemalloc.start()
+        try:
+            fm.invert(0.2, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
 
 class TestJacobians:
     def test_zero_gap(self):
@@ -102,6 +170,58 @@ class TestJacobians:
         g = grid2d()
         fm = advect_flow_map(MotionField.shear(0.5), g, 0.4, 0.02, with_hessian=True)
         assert np.max(np.abs(fm.hessians(0.4))) <= 1e-10
+
+    def test_quadratic_1d_closed_form(self):
+        # dX/dt = a X^2: X = z / s, gradX = s^-2, grad2X = 2 a T s^-3, s = 1 - a T z
+        a, T = 0.5, 0.2
+        g = grid1d(17)
+        fm = advect_flow_map(_quadratic_1d(a), g, T, 0.01, with_hessian=True)
+        z = g.node_coords()[:, 0]
+        s = 1 - a * T * z
+        assert np.max(np.abs(fm.positions(T)[:, 0] - z / s)) <= 1e-8
+        assert np.max(np.abs(fm.jacobians(T)[:, 0, 0] - s ** -2)) <= 1e-8
+        assert np.max(np.abs(fm.hessians(T)[:, 0, 0, 0] - 2 * a * T * s ** -3)) <= 1e-8
+
+    def test_hessian_matches_fd_of_jacobians(self):
+        # grad2X from the Hessian ODE vs differentiate() of gradX: O(h^2)
+        T = 0.2
+        errs = {}
+        for n in (33, 65):
+            g = grid2d(n)
+            fm = advect_flow_map(_nonlinear_2d(), g, T, 0.01, with_hessian=True)
+            H = fm.hessians(T)
+            jac = fm.jacobians(T).reshape(-1, 4).T.reshape((4,) + tuple(g.shape))
+            err = 0.0
+            for i in range(2):
+                for j in range(2):
+                    for k in range(2):
+                        fd = differentiate(Field(g, jac[2 * i + j]), k, 1)
+                        err = max(err, np.max(np.abs(fd.values[0].ravel() - H[:, i, j, k])))
+            assert np.max(np.abs(H - H.transpose(0, 1, 3, 2))) <= 1e-14
+            errs[n] = err
+        assert errs[65] <= 1e-3
+        assert errs[33] / errs[65] >= 3.5
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_rhs_matches_einsum_reference(self, d):
+        # the written-out contractions against the generic einsum forms;
+        # only the summation order differs
+        rng = np.random.default_rng(7)
+        N = 50
+        g = rng.standard_normal((N, d, d))
+        g2 = rng.standard_normal((N, d, d, d))
+        V = MotionField.expression(lambda t, p: p, d, grad_fn=lambda t, p: g,
+                                   grad2_fn=lambda t, p: g2)
+        J = rng.standard_normal((N, d, d))
+        H = rng.standard_normal((N, d, d, d))
+        st = _OdeState(rng.standard_normal((N, d)), J, H, np.zeros(N), np.zeros((N, d)))
+        k = _rhs(V, 0.0, st)
+        gd = np.einsum("...iij->...j", g2)
+        assert np.max(np.abs(k.J - np.einsum("...ip,...pj->...ij", g, J))) <= 1e-12
+        H_ref = (np.einsum("...ipq,...pj,...qk->...ijk", g2, J, J)
+                 + np.einsum("...ip,...pjk->...ijk", g, H))
+        assert np.max(np.abs(k.H - H_ref)) <= 1e-12
+        assert np.max(np.abs(k.G - np.einsum("...p,...pj->...j", gd, J))) <= 1e-12
 
     def test_jacobian_matches_fd_of_trajectories(self):
         # gradX from the Jacobian ODE vs differentiate() of the node positions
