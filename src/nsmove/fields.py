@@ -11,6 +11,7 @@ import io
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import InvalidArgumentError, OutOfDomainError
 
@@ -277,11 +278,13 @@ def _axis_stencil(xi, n):
     return start, w
 
 
-def interp_values(grid, vals, points, out_of_bounds="raise"):
-    """Interpolate a raw (ncomp,) + grid.shape array; returns (npts, ncomp).
+def interp_matrix(grid, points, out_of_bounds="raise"):
+    """Interpolation weights at ``points``, a CSR matrix (npts, num_nodes).
 
-    Same kernel as :func:`interpolate` but without the Field component-count
-    restriction (used internally for Jacobian-valued data).
+    Row p is the tensor product of the per-axis 4-point stencils of point p:
+    4 stored entries in 1D, 16 in 2D, summing to 1. Points outside the extent
+    beyond a 1e-12 relative tolerance raise :class:`OutOfDomainError` unless
+    ``out_of_bounds='clamp'``, which moves them onto the nearest face.
     """
     pts = np.asarray(points, dtype=float)
     if grid.dim == 1 and pts.ndim <= 1:
@@ -290,7 +293,7 @@ def interp_values(grid, vals, points, out_of_bounds="raise"):
     if pts.shape[1] != grid.dim:
         raise InvalidArgumentError(f"points must have {grid.dim} coordinates")
 
-    xis = []
+    stencils = []
     for a in range(grid.dim):
         lo, hi = grid.lo[a], grid.hi[a]
         h = grid.spacing[a]
@@ -302,21 +305,30 @@ def interp_values(grid, vals, points, out_of_bounds="raise"):
                 raise OutOfDomainError(
                     f"point outside extent along axis {a}", point=pts[bad][0]
                 )
-        xis.append(np.clip((x - lo) / h, 0.0, grid.n[a] - 1.0))
+        stencils.append(_axis_stencil(np.clip((x - lo) / h, 0.0, grid.n[a] - 1.0),
+                                      grid.n[a]))
 
-    if grid.dim == 1:
-        start, w = _axis_stencil(xis[0], grid.n[0])
-        idx = start[:, None] + np.arange(4)
-        gathered = vals[:, idx]                      # (c, npts, 4)
-        out = np.einsum("cpk,pk->pc", gathered, w)
-    else:
-        s0, w0 = _axis_stencil(xis[0], grid.n[0])
-        s1, w1 = _axis_stencil(xis[1], grid.n[1])
-        i0 = s0[:, None] + np.arange(4)              # (npts, 4)
-        i1 = s1[:, None] + np.arange(4)
-        gathered = vals[:, i0[:, :, None], i1[:, None, :]]  # (c, npts, 4, 4)
-        out = np.einsum("cpkl,pk,pl->pc", gathered, w0, w1)
-    return out
+    starts, weights = zip(*stencils)
+    w = weights[0]
+    for wa in weights[1:]:
+        w = np.einsum("pk,pl->pkl", w, wa).reshape(len(pts), 4 * w.shape[1])
+    npts, k = w.shape
+    # int32 when it fits, or scipy scans int64 indices to downcast them
+    itype = np.int32 if max(npts * k, grid.num_nodes) < 2**31 else np.intp
+    offsets = np.ravel_multi_index(np.indices((4,) * grid.dim).reshape(grid.dim, k),
+                                   grid.n).astype(itype)
+    cols = np.ravel_multi_index(starts, grid.n).astype(itype)[:, None] + offsets
+    indptr = np.arange(0, npts * k + 1, k, dtype=itype)
+    return csr_matrix((w.ravel(), cols.ravel(), indptr), shape=(npts, grid.num_nodes))
+
+
+def interp_values(grid, vals, points, out_of_bounds="raise"):
+    """Interpolate a raw (ncomp,) + grid.shape array; returns (npts, ncomp).
+
+    :func:`interp_matrix` times the node-major data (num_nodes, ncomp), with
+    no Field component-count restriction (used for Jacobian-valued data).
+    """
+    return interp_matrix(grid, points, out_of_bounds) @ vals.reshape(len(vals), -1).T
 
 
 def interpolate(f, points, out_of_bounds="raise"):

@@ -19,7 +19,7 @@ from .errors import (
     InversionFailureError,
     UnsupportedDimensionError,
 )
-from .fields import FACE_NORMALS, interp_values, rotate90
+from .fields import FACE_NORMALS, interp_matrix, rotate90
 
 
 class MotionField:
@@ -314,33 +314,27 @@ class FlowMap:
         return self._interp_level(self.H, t)
 
     def _position_fields(self, t):
+        """X(t) | gradX(t) at every node, stacked node-major into (N, d + d^2)."""
         key = float(t)
         if key not in self._pos_field_cache:
-            pos = self.positions(t).T.reshape((self.dim,) + tuple(self.grid.shape))
-            jac = self.jacobians(t)
-            jf = jac.reshape((-1, self.dim * self.dim)).T.reshape(
-                (self.dim * self.dim,) + tuple(self.grid.shape))
             if len(self._pos_field_cache) > 8:
                 self._pos_field_cache.clear()
-            self._pos_field_cache[key] = (
-                np.ascontiguousarray(pos),
-                np.ascontiguousarray(jf),
-            )
+            self._pos_field_cache[key] = np.concatenate(
+                [self.positions(t), self.jacobians(t).reshape(self.grid.num_nodes, -1)],
+                axis=1)
         return self._pos_field_cache[key]
+
+    def _forward_and_jacobian(self, t, z):
+        """X(t, z) and gradX(t, z) from one interpolation matrix at z."""
+        M = interp_matrix(self.grid, z, out_of_bounds="clamp")
+        vals, d = M @ self._position_fields(t), self.dim
+        return vals[:, :d], vals[:, d:].reshape(len(vals), d, d)
 
     def eval_forward(self, t, z):
         """X(t, z) at arbitrary reference points by cubic interpolation."""
         if self.is_identity:
             return np.atleast_2d(np.array(z, dtype=float, copy=True))
-        pos, _ = self._position_fields(t)
-        return interp_values(self.grid, pos, z, out_of_bounds="clamp")
-
-    def _eval_jacobian(self, t, z):
-        if self.is_identity:
-            return np.broadcast_to(np.eye(self.dim), (len(z), self.dim, self.dim)).copy()
-        _, jf = self._position_fields(t)
-        vals = interp_values(self.grid, jf, z, out_of_bounds="clamp")
-        return vals.reshape(len(z), self.dim, self.dim)
+        return self._forward_and_jacobian(t, z)[0]
 
     def invert(self, t, x, seed=None, tol=1e-10, max_iter=50):
         """Y(t, x): Newton iteration on X(t, z) - x = 0, seeded from the
@@ -357,10 +351,10 @@ class FlowMap:
         lo = np.array(self.grid.lo)
         hi = np.array(self.grid.hi)
         for _ in range(max_iter):
-            res = self.eval_forward(t, z) - x
+            X, J = self._forward_and_jacobian(t, z)
+            res = X - x
             if np.max(np.abs(res)) <= tol:
                 return z
-            J = self._eval_jacobian(t, z)
             step = np.einsum("pij,pj->pi", _mat_inv(J), res)
             z = np.clip(z - step, lo, hi)
         res = np.max(np.abs(self.eval_forward(t, z) - x))

@@ -14,18 +14,23 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidArgumentError, PositivityViolationError
-from .fields import Field, differentiate, gradient_values, interp_values
+from .fields import Field, gradient_values, interp_matrix, interp_values
 from .motion import FlowMap, _mat_inv, _check_steps, _OdeState, mat_det, rk4_step
 
 
 class DiscreteVelocity:
     """Velocity known as per-level reference-sampled fields u(t_m, X(t_m, y)).
 
-    ``flow_map`` is the map whose reference sampling the fields use (the map
-    of V in the Picard loop); ``None`` means the fields live on a static grid.
-    Physical-point evaluation inverts the map, then interpolates; spatial
-    derivatives go through the Jacobian transforms. Linear interpolation in
-    time between levels.
+    ``flow_map`` is the flow map X of the velocity that moves the domain: the
+    level fields hold u at the images X(t_m, y) of the reference nodes y.
+    ``None`` means the fields live on a static grid. Physical-point
+    evaluation inverts the map, then interpolates; spatial derivatives go
+    through the Jacobian transforms. Linear interpolation in time between
+    levels.
+
+    The four protocol methods return read-only column slices of one cached
+    stage: per (t, points), the bracketing levels blended, then interpolated
+    with one sparse matrix.
     """
 
     def __init__(self, times, fields, flow_map=None):
@@ -37,40 +42,28 @@ class DiscreteVelocity:
         self.grid = self.fields[0].grid
         self.dim = self.grid.dim
         self._level_cache = {}
+        self._stage_cache = None
         self._seed = None
 
     # -- reference-side per-level derived fields ---------------------------
 
     def _level_data(self, m):
-        """Nodal div_x u, grad_x u, grad_x div_x u at level m, reference-sampled."""
-        if m in self._level_cache:
-            return self._level_cache[m]
+        """Nodal u | div_x u | grad_x u | grad_x div_x u at level m, stacked
+        node-major into (N, d + 1 + d^2 + d), reference-sampled."""
         f = self.fields[m]
-        d = self.dim
-        shape = tuple(self.grid.shape)
-        gy = gradient_values(f)  # (c, d) + shape: du_i/dy_j
+        d, N = self.dim, self.grid.num_nodes
+        gy = np.moveaxis(gradient_values(f), (0, 1), (-2, -1)).reshape(N, d, d)
         if self.flow_map is None or self.flow_map.is_identity:
-            Jinv = np.broadcast_to(np.eye(d), (self.grid.num_nodes, d, d))
+            Jinv = np.broadcast_to(np.eye(d), (N, d, d))
         else:
             Jinv = _mat_inv(self.flow_map.jacobians(self.times[m]))
-        Jinv_g = Jinv.reshape(shape + (d, d))
-        gy_g = np.moveaxis(gy, (0, 1), (-2, -1))  # shape + (i, j)
-        gx = np.einsum("...ij,...jk->...ik", gy_g, Jinv_g)  # du_i/dx_k
-        div = np.einsum("...ii->...", gx)
-        divf = Field(self.grid, div, self.times[m])
-        gdiv_y = np.stack([differentiate(divf, a, 1).values[0] for a in range(d)],
-                          axis=-1)  # shape + (j,): d(div)/dy_j
-        gdiv_x = np.einsum("...ji,...j->...i", Jinv_g, gdiv_y)
-        data = {
-            "u": f.values,                                   # (c,)+shape
-            "div": div[np.newaxis],                          # (1,)+shape
-            "gx": np.moveaxis(gx, (-2, -1), (0, 1)).reshape((d * d,) + shape),
-            "gdiv": np.moveaxis(gdiv_x, -1, 0),              # (d,)+shape
-        }
-        if len(self._level_cache) > 4:
-            self._level_cache.clear()
-        self._level_cache[m] = data
-        return data
+        gx = np.einsum("nij,njk->nik", gy, Jinv)  # du_i/dx_k
+        div = np.einsum("nii->n", gx)
+        divf = Field(self.grid, div.reshape(self.grid.shape), self.times[m])
+        gdiv_y = gradient_values(divf)[0].reshape(d, N).T  # d(div)/dy_j
+        gdiv_x = np.einsum("nji,nj->ni", Jinv, gdiv_y)
+        return np.concatenate([f.values.reshape(d, N).T, div[:, None],
+                               gx.reshape(N, d * d), gdiv_x], axis=1)
 
     def _time_bracket(self, t):
         times = self.times
@@ -91,33 +84,39 @@ class DiscreteVelocity:
         self._seed = z
         return z
 
-    def _sample(self, t, x, key, ncomp):
+    def _stage(self, t, x):
+        """Interpolated stacked level data at (t, x), cached for the last pair."""
+        cached = self._stage_cache
+        if cached is not None and cached[0] == t and np.array_equal(cached[1], x):
+            return cached[2]
         z = self._to_ref(t, x)
         m0, m1, w = self._time_bracket(t)
-        v0 = interp_values(self.grid, self._level_data(m0)[key], z,
-                           out_of_bounds="clamp")
-        if w == 0.0 or m0 == m1:
-            out = v0
-        else:
-            v1 = interp_values(self.grid, self._level_data(m1)[key], z,
-                               out_of_bounds="clamp")
-            out = (1 - w) * v0 + w * v1
-        return out
+        # keep only the bracketing levels
+        self._level_cache = {m: self._level_cache[m] if m in self._level_cache
+                             else self._level_data(m) for m in (m0, m1)}
+        lev = self._level_cache[m0]
+        if w != 0.0 and m0 != m1:
+            lev = (1 - w) * lev + w * self._level_cache[m1]
+        vals = interp_matrix(self.grid, z, out_of_bounds="clamp") @ lev
+        vals.setflags(write=False)
+        self._stage_cache = (t, np.array(x, dtype=float), vals)
+        return vals
 
     # -- VelocitySource protocol -------------------------------------------
 
     def velocity(self, t, pts):
-        return self._sample(t, pts, "u", self.dim)
+        return self._stage(t, pts)[:, :self.dim]
 
     def gradient(self, t, pts):
-        out = self._sample(t, pts, "gx", self.dim**2)
-        return out.reshape(len(out), self.dim, self.dim)
+        d = self.dim
+        return self._stage(t, pts)[:, d + 1:d + 1 + d * d].reshape(-1, d, d)
 
     def divergence(self, t, pts):
-        return self._sample(t, pts, "div", 1)[:, 0]
+        return self._stage(t, pts)[:, self.dim]
 
     def grad_divergence(self, t, pts):
-        return self._sample(t, pts, "gdiv", self.dim)
+        d = self.dim
+        return self._stage(t, pts)[:, d + 1 + d * d:]
 
 
 class DensityTrajectory:
@@ -192,19 +191,13 @@ def solve_transport(rho0, v, T, dt, *, t0=0.0):
         np.zeros(N),
         np.zeros((N, d)),
     )
-    times = [t0]
-    Xs, Js, Is, Gs = [st.X.copy()], [st.J.copy()], [st.I.copy()], [st.G.copy()]
-    t = t0
+    times = t0 + dt * np.arange(steps + 1)
+    X, J, I, G = (np.empty((steps + 1,) + a.shape) for a in (st.X, st.J, st.I, st.G))
+    X[0], J[0], I[0], G[0] = st.X, st.J, st.I, st.G
     for m in range(steps):
-        st = rk4_step(v, t, dt, st)
-        t = t0 + (m + 1) * dt
-        times.append(t)
-        Xs.append(st.X.copy())
-        Js.append(st.J.copy())
-        Is.append(st.I.copy())
-        Gs.append(st.G.copy())
-    return DensityTrajectory(rho0, np.array(times), np.array(Xs), np.array(Js),
-                             np.array(Is), np.array(Gs), velocity=v)
+        st = rk4_step(v, times[m], dt, st)
+        X[m + 1], J[m + 1], I[m + 1], G[m + 1] = st.X, st.J, st.I, st.G
+    return DensityTrajectory(rho0, times, X, J, I, G, velocity=v)
 
 
 def density_gradient(traj, t):

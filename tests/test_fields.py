@@ -5,8 +5,11 @@ from nsmove.errors import InvalidArgumentError, OutOfDomainError
 from nsmove.fields import (
     Field,
     Grid,
+    _axis_stencil,
     differentiate,
     integrate,
+    interp_matrix,
+    interp_values,
     interpolate,
     read_field_csv,
     sobolev_norm,
@@ -138,6 +141,76 @@ class TestInterpolate:
         f = Field(g, x)
         out = interpolate(f, np.array([1.2]), out_of_bounds="clamp")
         assert np.allclose(out, 1.0)
+
+
+def _gather_einsum(grid, vals, pts):
+    """Reference kernel: gather the 4 (1D) or 4 x 4 (2D) neighbours and
+    contract them with the per-axis stencil weights; clamps like 'clamp'."""
+    xis = [np.clip((pts[:, a] - grid.lo[a]) / grid.spacing[a], 0.0, grid.n[a] - 1.0)
+           for a in range(grid.dim)]
+    if grid.dim == 1:
+        start, w = _axis_stencil(xis[0], grid.n[0])
+        gathered = vals[:, start[:, None] + np.arange(4)]
+        return np.einsum("cpk,pk->pc", gathered, w)
+    s0, w0 = _axis_stencil(xis[0], grid.n[0])
+    s1, w1 = _axis_stencil(xis[1], grid.n[1])
+    i0 = s0[:, None] + np.arange(4)
+    i1 = s1[:, None] + np.arange(4)
+    gathered = vals[:, i0[:, :, None], i1[:, None, :]]
+    return np.einsum("cpkl,pk,pl->pc", gathered, w0, w1)
+
+
+def _axis_samples(rng, lo, hi, n):
+    """Coordinates in the first and last cells (the one-sided Lagrange
+    fallback), at nodes, outside the extent (clamped) and in between."""
+    h = (hi - lo) / (n - 1)
+    return np.concatenate([
+        lo + h * rng.uniform(0.0, 1.0, 6),
+        hi - h * rng.uniform(0.0, 1.0, 6),
+        np.linspace(lo, hi, n),
+        [lo - 0.3 * h, lo - 1e-3, hi + 1e-3, hi + 2.5 * h],
+        rng.uniform(lo, hi, 20),
+    ])
+
+
+class TestInterpMatrix:
+    GRIDS = {1: Grid((17,), (0.25,), (1.25,)),
+             2: Grid((13, 10), (-0.5, 0.0), (0.5, 2.0))}
+
+    def _points(self, dim, rng):
+        g = self.GRIDS[dim]
+        axes = [_axis_samples(rng, g.lo[a], g.hi[a], g.n[a]) for a in range(dim)]
+        # every pairing of the per-axis samples
+        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("c", [1, 2, 4])
+    def test_matches_gather_einsum_reference(self, dim, c):
+        g = self.GRIDS[dim]
+        rng = np.random.default_rng(10 * dim + c)
+        vals = rng.standard_normal((c,) + g.shape)
+        pts = self._points(dim, rng)
+        ref = _gather_einsum(g, vals, pts)
+        got = interp_values(g, vals, pts, out_of_bounds="clamp")
+        assert got.shape == (len(pts), c)
+        assert np.max(np.abs(got - ref)) <= 1e-13
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_rows_sum_to_one_with_full_stencils(self, dim):
+        g = self.GRIDS[dim]
+        pts = self._points(dim, np.random.default_rng(dim))
+        M = interp_matrix(g, pts, out_of_bounds="clamp")
+        assert M.shape == (len(pts), g.num_nodes)
+        assert np.all(np.diff(M.indptr) == 4**dim)
+        assert M.nnz == 4**dim * len(pts)
+        assert np.max(np.abs(np.asarray(M.sum(axis=1)).ravel() - 1.0)) <= 1e-14
+
+    def test_raise_carries_the_point(self):
+        g = self.GRIDS[2]
+        pts = np.array([[0.0, 1.0], [0.2, 2.0 + 1e-6], [0.1, 0.5]])
+        with pytest.raises(OutOfDomainError) as exc:
+            interp_matrix(g, pts)
+        assert np.array_equal(exc.value.point, pts[1])
 
 
 class TestSobolevNorm:

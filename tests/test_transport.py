@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from nsmove.errors import PositivityViolationError
-from nsmove.fields import Field, Grid, differentiate, interpolate, sobolev_norm
+from nsmove.fields import (
+    Field,
+    Grid,
+    differentiate,
+    interp_values,
+    interpolate,
+    sobolev_norm,
+)
 from nsmove.motion import MotionField, advect_flow_map
 from nsmove.transport import (
     DiscreteVelocity,
@@ -146,21 +153,112 @@ class TestDiscreteVelocity:
         exact = 0.3 * np.pi * np.cos(np.pi * pts[:, 0])
         assert np.max(np.abs(div - exact)) < 1e-3
 
+    @staticmethod
+    def _dilation_sampled():
+        # u(x) = sin(x) sampled along a dilation flow map
+        g = Grid((65,), (0.5,), (1.5,))
+        fm = advect_flow_map(MotionField.dilation(0.4, 1), g, 0.3, 1e-2)
+        times = fm.times[::10]
+        fields = [Field(g, np.sin(fm.positions(t)[:, 0]).reshape(g.shape), t)
+                  for t in times]
+        return DiscreteVelocity(times, fields, flow_map=fm), fm
+
     def test_reference_sampled_on_moving_grid(self):
         # fields sampled along a dilation flow map evaluate correctly in x
-        g = Grid((65,), (0.5,), (1.5,))
-        alpha = 0.4
-        V = MotionField.dilation(alpha, 1)
-        fm = advect_flow_map(V, g, 0.3, 1e-2)
-        times = fm.times[::10]
-        fields = []
-        for t in times:
-            pos = fm.positions(t)[:, 0]
-            fields.append(Field(g, np.sin(pos).reshape(g.shape), t))  # u(x)=sin(x)
-        dv = DiscreteVelocity(times, fields, flow_map=fm)
+        dv, _ = self._dilation_sampled()
         x = np.linspace(0.8, 1.4, 5)[:, None]
         v = dv.velocity(0.3, x)
         assert np.max(np.abs(v[:, 0] - np.sin(x[:, 0]))) < 1e-4
+
+    def test_one_inversion_per_stage(self):
+        # the four protocol methods share one pull-back per (t, points)
+        dv, fm = self._dilation_sampled()
+        calls = []
+        invert = fm.invert
+
+        def counting_invert(t, x, **kwargs):
+            calls.append(t)
+            return invert(t, x, **kwargs)
+
+        fm.invert = counting_invert
+        x = np.linspace(0.8, 1.4, 5)[:, None]
+        for method in (dv.velocity, dv.gradient, dv.divergence, dv.grad_divergence):
+            method(0.3, x)
+        assert len(calls) == 1
+        # 2 RK4 steps of 4 stages: one inversion per stage, not per sample
+        sub = Grid((9,), (0.9,), (1.1,))
+        solve_transport(Field(sub, np.ones(sub.shape)), dv, 0.02, 0.01)
+        assert len(calls) == 1 + 2 * 4
+
+    @staticmethod
+    def _static_2d(t_levels):
+        g = Grid((17, 17), (0.0, 0.0), (1.0, 1.0))
+
+        def u(t):
+            return lambda p: np.stack([
+                0.3 * (1 + t) * np.sin(np.pi * p[:, 0]) * np.cos(2 * p[:, 1]),
+                0.2 * np.cos(np.pi * p[:, 1] + t) * (1 + p[:, 0] ** 2)], axis=1)
+
+        fields = [Field.from_function(g, u(t), t=t, ncomp=2) for t in t_levels]
+        return g, fields
+
+    def test_stage_matches_blended_per_level_interpolation(self):
+        times = np.array([0.0, 0.1, 0.2])
+        g, fields = self._static_2d(times)
+        dv = DiscreteVelocity(times, fields)
+        pts = np.random.default_rng(4).uniform(0.0, 1.0, size=(200, 2))
+        t = 0.137
+        w = (t - times[1]) / (times[2] - times[1])
+
+        def level(f):
+            # u, grad u, div u, grad div u, each interpolated on its own
+            grads = [differentiate(f, k).values for k in range(2)]   # (2,) + shape
+            div = Field(g, grads[0][0] + grads[1][1])
+            return (interp_values(g, f.values, pts),
+                    np.stack([interp_values(g, grads[k], pts) for k in range(2)],
+                             axis=-1),
+                    interp_values(g, div.values, pts)[:, 0],
+                    np.stack([interp_values(g, differentiate(div, k).values, pts)[:, 0]
+                              for k in range(2)], axis=-1))
+
+        refs = [(1 - w) * a + w * b for a, b in zip(level(fields[1]), level(fields[2]))]
+        got = [dv.velocity(t, pts), dv.gradient(t, pts), dv.divergence(t, pts),
+               dv.grad_divergence(t, pts)]
+        for a, b in zip(got, refs):
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) <= 1e-14
+
+    def test_stage_cache_follows_the_points(self):
+        times = np.array([0.0, 0.1, 0.2])
+        g, fields = self._static_2d(times)
+        dv = DiscreteVelocity(times, fields)
+        rng = np.random.default_rng(5)
+        p1, p2 = rng.uniform(0.0, 1.0, size=(2, 50, 2))
+        t = 0.05
+
+        def sample(src, p):
+            return [src.velocity(t, p), src.gradient(t, p), src.divergence(t, p),
+                    src.grad_divergence(t, p)]
+
+        sample(dv, p1)
+        for a, b in zip(sample(dv, p2), sample(DiscreteVelocity(times, fields), p2)):
+            assert np.array_equal(a, b)
+        # the same array moved in place is a new stage too
+        p = p1.copy()
+        sample(dv, p)
+        p += 0.01
+        for a, b in zip(sample(dv, p), sample(DiscreteVelocity(times, fields), p)):
+            assert np.array_equal(a, b)
+
+    def test_stage_values_are_read_only(self):
+        times = np.array([0.0, 0.1])
+        g, fields = self._static_2d(times)
+        dv = DiscreteVelocity(times, fields)
+        pts = np.array([[0.3, 0.4], [0.6, 0.1]])
+        for out in (dv.velocity(0.05, pts), dv.gradient(0.05, pts),
+                    dv.divergence(0.05, pts), dv.grad_divergence(0.05, pts)):
+            with pytest.raises(ValueError):
+                out[0] = 1.0
 
     def test_transport_with_discrete_velocity(self):
         # discrete sampling of the dilation field reproduces the closed form
