@@ -15,7 +15,7 @@ from scipy.integrate import quad
 
 from .errors import InvalidArgumentError, NotSameDataError
 from .fields import gradient_values
-from .motion import _mat_inv
+from .motion import boundary_frame, physical_gradient
 
 
 class PressureLaw:
@@ -120,11 +120,6 @@ class PressureLaw:
         if self.delta > 0:
             out = out + self.delta * (rho_arr**self.beta - rho_arr) / (self.beta - 1.0)
         return out
-
-
-def pressure_potential(law, rho):
-    """H(rho) for rho > 0 (InvalidArgumentError otherwise)."""
-    return law.potential(rho)
 
 
 def stress_tensor(grad_u, mu, eta=0.0):
@@ -248,39 +243,22 @@ def energy_inequality_residual(traj, V, law, params):
     return EnergyReport(traj.times.copy(), E, diss_cum, lhs - rhs)
 
 
-def boundary_line_quadrature(traj, m):
-    """Per-face (flat_idx, positions, n, tau, arc-length weights) at level m."""
-    from .fields import FACE_NORMALS, rotate90
-    from .motion import boundary_frame
-
+def _boundary_friction_rate(traj, V, params, m):
+    """kappa times the line integral of ((u - V).tau)^2 over the boundary at
+    level m, with trapezoid weights from the node images' arc lengths."""
     t = traj.times[m]
-    grid = traj.grid
     frames = None if traj.flow_map is None else boundary_frame(traj.flow_map, t)
-    out = {}
-    for face in grid.face_names:
-        idx = grid.face_index(face, closed=True)
-        flat = np.ravel_multi_index(idx, grid.shape)
-        if frames is None:
-            n = np.broadcast_to(FACE_NORMALS[face], (len(flat), 2)).copy()
-            tau = rotate90(n)
-            pos = grid.node_coords()[flat]
-        else:
-            _, n, tau = frames[face]
-            pos = traj.flow_map.positions(t)[flat]
+    pos_all = traj.positions(m)
+    uvals = traj.u[m].values.reshape(traj.grid.dim, -1).T
+    total = 0.0
+    for face in traj.grid.faces().values():
+        pos = pos_all[face.flat]
+        tau = face.tangent if frames is None else frames[face.name][2]
         dl = np.linalg.norm(np.diff(pos, axis=0), axis=1)
-        wline = np.zeros(len(flat))
+        wline = np.zeros(len(pos))
         wline[:-1] += 0.5 * dl
         wline[1:] += 0.5 * dl
-        out[face] = (flat, pos, n, tau, wline)
-    return out
-
-
-def _boundary_friction_rate(traj, V, params, m):
-    t = traj.times[m]
-    total = 0.0
-    uvals = traj.u[m].values.reshape(traj.grid.dim, -1).T
-    for flat, pos, _, tau, wline in boundary_line_quadrature(traj, m).values():
-        ut = np.einsum("pi,pi->p", uvals[flat] - V.velocity(t, pos), tau)
+        ut = np.sum((uvals[face.flat] - V.velocity(t, pos)) * tau, axis=1)
         total += float(np.sum(wline * params.kappa * ut**2))
     return total
 
@@ -312,14 +290,11 @@ def relative_energy_remainder(state, reference, law, params, m, V=None,
     if np.any(r <= 0):
         raise InvalidArgumentError("reference density must be positive")
     if V is not None and state.flow_map is not None and d == 2:
-        from .motion import boundary_frame
-        frames = boundary_frame(state.flow_map, state.times[m])
+        t = state.times[m]
+        pos_all = state.flow_map.positions(t)
         worst = 0.0
-        for face in state.grid.face_names:
-            idx, n, _ = frames[face]
-            flat = np.ravel_multi_index(idx, state.grid.shape)
-            pos = state.flow_map.positions(state.times[m])[flat]
-            gap = np.einsum("pi,pi->p", U[flat] - V.velocity(state.times[m], pos), n)
+        for flat, n, _ in boundary_frame(state.flow_map, t).values():
+            gap = np.einsum("pi,pi->p", U[flat] - V.velocity(t, pos_all[flat]), n)
             worst = max(worst, float(np.max(np.abs(gap))))
         if worst > bc_tol:
             raise InvalidArgumentError(
@@ -367,10 +342,7 @@ def _time_derivative_fields(fields, times, m):
 
 
 def _physical_scalar_gradient(traj, m):
-    g = gradient_values(traj.rho[m])[0]  # (d,) + shape
-    g = g.reshape(traj.grid.dim, -1).T
-    Jinv = _mat_inv(traj.jacobians(m))
-    return np.einsum("pji,pj->pi", Jinv, g)
+    return physical_gradient(gradient_values(traj.rho[m]), traj.jacobians(m))[:, 0]
 
 
 def korn_quotient(z_field, params, jacobians=None, weights=None):
@@ -381,10 +353,7 @@ def korn_quotient(z_field, params, jacobians=None, weights=None):
     vanishing normal trace, which is how the uniqueness argument uses it.
     """
     d = z_field.grid.dim
-    gy = gradient_values(z_field)
-    gu = np.moveaxis(gy.reshape(d, d, -1), -1, 0)
-    if jacobians is not None:
-        gu = np.einsum("pij,pjk->pik", gu, _mat_inv(jacobians))
+    gu = physical_gradient(gradient_values(z_field), jacobians)
     w = (z_field.grid.quadrature_weights().ravel()
          if weights is None else np.asarray(weights).ravel())
     S = stress_tensor(gu, params.mu, params.eta)

@@ -26,10 +26,10 @@ q from the face):
                       lower-order residual that closes the identity at the
                       face nodes. It is linear in q, so the one-sided FD
                       q-derivative is exact on it while 2h <= eps, and P's
-                      tangential derivative of d uses ``_fd_1d``, the same
-                      stencil as ``fields._diff_axis``; the zero-context
-                      identity is exact to round-off only while the two
-                      stencils agree.
+                      tangential derivative of d uses ``fields._diff_axis``,
+                      the stencil ``stress_trace_fd`` applies; the
+                      zero-context identity is exact to round-off only
+                      because both use that one stencil.
 
 Everything is multiplied by a C^2 quintic cutoff (1 for q <= eps, 0 beyond
 2 eps) and faces are blended by normalized smoothstep weights near corners.
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, UnsupportedDimensionError
-from .fields import FACE_NORMALS, Field, interp_values, rotate90
+from .fields import Field, _diff_axis, differentiate, gradient_values, interp_values
 from .motion import boundary_frame, flow_jacobians
 
 
@@ -57,18 +57,6 @@ def smoothstep(t):
 def cutoff_profile(q, eps):
     """1 for q <= eps, quintic decay to 0 at q >= 2 eps."""
     return 1.0 - smoothstep((q - eps) / eps)
-
-
-def _fd_1d(arr, h):
-    """Second-order FD of a 1D nodal array (central inside, one-sided ends)."""
-    out = np.empty_like(arr)
-    out[1:-1] = (arr[2:] - arr[:-2]) / (2 * h)
-    out[0] = (-3 * arr[0] + 4 * arr[1] - arr[2]) / (2 * h)
-    out[-1] = (3 * arr[-1] - 4 * arr[-2] + arr[-3]) / (2 * h)
-    return out
-
-
-_FACE_AXIS = {"x0": 0, "x1": 0, "y0": 1, "y1": 1}
 
 
 @dataclass
@@ -86,12 +74,11 @@ class _FaceContext:
     """Per-face frame gaps and the stress-datum coefficient table."""
 
     def __init__(self, grid, face, u_ref, V, flow_map, t, mu, kappa):
-        idx = grid.face_index(face, closed=True)
-        flat = np.ravel_multi_index(idx, grid.shape)
+        flat = face.flat
         m = len(flat)
         self.flat = flat
-        self.n_ref = FACE_NORMALS[face]
-        self.tau_ref = rotate90(self.n_ref)
+        self.n_ref = face.normal
+        self.tau_ref = face.tangent
         nodes = grid.node_coords()
         self.foot = nodes[flat]
         if flow_map is None or V is None:
@@ -103,8 +90,7 @@ class _FaceContext:
             self.A = np.zeros((m, 2, 2))
             self.gradV_foot = np.zeros((m, 2, 2))
             return
-        frames = boundary_frame(flow_map, t)
-        _, n_X, tau_X = frames[face]
+        _, n_X, tau_X = boundary_frame(flow_map, t)[face.name]
         self.n_X, self.tau_X = n_X, tau_X
         self.dn = self.n_ref - n_X
         self.dtau = self.tau_ref - tau_X
@@ -150,11 +136,7 @@ def extend_boundary_data(bdata, grid, *, u_ref=None, V=None, flow_map=None,
     N = grid.num_nodes
     uvals = (np.zeros((N, 2)) if u_ref is None
              else u_ref.values.reshape(2, -1).T)
-    if u_ref is not None:
-        from .fields import gradient_values
-        G_all = np.moveaxis(gradient_values(u_ref).reshape(2, 2, -1), -1, 0)
-    else:
-        G_all = np.zeros((N, 2, 2))
+    G_all = np.zeros((N, 2, 2)) if u_ref is None else gradient_values(u_ref)
     Vy_all = (np.zeros((N, 2)) if V is None
               else V.velocity(t, nodes))
 
@@ -163,18 +145,18 @@ def extend_boundary_data(bdata, grid, *, u_ref=None, V=None, flow_map=None,
     tot2 = np.zeros((N, 2))
     weight_sum = np.zeros(N)
 
-    for face in grid.face_names:
+    for face in grid.faces().values():
         ctx = _FaceContext(grid, face, u_ref, V, flow_map, t, mu, kappa)
-        axis = _FACE_AXIS[face]
+        axis = face.axis
         s_axis = 1 - axis
         hs = grid.spacing[s_axis]
         # inward distance from this face, per node
         coord = nodes[:, axis]
-        q = (coord - grid.lo[axis]) if face.endswith("0") else (grid.hi[axis] - coord)
+        q = (coord - grid.lo[axis]) if face.name.endswith("0") else (grid.hi[axis] - coord)
         s_index = np.unravel_index(np.arange(N), shape)[s_axis]
 
-        d_face = np.asarray(bdata.faces[face]["d"], dtype=float)
-        B_face = np.asarray(bdata.faces[face]["B"], dtype=float)
+        d_face = np.asarray(bdata.faces[face.name]["d"], dtype=float)
+        B_face = np.asarray(bdata.faces[face.name]["B"], dtype=float)
         tau, nu = ctx.tau_ref, -ctx.n_ref
         sgn_tau = tau[s_axis]  # tau versus increasing s coordinate
 
@@ -200,7 +182,7 @@ def extend_boundary_data(bdata, grid, *, u_ref=None, V=None, flow_map=None,
                     - np.einsum("pab,b,pa->p", ctx.gradV_foot, nu, ctx.dtau))
         samp_nu = (np.einsum("pa,pa->p", C_tau, G_dir_tau)
                    + np.einsum("pa,pa->p", C_nu, G_dir_nu))
-        dtau_d = sgn_tau * _fd_1d(d_face, hs)
+        dtau_d = sgn_tau * _diff_axis(d_face, hs, 0, 1)
         P = -(B_face - kappa * g_tau) / mu + dtau_d - dnu_Ttau - samp_nu
 
         # assemble over the whole grid, broadcasting face arrays by s index
@@ -246,19 +228,14 @@ def extend_boundary_data(bdata, grid, *, u_ref=None, V=None, flow_map=None,
 
 def stress_trace_fd(ext_field, grid, params, face):
     """FD evaluation of mu (d_n u.tau + d_tau u.n) + kappa u.tau on a face."""
-    from .fields import differentiate
-
     mu = params.mu
     kappa = params.kappa
-    tau = rotate90(FACE_NORMALS[face])
-    n = FACE_NORMALS[face]
-    idx = grid.face_index(face, closed=True)
-    flat = np.ravel_multi_index(idx, grid.shape)
+    f = grid.faces()[face]
+    n, tau, flat, axis = f.normal, f.tangent, f.flat, f.axis
+    s_axis = 1 - axis
     u = ext_field if isinstance(ext_field, Field) else ext_field.field
     u_tau = Field(u.grid, (u.values.reshape(2, -1).T @ tau).reshape(grid.shape))
     u_n = Field(u.grid, (u.values.reshape(2, -1).T @ n).reshape(grid.shape))
-    axis = _FACE_AXIS[face]
-    s_axis = 1 - axis
     # d/dn = n_axis-component times the axis derivative (n is +-unit vector)
     dn_utau = differentiate(u_tau, axis, 1).values[0].ravel()[flat] * n[axis]
     dtau_un = differentiate(u_n, s_axis, 1).values[0].ravel()[flat] * tau[s_axis]

@@ -8,7 +8,7 @@ ever arise downstream through composition with a flow map.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -31,6 +31,50 @@ def rotate90(v):
     """Counter-clockwise quarter turn; maps a 2D normal to its tangent."""
     v = np.asarray(v, dtype=float)
     return np.stack([-v[..., 1], v[..., 0]], axis=-1)
+
+
+@dataclass(frozen=True)
+class Face:
+    """One closed face of the reference extent.
+
+    ``flat`` are the flat node indices in order of the coordinate along the
+    face, ``axis`` is the normal axis, ``normal`` the outward unit normal,
+    ``tangent`` its quarter turn and ``weights`` the trapezoid line weights
+    of the nodes. In 1D the normal is -1 or +1 and ``tangent`` and
+    ``weights`` are ``None``.
+    """
+
+    name: str
+    flat: np.ndarray
+    axis: int
+    normal: np.ndarray
+    tangent: np.ndarray | None
+    weights: np.ndarray | None
+
+
+def level_bracket(times, t):
+    """(m, w) with t = (1 - w) times[m] + w times[m + 1].
+
+    Times up to 1e-12 outside ``[times[0], times[-1]]`` are clamped onto
+    it, anything further raises :class:`InvalidArgumentError`. A single
+    stored level gives (0, 0.0).
+    """
+    if t < times[0] - 1e-12 or t > times[-1] + 1e-12:
+        raise InvalidArgumentError(
+            f"t={t} outside the stored times [{times[0]}, {times[-1]}]")
+    if len(times) == 1:
+        return 0, 0.0
+    t = min(max(t, times[0]), times[-1])
+    m = min(int(np.searchsorted(times, t, side="right") - 1), len(times) - 2)
+    return m, (t - times[m]) / (times[m + 1] - times[m])
+
+
+def blend_levels(levels, times, t):
+    """Linear interpolation in time between the two levels that bracket t."""
+    m, w = level_bracket(times, t)
+    if w == 0.0:
+        return levels[m]
+    return (1 - w) * levels[m] + w * levels[m + 1]
 
 
 @dataclass(frozen=True)
@@ -124,6 +168,23 @@ class Grid:
             i = np.arange(nx) if closed else np.arange(1, nx - 1)
             return i, np.full(i.shape, j)
         raise InvalidArgumentError(f"unknown face {face!r}")
+
+    def faces(self):
+        """{name: :class:`Face`} of the closed faces, in ``face_names`` order."""
+        out = {}
+        for face in self.face_names:
+            flat = np.ravel_multi_index(self.face_index(face, closed=True), self.n)
+            if self.dim == 1:
+                normal = np.array([-1.0 if face == "x0" else 1.0])
+                out[face] = Face(face, flat, 0, normal, None, None)
+                continue
+            axis = 0 if face in ("x0", "x1") else 1
+            h = self.spacing[1 - axis]
+            weights = np.full(len(flat), h)
+            weights[0] = weights[-1] = h / 2
+            normal = FACE_NORMALS[face]
+            out[face] = Face(face, flat, axis, normal, rotate90(normal), weights)
+        return out
 
     def boundary_sets(self):
         """Flat-index partition of the boundary, one entry per face."""
@@ -228,9 +289,13 @@ def differentiate(f, axis, order=1):
 
 
 def gradient_values(f):
-    """Per-component gradient array, shape (ncomp, dim) + grid.shape."""
-    g = np.stack([differentiate(f, a, 1).values for a in range(f.grid.dim)], axis=1)
-    return g
+    """Node-major gradient (num_nodes, ncomp, dim): [p, i, j] = df_i/dy_j.
+
+    A view of a component-major array, so it is not C-contiguous.
+    """
+    g = np.stack([_diff_axis(f.values, h, a + 1, 1) for a, h in enumerate(f.grid.spacing)],
+                 axis=1)
+    return np.moveaxis(g.reshape(f.ncomp, f.grid.dim, -1), -1, 0)
 
 
 def _catmull_rom_weights(s):

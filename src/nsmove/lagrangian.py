@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedDimensionError
-from .fields import FACE_NORMALS, Field, differentiate, interp_values, rotate90
+from .fields import Field, _diff_axis, differentiate, gradient_values, interp_values
 from .motion import boundary_frame, flow_jacobians
 
 
@@ -73,17 +73,6 @@ class TransformedRHS:
                      + self.remainder.values, self.t)
 
 
-def _grad_fields(f):
-    """du_i/dy_j as (N, i, j)."""
-    d = f.grid.dim
-    out = np.empty((f.grid.num_nodes, f.ncomp, d))
-    for i in range(f.ncomp):
-        fi = f.component(i)
-        for j in range(d):
-            out[:, i, j] = differentiate(fi, j, 1).values[0].ravel()
-    return out
-
-
 def _hessian_fields(f):
     """d^2 u_i/dy_k dy_l as (N, i, k, l), symmetrized in (k, l)."""
     d = f.grid.dim
@@ -116,13 +105,9 @@ def inverse_map_second_derivatives(flow_map, t):
     grid = flow_map.grid
     d = grid.dim
     _, gy, _, _ = flow_jacobians(flow_map, t)
-    shape = tuple(grid.shape)
-    dgy = np.empty((grid.num_nodes, d, d, d))  # d_m (gradY_{jk})
-    for j in range(d):
-        for k in range(d):
-            comp = Field(grid, gy[:, j, k].reshape(shape), t)
-            for m_ax in range(d):
-                dgy[:, j, k, m_ax] = differentiate(comp, m_ax, 1).values[0].ravel()
+    gy_nodes = gy.reshape(tuple(grid.shape) + (d, d))
+    dgy = np.stack([_diff_axis(gy_nodes, h, a, 1) for a, h in enumerate(grid.spacing)],
+                   axis=-1).reshape(grid.num_nodes, d, d, d)  # d_m (gradY_{jk})
     out = np.einsum("pjkm,pmq->pjkq", dgy, gy)
     return 0.5 * (out + np.swapaxes(out, 2, 3))
 
@@ -147,7 +132,7 @@ def lagrangian_remainder(rho_ref, u_ref, flow_map, V, t, params, force=None):
     pos = flow_map.positions(t)
     Vx = V.velocity(t, pos)                         # V(t, X(t, y))
     rho = rho_ref.values[0].ravel()
-    G1 = _grad_fields(u_ref)                        # (N, i, j)
+    G1 = gradient_values(u_ref)                     # (N, i, j)
     G2 = _hessian_fields(u_ref)                     # (N, i, k, l)
     dY2 = inverse_map_second_derivatives(flow_map, t)  # (N, j, k, p)
     lapY = np.einsum("pjii->pj", dY2)
@@ -206,23 +191,20 @@ def transformed_boundary_data(u_ref, V, flow_map, t, params):
     uvals = u_ref.values.reshape(d, -1).T
     faces = {}
     if d == 1:
-        for face in grid.face_names:
-            flat = grid.face_index(face)[0]
-            n_ref = -1.0 if face == "x0" else 1.0
-            Vy = V.velocity(t, nodes[flat])[:, 0]
-            VX = V.velocity(t, pos_all[flat])[:, 0]
-            faces[face] = {"d": (VX - Vy) * n_ref, "B": None}
+        for face in grid.faces().values():
+            Vy = V.velocity(t, nodes[face.flat])
+            VX = V.velocity(t, pos_all[face.flat])
+            faces[face.name] = {"d": (VX - Vy) @ face.normal, "B": None}
         return BoundaryData(faces, t)
 
     frames = boundary_frame(flow_map, t)
     _, gy, _, _ = flow_jacobians(flow_map, t)
-    G1 = _grad_fields(u_ref)
+    G1 = gradient_values(u_ref)
     eye = np.eye(2)
-    for face in grid.face_names:
-        idx, n_X, tau_X = frames[face]
-        flat = np.ravel_multi_index(idx, grid.shape)
-        n_ref = np.broadcast_to(FACE_NORMALS[face], n_X.shape)
-        tau_ref = rotate90(n_ref)
+    for face in grid.faces().values():
+        flat, n_X, tau_X = frames[face.name]
+        n_ref = np.broadcast_to(face.normal, n_X.shape)
+        tau_ref = face.tangent
         y = nodes[flat]
         X = pos_all[flat]
         Vy = V.velocity(t, y)
@@ -243,5 +225,5 @@ def transformed_boundary_data(u_ref, V, flow_map, t, params):
                 + np.einsum("pij,pj,pi->p", M, n_ref, dtau)
                 + kappa * np.einsum("pi,pi->p", u_b - Vy, dtau)
                 + kappa * np.einsum("pi,pi->p", VX - Vy, tau_X))
-        faces[face] = {"d": dval, "B": Bval}
+        faces[face.name] = {"d": dval, "B": Bval}
     return BoundaryData(faces, t)

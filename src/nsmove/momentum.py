@@ -22,9 +22,8 @@ from .errors import (
     LinearSolverFailureError,
     PositivityViolationError,
 )
-from .fields import FACE_NORMALS, Field, rotate90
+from .fields import Field, gradient_values
 from .motion import _check_steps
-from .trajectory import StateTrajectory
 
 
 @dataclass(frozen=True)
@@ -161,16 +160,6 @@ def assemble_stress_matrix(grid, params, mu_nodal=None):
     return A
 
 
-def _face_line_weights(grid, face):
-    """Reference trapezoid arc-length weights along a face (2D)."""
-    axis = 0 if face in ("y0", "y1") else 1
-    h = grid.spacing[axis]
-    m = grid.n[axis]
-    w = np.full(m, h)
-    w[0] = w[-1] = h / 2
-    return w
-
-
 def assemble_friction_matrix(grid, kappa):
     """kappa * line integral of (u.tau)(w.tau) over the reference boundary."""
     d = grid.dim
@@ -178,19 +167,15 @@ def assemble_friction_matrix(grid, kappa):
     if d == 1 or kappa == 0.0:
         return sp.csr_matrix((d * N, d * N))
     rows, cols, vals = [], [], []
-    for face in grid.face_names:
-        idx = grid.face_index(face, closed=True)
-        flat = np.ravel_multi_index(idx, grid.shape)
-        tau = rotate90(FACE_NORMALS[face])
-        wline = _face_line_weights(grid, face)
+    for face in grid.faces().values():
         for c1 in range(d):
             for c2 in range(d):
-                coef = kappa * tau[c1] * tau[c2]
+                coef = kappa * face.tangent[c1] * face.tangent[c2]
                 if coef == 0.0:
                     continue
-                rows.append(c1 * N + flat)
-                cols.append(c2 * N + flat)
-                vals.append(coef * wline)
+                rows.append(c1 * N + face.flat)
+                cols.append(c2 * N + face.flat)
+                vals.append(coef * face.weights)
     if not rows:
         return sp.csr_matrix((d * N, d * N))
     A = sp.coo_matrix(
@@ -251,25 +236,13 @@ def _dirichlet_data(grid, bc, t):
             idx.append(c * N + flat)
             vals.append(vb[:, c])
     else:
-        if d == 1:
-            for face, comp_sign in (("x0", -1.0), ("x1", 1.0)):
-                flat = grid.face_index(face)[0]
-                vb = np.asarray(bc.velocity(t, pts[flat]), dtype=float).ravel()
-                dat = bc.normal_datum(t, face, len(flat))
-                idx.append(flat)
-                vals.append(vb + comp_sign * dat)
-        else:
-            for face in grid.face_names:
-                fidx = grid.face_index(face, closed=True)
-                flat = np.ravel_multi_index(fidx, grid.shape)
-                n = FACE_NORMALS[face]
-                comp = 0 if face in ("x0", "x1") else 1
-                sign = n[comp]
-                vb = bc.velocity(t, pts[flat])
-                dat = bc.normal_datum(t, face, len(flat))
-                # u.n = V.n + d  =>  u_comp = V_comp + sign * d
-                idx.append(comp * N + flat)
-                vals.append(vb[:, comp] + sign * dat)
+        for face in grid.faces().values():
+            flat, axis = face.flat, face.axis
+            vb = np.asarray(bc.velocity(t, pts[flat]), dtype=float).reshape(len(flat), d)
+            dat = bc.normal_datum(t, face.name, len(flat))
+            # u.n = V.n + d on an axis-aligned face: u_axis = V_axis + n_axis d
+            idx.append(axis * N + flat)
+            vals.append(vb[:, axis] + face.normal[axis] * dat)
     idx = np.concatenate(idx)
     vals = np.concatenate(vals)
     # corners may be constrained by two faces; keep the last write
@@ -288,19 +261,14 @@ def _slip_boundary_load(grid, bc, params, t):
     if bc.kind != "slip" or d == 1:
         return load
     pts = grid.node_coords()
-    for face in grid.face_names:
-        fidx = grid.face_index(face, closed=True)
-        flat = np.ravel_multi_index(fidx, grid.shape)
-        tau = rotate90(FACE_NORMALS[face])
-        wline = _face_line_weights(grid, face)
-        B = bc.stress_datum(t, face, len(flat))
-        data = B.copy()
+    for face in grid.faces().values():
+        flat, tau = face.flat, face.tangent
+        data = bc.stress_datum(t, face.name, len(flat))
         if params.kappa > 0:
-            vtau = bc.velocity(t, pts[flat]) @ tau
-            data = data + params.kappa * vtau
+            data = data + params.kappa * (bc.velocity(t, pts[flat]) @ tau)
         for c in range(d):
             if tau[c] != 0.0:
-                np.add.at(load, c * N + flat, wline * data * tau[c])
+                np.add.at(load, c * N + flat, face.weights * data * tau[c])
     return load
 
 
@@ -321,7 +289,7 @@ class _DirichletSystem:
         return out
 
 
-def _cg_solve(A, b, x0, tol, maxiter=None, use_direct_fallback=False):
+def _cg_solve(A, b, x0, tol, maxiter=None):
     diag = A.diagonal()
     M = sp.diags(1.0 / np.where(diag > 0, diag, 1.0))
     count = [0]
@@ -334,10 +302,6 @@ def _cg_solve(A, b, x0, tol, maxiter=None, use_direct_fallback=False):
     bnorm = np.linalg.norm(b)
     res = np.linalg.norm(A @ x - b) / (bnorm if bnorm > 0 else 1.0)
     if info != 0 or not np.isfinite(res) or res > 10 * tol:
-        if use_direct_fallback:
-            x = spla.spsolve(A.tocsc(), b)
-            res = np.linalg.norm(A @ x - b) / (bnorm if bnorm > 0 else 1.0)
-            return x, count[0], res
         raise LinearSolverFailureError(
             f"CG stagnated (info={info}, residual={res:.3e})", residual=res)
     return x, count[0], res
@@ -345,14 +309,12 @@ def _cg_solve(A, b, x0, tol, maxiter=None, use_direct_fallback=False):
 
 def solve_linear_momentum(rho, rhs, bc, u0, params, dt, T, *,
                           mu_nodal=None, cg_tol=1e-10, rho_min=1e-10,
-                          t0=0.0, extra_matrix=None, extra_load=None,
-                          direct_fallback=False, report_energy=True):
+                          t0=0.0, report_energy=True):
     """Crank-Nicolson time stepping of rho du/dt - div S(grad u) = F.
 
     ``rho`` and ``rhs`` are callables of time returning nodal values (density
     (N,), force (N, d)); ``bc`` is a :class:`MomentumBC`. The density is
-    frozen per step at the midpoint. ``extra_matrix(t)`` / ``extra_load(t)``
-    hook in implicit SPD additions (the penalized solver's interface term).
+    frozen per step at the midpoint.
     Returns (list of velocity Fields including the initial level, reports).
     """
     grid = u0.grid
@@ -377,26 +339,22 @@ def solve_linear_momentum(rho, rhs, bc, u0, params, dt, T, *,
             raise PositivityViolationError(
                 f"density {rho_h.min():.3e} below floor {rho_min:.3e} at t={th}")
         Mdiag = wq * np.tile(rho_h, d)
-        A_step = A_op if extra_matrix is None else A_op + extra_matrix(th)
-        lhs = sp.diags(Mdiag / dt) + 0.5 * A_step
+        lhs = sp.diags(Mdiag / dt) + 0.5 * A_op
         f = np.asarray(rhs(th), dtype=float).reshape(N, d)
-        load = (grid.quadrature_weights().ravel()[:, None] * f).T.ravel()
-        load = load + _slip_boundary_load(grid, bc, params, th)
-        if extra_load is not None:
-            load = load + extra_load(th)
-        b = (sp.diags(Mdiag / dt) - 0.5 * A_step) @ u + load
+        bload = _slip_boundary_load(grid, bc, params, th)
+        load = (grid.quadrature_weights().ravel()[:, None] * f).T.ravel() + bload
+        b = (sp.diags(Mdiag / dt) - 0.5 * A_op) @ u + load
 
         idx, vals = _dirichlet_data(grid, bc, tn)
         ds = _DirichletSystem(lhs.tocsr(), idx)
         b2 = ds.rhs(b, vals)
-        u_new, iters, res = _cg_solve(ds.matrix, b2, u, cg_tol,
-                                      use_direct_fallback=direct_fallback)
+        u_new, iters, res = _cg_solve(ds.matrix, b2, u, cg_tol)
 
         if report_energy:
             kin = 0.5 * float(np.sum(Mdiag * u_new**2) - np.sum(Mdiag * u**2))
             mid = 0.5 * (u + u_new)
             diss = float(mid @ (K @ mid))
-            bwork = float(mid @ _slip_boundary_load(grid, bc, params, th))
+            bwork = float(mid @ bload)
         else:
             kin = diss = bwork = 0.0
         reports.append(MomentumStepReport(tn, iters, res, diss, kin, bwork))
@@ -418,7 +376,6 @@ def momentum_energy_residual(u_levels, times, rho, rhs, params, bc=None,
     grid = grid or u_levels[0].grid
     d = grid.dim
     w = grid.quadrature_weights().ravel()
-    traj = StateTrajectory(times, [u.component(0) for u in u_levels], u_levels)
     records = []
     for m in range(len(u_levels) - 1):
         dt = times[m + 1] - times[m]
@@ -428,7 +385,7 @@ def momentum_energy_residual(u_levels, times, rho, rhs, params, bc=None,
         u1 = u_levels[m + 1].values.reshape(d, -1).T
         kin = float(np.sum(w * rho_h * (np.sum(u1**2, 1) - np.sum(u0**2, 1))) / (2 * dt))
         mid = Field(grid, 0.5 * (u_levels[m].values + u_levels[m + 1].values), th)
-        gmid = StateTrajectory([th], [mid.component(0)], [mid]).physical_velocity_gradient(0)
+        gmid = gradient_values(mid)
         diss = float(np.sum(w * dissipation_density(gmid, params.mu, params.eta)))
         f = np.asarray(rhs(th), dtype=float).reshape(-1, d)
         umid = 0.5 * (u0 + u1)
@@ -437,13 +394,10 @@ def momentum_energy_residual(u_levels, times, rho, rhs, params, bc=None,
         fric = 0.0
         if bc is not None and bc.kind == "slip" and d == 2:
             pts = grid.node_coords()
-            for face in grid.face_names:
-                fidx = grid.face_index(face, closed=True)
-                flat = np.ravel_multi_index(fidx, grid.shape)
-                tau = rotate90(FACE_NORMALS[face])
-                wline = _face_line_weights(grid, face)
+            for face in grid.faces().values():
+                flat, tau, wline = face.flat, face.tangent, face.weights
                 ut = umid[flat] @ tau
-                B = bc.stress_datum(th, face, len(flat))
+                B = bc.stress_datum(th, face.name, len(flat))
                 vt = bc.velocity(th, pts[flat]) @ tau
                 bwork += float(np.sum(wline * B * ut))
                 if params.kappa > 0:

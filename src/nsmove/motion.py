@@ -19,7 +19,7 @@ from .errors import (
     InversionFailureError,
     UnsupportedDimensionError,
 )
-from .fields import FACE_NORMALS, interp_matrix, rotate90
+from .fields import blend_levels, interp_matrix, rotate90
 
 
 class MotionField:
@@ -47,56 +47,40 @@ class MotionField:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def zero(cls, dim):
+    def _affine(cls, kind, A, c, params=None):
+        """V(t, x) = A x + c, with its exact (zero beyond grad) derivatives."""
+        A = np.asarray(A, dtype=float)
+        c = np.asarray(c, dtype=float)
+        dim = len(c)
         z = lambda t, p: np.zeros_like(p)
-        return cls("zero", dim, z, dt_fn=z, dtt_fn=z,
-                   grad_fn=lambda t, p: np.zeros(p.shape + (dim,)),
+        return cls(kind, dim, lambda t, p: p @ A.T + c, dt_fn=z, dtt_fn=z,
+                   grad_fn=lambda t, p: np.broadcast_to(A, p.shape + (dim,)).copy(),
                    grad2_fn=lambda t, p: np.zeros(p.shape + (dim, dim)),
-                   grad3_fn=lambda t, p: np.zeros(p.shape + (dim, dim, dim)))
+                   grad3_fn=lambda t, p: np.zeros(p.shape + (dim, dim, dim)),
+                   params=params)
+
+    @classmethod
+    def zero(cls, dim):
+        return cls._affine("zero", np.zeros((dim, dim)), np.zeros(dim))
 
     @classmethod
     def translation(cls, c):
         c = np.atleast_1d(np.asarray(c, dtype=float))
-        dim = c.shape[0]
-        z = lambda t, p: np.zeros_like(p)
-        return cls("translation", dim,
-                   lambda t, p: np.broadcast_to(c, p.shape).copy(),
-                   dt_fn=z, dtt_fn=z,
-                   grad_fn=lambda t, p: np.zeros(p.shape + (dim,)),
-                   grad2_fn=lambda t, p: np.zeros(p.shape + (dim, dim)),
-                   grad3_fn=lambda t, p: np.zeros(p.shape + (dim, dim, dim)),
-                   params={"velocity": c})
+        return cls._affine("translation", np.zeros((len(c), len(c))), c,
+                           {"velocity": c})
 
     @classmethod
     def dilation(cls, alpha, dim):
         alpha = float(alpha)
-        eye = np.eye(dim)
-        z = lambda t, p: np.zeros_like(p)
-        return cls("dilation", dim,
-                   lambda t, p: alpha * p,
-                   dt_fn=z, dtt_fn=z,
-                   grad_fn=lambda t, p: np.broadcast_to(alpha * eye, p.shape + (dim,)).copy(),
-                   grad2_fn=lambda t, p: np.zeros(p.shape + (dim, dim)),
-                   grad3_fn=lambda t, p: np.zeros(p.shape + (dim, dim, dim)),
-                   params={"rate": alpha})
+        return cls._affine("dilation", alpha * np.eye(dim), np.zeros(dim),
+                           {"rate": alpha})
 
     @classmethod
     def shear(cls, sigma):
         """2D horizontal shear: V = (sigma * x2, 0)."""
         sigma = float(sigma)
-        g = np.array([[0.0, sigma], [0.0, 0.0]])
-        z = lambda t, p: np.zeros_like(p)
-
-        def vel(t, p):
-            out = np.zeros_like(p)
-            out[..., 0] = sigma * p[..., 1]
-            return out
-
-        return cls("shear", 2, vel, dt_fn=z, dtt_fn=z,
-                   grad_fn=lambda t, p: np.broadcast_to(g, p.shape + (2,)).copy(),
-                   grad2_fn=lambda t, p: np.zeros(p.shape + (2, 2)),
-                   grad3_fn=lambda t, p: np.zeros(p.shape + (2, 2, 2)),
-                   params={"rate": sigma})
+        return cls._affine("shear", [[0.0, sigma], [0.0, 0.0]], np.zeros(2),
+                           {"rate": sigma})
 
     @classmethod
     def expression(cls, fn, dim, **kwargs):
@@ -285,33 +269,17 @@ class FlowMap:
     def is_identity(self):
         return self.motion is not None and self.motion.is_identity_flow
 
-    def _bracket(self, t):
-        times = self.times
-        if t < times[0] - 1e-12 or t > times[-1] + 1e-12:
-            raise InvalidArgumentError(f"t={t} outside the map's time grid")
-        t = min(max(t, times[0]), times[-1])
-        m = int(np.searchsorted(times, t, side="right") - 1)
-        m = min(m, len(times) - 2)
-        w = (t - times[m]) / (times[m + 1] - times[m])
-        return m, w
-
-    def _interp_level(self, arr, t):
-        m, w = self._bracket(t)
-        if w == 0.0:
-            return arr[m]
-        return (1 - w) * arr[m] + w * arr[m + 1]
-
     def positions(self, t):
         """X(t, z) at every reference node, (N, d)."""
-        return self._interp_level(self.X, t)
+        return blend_levels(self.X, self.times, t)
 
     def jacobians(self, t):
-        return self._interp_level(self.J, t)
+        return blend_levels(self.J, self.times, t)
 
     def hessians(self, t):
         if self.H is None:
             raise InvalidArgumentError("flow map was built without the second Jacobian")
-        return self._interp_level(self.H, t)
+        return blend_levels(self.H, self.times, t)
 
     def _position_fields(self, t):
         """X(t) | gradX(t) at every node, stacked node-major into (N, d + d^2)."""
@@ -402,11 +370,6 @@ def advect_flow_map(V, grid, T, dt_map, *, with_hessian=False,
                    np.array(Hs) if with_hessian else None, motion=V)
 
 
-def invert_flow_map(flow_map, t, x, **kwargs):
-    """Reference point(s) Y(t, x); see :meth:`FlowMap.invert`."""
-    return flow_map.invert(t, x, **kwargs)
-
-
 def flow_jacobians(flow_map, t):
     """(gradX, gradY, grad2X or None, gap) at every reference node.
 
@@ -424,24 +387,28 @@ def flow_jacobians(flow_map, t):
     return gx, gy, g2, gap
 
 
+def physical_gradient(grad_y, J):
+    """grad_x = grad_y gradX^-1 per node, (N, c, d); ``J=None`` is a static
+    grid, where grad_x = grad_y."""
+    if J is None:
+        return grad_y
+    return np.einsum("pij,pjk->pik", grad_y, _mat_inv(J))
+
+
 def boundary_frame(flow_map, t):
     """Physical unit normal/tangent at the image of each boundary face node.
 
     The normal transforms with the inverse-transpose Jacobian and is
     renormalized; the tangent is the normal rotated by a quarter turn.
-    Returns {face: (multi_index, n, tau)} with n, tau of shape (m, 2).
+    Returns {face: (flat, n, tau)} with n, tau of shape (m, 2).
     """
     if flow_map.dim != 2:
         raise UnsupportedDimensionError("boundary frames require d = 2")
-    gx = flow_map.jacobians(t)
-    gy = _mat_inv(gx)
+    gy = _mat_inv(flow_map.jacobians(t))
     out = {}
-    for face in flow_map.grid.face_names:
-        idx = flow_map.grid.face_index(face, closed=True)
-        flat = np.ravel_multi_index(idx, flow_map.grid.shape)
-        n_ref = FACE_NORMALS[face]
+    for face in flow_map.grid.faces().values():
         # inverse-transpose: n_phys ~ gradY^T n_ref
-        n = np.einsum("pji,j->pi", gy[flat], n_ref)
+        n = np.einsum("pji,j->pi", gy[face.flat], face.normal)
         n /= np.linalg.norm(n, axis=1, keepdims=True)
-        out[face] = (idx, n, rotate90(n))
+        out[face.name] = (face.flat, n, rotate90(n))
     return out

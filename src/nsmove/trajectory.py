@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .fields import gradient_values
-from .motion import _mat_inv, mat_det
+from .motion import mat_det, physical_gradient
 
 
 class StateTrajectory:
@@ -30,32 +30,24 @@ class StateTrajectory:
     def __len__(self):
         return len(self.times)
 
-    def level_index(self, t):
-        m = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[m] - t) > 1e-9 * max(1.0, abs(t)):
-            raise InvalidArgumentError(f"t={t} is not a stored level")
-        return m
-
     def positions(self, m):
         if self.flow_map is None:
             return self.grid.node_coords()
         return self.flow_map.positions(self.times[m])
 
     def jacobians(self, m):
-        d = self.grid.dim
+        """gradX at level m, (N, d, d); ``None`` on a static domain."""
         if self.flow_map is None:
-            return np.broadcast_to(np.eye(d), (self.grid.num_nodes, d, d))
+            return None
         return self.flow_map.jacobians(self.times[m])
 
     def physical_weights(self, m):
         """Trapezoid weights on the current physical image (w_ref * det)."""
-        det = mat_det(self.jacobians(m)).reshape(self.grid.shape)
-        return self.grid.quadrature_weights() * det
+        w = self.grid.quadrature_weights()
+        if self.flow_map is None:
+            return w
+        return w * mat_det(self.jacobians(m)).reshape(self.grid.shape)
 
     def physical_velocity_gradient(self, m):
         """grad_x u as (N, d, d) via the inverse Jacobian transform."""
-        d = self.grid.dim
-        gy = gradient_values(self.u[m])  # (c, d) + shape
-        gy = np.moveaxis(gy.reshape(d, d, -1), -1, 0)  # (N, i, j): du_i/dy_j
-        Jinv = _mat_inv(self.jacobians(m))
-        return np.einsum("pij,pjk->pik", gy, Jinv)
+        return physical_gradient(gradient_values(self.u[m]), self.jacobians(m))

@@ -14,8 +14,15 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidArgumentError, PositivityViolationError
-from .fields import Field, gradient_values, interp_matrix, interp_values
-from .motion import FlowMap, _mat_inv, _check_steps, _OdeState, mat_det, rk4_step
+from .fields import (
+    Field,
+    blend_levels,
+    gradient_values,
+    interp_matrix,
+    interp_values,
+    level_bracket,
+)
+from .motion import FlowMap, _check_steps, _OdeState, mat_det, physical_gradient, rk4_step
 
 
 class DiscreteVelocity:
@@ -52,28 +59,15 @@ class DiscreteVelocity:
         node-major into (N, d + 1 + d^2 + d), reference-sampled."""
         f = self.fields[m]
         d, N = self.dim, self.grid.num_nodes
-        gy = np.moveaxis(gradient_values(f), (0, 1), (-2, -1)).reshape(N, d, d)
-        if self.flow_map is None or self.flow_map.is_identity:
-            Jinv = np.broadcast_to(np.eye(d), (N, d, d))
-        else:
-            Jinv = _mat_inv(self.flow_map.jacobians(self.times[m]))
-        gx = np.einsum("nij,njk->nik", gy, Jinv)  # du_i/dx_k
+        J = None
+        if self.flow_map is not None and not self.flow_map.is_identity:
+            J = self.flow_map.jacobians(self.times[m])
+        gx = physical_gradient(gradient_values(f), J)  # du_i/dx_k
         div = np.einsum("nii->n", gx)
         divf = Field(self.grid, div.reshape(self.grid.shape), self.times[m])
-        gdiv_y = gradient_values(divf)[0].reshape(d, N).T  # d(div)/dy_j
-        gdiv_x = np.einsum("nji,nj->ni", Jinv, gdiv_y)
+        gdiv_x = physical_gradient(gradient_values(divf), J)[:, 0]
         return np.concatenate([f.values.reshape(d, N).T, div[:, None],
                                gx.reshape(N, d * d), gdiv_x], axis=1)
-
-    def _time_bracket(self, t):
-        times = self.times
-        t = min(max(t, times[0]), times[-1])
-        m = int(np.searchsorted(times, t, side="right") - 1)
-        m = min(m, len(times) - 2) if len(times) > 1 else 0
-        if len(times) == 1:
-            return 0, 0, 0.0
-        w = (t - times[m]) / (times[m + 1] - times[m])
-        return m, m + 1, w
 
     def _to_ref(self, t, x):
         if self.flow_map is None or self.flow_map.is_identity:
@@ -90,13 +84,12 @@ class DiscreteVelocity:
         if cached is not None and cached[0] == t and np.array_equal(cached[1], x):
             return cached[2]
         z = self._to_ref(t, x)
-        m0, m1, w = self._time_bracket(t)
+        m, w = level_bracket(self.times, t)
         # keep only the bracketing levels
-        self._level_cache = {m: self._level_cache[m] if m in self._level_cache
-                             else self._level_data(m) for m in (m0, m1)}
-        lev = self._level_cache[m0]
-        if w != 0.0 and m0 != m1:
-            lev = (1 - w) * lev + w * self._level_cache[m1]
+        self._level_cache = {k: self._level_cache[k] if k in self._level_cache
+                             else self._level_data(k)
+                             for k in ((m,) if w == 0.0 else (m, m + 1))}
+        lev = blend_levels(self._level_cache, self.times, t)
         vals = interp_matrix(self.grid, z, out_of_bounds="clamp") @ lev
         vals.setflags(write=False)
         self._stage_cache = (t, np.array(x, dtype=float), vals)
@@ -146,19 +139,15 @@ class DensityTrajectory:
             self._map = FlowMap(self.grid, self.times, self.X, self.J, motion=None)
         return self._map
 
-    def _interp(self, arr, t):
-        m, w = self.flow_map._bracket(t)
-        return arr[m] if w == 0.0 else (1 - w) * arr[m] + w * arr[m + 1]
-
     def density_field(self, t):
-        vals = self.rho0.values[0].ravel() * np.exp(-self._interp(self.I, t))
+        vals = self.rho0.values[0].ravel() * np.exp(-blend_levels(self.I, self.times, t))
         return Field(self.grid, vals.reshape(self.grid.shape), t)
 
     def positions(self, t):
-        return self._interp(self.X, t)
+        return blend_levels(self.X, self.times, t)
 
     def jacobians(self, t):
-        return self._interp(self.J, t)
+        return blend_levels(self.J, self.times, t)
 
     def eval_physical(self, t, x, seed=None):
         """rho(t, x) for physical points x in the current image domain."""
@@ -209,17 +198,13 @@ def density_gradient(traj, t):
     d-component Field sampled at the feet X(t, z).
     """
     grid = traj.grid
-    d = grid.dim
-    J = traj.jacobians(t)
-    JinvT = np.swapaxes(_mat_inv(J), -1, -2)
-    expI = np.exp(-traj._interp(traj.I, t))
-    G = traj._interp(traj.G, t)
-    grad0 = gradient_values(traj.rho0)[0]        # (d,)+shape
-    grad0 = grad0.reshape(d, -1).T               # (N, d)
+    expI = np.exp(-blend_levels(traj.I, traj.times, t))
+    G = blend_levels(traj.G, traj.times, t)
+    grad0 = gradient_values(traj.rho0)[:, 0]     # (N, d)
     rho0 = traj.rho0.values[0].ravel()
     bracket = expI[:, None] * (grad0 - rho0[:, None] * G)
-    gx = np.einsum("pij,pj->pi", JinvT, bracket)
-    return Field(grid, gx.T.reshape((d,) + tuple(grid.shape)), t)
+    gx = physical_gradient(bracket[:, None], traj.jacobians(t))[:, 0]
+    return Field(grid, gx.T.reshape((grid.dim,) + tuple(grid.shape)), t)
 
 
 def mass_total(traj, t):

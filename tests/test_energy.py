@@ -6,11 +6,11 @@ from nsmove.fields import Field, Grid
 from nsmove.energy import (
     EnergyReport,
     PressureLaw,
+    _boundary_friction_rate,
     dissipation_density,
     energy_inequality_residual,
     gronwall_weak_strong_check,
     korn_quotient,
-    pressure_potential,
     relative_energy,
     relative_energy_remainder,
     relative_energy_values,
@@ -64,7 +64,7 @@ class TestPressureLaw:
         with pytest.raises(InvalidArgumentError):
             PressureLaw(gamma=0.5)
         with pytest.raises(InvalidArgumentError):
-            pressure_potential(LAW_G2, -1.0)
+            LAW_G2.potential(-1.0)
         with pytest.raises(InvalidArgumentError):
             PressureLaw(gamma=2.0, delta=0.1, beta=1.0)
 
@@ -159,6 +159,16 @@ class TestEnergyInequality:
                                          FluidParams(mu=0.4, bc="slip"))
         assert rep.max_residual <= 1e-10
         assert float(rep.dissipation[-1]) <= 1e-12
+
+    def test_static_friction_rate(self):
+        # u = (y, x), V = 0, kappa = 2 on [0, 1] x [0, 2]: (u.tau)^2 is 0 on
+        # x0 and y0, 1 on x1 (length 2) and 4 on y1 (length 1), so the rate
+        # is 2 * (2 + 4) = 12; trapezoid quadrature is exact on constants
+        g = Grid((9, 11), (0.0, 0.0), (1.0, 2.0))
+        traj = _static_trajectory(g, [0.0], lambda t, p: np.ones(len(p)),
+                                  lambda t, p: p[:, ::-1].copy())
+        params = FluidParams(mu=0.4, kappa=2.0, bc="slip")
+        assert _boundary_friction_rate(traj, MotionField.zero(2), params, 0) == 12.0
 
     def test_json_round_trip(self):
         import json

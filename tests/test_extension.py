@@ -101,9 +101,8 @@ class TestTraces:
         # with zero context the tangential component is q * P(s), linear in
         # q on the first two node layers (2h <= eps, inside the cutoff
         # plateau), so the one-sided q-stencil is exact; and P's dtau_d uses
-        # extension._fd_1d, the same stencil that stress_trace_fd applies
-        # through fields._diff_axis. Merging those two stencils must keep
-        # them identical. The data vanish in the corner collars, so the
+        # fields._diff_axis, the same stencil that stress_trace_fd applies
+        # through differentiate. The data vanish in the corner collars, so the
         # face blending does not enter. y1 has tau against increasing s
         # (sgn_tau = -1); y0 has tau along it.
         for face, kappa in (("y0", 0.3), ("y1", 0.0)):

@@ -3,15 +3,19 @@ import pytest
 
 from nsmove.errors import InvalidArgumentError, OutOfDomainError
 from nsmove.fields import (
+    FACE_NORMALS,
     Field,
     Grid,
     _axis_stencil,
+    blend_levels,
     differentiate,
     integrate,
     interp_matrix,
     interp_values,
     interpolate,
+    level_bracket,
     read_field_csv,
+    rotate90,
     sobolev_norm,
     write_field_csv,
 )
@@ -23,6 +27,68 @@ def grid1d(n=65):
 
 def grid2d(n=33):
     return Grid((n, n), (0.0, 0.0), (1.0, 1.0))
+
+
+class TestFaces:
+    def test_records_on_non_square_grid(self):
+        g = Grid((9, 11), (0.0, 0.0), (1.0, 2.0))
+        faces = g.faces()
+        assert list(faces) == list(g.face_names)
+        lengths = {"x0": 2.0, "x1": 2.0, "y0": 1.0, "y1": 1.0}
+        for name, face in faces.items():
+            assert face.name == name
+            expect = np.ravel_multi_index(g.face_index(name, closed=True), g.shape)
+            assert np.array_equal(face.flat, expect)
+            assert face.axis == (0 if name in ("x0", "x1") else 1)
+            assert np.array_equal(face.normal, FACE_NORMALS[name])
+            assert np.array_equal(face.tangent, rotate90(face.normal))
+            assert len(face.weights) == len(face.flat)
+            assert np.sum(face.weights) == pytest.approx(lengths[name], abs=1e-14)
+            # the face nodes sit on the face, ordered along it
+            coords = g.node_coords()[face.flat]
+            edge = g.lo[face.axis] if name.endswith("0") else g.hi[face.axis]
+            assert np.all(coords[:, face.axis] == edge)
+            assert np.all(np.diff(coords[:, 1 - face.axis]) > 0)
+
+    def test_1d_normals(self):
+        faces = grid1d(9).faces()
+        assert np.array_equal(faces["x0"].flat, [0])
+        assert np.array_equal(faces["x1"].flat, [8])
+        assert np.array_equal(faces["x0"].normal, [-1.0])
+        assert np.array_equal(faces["x1"].normal, [1.0])
+        assert all(f.axis == 0 and f.tangent is None and f.weights is None
+                   for f in faces.values())
+
+
+class TestLevelBracket:
+    times = np.array([0.0, 0.1, 0.3, 0.6])
+
+    def test_stored_levels_have_zero_weight(self):
+        for m, t in enumerate(self.times[:-1]):
+            assert level_bracket(self.times, t) == (m, 0.0)
+
+    def test_interior_and_last_level(self):
+        m, w = level_bracket(self.times, 0.2)
+        assert m == 1 and w == pytest.approx(0.5, abs=1e-15)
+        assert level_bracket(self.times, 0.6) == (2, 1.0)
+
+    def test_clamp_within_tolerance(self):
+        assert level_bracket(self.times, -5e-13) == (0, 0.0)
+        assert level_bracket(self.times, 0.6 + 5e-13) == (2, 1.0)
+        for t in (-1e-11, 0.6 + 1e-11):
+            with pytest.raises(InvalidArgumentError):
+                level_bracket(self.times, t)
+
+    def test_single_level(self):
+        assert level_bracket(np.array([0.25]), 0.25) == (0, 0.0)
+        with pytest.raises(InvalidArgumentError):
+            level_bracket(np.array([0.25]), 0.3)
+
+    def test_blend(self):
+        levels = np.array([[1.0], [3.0], [7.0], [13.0]])
+        assert np.array_equal(blend_levels(levels, self.times, 0.1), levels[1])
+        assert blend_levels(levels, self.times, 0.45)[0] == pytest.approx(10.0)
+        assert blend_levels(levels, self.times, 0.6)[0] == 13.0
 
 
 class TestGrid:

@@ -177,9 +177,10 @@ class TestRemainder:
         params = FluidParams(mu=mu, eta=eta, bc="slip")
         out = lagrangian_remainder(rho, u, fm, V, t, params)
 
-        from nsmove.lagrangian import _grad_fields, _hessian_fields
+        from nsmove.fields import gradient_values
+        from nsmove.lagrangian import _hessian_fields
         b = np.exp(-rates * t)        # gradY = diag(b1, b2)
-        G1 = _grad_fields(u)
+        G1 = gradient_values(u)
         G2 = _hessian_fields(u)
         pts = g.node_coords()
         Vx = np.exp(rates * t) * rates * pts       # V(t, X(t, y))

@@ -6,6 +6,7 @@ from nsmove.fields import Field, Grid
 from nsmove.momentum import (
     FluidParams,
     MomentumBC,
+    _dirichlet_data,
     assemble_stress_matrix,
     momentum_energy_residual,
     solve_linear_momentum,
@@ -91,6 +92,16 @@ class TestBasics:
             FluidParams(mu=-1.0)
         with pytest.raises(InvalidArgumentError):
             FluidParams(mu=1.0, bc="periodic")
+
+    def test_1d_slip_dirichlet_data(self):
+        # u.n = V.n + d with n = -1 at x0 and +1 at x1
+        g = Grid((9,), (0.0,), (1.0,))
+        bc = MomentumBC.slip(lambda t, p: np.full_like(p, 0.7),
+                             normal_datum=lambda t, face: np.array(
+                                 [0.2 if face == "x0" else 0.5]))
+        idx, vals = _dirichlet_data(g, bc, 0.1)
+        assert np.array_equal(idx, [0, 8])
+        assert np.allclose(vals, [0.7 - 0.2, 0.7 + 0.5], rtol=0.0, atol=1e-15)
 
     def test_homogeneous_energy_nonincreasing(self):
         g = Grid((33,), (0.0,), (1.0,))

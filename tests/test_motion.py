@@ -12,7 +12,6 @@ from nsmove.motion import (
     advect_flow_map,
     boundary_frame,
     flow_jacobians,
-    invert_flow_map,
 )
 
 
@@ -90,6 +89,14 @@ class TestAdvect:
         fm = advect_flow_map(MotionField.shear(0.4), g, 0.2, 0.02)
         assert np.array_equal(fm.positions(0.0), g.node_coords())
 
+    def test_single_level_map(self):
+        # T = 0 stores one level; querying it must not divide 0 by 0
+        g = grid2d()
+        fm = advect_flow_map(MotionField.shear(0.4), g, 0.0, 0.02)
+        assert np.array_equal(fm.times, [0.0])
+        assert np.array_equal(fm.positions(0.0), g.node_coords())
+        assert np.array_equal(fm.jacobians(0.0), np.broadcast_to(np.eye(2), (81, 2, 2)))
+
     def test_nonintegral_steps_rejected(self):
         g = grid1d()
         with pytest.raises(InvalidArgumentError):
@@ -108,7 +115,7 @@ class TestInvert:
         c = np.array([0.2, 0.1])
         fm = advect_flow_map(MotionField.translation(c), g, 0.5, 0.05)
         x = np.array([[0.6, 0.6], [0.25, 0.35]])
-        z = invert_flow_map(fm, 0.5, x)
+        z = fm.invert(0.5, x)
         assert np.max(np.abs(z - (x - 0.5 * c))) < 1e-9
 
     def test_dilation_round_trip(self):

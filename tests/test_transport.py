@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nsmove.errors import PositivityViolationError
+from nsmove.errors import InvalidArgumentError, PositivityViolationError
 from nsmove.fields import (
     Field,
     Grid,
@@ -52,6 +52,13 @@ class TestSolveTransport:
         assert np.max(np.abs(rho_bar - rho0.values / 2)) <= 1e-8
         assert np.max(np.abs(traj.positions(t_end)[:, 0]
                              - 2 * rho0.grid.axis_coords(0))) <= 1e-8
+
+    def test_single_level_solution(self):
+        # T = 0: the one stored level is rho0 at the nodes
+        rho0 = rho_init_1d(17)
+        traj = solve_transport(rho0, MotionField.dilation(0.5, 1), 0.0, 0.01)
+        assert np.array_equal(traj.density_field(0.0).values, rho0.values)
+        assert np.array_equal(traj.positions(0.0), rho0.grid.node_coords())
 
     def test_positive_initial_density_required(self):
         g = Grid((9,), (0.0,), (1.0,))
@@ -152,6 +159,15 @@ class TestDiscreteVelocity:
         div = dv.divergence(0.25, pts)
         exact = 0.3 * np.pi * np.cos(np.pi * pts[:, 0])
         assert np.max(np.abs(div - exact)) < 1e-3
+
+    def test_query_past_last_level_raises(self):
+        g = Grid((17,), (0.0,), (1.0,))
+        times = np.linspace(0.0, 0.2, 3)
+        dv = DiscreteVelocity(times, [Field.zeros(g, t=t) for t in times])
+        pts = np.array([[0.5]])
+        assert dv.velocity(0.2, pts)[0, 0] == 0.0
+        with pytest.raises(InvalidArgumentError):
+            dv.velocity(0.25, pts)
 
     @staticmethod
     def _dilation_sampled():
