@@ -158,16 +158,6 @@ def relative_energy(law, rho, u, r, U, weights):
     return float(np.sum(np.asarray(weights).ravel() * vals))
 
 
-def relative_energy_fields(law, state, reference, m, weights=None):
-    """Relative energy between two trajectories sharing grid/map at level m."""
-    w = state.physical_weights(m).ravel() if weights is None else weights
-    rho = state.rho[m].values[0].ravel()
-    u = state.u[m].values.reshape(state.grid.dim, -1).T
-    r = reference.rho[m].values[0].ravel()
-    U = reference.u[m].values.reshape(state.grid.dim, -1).T
-    return relative_energy(law, rho, u, r, U, w)
-
-
 @dataclass
 class EnergyReport:
     times: np.ndarray

@@ -59,7 +59,3 @@ class InstabilityError(NsmoveError):
 
 class NotSameDataError(NsmoveError):
     """Relative-energy comparison requested for runs with different data."""
-
-
-class IncompatibleRunsError(NsmoveError):
-    """Two run directories cannot be compared (grids/times mismatch)."""

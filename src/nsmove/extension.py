@@ -71,17 +71,20 @@ class ExtensionField:
 
 
 class _FaceContext:
-    """Per-face frame gaps and the stress-datum coefficient table."""
+    """Per-face frame gaps and the stress-datum coefficient table.
 
-    def __init__(self, grid, face, u_ref, V, flow_map, t, mu, kappa):
+    ``geometry`` is None for zero context, else the map's quantities at t
+    shared by the four faces: (positions X, boundary_frame, gradY).
+    """
+
+    def __init__(self, face, nodes, V, geometry, t, mu):
         flat = face.flat
         m = len(flat)
         self.flat = flat
         self.n_ref = face.normal
         self.tau_ref = face.tangent
-        nodes = grid.node_coords()
         self.foot = nodes[flat]
-        if flow_map is None or V is None:
+        if geometry is None:
             self.n_X = np.broadcast_to(self.n_ref, (m, 2)).copy()
             self.tau_X = np.broadcast_to(self.tau_ref, (m, 2)).copy()
             self.dn = np.zeros((m, 2))
@@ -90,14 +93,14 @@ class _FaceContext:
             self.A = np.zeros((m, 2, 2))
             self.gradV_foot = np.zeros((m, 2, 2))
             return
-        _, n_X, tau_X = boundary_frame(flow_map, t)[face.name]
+        positions, frame, gy = geometry
+        _, n_X, tau_X = frame[face.name]
         self.n_X, self.tau_X = n_X, tau_X
         self.dn = self.n_ref - n_X
         self.dtau = self.tau_ref - tau_X
-        X = flow_map.positions(t)[flat]
+        X = positions[flat]
         self.dV = V.velocity(t, X) - V.velocity(t, self.foot)
         self.gradV_foot = V.gradient(t, self.foot)
-        _, gy, _, _ = flow_jacobians(flow_map, t)
         Jgap = np.eye(2) - gy[flat]
         # coefficient of dU_a/dy_b in the stress datum B
         self.A = mu * (np.einsum("pbj,pj,pa->pab", Jgap, n_X, tau_X)
@@ -140,13 +143,18 @@ def extend_boundary_data(bdata, grid, *, u_ref=None, V=None, flow_map=None,
     Vy_all = (np.zeros((N, 2)) if V is None
               else V.velocity(t, nodes))
 
+    geometry = None
+    if flow_map is not None and V is not None:
+        geometry = (flow_map.positions(t), boundary_frame(flow_map, t),
+                    flow_jacobians(flow_map, t)[1])
+
     total = np.zeros((N, 2))
     tot1 = np.zeros((N, 2))
     tot2 = np.zeros((N, 2))
     weight_sum = np.zeros(N)
 
     for face in grid.faces().values():
-        ctx = _FaceContext(grid, face, u_ref, V, flow_map, t, mu, kappa)
+        ctx = _FaceContext(face, nodes, V, geometry, t, mu)
         axis = face.axis
         s_axis = 1 - axis
         hs = grid.spacing[s_axis]

@@ -5,7 +5,13 @@ The operator is assembled in symmetric energy form (Q1/P1 elements with 2x2
 Gauss quadrature, lumped trapezoid mass), so the Crank-Nicolson inner systems
 are SPD by construction; the slip tangential stress datum B and the friction
 term kappa (u - V).tau enter as natural boundary terms, while the normal
-component is enforced strongly. Inner solves are Jacobi-preconditioned CG.
+component is enforced strongly. The constrained dofs are eliminated once per
+solve, and each step's system is solved by CG preconditioned with one
+geometric-multigrid V-cycle (bilinear prolongation, Galerkin coarse
+operators, damped-Jacobi smoothing), whose iteration count does not grow
+as h shrinks. Each step reports the work of the reaction on the
+constrained dofs, which closes the discrete energy identity to solver
+tolerance.
 """
 
 from __future__ import annotations
@@ -46,12 +52,21 @@ class FluidParams:
 
 @dataclass
 class MomentumStepReport:
+    """Solver health and energy terms of one Crank-Nicolson step.
+
+    ``reaction_work`` is ubar . r, with r = M (u1 - u0)/dt + A ubar - load
+    restricted to the constrained rows: the work of the reaction that
+    enforces the strong normal condition. kinetic_change/dt + dissipation +
+    ubar . F_fric ubar - ubar . load - reaction_work is zero to CG tolerance.
+    """
+
     t: float
     iterations: int
     residual: float
     dissipation: float
     kinetic_change: float
     boundary_work: float
+    reaction_work: float
 
 
 # -- element templates ------------------------------------------------------
@@ -134,28 +149,18 @@ def assemble_stress_matrix(grid, params, mu_nodal=None):
 
     # K[(c1 a),(c2 b)] = mu [delta_{c1 c2} sum_i E^{ii} + E^{(c2 c1)}]
     #                    + (eta - 2 mu/3) E^{(c1 c2)}
-    blocks = np.zeros((d, d, ncells, nloc, nloc))
-    for g, Eg in enumerate(tmpl):
-        lap = sum(Eg[(i, i)] for i in range(d))
-        for c1 in range(d):
-            for c2 in range(d):
-                contrib = np.zeros((nloc, nloc))
-                term = np.einsum("c,ab->cab", mu_g[:, g],
-                                 (lap if c1 == c2 else 0) + Eg[(c2, c1)])
-                term += np.einsum("c,ab->cab", lam_g[:, g], Eg[(c1, c2)])
-                blocks[c1, c2] += term
-
-    rows, cols, vals = [], [], []
-    for c1 in range(d):
-        for c2 in range(d):
-            r = (c1 * N + cells)[:, :, None] + np.zeros((1, 1, nloc), dtype=int)
-            c = (c2 * N + cells)[:, None, :] + np.zeros((1, nloc, 1), dtype=int)
-            rows.append(r.ravel())
-            cols.append(c.ravel())
-            vals.append(blocks[c1, c2].ravel())
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(d * N, d * N)).tocsr()
+    eye = np.eye(d)
+    T_mu = np.array([[[eye[c1, c2] * sum(Eg[(i, i)] for i in range(d)) + Eg[(c2, c1)]
+                       for c2 in range(d)] for c1 in range(d)] for Eg in tmpl])
+    T_lam = np.array([[[Eg[(c1, c2)] for c2 in range(d)] for c1 in range(d)] for Eg in tmpl])
+    blocks = (mu_g @ T_mu.reshape(ngauss, -1)
+              + lam_g @ T_lam.reshape(ngauss, -1))  # (ncells, d * d * nloc * nloc)
+    comp = np.arange(d) * N
+    rows, cols = np.broadcast_arrays(
+        comp[None, :, None, None, None] + cells[:, None, None, :, None],
+        comp[None, None, :, None, None] + cells[:, None, None, None, :])
+    A = sp.coo_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())),
+                      shape=(d * N, d * N)).tocsr()
     A.sum_duplicates()
     return A
 
@@ -272,16 +277,115 @@ def _slip_boundary_load(grid, bc, params, t):
     return load
 
 
-class _DirichletSystem:
-    """Eliminates constrained dofs from an SPD matrix, keeping symmetry."""
+# -- the Crank-Nicolson system and its multigrid preconditioner ---------------
 
-    def __init__(self, A, idx):
-        self.idx = np.asarray(idx, dtype=int)
-        self.cols = A[:, self.idx].tocsc()
-        free = np.ones(A.shape[0])
-        free[self.idx] = 0.0
-        P = sp.diags(free)
-        self.matrix = (P @ A @ P + sp.diags(1.0 - free)).tocsr()
+_COARSEST_NODES = 5  # an axis with this many nodes or fewer is not halved
+
+
+def _prolongation_1d(nc):
+    """Linear interpolation from nc nodes to the 2 nc - 1 nodes between them."""
+    nf = 2 * nc - 1
+    odd = np.arange(1, nf, 2)
+    rows = np.concatenate([np.arange(0, nf, 2), odd, odd])
+    cols = np.concatenate([np.arange(nc), np.arange(nc - 1), np.arange(1, nc)])
+    vals = np.concatenate([np.ones(nc), np.full(2 * (nc - 1), 0.5)])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(nf, nc))
+
+
+def _jacobi_weight(A):
+    """Damping 4 / (3 g), g the Gershgorin bound on the spectrum of D^-1 A.
+
+    Then omega * lambda_max(D^-1 A) <= 4/3 < 2, so the symmetric V-cycle is
+    positive definite; g = 2 (the 2-D Laplacian) gives the usual 2/3.
+    """
+    g = np.max(abs(A) @ np.ones(A.shape[0]) / A.diagonal())
+    return 4.0 / (3.0 * g)
+
+
+class _VCycle:
+    """One symmetric geometric V-cycle for an SPD system on a tensor grid.
+
+    Prolongation is bilinear per component (a Kronecker product of 1-D
+    interpolations) with zero rows on the finest level's constrained dofs;
+    coarse operators are Galerkin, P^T A P; each level smooths with one
+    damped-Jacobi sweep before and one after the coarse correction, so the
+    cycle is a symmetric preconditioner for CG. Levels are halved while
+    every axis has an odd node count above ``_COARSEST_NODES``; the
+    coarsest operator is factorized by sparse LU (a grid that does not
+    halve gets one level: that factorization). The finest operator is held
+    by reference; call :meth:`refresh` after changing its diagonal.
+    Briggs, Henson & McCormick, A Multigrid Tutorial, 2nd ed., SIAM 2000.
+    """
+
+    def __init__(self, A, free, shape):
+        ncomp = A.shape[0] // int(np.prod(shape))
+        self.ops, self.prolong, self.restrict = [A], [], []
+        shape = tuple(shape)
+        while all(n % 2 == 1 and n > _COARSEST_NODES for n in shape):
+            shape = tuple((n + 1) // 2 for n in shape)
+            P = _prolongation_1d(shape[0])
+            for nc in shape[1:]:
+                P = sp.kron(P, _prolongation_1d(nc))
+            P = (sp.diags(free) @ sp.kron(sp.identity(ncomp), P)).tocsr()
+            R = P.T.tocsr()
+            A = (R @ A @ P).tocsr()
+            self.prolong.append(P)
+            self.restrict.append(R)
+            self.ops.append(A)
+            free = np.ones(A.shape[0])
+        self.omega = [_jacobi_weight(op) for op in self.ops]
+        self.smooth = [w / op.diagonal() for w, op in zip(self.omega, self.ops)]
+        self.coarsest = spla.splu(A.tocsc())
+
+    def refresh(self):
+        self.smooth[0] = self.omega[0] / self.ops[0].diagonal()
+
+    def _cycle(self, level, r):
+        if level == len(self.prolong):
+            return self.coarsest.solve(r)
+        A, s = self.ops[level], self.smooth[level]
+        x = s * r
+        x += self.prolong[level] @ self._cycle(level + 1,
+                                               self.restrict[level] @ (r - A @ x))
+        return x + s * (r - A @ x)
+
+    def operator(self):
+        return spla.LinearOperator(self.ops[0].shape, matvec=lambda r: self._cycle(0, r),
+                                   dtype=float)
+
+
+class _CrankNicolsonSystem:
+    """M/dt + A/2 with the constrained dofs eliminated symmetrically.
+
+    Everything but the mass diagonal is built once per solve: F (A/2) F
+    (F zeroes the constrained rows and columns) plus the identity on the
+    constrained rows, the coupling columns (A/2)[:, idx] and the V-cycle,
+    whose coarse levels keep the mass of the first step. A step writes its
+    mass into the diagonal with :meth:`set_mass`.
+    """
+
+    def __init__(self, half, idx, mass, shape):
+        n = half.shape[0]
+        self.idx = idx
+        self.free = np.ones(n)
+        self.free[idx] = 0.0
+        self.cols = half[:, idx].tocsr()
+        # keep the entries coupling two free dofs and every diagonal entry
+        # (K has one per dof, mu > 0); constrained rows keep only a 1
+        rows = np.repeat(np.arange(n), np.diff(half.indptr))
+        diag = rows == half.indices
+        keep = (self.free[rows] * self.free[half.indices] > 0) | diag
+        data = np.where(self.free[rows] > 0, half.data, 1.0)[keep]
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[keep], minlength=n))])
+        self.matrix = sp.csr_matrix((data, half.indices[keep], indptr), shape=half.shape)
+        self._diag = np.flatnonzero(diag[keep])
+        self._base = data[self._diag].copy()
+        self.matrix.data[self._diag] = self._base + self.free * mass
+        self.vcycle = _VCycle(self.matrix, self.free, shape)
+
+    def set_mass(self, mass):
+        self.matrix.data[self._diag] = self._base + self.free * mass
+        self.vcycle.refresh()
 
     def rhs(self, b, vals):
         out = b - self.cols @ vals
@@ -289,16 +393,13 @@ class _DirichletSystem:
         return out
 
 
-def _cg_solve(A, b, x0, tol, maxiter=None):
-    diag = A.diagonal()
-    M = sp.diags(1.0 / np.where(diag > 0, diag, 1.0))
+def _cg_solve(A, b, x0, tol, M):
     count = [0]
 
     def cb(_):
         count[0] += 1
 
-    x, info = spla.cg(A, b, x0=x0, rtol=tol, atol=0.0, M=M,
-                      maxiter=maxiter, callback=cb)
+    x, info = spla.cg(A, b, x0=x0, rtol=tol, atol=0.0, M=M, callback=cb)
     bnorm = np.linalg.norm(b)
     res = np.linalg.norm(A @ x - b) / (bnorm if bnorm > 0 else 1.0)
     if info != 0 or not np.isfinite(res) or res > 10 * tol:
@@ -325,12 +426,14 @@ def solve_linear_momentum(rho, rhs, bc, u0, params, dt, T, *,
     A_op = K
     if params.bc == "slip" and params.kappa > 0:
         A_op = K + assemble_friction_matrix(grid, params.kappa)
-    wq = np.tile(grid.quadrature_weights().ravel(), d)
+    half = 0.5 * A_op
+    w = grid.quadrature_weights().ravel()
+    wq = np.tile(w, d)
 
     u = u0.values.reshape(d, -1).ravel()
     levels = [u0.copy(t=t0)]
     reports = []
-    t = t0
+    system = None
     for m in range(steps):
         th = t0 + (m + 0.5) * dt
         tn = t0 + (m + 1) * dt
@@ -339,28 +442,34 @@ def solve_linear_momentum(rho, rhs, bc, u0, params, dt, T, *,
             raise PositivityViolationError(
                 f"density {rho_h.min():.3e} below floor {rho_min:.3e} at t={th}")
         Mdiag = wq * np.tile(rho_h, d)
-        lhs = sp.diags(Mdiag / dt) + 0.5 * A_op
+        mass = Mdiag / dt
         f = np.asarray(rhs(th), dtype=float).reshape(N, d)
         bload = _slip_boundary_load(grid, bc, params, th)
-        load = (grid.quadrature_weights().ravel()[:, None] * f).T.ravel() + bload
-        b = (sp.diags(Mdiag / dt) - 0.5 * A_op) @ u + load
+        load = (w[:, None] * f).T.ravel() + bload
+        b = mass * u - half @ u + load
 
+        # the constrained dofs are the same at every step; only values move
         idx, vals = _dirichlet_data(grid, bc, tn)
-        ds = _DirichletSystem(lhs.tocsr(), idx)
-        b2 = ds.rhs(b, vals)
-        u_new, iters, res = _cg_solve(ds.matrix, b2, u, cg_tol)
+        if system is None:
+            system = _CrankNicolsonSystem(half, idx, mass, grid.shape)
+        else:
+            system.set_mass(mass)
+        u_new, iters, res = _cg_solve(system.matrix, system.rhs(b, vals), u, cg_tol,
+                                      system.vcycle.operator())
 
         if report_energy:
             kin = 0.5 * float(np.sum(Mdiag * u_new**2) - np.sum(Mdiag * u**2))
             mid = 0.5 * (u + u_new)
             diss = float(mid @ (K @ mid))
             bwork = float(mid @ bload)
+            # CN residual on the constrained rows: the reaction's work
+            reaction = (mass * (u_new - u) + A_op @ mid - load)[idx]
+            rwork = float(mid[idx] @ reaction)
         else:
-            kin = diss = bwork = 0.0
-        reports.append(MomentumStepReport(tn, iters, res, diss, kin, bwork))
+            kin = diss = bwork = rwork = 0.0
+        reports.append(MomentumStepReport(tn, iters, res, diss, kin, bwork, rwork))
         u = u_new
-        t = tn
-        levels.append(Field(grid, u.reshape(d, *grid.shape), t))
+        levels.append(Field(grid, u.reshape(d, *grid.shape), tn))
     return levels, reports
 
 

@@ -213,21 +213,3 @@ def mass_total(traj, t):
     det = mat_det(traj.jacobians(t)).reshape(traj.grid.shape)
     w = traj.grid.quadrature_weights()
     return float(np.sum(w * rho * det))
-
-
-def transport_series(traj):
-    """Per-level summary rows (t, mass, min rho, max rho, H1, H2 norms)."""
-    from .fields import sobolev_norm
-
-    rows = []
-    for m, t in enumerate(traj.times):
-        f = traj.density_field(t)
-        rows.append((
-            float(t),
-            mass_total(traj, t),
-            float(np.min(f.values)),
-            float(np.max(f.values)),
-            sobolev_norm(f, 1, 2),
-            sobolev_norm(f, 2, 2),
-        ))
-    return rows

@@ -1,7 +1,13 @@
-"""Source hygiene: every import in the package is used.
+"""Source hygiene: every import in the package is used, and so is every
+top-level definition.
 
 A name bound by an import counts as used when it is read anywhere in the
 module or listed in ``__all__``; ``from __future__`` imports are exempt.
+A top-level function or class of ``src/nsmove`` counts as used when some
+code in ``src/``, ``tests/`` or ``perfbench/`` other than its definition
+names it (a read, an attribute, an import or an ``__all__`` entry).
+Exception classes are exempt: the error vocabulary is declared ahead of
+the layers that raise it.
 """
 
 import ast
@@ -9,7 +15,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = sorted((Path(__file__).resolve().parents[1] / "src" / "nsmove").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SRC = sorted((ROOT / "src" / "nsmove").glob("*.py"))
+CODE = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
 
 def _unused_imports(tree):
@@ -39,3 +47,60 @@ def test_no_unused_imports(path):
 def test_detects_unused_import():
     tree = ast.parse("import os\nfrom x import a as b, c\n__all__ = ['c']\n")
     assert _unused_imports(tree) == [(1, "os"), (2, "b")]
+
+
+def _definitions(tree):
+    """Top-level functions and non-exception classes: {name: line}."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out[node.name] = node.lineno
+        elif isinstance(node, ast.ClassDef) and not any(
+                isinstance(b, ast.Name) and (b.id.endswith("Error") or b.id == "Exception")
+                for b in node.bases):
+            out[node.name] = node.lineno
+    return out
+
+
+def _named(tree):
+    """Every name the code mentions, other than by defining it."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+        elif (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            names.update(ast.literal_eval(node.value))
+    return names
+
+
+def _unnamed_definitions(trees):
+    """(file, line, name) of the definitions in ``trees`` ({path: tree} of the
+    package) that no tree in ``trees`` or in the rest of the code names."""
+    named = set()
+    for tree in trees.values():
+        named |= _named(tree)
+    for path in CODE:
+        if path not in trees:
+            named |= _named(ast.parse(path.read_text(), filename=str(path)))
+    return sorted((path.name, line, name) for path, tree in trees.items()
+                  for name, line in _definitions(tree).items() if name not in named)
+
+
+def test_no_unnamed_definitions():
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in SRC}
+    orphans = _unnamed_definitions(trees)
+    assert not orphans, f"defined but named nowhere: {orphans}"
+
+
+def test_detects_unnamed_definition():
+    trees = {ROOT / "src" / "nsmove" / "probe.py": ast.parse(
+        "class FooError(ValueError):\n    pass\n"
+        "class Unused:\n    pass\n"
+        "def orphan():\n    return helper()\n"
+        "def helper():\n    return FooError\n")}
+    assert _unnamed_definitions(trees) == [("probe.py", 3, "Unused"), ("probe.py", 5, "orphan")]

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from nsmove.errors import InvalidArgumentError, PositivityViolationError
 from nsmove.fields import Field, Grid
 from nsmove.momentum import (
     FluidParams,
     MomentumBC,
+    _CrankNicolsonSystem,
     _dirichlet_data,
+    _slip_boundary_load,
+    assemble_friction_matrix,
     assemble_stress_matrix,
     momentum_energy_residual,
     solve_linear_momentum,
@@ -210,3 +215,150 @@ class TestSlipNoSlipLimit:
             gaps.append(float(np.sqrt(np.sum(
                 w * np.sum((sl - ns).reshape(2, -1).T**2, axis=1)))))
         assert gaps[0] > gaps[1] > gaps[2]
+
+
+# -- the multigrid-preconditioned solve ---------------------------------------
+
+
+def dilation(t, pts):
+    return 0.3 * np.asarray(pts, dtype=float)
+
+
+def chain_like_problem(n, kappa=1.0):
+    """Slip data as the moving-domain chain makes them: V a dilation (so
+    V.n != 0), nonzero normal datum d and stress datum B, a density bump
+    that grows in time, and a smooth force. Returns solver arguments."""
+    g = Grid((n, n), (0.0, 0.0), (1.0, 1.0))
+    pts = g.node_coords()
+    bump = np.exp(-np.sum((pts - 0.45) ** 2, axis=1) / 0.02)
+    force = np.stack([np.sin(np.pi * pts[:, 1]), np.cos(2 * pts[:, 0])], axis=1)
+    faces = g.faces()
+
+    def datum(scale):
+        def fn(t, face):
+            s = g.node_coords()[faces[face].flat] @ np.abs(faces[face].tangent)
+            return scale * (1 + t) * np.sin(np.pi * s) ** 2
+        return fn
+
+    bc = MomentumBC.slip(dilation, normal_datum=datum(0.01), stress_datum=datum(0.2))
+    params = FluidParams(mu=0.3, eta=0.1, kappa=kappa, bc="slip")
+    u0 = Field(g, dilation(0.0, pts).T.reshape((2,) + g.shape))
+    return dict(rho=lambda t: 1.0 + 0.5 * (1 + t) * bump, rhs=lambda t: force,
+                bc=bc, u0=u0, params=params)
+
+
+def jacobi_cg_reference(rho, rhs, bc, u0, params, dt, T, cg_tol=1e-10):
+    """The Jacobi-preconditioned CG kernel the multigrid solve replaced:
+    per step, eliminate the constrained dofs as P A P + (I - P) and solve."""
+    grid = u0.grid
+    d, N = grid.dim, grid.num_nodes
+    A = assemble_stress_matrix(grid, params)
+    if params.bc == "slip" and params.kappa > 0:
+        A = A + assemble_friction_matrix(grid, params.kappa)
+    w = grid.quadrature_weights().ravel()
+    u = u0.values.reshape(d, -1).ravel()
+    out = [u]
+    for m in range(int(round(T / dt))):
+        th, tn = (m + 0.5) * dt, (m + 1) * dt
+        Mdiag = np.tile(w, d) * np.tile(np.asarray(rho(th)).ravel(), d)
+        lhs = (sp.diags(Mdiag / dt) + 0.5 * A).tocsr()
+        load = ((w[:, None] * np.asarray(rhs(th)).reshape(N, d)).T.ravel()
+                + _slip_boundary_load(grid, bc, params, th))
+        b = (sp.diags(Mdiag / dt) - 0.5 * A) @ u + load
+        idx, vals = _dirichlet_data(grid, bc, tn)
+        free = np.ones(d * N)
+        free[idx] = 0.0
+        P = sp.diags(free)
+        system = (P @ lhs @ P + sp.diags(1.0 - free)).tocsr()
+        b = b - lhs[:, idx] @ vals
+        b[idx] = vals
+        u, info = spla.cg(system, b, x0=u, rtol=cg_tol, atol=0.0,
+                          M=sp.diags(1.0 / system.diagonal()))
+        assert info == 0
+        out.append(u)
+    return out
+
+
+class TestMultigridSolve:
+    @pytest.mark.parametrize("n", [17, 33, 65, 129])
+    def test_iterations_flat_in_n(self, n):
+        prob = chain_like_problem(n, kappa=1.0)
+        _, reports = solve_linear_momentum(dt=0.01, T=0.03, **prob)
+        iters = [r.iterations for r in reports]
+        assert max(iters) <= 12, iters
+        assert all(r.residual <= 1e-10 for r in reports)
+
+    @pytest.mark.parametrize("shape", [(33, 33), (20, 20), (33,)])
+    def test_vcycle_symmetric_positive(self, shape):
+        g = Grid(shape, (0.0,) * len(shape), (1.0,) * len(shape))
+        d = g.dim
+        params = FluidParams(mu=0.3, eta=0.1, kappa=1.0, bc="slip")
+        A = assemble_stress_matrix(g, params) + assemble_friction_matrix(g, 1.0)
+        idx, _ = _dirichlet_data(g, MomentumBC.slip(dilation), 0.01)
+        mass = np.tile(g.quadrature_weights().ravel(), d) / 0.01
+        system = _CrankNicolsonSystem((0.5 * A).tocsr(), idx, mass, g.shape)
+        system.set_mass(1.3 * mass)  # a later step's density
+        M = system.vcycle.operator()
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            x, y = rng.standard_normal((2, d * g.num_nodes))
+            Mx, My = M @ x, M @ y
+            assert abs(x @ My - y @ Mx) <= 1e-12 * abs(x @ My)
+            assert x @ Mx > 0.0
+
+    @pytest.mark.parametrize("kind", ["slip", "no-slip", "no-slip-1d"])
+    def test_agrees_with_jacobi_cg(self, kind):
+        if kind == "slip":
+            prob = chain_like_problem(33, kappa=0.5)
+        else:
+            shape = (33,) if kind == "no-slip-1d" else (17, 17)
+            g = Grid(shape, (0.0,) * len(shape), (1.0,) * len(shape))
+            pts = g.node_coords().reshape(g.num_nodes, -1)
+            prob = dict(rho=lambda t: 1.0 + t + 0.5 * pts[:, 0],
+                        rhs=lambda t: np.cos(3 * pts), bc=MomentumBC.no_slip(
+                            lambda t, p: 0.1 * np.sin(np.asarray(p))),
+                        u0=Field(g, np.sin(np.pi * pts).T.reshape((g.dim,) + g.shape)),
+                        params=FluidParams(mu=0.2, eta=0.05))
+        levels, _ = solve_linear_momentum(dt=0.02, T=0.1, **prob)
+        ref = jacobi_cg_reference(dt=0.02, T=0.1, **prob)
+        scale = max(np.max(np.abs(u)) for u in ref)
+        gap = max(np.max(np.abs(l.values.ravel() - u)) for l, u in zip(levels, ref))
+        assert gap <= 1e-7 * scale
+
+    @pytest.mark.parametrize("n, dim", [(20, 2), (20, 1)])
+    def test_grid_that_does_not_halve(self, n, dim):
+        shape = (n,) * dim
+        g = Grid(shape, (0.0,) * dim, (1.0,) * dim)
+        pts = g.node_coords().reshape(g.num_nodes, -1)
+        params = FluidParams(mu=0.3, eta=0.1, kappa=1.0, bc="slip")
+        idx, _ = _dirichlet_data(g, MomentumBC.slip(dilation), 0.01)
+        system = _CrankNicolsonSystem(
+            (0.5 * assemble_stress_matrix(g, params)).tocsr(), idx,
+            np.tile(g.quadrature_weights().ravel(), dim) / 0.01, g.shape)
+        assert len(system.vcycle.ops) == 1  # one level: the sparse factorization
+        _, reports = solve_linear_momentum(
+            lambda t: 1.0 + pts[:, 0] * (1 + t), lambda t: np.cos(3 * pts),
+            MomentumBC.slip(dilation), Field.zeros(g, ncomp=dim), params, 0.01, 0.05)
+        assert all(r.residual <= 1e-10 for r in reports)
+
+
+class TestReactionWork:
+    def test_discrete_identity_closes(self):
+        # CN dotted with the midpoint u: kin/dt + u.K u + u.F_fric u
+        # - u.load = u.r, where r is the CN residual, nonzero only on the
+        # constrained rows (the reaction) once CG has converged
+        prob = chain_like_problem(33, kappa=0.5)
+        dt = 0.01
+        levels, reports = solve_linear_momentum(dt=dt, T=0.05, **prob)
+        g = prob["u0"].grid
+        fric = assemble_friction_matrix(g, prob["params"].kappa)
+        w = g.quadrature_weights().ravel()
+        for m, rep in enumerate(reports):
+            mid = 0.5 * (levels[m].values + levels[m + 1].values).reshape(2, -1)
+            th = (m + 0.5) * dt
+            force_work = float(np.sum(w[None, :] * prob["rhs"](th).T * mid))
+            terms = [rep.kinetic_change / dt, rep.dissipation,
+                     float(mid.ravel() @ (fric @ mid.ravel())),
+                     -(force_work + rep.boundary_work), -rep.reaction_work]
+            assert abs(rep.reaction_work) > 1e-3  # V.n != 0: the reaction works
+            assert abs(sum(terms)) <= 1e-8 * max(abs(x) for x in terms)
