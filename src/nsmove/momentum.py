@@ -153,12 +153,15 @@ def assemble_stress_matrix(grid, params, mu_nodal=None):
     T_mu = np.array([[[eye[c1, c2] * sum(Eg[(i, i)] for i in range(d)) + Eg[(c2, c1)]
                        for c2 in range(d)] for c1 in range(d)] for Eg in tmpl])
     T_lam = np.array([[[Eg[(c1, c2)] for c2 in range(d)] for c1 in range(d)] for Eg in tmpl])
-    blocks = (mu_g @ T_mu.reshape(ngauss, -1)
-              + lam_g @ T_lam.reshape(ngauss, -1))  # (ncells, d * d * nloc * nloc)
+    blocks = sum(mu_g[:, g, None, None] * T_mu[g][:, :, None]
+                 + lam_g[:, g, None, None] * T_lam[g][:, :, None]
+                 for g in range(ngauss))  # (d, d, ncells, nloc, nloc)
+    # entries in (c1, c2, cell) order: duplicates are summed in the same
+    # order for (i, j) and (j, i), so K is symmetric to the last bit
     comp = np.arange(d) * N
     rows, cols = np.broadcast_arrays(
-        comp[None, :, None, None, None] + cells[:, None, None, :, None],
-        comp[None, None, :, None, None] + cells[:, None, None, None, :])
+        comp[:, None, None, None, None] + cells[:, :, None],
+        comp[None, :, None, None, None] + cells[:, None, :])
     A = sp.coo_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())),
                       shape=(d * N, d * N)).tocsr()
     A.sum_duplicates()
@@ -283,7 +286,7 @@ _COARSEST_NODES = 5  # an axis with this many nodes or fewer is not halved
 
 
 def _prolongation_1d(nc):
-    """Linear interpolation from nc nodes to the 2 nc - 1 nodes between them."""
+    """Linear interpolation from nc coarse nodes to the 2 nc - 1 fine ones."""
     nf = 2 * nc - 1
     odd = np.arange(1, nf, 2)
     rows = np.concatenate([np.arange(0, nf, 2), odd, odd])
