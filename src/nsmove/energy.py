@@ -15,21 +15,22 @@ from scipy.integrate import quad
 
 from .errors import InvalidArgumentError, NotSameDataError
 from .fields import gradient_values
-from .motion import boundary_frame, physical_gradient
+from .motion import physical_gradient
 
 
 class PressureLaw:
-    """Barotropic pressure p(rho) with potential H, p', p'' evaluators.
+    """Barotropic pressure p(rho) with potential H and p' evaluators.
 
     Isentropic laws p = a rho^gamma (gamma >= 1, a > 0) use closed forms,
     validated against quadrature once at construction; user laws supply
     callables and fall back to adaptive quadrature for H (rel. tol 1e-10).
-    An optional artificial-pressure add-on delta * rho^beta is kept separate
-    so the penalized solver can switch it on without touching the base law.
+    An optional artificial-pressure add-on delta * rho^beta is kept apart
+    from the base law: ``p_total`` and ``potential_total`` include it,
+    ``p``, ``dp`` and ``potential`` do not.
     """
 
     def __init__(self, kind="isentropic", *, gamma=2.0, coeff=1.0,
-                 p_fn=None, dp_fn=None, d2p_fn=None, delta=0.0, beta=4.0):
+                 p_fn=None, dp_fn=None, delta=0.0, beta=4.0):
         self.kind = kind
         self.delta = float(delta)
         self.beta = float(beta)
@@ -42,8 +43,6 @@ class PressureLaw:
             self.coeff = float(coeff)
             self._p = lambda r: self.coeff * r**self.gamma
             self._dp = lambda r: self.coeff * self.gamma * r**(self.gamma - 1.0)
-            self._d2p = (lambda r: self.coeff * self.gamma * (self.gamma - 1.0)
-                         * r**(self.gamma - 2.0))
             ref = self._potential_quadrature(2.0)
             if abs(self.potential(2.0) - ref) > 1e-8 * max(1.0, abs(ref)):
                 raise InvalidArgumentError("closed-form potential failed validation")
@@ -54,22 +53,14 @@ class PressureLaw:
             self.coeff = None
             self._p = p_fn
             self._dp = dp_fn
-            self._d2p = d2p_fn if d2p_fn is not None else self._fd_d2p
         else:
             raise InvalidArgumentError(f"unknown pressure-law kind {kind!r}")
-
-    def _fd_d2p(self, r):
-        h = 1e-5
-        return (self._dp(r + h) - self._dp(r - h)) / (2 * h)
 
     def p(self, rho):
         return self._p(np.asarray(rho, dtype=float))
 
     def dp(self, rho):
         return self._dp(np.asarray(rho, dtype=float))
-
-    def d2p(self, rho):
-        return self._d2p(np.asarray(rho, dtype=float))
 
     def _potential_quadrature(self, rho):
         val, _ = quad(lambda z: self._p(z) / z**2, 1.0, rho, epsrel=1e-10, limit=200)
@@ -105,13 +96,6 @@ class PressureLaw:
         out = self.p(rho_arr)
         if self.delta > 0:
             out = out + self.delta * rho_arr**self.beta
-        return out
-
-    def dp_total(self, rho):
-        rho_arr = np.asarray(rho, dtype=float)
-        out = self.dp(rho_arr)
-        if self.delta > 0:
-            out = out + self.delta * self.beta * rho_arr**(self.beta - 1.0)
         return out
 
     def potential_total(self, rho):
@@ -237,13 +221,13 @@ def _boundary_friction_rate(traj, V, params, m):
     """kappa times the line integral of ((u - V).tau)^2 over the boundary at
     level m, with trapezoid weights from the node images' arc lengths."""
     t = traj.times[m]
-    frames = None if traj.flow_map is None else boundary_frame(traj.flow_map, t)
+    frame = traj.frame(m)
     pos_all = traj.positions(m)
     uvals = traj.u[m].values.reshape(traj.grid.dim, -1).T
     total = 0.0
     for face in traj.grid.faces().values():
         pos = pos_all[face.flat]
-        tau = face.tangent if frames is None else frames[face.name][2]
+        tau = face.tangent if frame is None else frame.faces[face.name][2]
         dl = np.linalg.norm(np.diff(pos, axis=0), axis=1)
         wline = np.zeros(len(pos))
         wline[:-1] += 0.5 * dl
@@ -281,10 +265,10 @@ def relative_energy_remainder(state, reference, law, params, m, V=None,
         raise InvalidArgumentError("reference density must be positive")
     if V is not None and state.flow_map is not None and d == 2:
         t = state.times[m]
-        pos_all = state.flow_map.positions(t)
+        frame = state.frame(m)
         worst = 0.0
-        for flat, n, _ in boundary_frame(state.flow_map, t).values():
-            gap = np.einsum("pi,pi->p", U[flat] - V.velocity(t, pos_all[flat]), n)
+        for flat, n, _ in frame.faces.values():
+            gap = np.einsum("pi,pi->p", U[flat] - V.velocity(t, frame.X[flat]), n)
             worst = max(worst, float(np.max(np.abs(gap))))
         if worst > bc_tol:
             raise InvalidArgumentError(
@@ -332,18 +316,20 @@ def _time_derivative_fields(fields, times, m):
 
 
 def _physical_scalar_gradient(traj, m):
-    return physical_gradient(gradient_values(traj.rho[m]), traj.jacobians(m))[:, 0]
+    return physical_gradient(gradient_values(traj.rho[m]), traj.frame(m))[:, 0]
 
 
-def korn_quotient(z_field, params, jacobians=None, weights=None):
+def korn_quotient(z_field, params, frame=None, weights=None):
     """||z||_{W^{1,2}} / ||S(grad z)||_{L^2} for a zero-normal-trace field.
 
     The printed Korn inequality fails for rigid rotations without side
     conditions; this diagnostic is only meaningful for differences with
     vanishing normal trace, which is how the uniqueness argument uses it.
+    ``frame`` is the flow map's :class:`~nsmove.motion.Frame` on a moving
+    domain, None on a static one.
     """
     d = z_field.grid.dim
-    gu = physical_gradient(gradient_values(z_field), jacobians)
+    gu = physical_gradient(gradient_values(z_field), frame)
     w = (z_field.grid.quadrature_weights().ravel()
          if weights is None else np.asarray(weights).ravel())
     S = stress_tensor(gu, params.mu, params.eta)

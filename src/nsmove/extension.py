@@ -45,7 +45,6 @@ import numpy as np
 
 from .errors import InvalidArgumentError, UnsupportedDimensionError
 from .fields import Field, _diff_axis, differentiate, gradient_values, interp_values
-from .motion import boundary_frame, flow_jacobians
 
 
 def smoothstep(t):
@@ -73,18 +72,18 @@ class ExtensionField:
 class _FaceContext:
     """Per-face frame gaps and the stress-datum coefficient table.
 
-    ``geometry`` is None for zero context, else the map's quantities at t
-    shared by the four faces: (positions X, boundary_frame, gradY).
+    ``frame`` is None for zero context, else the map's
+    :class:`~nsmove.motion.Frame` at t, shared by the four faces.
     """
 
-    def __init__(self, face, nodes, V, geometry, t, mu):
+    def __init__(self, face, nodes, V, frame, t, mu):
         flat = face.flat
         m = len(flat)
         self.flat = flat
         self.n_ref = face.normal
         self.tau_ref = face.tangent
         self.foot = nodes[flat]
-        if geometry is None:
+        if frame is None:
             self.n_X = np.broadcast_to(self.n_ref, (m, 2)).copy()
             self.tau_X = np.broadcast_to(self.tau_ref, (m, 2)).copy()
             self.dn = np.zeros((m, 2))
@@ -93,15 +92,13 @@ class _FaceContext:
             self.A = np.zeros((m, 2, 2))
             self.gradV_foot = np.zeros((m, 2, 2))
             return
-        positions, frame, gy = geometry
-        _, n_X, tau_X = frame[face.name]
+        _, n_X, tau_X = frame.faces[face.name]
         self.n_X, self.tau_X = n_X, tau_X
         self.dn = self.n_ref - n_X
         self.dtau = self.tau_ref - tau_X
-        X = positions[flat]
-        self.dV = V.velocity(t, X) - V.velocity(t, self.foot)
+        self.dV = V.velocity(t, frame.X[flat]) - V.velocity(t, self.foot)
         self.gradV_foot = V.gradient(t, self.foot)
-        Jgap = np.eye(2) - gy[flat]
+        Jgap = np.eye(2) - frame.inv[flat]
         # coefficient of dU_a/dy_b in the stress datum B
         self.A = mu * (np.einsum("pbj,pj,pa->pab", Jgap, n_X, tau_X)
                        + np.einsum("pbj,pj,pa->pab", Jgap, tau_X, n_X)
@@ -143,10 +140,9 @@ def extend_boundary_data(bdata, grid, *, u_ref=None, V=None, flow_map=None,
     Vy_all = (np.zeros((N, 2)) if V is None
               else V.velocity(t, nodes))
 
-    geometry = None
+    frame = None
     if flow_map is not None and V is not None:
-        geometry = (flow_map.positions(t), boundary_frame(flow_map, t),
-                    flow_jacobians(flow_map, t)[1])
+        frame = flow_map.frame(t)
 
     total = np.zeros((N, 2))
     tot1 = np.zeros((N, 2))
@@ -154,7 +150,7 @@ def extend_boundary_data(bdata, grid, *, u_ref=None, V=None, flow_map=None,
     weight_sum = np.zeros(N)
 
     for face in grid.faces().values():
-        ctx = _FaceContext(face, nodes, V, geometry, t, mu)
+        ctx = _FaceContext(face, nodes, V, frame, t, mu)
         axis = face.axis
         s_axis = 1 - axis
         hs = grid.spacing[s_axis]

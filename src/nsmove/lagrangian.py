@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import UnsupportedDimensionError
 from .fields import Field, _diff_axis, differentiate, gradient_values, interp_values
-from .motion import boundary_frame, flow_jacobians
 
 
 def _eval_physical(obj, t, x):
@@ -104,7 +103,7 @@ def inverse_map_second_derivatives(flow_map, t):
     """
     grid = flow_map.grid
     d = grid.dim
-    _, gy, _, _ = flow_jacobians(flow_map, t)
+    gy = flow_map.frame(t).inv
     gy_nodes = gy.reshape(tuple(grid.shape) + (d, d))
     dgy = np.stack([_diff_axis(gy_nodes, h, a, 1) for a, h in enumerate(grid.spacing)],
                    axis=-1).reshape(grid.num_nodes, d, d, d)  # d_m (gradY_{jk})
@@ -126,11 +125,11 @@ def lagrangian_remainder(rho_ref, u_ref, flow_map, V, t, params, force=None):
     mu = params.mu
     lam = params.mu / 3.0 + params.eta
 
-    _, gy, _, _ = flow_jacobians(flow_map, t)      # gradY at feet, (N, j, k)
+    frame = flow_map.frame(t)
+    gy = frame.inv                                  # gradY at feet, (N, j, k)
     eye = np.eye(d)
     gap = gy - eye
-    pos = flow_map.positions(t)
-    Vx = V.velocity(t, pos)                         # V(t, X(t, y))
+    Vx = V.velocity(t, frame.X)                     # V(t, X(t, y))
     rho = rho_ref.values[0].ravel()
     G1 = gradient_values(u_ref)                     # (N, i, j)
     G2 = _hessian_fields(u_ref)                     # (N, i, k, l)
@@ -186,29 +185,26 @@ def transformed_boundary_data(u_ref, V, flow_map, t, params):
     grid = flow_map.grid
     d = grid.dim
     mu, kappa = params.mu, params.kappa
-    pos_all = flow_map.positions(t)
+    frame = flow_map.frame(t)
     nodes = grid.node_coords()
     uvals = u_ref.values.reshape(d, -1).T
     faces = {}
     if d == 1:
         for face in grid.faces().values():
             Vy = V.velocity(t, nodes[face.flat])
-            VX = V.velocity(t, pos_all[face.flat])
+            VX = V.velocity(t, frame.X[face.flat])
             faces[face.name] = {"d": (VX - Vy) @ face.normal, "B": None}
         return BoundaryData(faces, t)
 
-    frames = boundary_frame(flow_map, t)
-    _, gy, _, _ = flow_jacobians(flow_map, t)
     G1 = gradient_values(u_ref)
     eye = np.eye(2)
     for face in grid.faces().values():
-        flat, n_X, tau_X = frames[face.name]
+        flat, n_X, tau_X = frame.faces[face.name]
         n_ref = np.broadcast_to(face.normal, n_X.shape)
         tau_ref = face.tangent
         y = nodes[flat]
-        X = pos_all[flat]
         Vy = V.velocity(t, y)
-        VX = V.velocity(t, X)
+        VX = V.velocity(t, frame.X[flat])
         u_b = uvals[flat]
         dn = n_ref - n_X
         dtau = tau_ref - tau_X
@@ -216,7 +212,7 @@ def transformed_boundary_data(u_ref, V, flow_map, t, params):
                 + np.einsum("pi,pi->p", VX - Vy, n_X))
 
         G = G1[flat]                       # (m, i, j)
-        Jgap = eye - gy[flat]              # I - gradY
+        Jgap = eye - frame.inv[flat]       # I - gradY
         K = mu * np.einsum("pim,pmj->pij", G, Jgap)
         D = K + np.swapaxes(K, 1, 2)
         M = mu * (G + np.swapaxes(G, 1, 2))

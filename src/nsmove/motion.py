@@ -4,10 +4,13 @@ The flow map X(t, .) solves dX/dt = V(t, X), X(0, z) = z per reference node,
 together with the Jacobian ODE d(gradX)/dt = gradV gradX and, on request, the
 second-Jacobian ODE. Everything is classical RK4 with a fixed step; the
 inverse map is recovered by Newton iteration on the stored forward map.
+``FlowMap.frame(t)`` derives the geometry at one time (gradY, det gradX,
+the physical face normals) once for every layer that reads it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -17,7 +20,6 @@ from .errors import (
     DegenerateMapError,
     InvalidArgumentError,
     InversionFailureError,
-    UnsupportedDimensionError,
 )
 from .fields import blend_levels, interp_matrix, rotate90
 
@@ -160,13 +162,6 @@ def _mat_inv(J):
     return out
 
 
-def mat_det(J):
-    d = J.shape[-1]
-    if d == 1:
-        return J[..., 0, 0]
-    return J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-
-
 class _OdeState:
     """Bundle of per-node quantities integrated along characteristics."""
 
@@ -249,6 +244,40 @@ def _check_steps(T, dt):
     return int(round(steps))
 
 
+@dataclass(frozen=True)
+class Frame:
+    """The flow map's geometry at one time t, shared read-only by its users.
+
+    ``XJ`` stacks X | gradX node-major into (N, d + d^2), and ``X`` and ``J``
+    are views of it; ``inv`` is gradY at the feet, the per-node inverse of
+    gradX; ``det`` is det gradX > 0. In 2-D ``faces`` is {name: (flat, n,
+    tau)}: the physical unit normal at the image of each face node
+    (gradY^T n_ref, renormalized) and its quarter turn; ``None`` in 1-D.
+    """
+
+    t: float
+    XJ: np.ndarray
+    X: np.ndarray
+    J: np.ndarray
+    inv: np.ndarray
+    det: np.ndarray
+    faces: dict | None
+
+
+def _checked_det(J, t, grid):
+    """det gradX per node; raises :class:`DegenerateMapError` with the node
+    where it is smallest if it is <= 0 anywhere."""
+    if J.shape[-1] == 1:
+        det = J[..., 0, 0]
+    else:
+        det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+    if np.any(det <= 0):
+        bad = int(np.argmin(det))
+        raise DegenerateMapError(
+            f"det gradX <= 0 at t={t}", t=t, z=grid.node_coords()[bad])
+    return det
+
+
 class FlowMap:
     """Stored forward map levels: times, positions, Jacobians, optional Hessians."""
 
@@ -259,7 +288,7 @@ class FlowMap:
         self.J = J          # (M+1, N, d, d)
         self.H = H          # (M+1, N, d, d, d) or None
         self.motion = motion
-        self._pos_field_cache = {}
+        self._frame = None
 
     @property
     def dim(self):
@@ -281,21 +310,36 @@ class FlowMap:
             raise InvalidArgumentError("flow map was built without the second Jacobian")
         return blend_levels(self.H, self.times, t)
 
-    def _position_fields(self, t):
-        """X(t) | gradX(t) at every node, stacked node-major into (N, d + d^2)."""
-        key = float(t)
-        if key not in self._pos_field_cache:
-            if len(self._pos_field_cache) > 8:
-                self._pos_field_cache.clear()
-            self._pos_field_cache[key] = np.concatenate(
-                [self.positions(t), self.jacobians(t).reshape(self.grid.num_nodes, -1)],
-                axis=1)
-        return self._pos_field_cache[key]
+    def frame(self, t):
+        """The :class:`Frame` at t; the map keeps the last one asked for.
+
+        Raises :class:`DegenerateMapError` if det gradX <= 0 at some node.
+        """
+        if self._frame is not None and self._frame.t == t:
+            return self._frame
+        N, d = self.grid.num_nodes, self.dim
+        XJ = np.concatenate([self.positions(t), self.jacobians(t).reshape(N, -1)],
+                            axis=1)
+        X, J = XJ[:, :d], XJ[:, d:].reshape(N, d, d)
+        det = _checked_det(J, t, self.grid)
+        inv = _mat_inv(J)
+        faces = None
+        if d == 2:
+            faces = {}
+            for face in self.grid.faces().values():
+                # inverse-transpose: n_phys ~ gradY^T n_ref
+                n = np.einsum("pji,j->pi", inv[face.flat], face.normal)
+                n /= np.linalg.norm(n, axis=1, keepdims=True)
+                faces[face.name] = (face.flat, n, rotate90(n))
+        for a in chain((XJ, X, J, inv, det), *(faces or {}).values()):
+            a.setflags(write=False)
+        self._frame = Frame(float(t), XJ, X, J, inv, det, faces)
+        return self._frame
 
     def _forward_and_jacobian(self, t, z):
         """X(t, z) and gradX(t, z) from one interpolation matrix at z."""
         M = interp_matrix(self.grid, z, out_of_bounds="clamp")
-        vals, d = M @ self._position_fields(t), self.dim
+        vals, d = M @ self.frame(t).XJ, self.dim
         return vals[:, :d], vals[:, d:].reshape(len(vals), d, d)
 
     def eval_forward(self, t, z):
@@ -356,11 +400,7 @@ def advect_flow_map(V, grid, T, dt_map, *, with_hessian=False,
     for m in range(steps):
         st = rk4_step(V, t, dt_map, st)
         t = t0 + (m + 1) * dt_map
-        det = mat_det(st.J)
-        if np.any(det <= 0):
-            bad = int(np.argmin(det))
-            raise DegenerateMapError(
-                f"det gradX <= 0 at t={t}", t=t, z=grid.node_coords()[bad])
+        _checked_det(st.J, t, grid)
         times.append(t)
         Xs.append(st.X.copy())
         Js.append(st.J.copy())
@@ -370,45 +410,9 @@ def advect_flow_map(V, grid, T, dt_map, *, with_hessian=False,
                    np.array(Hs) if with_hessian else None, motion=V)
 
 
-def flow_jacobians(flow_map, t):
-    """(gradX, gradY, grad2X or None, gap) at every reference node.
-
-    gradY is the per-node matrix inverse of gradX (the inverse-map Jacobian
-    at the characteristic feet); gap is the sup-norm of gradY - I.
-    """
-    gx = flow_map.jacobians(t)
-    det = mat_det(gx)
-    if np.any(det <= 0):
-        raise DegenerateMapError(f"singular gradX at t={t}", t=t)
-    gy = _mat_inv(gx)
-    g2 = flow_map.hessians(t) if flow_map.H is not None else None
-    eye = np.eye(flow_map.dim)
-    gap = float(np.max(np.abs(gy - eye)))
-    return gx, gy, g2, gap
-
-
-def physical_gradient(grad_y, J):
-    """grad_x = grad_y gradX^-1 per node, (N, c, d); ``J=None`` is a static
-    grid, where grad_x = grad_y."""
-    if J is None:
+def physical_gradient(grad_y, frame):
+    """grad_x = grad_y gradY per node, (N, c, d), with gradY from a
+    :class:`Frame`; ``frame=None`` is a static grid, where grad_x = grad_y."""
+    if frame is None:
         return grad_y
-    return np.einsum("pij,pjk->pik", grad_y, _mat_inv(J))
-
-
-def boundary_frame(flow_map, t):
-    """Physical unit normal/tangent at the image of each boundary face node.
-
-    The normal transforms with the inverse-transpose Jacobian and is
-    renormalized; the tangent is the normal rotated by a quarter turn.
-    Returns {face: (flat, n, tau)} with n, tau of shape (m, 2).
-    """
-    if flow_map.dim != 2:
-        raise UnsupportedDimensionError("boundary frames require d = 2")
-    gy = _mat_inv(flow_map.jacobians(t))
-    out = {}
-    for face in flow_map.grid.faces().values():
-        # inverse-transpose: n_phys ~ gradY^T n_ref
-        n = np.einsum("pji,j->pi", gy[face.flat], face.normal)
-        n /= np.linalg.norm(n, axis=1, keepdims=True)
-        out[face.name] = (face.flat, n, rotate90(n))
-    return out
+    return np.einsum("pij,pjk->pik", grad_y, frame.inv)

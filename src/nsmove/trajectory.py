@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .fields import gradient_values
-from .motion import mat_det, physical_gradient
+from .motion import physical_gradient
 
 
 class StateTrajectory:
@@ -35,19 +35,20 @@ class StateTrajectory:
             return self.grid.node_coords()
         return self.flow_map.positions(self.times[m])
 
-    def jacobians(self, m):
-        """gradX at level m, (N, d, d); ``None`` on a static domain."""
+    def frame(self, m):
+        """The flow map's :class:`~nsmove.motion.Frame` at level m; ``None``
+        on a static domain."""
         if self.flow_map is None:
             return None
-        return self.flow_map.jacobians(self.times[m])
+        return self.flow_map.frame(self.times[m])
 
     def physical_weights(self, m):
         """Trapezoid weights on the current physical image (w_ref * det)."""
         w = self.grid.quadrature_weights()
         if self.flow_map is None:
             return w
-        return w * mat_det(self.jacobians(m)).reshape(self.grid.shape)
+        return w * self.frame(m).det.reshape(self.grid.shape)
 
     def physical_velocity_gradient(self, m):
         """grad_x u as (N, d, d) via the inverse Jacobian transform."""
-        return physical_gradient(gradient_values(self.u[m]), self.jacobians(m))
+        return physical_gradient(gradient_values(self.u[m]), self.frame(m))

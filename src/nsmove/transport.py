@@ -22,7 +22,7 @@ from .fields import (
     interp_values,
     level_bracket,
 )
-from .motion import FlowMap, _check_steps, _OdeState, mat_det, physical_gradient, rk4_step
+from .motion import FlowMap, _check_steps, _OdeState, physical_gradient, rk4_step
 
 
 class DiscreteVelocity:
@@ -59,13 +59,13 @@ class DiscreteVelocity:
         node-major into (N, d + 1 + d^2 + d), reference-sampled."""
         f = self.fields[m]
         d, N = self.dim, self.grid.num_nodes
-        J = None
+        frame = None
         if self.flow_map is not None and not self.flow_map.is_identity:
-            J = self.flow_map.jacobians(self.times[m])
-        gx = physical_gradient(gradient_values(f), J)  # du_i/dx_k
+            frame = self.flow_map.frame(self.times[m])
+        gx = physical_gradient(gradient_values(f), frame)  # du_i/dx_k
         div = np.einsum("nii->n", gx)
         divf = Field(self.grid, div.reshape(self.grid.shape), self.times[m])
-        gdiv_x = physical_gradient(gradient_values(divf), J)[:, 0]
+        gdiv_x = physical_gradient(gradient_values(divf), frame)[:, 0]
         return np.concatenate([f.values.reshape(d, N).T, div[:, None],
                                gx.reshape(N, d * d), gdiv_x], axis=1)
 
@@ -115,39 +115,24 @@ class DiscreteVelocity:
 class DensityTrajectory:
     """Characteristics solution: feet, Jacobians, divergence integrals.
 
-    Stored per level: X(t_m, z), gradX(t_m, z), the accumulated divergence
+    Stored per level: the feet X(t_m, z) and gradX(t_m, z) as ``flow_map``,
+    the forward map of the transporting velocity; the accumulated divergence
     integral I, and its gradient-propagation companion G (both accumulated
     inside the RK4 stages). The per-level density field holds values
     rho(t_m, X(t_m, z)) = rho0(z) exp(-I).
     """
 
-    def __init__(self, rho0, times, X, J, I, G, velocity=None):
+    def __init__(self, rho0, times, X, J, I, G):
         self.rho0 = rho0
         self.grid = rho0.grid
         self.times = np.asarray(times, dtype=float)
-        self.X = X
-        self.J = J
+        self.flow_map = FlowMap(self.grid, self.times, X, J)
         self.I = I
         self.G = G
-        self.velocity = velocity
-        self._map = None
-
-    @property
-    def flow_map(self):
-        """Forward map of the transporting velocity, for inversion queries."""
-        if self._map is None:
-            self._map = FlowMap(self.grid, self.times, self.X, self.J, motion=None)
-        return self._map
 
     def density_field(self, t):
         vals = self.rho0.values[0].ravel() * np.exp(-blend_levels(self.I, self.times, t))
         return Field(self.grid, vals.reshape(self.grid.shape), t)
-
-    def positions(self, t):
-        return blend_levels(self.X, self.times, t)
-
-    def jacobians(self, t):
-        return blend_levels(self.J, self.times, t)
 
     def eval_physical(self, t, x, seed=None):
         """rho(t, x) for physical points x in the current image domain."""
@@ -186,7 +171,7 @@ def solve_transport(rho0, v, T, dt, *, t0=0.0):
     for m in range(steps):
         st = rk4_step(v, times[m], dt, st)
         X[m + 1], J[m + 1], I[m + 1], G[m + 1] = st.X, st.J, st.I, st.G
-    return DensityTrajectory(rho0, times, X, J, I, G, velocity=v)
+    return DensityTrajectory(rho0, times, X, J, I, G)
 
 
 def density_gradient(traj, t):
@@ -203,13 +188,13 @@ def density_gradient(traj, t):
     grad0 = gradient_values(traj.rho0)[:, 0]     # (N, d)
     rho0 = traj.rho0.values[0].ravel()
     bracket = expI[:, None] * (grad0 - rho0[:, None] * G)
-    gx = physical_gradient(bracket[:, None], traj.jacobians(t))[:, 0]
+    gx = physical_gradient(bracket[:, None], traj.flow_map.frame(t))[:, 0]
     return Field(grid, gx.T.reshape((grid.dim,) + tuple(grid.shape)), t)
 
 
 def mass_total(traj, t):
     """Mass over the moving domain: reference quadrature of rho detGradX."""
     rho = traj.density_field(t).values[0]
-    det = mat_det(traj.jacobians(t)).reshape(traj.grid.shape)
+    det = traj.flow_map.frame(t).det.reshape(traj.grid.shape)
     w = traj.grid.quadrature_weights()
     return float(np.sum(w * rho * det))

@@ -3,16 +3,26 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nsmove.errors import InvalidArgumentError
+from nsmove import motion
+from nsmove.energy import PressureLaw, energy_inequality_residual
+from nsmove.errors import DegenerateMapError, InvalidArgumentError
+from nsmove.extension import extend_boundary_data
 from nsmove.fields import Field, Grid, differentiate
+from nsmove.lagrangian import (
+    lagrangian_remainder,
+    pull_back_state,
+    transformed_boundary_data,
+)
+from nsmove.momentum import FluidParams
 from nsmove.motion import (
+    FlowMap,
     MotionField,
     _OdeState,
     _rhs,
     advect_flow_map,
-    boundary_frame,
-    flow_jacobians,
 )
+from nsmove.trajectory import StateTrajectory
+from nsmove.transport import DensityTrajectory, mass_total
 
 
 def grid1d(n=17):
@@ -161,14 +171,15 @@ class TestJacobians:
     def test_zero_gap(self):
         g = grid2d()
         fm = advect_flow_map(MotionField.zero(2), g, 0.3, 0.05)
-        _, _, _, gap = flow_jacobians(fm, 0.3)
+        gap = np.max(np.abs(fm.frame(0.3).inv - np.eye(2)))
         assert gap == 0.0
 
     def test_dilation_1d(self):
         g = grid1d()
         alpha, t = 0.3, 0.5
         fm = advect_flow_map(MotionField.dilation(alpha, 1), g, t, 1e-3)
-        gx, gy, _, gap = flow_jacobians(fm, t)
+        fr = fm.frame(t)
+        gx, gy, gap = fr.J, fr.inv, np.max(np.abs(fr.inv - np.eye(1)))
         assert np.allclose(gx[:, 0, 0], np.exp(alpha * t), atol=1e-9)
         assert np.allclose(gy[:, 0, 0], np.exp(-alpha * t), atol=1e-9)
         assert abs(gap - abs(np.exp(-alpha * t) - 1)) < 1e-9
@@ -264,7 +275,7 @@ class TestJacobians:
         gaps = []
         for T in (0.05, 0.1, 0.2):
             fm = advect_flow_map(V, g, T, 0.005)
-            gaps.append(flow_jacobians(fm, T)[3])
+            gaps.append(np.max(np.abs(fm.frame(T).inv - np.eye(2))))
         assert gaps[0] <= gaps[1] <= gaps[2]
         # sup-norm gap bounded by C sqrt(t) ||V|| trend
         assert all(gap <= 2.0 * np.sqrt(T) * 0.8
@@ -275,7 +286,7 @@ class TestBoundaryFrame:
     def test_identity_frames(self):
         g = grid2d()
         fm = advect_flow_map(MotionField.zero(2), g, 0.2, 0.02)
-        frames = boundary_frame(fm, 0.2)
+        frames = fm.frame(0.2).faces
         _, n, tau = frames["y0"]
         assert np.allclose(n, [0.0, -1.0])
         assert np.allclose(tau, [1.0, 0.0])
@@ -286,14 +297,111 @@ class TestBoundaryFrame:
     def test_orthonormal(self):
         g = grid2d()
         fm = advect_flow_map(MotionField.shear(0.6), g, 0.3, 0.01)
-        for _, n, tau in boundary_frame(fm, 0.3).values():
+        for _, n, tau in fm.frame(0.3).faces.values():
             assert np.max(np.abs(np.linalg.norm(n, axis=1) - 1)) < 1e-12
             assert np.max(np.abs(np.einsum("pi,pi->p", n, tau))) < 1e-12
 
     def test_dilation_preserves_normals(self):
         g = grid2d()
         fm = advect_flow_map(MotionField.dilation(0.4, 2), g, 0.3, 0.01)
-        ref = boundary_frame(advect_flow_map(MotionField.zero(2), g, 0.3, 0.01), 0.3)
-        cur = boundary_frame(fm, 0.3)
+        ref = advect_flow_map(MotionField.zero(2), g, 0.3, 0.01).frame(0.3).faces
+        cur = fm.frame(0.3).faces
         for face in cur:
             assert np.allclose(cur[face][1], ref[face][1], atol=1e-12)
+
+
+def _folded_levels(g, k):
+    """Two levels at t = 0, 1 with X = z; gradX = I except det gradX(1) = -1
+    at node k."""
+    N = g.num_nodes
+    X = np.stack([g.node_coords()] * 2)
+    J = np.broadcast_to(np.eye(2), (2, N, 2, 2)).copy()
+    J[1, k] = np.diag([-1.0, 1.0])
+    return X, J
+
+
+class TestFrame:
+    def test_degenerate_map_raises_with_time_and_node(self):
+        g, k = grid2d(5), 7
+        fm = FlowMap(g, [0.0, 1.0], *_folded_levels(g, k))
+        fm.frame(0.0)
+        with pytest.raises(DegenerateMapError) as err:
+            fm.frame(1.0)
+        assert err.value.t == 1.0
+        assert np.array_equal(err.value.z, g.node_coords()[k])
+
+    def test_mass_total_rejects_folded_jacobian(self):
+        g = grid2d(5)
+        N = g.num_nodes
+        traj = DensityTrajectory(Field(g, np.ones(g.shape)), [0.0, 1.0],
+                                 *_folded_levels(g, 7), np.zeros((2, N)),
+                                 np.zeros((2, N, 2)))
+        assert mass_total(traj, 0.0) == pytest.approx(1.0, abs=1e-14)
+        with pytest.raises(DegenerateMapError):
+            mass_total(traj, 1.0)
+
+    def test_arrays_are_read_only(self):
+        fm = advect_flow_map(MotionField.shear(0.5), grid2d(), 0.2, 0.02)
+        fr = fm.frame(0.2)
+        for a in (fr.XJ, fr.X, fr.J, fr.inv, fr.det, *fr.faces["y1"]):
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_frame_matches_map(self):
+        g = grid2d()
+        fm = advect_flow_map(_nonlinear_2d(), g, 0.2, 0.02)
+        fr = fm.frame(0.15)
+        assert fm.frame(0.15) is fr
+        assert np.array_equal(fr.X, fm.positions(0.15))
+        assert np.array_equal(fr.J, fm.jacobians(0.15))
+        eye = np.einsum("pij,pjk->pik", fr.J, fr.inv)
+        assert np.max(np.abs(eye - np.eye(2))) < 1e-14
+        assert np.allclose(fr.det, np.linalg.det(fr.J), rtol=1e-14, atol=0)
+
+
+def _count_full_grid_inversions(monkeypatch, num_nodes):
+    calls = []
+    inverse = motion._mat_inv
+
+    def counted(J):
+        if len(J) == num_nodes:
+            calls.append(J.shape)
+        return inverse(J)
+
+    monkeypatch.setattr(motion, "_mat_inv", counted)
+    return calls
+
+
+class TestFrameReuse:
+    """The map's geometry at one t is inverted once, whichever layers read it."""
+
+    V = MotionField.expression(
+        lambda t, p: np.stack([0.3 * p[:, 0] + 0.4 * p[:, 1], 0.3 * p[:, 1]], axis=1), 2,
+        grad_fn=lambda t, p: np.broadcast_to(
+            np.array([[0.3, 0.4], [0.0, 0.3]]), p.shape + (2,)).copy())
+    params = FluidParams(mu=0.3, eta=0.1, kappa=0.5, bc="slip")
+
+    def test_remainder_boundary_data_extension(self, monkeypatch):
+        g, T = grid2d(17), 0.1
+        fm = advect_flow_map(self.V, g, T, 0.01)
+        calls = _count_full_grid_inversions(monkeypatch, g.num_nodes)
+        rho_ref, u_ref = pull_back_state(lambda x: 1.0 + 0.1 * x[:, 0],
+                                         lambda x: self.V.velocity(T, x), fm, T)
+        lagrangian_remainder(rho_ref, u_ref, fm, self.V, T, self.params)
+        bdata = transformed_boundary_data(u_ref, self.V, fm, T, self.params)
+        extend_boundary_data(bdata, g, u_ref=u_ref, V=self.V, flow_map=fm,
+                             params=self.params)
+        assert len(calls) == 1
+
+    def test_energy_inequality_residual(self, monkeypatch):
+        g, T = grid2d(17), 0.1
+        fm = advect_flow_map(self.V, g, T, 0.01)
+        times = fm.times
+        rhos = [Field(g, np.ones(g.shape), t) for t in times]
+        us = [Field.from_function(g, lambda x, t=t: self.V.velocity(t, x), t=t, ncomp=2)
+              for t in times]
+        traj = StateTrajectory(times, rhos, us, flow_map=fm)
+        calls = _count_full_grid_inversions(monkeypatch, g.num_nodes)
+        energy_inequality_residual(traj, self.V, PressureLaw(gamma=1.4), self.params)
+        assert len(times) == 11
+        assert len(calls) == 11

@@ -29,7 +29,7 @@ class TestSolveTransport:
         rho0 = rho_init_1d()
         traj = solve_transport(rho0, MotionField.zero(1), 0.5, 0.05)
         assert np.allclose(traj.density_field(0.5).values, rho0.values)
-        assert np.allclose(traj.positions(0.5)[:, 0], rho0.grid.axis_coords(0))
+        assert np.allclose(traj.flow_map.positions(0.5)[:, 0], rho0.grid.axis_coords(0))
 
     def test_constant_velocity_divergence_free(self):
         rho0 = rho_init_1d()
@@ -50,7 +50,7 @@ class TestSolveTransport:
                                t_end / 1000)
         rho_bar = traj.density_field(t_end).values
         assert np.max(np.abs(rho_bar - rho0.values / 2)) <= 1e-8
-        assert np.max(np.abs(traj.positions(t_end)[:, 0]
+        assert np.max(np.abs(traj.flow_map.positions(t_end)[:, 0]
                              - 2 * rho0.grid.axis_coords(0))) <= 1e-8
 
     def test_single_level_solution(self):
@@ -58,7 +58,7 @@ class TestSolveTransport:
         rho0 = rho_init_1d(17)
         traj = solve_transport(rho0, MotionField.dilation(0.5, 1), 0.0, 0.01)
         assert np.array_equal(traj.density_field(0.0).values, rho0.values)
-        assert np.array_equal(traj.positions(0.0), rho0.grid.node_coords())
+        assert np.array_equal(traj.flow_map.positions(0.0), rho0.grid.node_coords())
 
     def test_positive_initial_density_required(self):
         g = Grid((9,), (0.0,), (1.0,))
@@ -121,7 +121,7 @@ class TestDensityGradient:
         gx = density_gradient(traj, T).values[0]
         # FD oracle: rho_bar(z) solved field, d(rho)/dx = d(rho_bar)/dz / (dX/dz)
         rho_bar = traj.density_field(T)
-        fd = differentiate(rho_bar, 0, 1).values[0] / traj.jacobians(T)[:, 0, 0]
+        fd = differentiate(rho_bar, 0, 1).values[0] / traj.flow_map.jacobians(T)[:, 0, 0]
         h = rho0.grid.spacing[0]
         assert np.max(np.abs(gx - fd)) < 10 * h**2
 
