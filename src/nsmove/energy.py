@@ -319,19 +319,17 @@ def _physical_scalar_gradient(traj, m):
     return physical_gradient(gradient_values(traj.rho[m]), traj.frame(m))[:, 0]
 
 
-def korn_quotient(z_field, params, frame=None, weights=None):
-    """||z||_{W^{1,2}} / ||S(grad z)||_{L^2} for a zero-normal-trace field.
+def korn_quotient(z_field, params):
+    """||z||_{W^{1,2}} / ||S(grad z)||_{L^2} for a zero-normal-trace field on
+    the reference grid.
 
     The printed Korn inequality fails for rigid rotations without side
     conditions; this diagnostic is only meaningful for differences with
     vanishing normal trace, which is how the uniqueness argument uses it.
-    ``frame`` is the flow map's :class:`~nsmove.motion.Frame` on a moving
-    domain, None on a static one.
     """
     d = z_field.grid.dim
-    gu = physical_gradient(gradient_values(z_field), frame)
-    w = (z_field.grid.quadrature_weights().ravel()
-         if weights is None else np.asarray(weights).ravel())
+    gu = gradient_values(z_field)
+    w = z_field.grid.quadrature_weights().ravel()
     S = stress_tensor(gu, params.mu, params.eta)
     s_norm = np.sqrt(np.sum(w * np.einsum("pij,pij->p", S, S)))
     z = z_field.values.reshape(d, -1).T

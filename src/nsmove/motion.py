@@ -244,7 +244,7 @@ def _check_steps(T, dt):
     return int(round(steps))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Frame:
     """The flow map's geometry at one time t, shared read-only by its users.
 
@@ -318,8 +318,7 @@ class FlowMap:
         if self._frame is not None and self._frame.t == t:
             return self._frame
         N, d = self.grid.num_nodes, self.dim
-        XJ = np.concatenate([self.positions(t), self.jacobians(t).reshape(N, -1)],
-                            axis=1)
+        XJ = self._stack(t)
         X, J = XJ[:, :d], XJ[:, d:].reshape(N, d, d)
         det = _checked_det(J, t, self.grid)
         inv = _mat_inv(J)
@@ -336,17 +335,26 @@ class FlowMap:
         self._frame = Frame(float(t), XJ, X, J, inv, det, faces)
         return self._frame
 
-    def _forward_and_jacobian(self, t, z):
-        """X(t, z) and gradX(t, z) from one interpolation matrix at z."""
+    def _stack(self, t):
+        """X | gradX at every node, node-major (N, d + d^2): the kept frame's
+        ``XJ`` if it is at t, else blended without inverting anything."""
+        if self._frame is not None and self._frame.t == t:
+            return self._frame.XJ
+        return np.concatenate([self.positions(t),
+                               self.jacobians(t).reshape(self.grid.num_nodes, -1)],
+                              axis=1)
+
+    def _forward_and_jacobian(self, XJ, z):
+        """X and gradX at z from one interpolation matrix applied to ``XJ``."""
         M = interp_matrix(self.grid, z, out_of_bounds="clamp")
-        vals, d = M @ self.frame(t).XJ, self.dim
+        vals, d = M @ XJ, self.dim
         return vals[:, :d], vals[:, d:].reshape(len(vals), d, d)
 
     def eval_forward(self, t, z):
         """X(t, z) at arbitrary reference points by cubic interpolation."""
         if self.is_identity:
             return np.atleast_2d(np.array(z, dtype=float, copy=True))
-        return self._forward_and_jacobian(t, z)[0]
+        return self._forward_and_jacobian(self._stack(t), z)[0]
 
     def invert(self, t, x, seed=None, tol=1e-10, max_iter=50):
         """Y(t, x): Newton iteration on X(t, z) - x = 0, seeded from the
@@ -355,21 +363,22 @@ class FlowMap:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if self.is_identity:
             return x.copy()
+        XJ = self._stack(t)
         if seed is None:
-            _, nearest = cKDTree(self.positions(t)).query(x)
+            _, nearest = cKDTree(XJ[:, :self.dim]).query(x)
             z = self.grid.node_coords()[nearest]
         else:
             z = np.array(seed, dtype=float, copy=True)
         lo = np.array(self.grid.lo)
         hi = np.array(self.grid.hi)
         for _ in range(max_iter):
-            X, J = self._forward_and_jacobian(t, z)
+            X, J = self._forward_and_jacobian(XJ, z)
             res = X - x
             if np.max(np.abs(res)) <= tol:
                 return z
             step = np.einsum("pij,pj->pi", _mat_inv(J), res)
             z = np.clip(z - step, lo, hi)
-        res = np.max(np.abs(self.eval_forward(t, z) - x))
+        res = np.max(np.abs(self._forward_and_jacobian(XJ, z)[0] - x))
         raise InversionFailureError(
             f"inverse map Newton stalled at t={t}, residual {res:.3e}")
 

@@ -33,7 +33,7 @@ class StateTrajectory:
     def positions(self, m):
         if self.flow_map is None:
             return self.grid.node_coords()
-        return self.flow_map.positions(self.times[m])
+        return self.frame(m).X
 
     def frame(self, m):
         """The flow map's :class:`~nsmove.motion.Frame` at level m; ``None``

@@ -22,7 +22,12 @@ from nsmove.motion import (
     advect_flow_map,
 )
 from nsmove.trajectory import StateTrajectory
-from nsmove.transport import DensityTrajectory, mass_total
+from nsmove.transport import (
+    DensityTrajectory,
+    DiscreteVelocity,
+    mass_total,
+    solve_transport,
+)
 
 
 def grid1d(n=17):
@@ -352,6 +357,9 @@ class TestFrame:
         fm = advect_flow_map(_nonlinear_2d(), g, 0.2, 0.02)
         fr = fm.frame(0.15)
         assert fm.frame(0.15) is fr
+        # frames compare and hash by identity, not over their arrays
+        other = fm.frame(0.1)
+        assert fr == fr and fr != other and len({fr, other}) == 2
         assert np.array_equal(fr.X, fm.positions(0.15))
         assert np.array_equal(fr.J, fm.jacobians(0.15))
         eye = np.einsum("pij,pjk->pik", fr.J, fr.inv)
@@ -405,3 +413,17 @@ class TestFrameReuse:
         energy_inequality_residual(traj, self.V, PressureLaw(gamma=1.4), self.params)
         assert len(times) == 11
         assert len(calls) == 11
+
+    def test_moving_map_transport(self, monkeypatch):
+        # Newton inversions at the RK4 stage times read X | gradX only; the
+        # levels' physical gradients invert gradX once per level touched
+        g = Grid((65,), (0.5,), (1.5,))
+        fm = advect_flow_map(MotionField.dilation(0.4, 1), g, 0.3, 1e-2)
+        times = fm.times[::10]
+        fields = [Field(g, np.sin(fm.positions(t)[:, 0]).reshape(g.shape), t)
+                  for t in times]
+        dv = DiscreteVelocity(times, fields, flow_map=fm)
+        calls = _count_full_grid_inversions(monkeypatch, g.num_nodes)
+        sub = Grid((9,), (0.9,), (1.1,))
+        solve_transport(Field(sub, np.ones(sub.shape)), dv, 0.2, 0.01)
+        assert len(calls) == 3  # levels t = 0, 0.1, 0.2
