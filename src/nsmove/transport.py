@@ -22,7 +22,7 @@ from .fields import (
     interp_values,
     level_bracket,
 )
-from .motion import FlowMap, _check_steps, _OdeState, physical_gradient, rk4_step
+from .motion import FlowMap, _check_steps, _rk4_levels, physical_gradient
 
 
 class DiscreteVelocity:
@@ -158,19 +158,11 @@ def solve_transport(rho0, v, T, dt, *, t0=0.0):
     steps = _check_steps(T, dt)
     grid = rho0.grid
     N, d = grid.num_nodes, grid.dim
-    st = _OdeState(
-        grid.node_coords(),
-        np.broadcast_to(np.eye(d), (N, d, d)).copy(),
-        None,
-        np.zeros(N),
-        np.zeros((N, d)),
-    )
+    X, J, I, G = (np.zeros((steps + 1, N) + shape) for shape in ((d,), (d, d), (), (d,)))
+    X[0], J[0] = grid.node_coords(), np.eye(d)
     times = t0 + dt * np.arange(steps + 1)
-    X, J, I, G = (np.empty((steps + 1,) + a.shape) for a in (st.X, st.J, st.I, st.G))
-    X[0], J[0], I[0], G[0] = st.X, st.J, st.I, st.G
-    for m in range(steps):
-        st = rk4_step(v, times[m], dt, st)
-        X[m + 1], J[m + 1], I[m + 1], G[m + 1] = st.X, st.J, st.I, st.G
+    for _ in _rk4_levels(v, {"X": X, "J": J, "I": I, "G": G}, t0, dt):
+        pass
     return DensityTrajectory(rho0, times, X, J, I, G)
 
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,8 +18,6 @@ from nsmove.momentum import FluidParams
 from nsmove.motion import (
     FlowMap,
     MotionField,
-    _OdeState,
-    _rhs,
     advect_flow_map,
 )
 from nsmove.trajectory import StateTrajectory
@@ -28,6 +27,16 @@ from nsmove.transport import (
     mass_total,
     solve_transport,
 )
+
+
+def _packed_rhs(V, t, **parts):
+    """``motion._rhs`` on node-major parts, packed as the RK4 integrator packs
+    them; returns each part's derivative node-major."""
+    N, d = parts["X"].shape
+    y, rows = motion._pack(parts)
+    out = np.empty_like(y)
+    motion._rhs(V, t, y, out, rows, np.empty((1 + d ** 3, N)))
+    return {part: out[s].T.reshape(parts[part].shape) for part, s in rows.items()}
 
 
 def grid1d(n=17):
@@ -237,14 +246,14 @@ class TestJacobians:
                                    grad2_fn=lambda t, p: g2)
         J = rng.standard_normal((N, d, d))
         H = rng.standard_normal((N, d, d, d))
-        st = _OdeState(rng.standard_normal((N, d)), J, H, np.zeros(N), np.zeros((N, d)))
-        k = _rhs(V, 0.0, st)
+        k = _packed_rhs(V, 0.0, X=rng.standard_normal((N, d)), J=J, H=H,
+                        I=np.zeros(N), G=np.zeros((N, d)))
         gd = np.einsum("...iij->...j", g2)
-        assert np.max(np.abs(k.J - np.einsum("...ip,...pj->...ij", g, J))) <= 1e-12
+        assert np.max(np.abs(k["J"] - np.einsum("...ip,...pj->...ij", g, J))) <= 1e-12
         H_ref = (np.einsum("...ipq,...pj,...qk->...ijk", g2, J, J)
                  + np.einsum("...ip,...pjk->...ijk", g, H))
-        assert np.max(np.abs(k.H - H_ref)) <= 1e-12
-        assert np.max(np.abs(k.G - np.einsum("...p,...pj->...j", gd, J))) <= 1e-12
+        assert np.max(np.abs(k["H"] - H_ref)) <= 1e-12
+        assert np.max(np.abs(k["G"] - np.einsum("...p,...pj->...j", gd, J))) <= 1e-12
 
     def test_jacobian_matches_fd_of_trajectories(self):
         # gradX from the Jacobian ODE vs differentiate() of the node positions
@@ -267,12 +276,17 @@ class TestJacobians:
         V = MotionField.expression(
             lambda t, p: np.stack([0.3 * p[:, 1] * (1 + 0.5 * t),
                                    -0.2 * p[:, 0]], axis=-1), 2)
-        whole = advect_flow_map(V, g, 0.4, 0.01)
-        half = advect_flow_map(V, g, 0.2, 0.01)
-        rest = advect_flow_map(V, g, 0.2, 0.01, t0=0.2,
-                               X0=half.X[-1], J0=half.J[-1])
-        assert np.max(np.abs(whole.positions(0.4) - rest.positions(0.4))) < 1e-9
-        assert np.max(np.abs(whole.jacobians(0.4) - rest.jacobians(0.4))) < 1e-9
+        # the restart from H0 matters only where grad2V != 0
+        for V, with_hessian in ((V, False), (V, True), (_nonlinear_2d(), True)):
+            whole = advect_flow_map(V, g, 0.4, 0.01, with_hessian=with_hessian)
+            half = advect_flow_map(V, g, 0.2, 0.01, with_hessian=with_hessian)
+            rest = advect_flow_map(V, g, 0.2, 0.01, with_hessian=with_hessian, t0=0.2,
+                                   X0=half.X[-1], J0=half.J[-1],
+                                   H0=half.H[-1] if with_hessian else None)
+            assert np.max(np.abs(whole.positions(0.4) - rest.positions(0.4))) < 1e-9
+            assert np.max(np.abs(whole.jacobians(0.4) - rest.jacobians(0.4))) < 1e-9
+            if with_hessian:
+                assert np.max(np.abs(whole.hessians(0.4) - rest.hessians(0.4))) < 1e-9
 
     def test_gap_growth_trend(self):
         g = grid2d(9)
@@ -352,6 +366,15 @@ class TestFrame:
             with pytest.raises(ValueError):
                 a[0] = 0
 
+    def test_stored_levels_are_read_only(self):
+        g = grid2d()
+        fm = advect_flow_map(_nonlinear_2d(), g, 0.1, 0.01, with_hessian=True)
+        traj = solve_transport(Field(g, np.ones(g.shape)), _nonlinear_2d(), 0.1, 0.01)
+        t = fm.times  # queries at a stored level before the last return views
+        for a in (fm.positions(t[1]), fm.jacobians(t[5]), fm.hessians(t[0]), traj.I, traj.G):
+            with pytest.raises(ValueError):
+                a[0] = 0
+
     def test_frame_matches_map(self):
         g = grid2d()
         fm = advect_flow_map(_nonlinear_2d(), g, 0.2, 0.02)
@@ -427,3 +450,37 @@ class TestFrameReuse:
         sub = Grid((9,), (0.9,), (1.1,))
         solve_transport(Field(sub, np.ones(sub.shape)), dv, 0.2, 0.01)
         assert len(calls) == 3  # levels t = 0, 0.1, 0.2
+
+
+def _count_calls(monkeypatch, owner, names):
+    """Wrap each named method of ``owner`` so that its calls are counted."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _method=getattr(owner, name), **kwargs):
+            calls[_name] += 1
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestRk4Stages:
+    """Each derivative the ODEs need is evaluated once per RK4 stage, and
+    none that they do not need."""
+
+    @pytest.mark.parametrize("with_hessian", [False, True])
+    def test_advect_flow_map(self, monkeypatch, with_hessian):
+        calls = _count_calls(monkeypatch, MotionField, ("gradient", "gradient2"))
+        advect_flow_map(_nonlinear_2d(), grid2d(), 0.1, 0.01, with_hessian=with_hessian)
+        assert calls == {"gradient": 4 * 10, "gradient2": 4 * 10 * with_hessian}
+
+    def test_solve_transport(self, monkeypatch):
+        # through a namespace of bound methods: MotionField.divergence itself
+        # calls gradient, which a counter on the class would count too
+        names = ("velocity", "gradient", "divergence", "grad_divergence")
+        V = _nonlinear_2d()
+        source = SimpleNamespace(**{name: getattr(V, name) for name in names})
+        calls = _count_calls(monkeypatch, source, names)
+        g = grid2d()
+        solve_transport(Field(g, np.ones(g.shape)), source, 0.1, 0.01)
+        assert calls == dict.fromkeys(names, 4 * 10)
