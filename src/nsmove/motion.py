@@ -231,7 +231,7 @@ def _rk4_levels(source, levels, t0, dt):
     y, rows = _pack({part: store[0] for part, store in levels.items()})
     N, d = levels["X"].shape[1:]
     ys, k, acc = np.empty_like(y), np.empty_like(y), np.empty_like(y)
-    work = np.empty((1 + d ** 3 * ("H" in rows), N))
+    work = np.empty((1 + (d ** 3 if "H" in rows else 0), N))
     for m in range(len(levels["X"]) - 1):
         t = t0 + m * dt
         _rhs(source, t, y, acc, rows, work)             # k1
