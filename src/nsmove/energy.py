@@ -15,7 +15,7 @@ from scipy.integrate import quad
 
 from .errors import InvalidArgumentError, NotSameDataError
 from .fields import gradient_values
-from .motion import physical_gradient
+from .motion import _contract, physical_gradient
 
 
 class PressureLaw:
@@ -106,14 +106,33 @@ class PressureLaw:
         return out
 
 
+def _trace(a):
+    """Trace of a (d, d, ...) tensor of component rows: sum of a[i, i]."""
+    return sum(a[i, i] for i in range(len(a)))
+
+
+def _dot(a, b):
+    """Full contraction over the leading axes of two tensors of component
+    rows: sum over i (, j) of a[i (, j)] b[i (, j)], one value per node."""
+    return sum(a[idx] * b[idx] for idx in np.ndindex(a.shape[:-1]))
+
+
+def _stress(g, mu, eta):
+    """Newtonian stress rows S[i, j] from the rows g[i, j] = du_i/dx_j."""
+    out = np.add(g, g.transpose(1, 0, 2), out=np.empty(g.shape))
+    out *= mu
+    bulk = (eta - (2.0 / 3.0) * mu) * _trace(g)
+    for i in range(len(g)):
+        out[i, i] += bulk
+    return out
+
+
 def stress_tensor(grad_u, mu, eta=0.0):
-    """Newtonian stress from grad u of shape (N, d, d)."""
-    div = np.einsum("pii->p", grad_u)
-    d = grad_u.shape[-1]
-    eye = np.eye(d)
-    sym = grad_u + np.swapaxes(grad_u, -1, -2)
-    return mu * (sym - (2.0 / 3.0) * div[:, None, None] * eye) \
-        + eta * div[:, None, None] * eye
+    """Newtonian stress from grad u of shape (N, d, d).
+
+    A view of component rows (d, d, N), so it is not C-contiguous.
+    """
+    return np.moveaxis(_stress(np.moveaxis(grad_u, 0, -1), mu, eta), -1, 0)
 
 
 def dissipation_density(grad_u, mu, eta=0.0):
@@ -123,7 +142,8 @@ def dissipation_density(grad_u, mu, eta=0.0):
     the 1D/2D reductions used here the deviator has nonzero trace, so the
     contraction is evaluated directly. Nonnegative in d <= 3.
     """
-    return np.einsum("pij,pij->p", stress_tensor(grad_u, mu, eta), grad_u)
+    g = np.moveaxis(grad_u, 0, -1)
+    return _dot(_stress(g, mu, eta), g)
 
 
 def relative_energy_values(law, rho, u, r, U):
@@ -185,28 +205,30 @@ def energy_inequality_residual(traj, V, law, params):
     pV = np.zeros(M)
     rhs_rate = np.zeros(M)
     for m in range(M):
+        # every per-node tensor as component rows over the nodes
         t = traj.times[m]
         w = traj.physical_weights(m).ravel()
         rho = traj.rho[m].values[0].ravel()
-        u = traj.u[m].values.reshape(d, -1).T
-        gu = traj.physical_velocity_gradient(m)
-        E[m] = float(np.sum(w * (0.5 * rho * np.sum(u**2, axis=1)
+        u = traj.u[m].values.reshape(d, -1)
+        gu = np.moveaxis(traj.physical_velocity_gradient(m), 0, -1)
+        E[m] = float(np.sum(w * (0.5 * rho * _dot(u, u)
                                  + law.potential_total(rho))))
-        diss_rate[m] = float(np.sum(w * dissipation_density(gu, mu, eta)))
+        S = _stress(gu, mu, eta)
+        diss_rate[m] = float(np.sum(w * _dot(S, gu)))
         pos = traj.positions(m)
-        Vv = V.velocity(t, pos)
-        dtV = V.dt_velocity(t, pos)
-        gV = V.gradient(t, pos)
-        S = stress_tensor(gu, mu, eta)
-        rho_u = rho[:, None] * u
-        conv = np.einsum("pi,pj,pij->p", rho_u, u, gV)
+        Vv = V.velocity(t, pos).T
+        dtV = V.dt_velocity(t, pos).T
+        gV = np.moveaxis(V.gradient(t, pos), 0, -1)
+        rho_u = rho * u
+        gV_u = np.empty((d, 1, len(rho)))
+        _contract(gV_u, gV, u[:, None], np.empty(len(rho)))
         rhs_rate[m] = float(np.sum(w * (
-            np.einsum("pij,pij->p", S, gV)
-            - np.sum(rho_u * dtV, axis=1)
-            - conv
-            - law.p_total(rho) * np.einsum("pii->p", gV)
+            _dot(S, gV)
+            - _dot(rho_u, dtV)
+            - _dot(rho_u, gV_u[:, 0])         # convection
+            - law.p_total(rho) * _trace(gV)
         )))
-        pV[m] = float(np.sum(w * np.sum(rho_u * Vv, axis=1)))
+        pV[m] = float(np.sum(w * _dot(rho_u, Vv)))
         if params.bc == "slip" and params.kappa > 0 and d == 2:
             fric_rate[m] = _boundary_friction_rate(traj, V, params, m)
     diss_cum = _cumtrapz(diss_rate, traj.times)
@@ -224,15 +246,16 @@ def _boundary_friction_rate(traj, V, params, m):
     frame = traj.frame(m)
     pos_all = traj.positions(m)
     uvals = traj.u[m].values.reshape(traj.grid.dim, -1).T
+    faces = (frame.faces.values() if frame is not None else
+             [(f.flat, f.normal, f.tangent) for f in traj.grid.faces().values()])
     total = 0.0
-    for face in traj.grid.faces().values():
-        pos = pos_all[face.flat]
-        tau = face.tangent if frame is None else frame.faces[face.name][2]
+    for flat, _, tau in faces:
+        pos = pos_all[flat]
         dl = np.linalg.norm(np.diff(pos, axis=0), axis=1)
         wline = np.zeros(len(pos))
         wline[:-1] += 0.5 * dl
         wline[1:] += 0.5 * dl
-        ut = np.sum((uvals[face.flat] - V.velocity(t, pos)) * tau, axis=1)
+        ut = np.sum((uvals[flat] - V.velocity(t, pos)) * tau, axis=1)
         total += float(np.sum(wline * params.kappa * ut**2))
     return total
 
@@ -291,7 +314,7 @@ def relative_energy_remainder(state, reference, law, params, m, V=None,
     gu = state.physical_velocity_gradient(m)
     SU = stress_tensor(gU, params.mu, params.eta)
     term2 = np.einsum("pij,pij->p", SU, gU - gu)
-    divU = np.einsum("pii->p", gU)
+    divU = _trace(np.moveaxis(gU, 0, -1))
     term3 = divU * (law.p(r) - law.p(rho))
     # dt H'(r) and grad H'(r) via the chain rule, H''(r) = p'(r)/r
     H2 = law.dp(r) / r

@@ -33,6 +33,9 @@ q from the face):
 
 Everything is multiplied by a C^2 quintic cutoff (1 for q <= eps, 0 beyond
 2 eps) and faces are blended by normalized smoothstep weights near corners.
+Each face is assembled only on its collar, the grid lines parallel to it
+where the cutoff is positive: elsewhere its contribution is exactly zero,
+so it neither samples u nor touches the sums there.
 Corner-overlap traces are exact only for data vanishing there (or
 corner-compatible data); the criteria exercise mid-face-supported data.
 """
@@ -69,6 +72,13 @@ class ExtensionField:
     t: float
 
 
+def _gap_table(Jgap, x, y):
+    """[p, a, b] = sum_j Jgap[p, b, j] x[p, j] y[p, a], each term formed as
+    (Jgap x) y and the two summed in order, as a 3-operand einsum does."""
+    terms = Jgap[:, None] * x[:, None, None] * y[:, :, None, None]
+    return terms[..., 0] + terms[..., 1]
+
+
 class _FaceContext:
     """Per-face frame gaps and the stress-datum coefficient table.
 
@@ -100,8 +110,8 @@ class _FaceContext:
         self.gradV_foot = V.gradient(t, self.foot)
         Jgap = np.eye(2) - frame.inv[flat]
         # coefficient of dU_a/dy_b in the stress datum B
-        self.A = mu * (np.einsum("pbj,pj,pa->pab", Jgap, n_X, tau_X)
-                       + np.einsum("pbj,pj,pa->pab", Jgap, tau_X, n_X)
+        self.A = mu * (_gap_table(Jgap, n_X, tau_X)
+                       + _gap_table(Jgap, tau_X, n_X)
                        + np.einsum("pb,pa->pab", self.dn, tau_X)
                        + np.einsum("pa,pb->pab", self.dn, tau_X)
                        + np.einsum("pb,a->pab", self.dtau,
@@ -139,6 +149,7 @@ def extend_boundary_data(bdata, grid, *, u_ref=None, V=None, flow_map=None,
     G_all = np.zeros((N, 2, 2)) if u_ref is None else gradient_values(u_ref)
     Vy_all = (np.zeros((N, 2)) if V is None
               else V.velocity(t, nodes))
+    du_all = uvals - Vy_all
 
     frame = None
     if flow_map is not None and V is not None:
@@ -154,10 +165,15 @@ def extend_boundary_data(bdata, grid, *, u_ref=None, V=None, flow_map=None,
         axis = face.axis
         s_axis = 1 - axis
         hs = grid.spacing[s_axis]
-        # inward distance from this face, per node
-        coord = nodes[:, axis]
-        q = (coord - grid.lo[axis]) if face.name.endswith("0") else (grid.hi[axis] - coord)
-        s_index = np.unravel_index(np.arange(N), shape)[s_axis]
+        # inward distance of the grid lines parallel to this face; the face
+        # contributes only on its collar, the lines where the cutoff is positive
+        coord = grid.axis_coords(axis)
+        q_line = (coord - grid.lo[axis]) if face.name.endswith("0") else (grid.hi[axis] - coord)
+        phi_line = cutoff_profile(q_line, eps)
+        line, s_index = (a.ravel() for a in np.meshgrid(
+            np.flatnonzero(phi_line > 0), np.arange(shape[s_axis]), indexing="ij"))
+        collar = np.ravel_multi_index((line, s_index) if axis == 0 else (s_index, line), shape)
+        q, phi = q_line[line], phi_line[line]
 
         d_face = np.asarray(bdata.faces[face.name]["d"], dtype=float)
         B_face = np.asarray(bdata.faces[face.name]["B"], dtype=float)
@@ -173,7 +189,6 @@ def extend_boundary_data(bdata, grid, *, u_ref=None, V=None, flow_map=None,
         trace_n_ctx = (np.einsum("pa,pa->p", u_foot - V_foot, ctx.dn)
                        + np.einsum("pa,pa->p", ctx.dV, ctx.n_X))
         d_rest = d_face - trace_n_ctx
-        b0 = B_face - np.einsum("pab,pab->p", ctx.A, G_face)
 
         # coefficient table: C_{a,tau}, C_{a,nu}
         C_tau = -np.einsum("pab,b->pa", ctx.A, tau) / mu
@@ -183,41 +198,40 @@ def extend_boundary_data(bdata, grid, *, u_ref=None, V=None, flow_map=None,
         G_dir_tau = G_face @ tau                       # (m, a)
         G_dir_nu = G_face @ nu
         dnu_Ttau = (np.einsum("pa,pa->p", ctx.dtau, G_dir_nu)
-                    - np.einsum("pab,b,pa->p", ctx.gradV_foot, nu, ctx.dtau))
+                    - np.einsum("pa,pa->p", ctx.gradV_foot @ nu, ctx.dtau))
         samp_nu = (np.einsum("pa,pa->p", C_tau, G_dir_tau)
                    + np.einsum("pa,pa->p", C_nu, G_dir_nu))
         dtau_d = sgn_tau * _diff_axis(d_face, hs, 0, 1)
         P = -(B_face - kappa * g_tau) / mu + dtau_d - dnu_Ttau - samp_nu
 
-        # assemble over the whole grid, broadcasting face arrays by s index
-        ub_n = (np.einsum("pa,pa->p", uvals - Vy_all, ctx.dn[s_index])
+        # assemble on the collar, broadcasting face arrays by s index
+        du = du_all[collar]
+        ub_n = (np.einsum("pa,pa->p", du, ctx.dn[s_index])
                 + (np.einsum("pa,pa->p", ctx.dV, ctx.n_X)[s_index])
                 + d_rest[s_index])
-        T_tau = (np.einsum("pa,pa->p", uvals - Vy_all, ctx.dtau[s_index])
+        T_tau = (np.einsum("pa,pa->p", du, ctx.dtau[s_index])
                  + (np.einsum("pa,pa->p", ctx.dV, ctx.tau_X)[s_index]))
-        samp = np.zeros(N)
+        samp = np.zeros(len(collar))
         if u_ref is not None:
+            # u at foot + q e and foot + (q/2) e for e = tau, nu: one call
             foot_pts = ctx.foot[s_index]
-            for e_vec, C in ((tau, C_tau), (nu, C_nu)):
-                p_full = foot_pts + q[:, None] * e_vec
-                p_half = foot_pts + 0.5 * q[:, None] * e_vec
-                u_full = interp_values(grid, u_ref.values, p_full,
-                                       out_of_bounds="clamp")
-                u_half = interp_values(grid, u_ref.values, p_half,
-                                       out_of_bounds="clamp")
+            pts = np.concatenate([foot_pts + f * q[:, None] * e_vec
+                                  for e_vec in (tau, nu) for f in (1.0, 0.5)])
+            u_pts = interp_values(grid, u_ref.values, pts, out_of_bounds="clamp")
+            for C, (u_full, u_half) in zip((C_tau, C_nu),
+                                           u_pts.reshape(2, 2, len(collar), 2)):
                 samp += 2.0 * np.einsum("pa,pa->p", C[s_index],
                                         u_full - u_half)
         ub_tau1 = T_tau + samp
         ub_tau2 = q * P[s_index]
 
-        phi = cutoff_profile(q, eps)
         vec1 = (np.outer(ub_n, ctx.n_ref) + np.outer(ub_tau1, tau)) * phi[:, None]
         vec2 = np.outer(ub_tau2, tau) * phi[:, None]
         zeta = phi
-        total += zeta[:, None] * (vec1 + vec2)
-        tot1 += zeta[:, None] * vec1
-        tot2 += zeta[:, None] * vec2
-        weight_sum += zeta
+        total[collar] += zeta[:, None] * (vec1 + vec2)
+        tot1[collar] += zeta[:, None] * vec1
+        tot2[collar] += zeta[:, None] * vec2
+        weight_sum[collar] += zeta
 
     scale = np.where(weight_sum > 0, 1.0 / np.maximum(weight_sum, 1e-300), 0.0)
     total *= scale[:, None]

@@ -74,6 +74,8 @@ def blend_levels(levels, times, t):
     m, w = level_bracket(times, t)
     if w == 0.0:
         return levels[m]
+    if w == 1.0:
+        return levels[m + 1]
     return (1 - w) * levels[m] + w * levels[m + 1]
 
 

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedDimensionError
-from .fields import Field, _diff_axis, differentiate, gradient_values, interp_values
+from .fields import Field, _diff_axis, gradient_values, interp_values
+from .motion import _contract
 
 
 def _eval_physical(obj, t, x):
@@ -73,24 +74,20 @@ class TransformedRHS:
 
 
 def _hessian_fields(f):
-    """d^2 u_i/dy_k dy_l as (N, i, k, l), symmetrized in (k, l)."""
-    d = f.grid.dim
-    N = f.grid.num_nodes
-    out = np.empty((N, f.ncomp, d, d))
-    for i in range(f.ncomp):
-        fi = f.component(i)
-        firsts = [differentiate(fi, k, 1) for k in range(d)]
-        for k in range(d):
-            for l in range(d):
-                if l < k:
-                    continue
-                if k == l:
-                    out[:, i, k, k] = differentiate(fi, k, 2).values[0].ravel()
-                else:
-                    v = 0.5 * (differentiate(firsts[k], l, 1).values[0]
-                               + differentiate(firsts[l], k, 1).values[0])
-                    out[:, i, k, l] = out[:, i, l, k] = v.ravel()
-    return out
+    """d^2 u_i/dy_k dy_l as (N, i, k, l), symmetrized in (k, l).
+
+    A view of a component-major (i, k, l, N) array, so it is not
+    C-contiguous.
+    """
+    d, h = f.grid.dim, f.grid.spacing
+    out = np.empty((f.ncomp, d, d) + tuple(f.grid.shape))
+    firsts = [_diff_axis(f.values, h[k], k + 1, 1) for k in range(d)]
+    for k in range(d):
+        out[:, k, k] = _diff_axis(f.values, h[k], k + 1, 2)
+        for l in range(k + 1, d):
+            out[:, k, l] = out[:, l, k] = 0.5 * (_diff_axis(firsts[k], h[l], l + 1, 1)
+                                                 + _diff_axis(firsts[l], h[k], k + 1, 1))
+    return np.moveaxis(out.reshape(f.ncomp, d, d, -1), -1, 0)
 
 
 def inverse_map_second_derivatives(flow_map, t):
@@ -99,16 +96,20 @@ def inverse_map_second_derivatives(flow_map, t):
     Finite differences, in reference coordinates, of the inverse-map Jacobian
     field gradY(X(t, y)) followed by the chain factor gradY (the image nodes
     form a curvilinear grid, so differentiating in x directly is not
-    available); symmetrized in (k, p).
+    available); symmetrized in (k, p). A view of a component-major
+    (j, k, p, N) array, so it is not C-contiguous.
     """
     grid = flow_map.grid
-    d = grid.dim
-    gy = flow_map.frame(t).inv
-    gy_nodes = gy.reshape(tuple(grid.shape) + (d, d))
-    dgy = np.stack([_diff_axis(gy_nodes, h, a, 1) for a, h in enumerate(grid.spacing)],
-                   axis=-1).reshape(grid.num_nodes, d, d, d)  # d_m (gradY_{jk})
-    out = np.einsum("pjkm,pmq->pjkq", dgy, gy)
-    return 0.5 * (out + np.swapaxes(out, 2, 3))
+    d, N = grid.dim, grid.num_nodes
+    gy = np.moveaxis(flow_map.frame(t).inv, 0, -1)          # gradY_{mq}, rows
+    gy_nodes = gy.reshape((d, d) + tuple(grid.shape))
+    out = np.empty((d, d, d, N))
+    scratch = np.empty(N)
+    for m, h in enumerate(grid.spacing):
+        # out[j, k, q] += d_m (gradY_{jk}) gradY_{mq}
+        dgy = _diff_axis(gy_nodes, h, m + 2, 1).reshape(d * d, 1, N)
+        _contract(out.reshape(d * d, d, N), dgy, gy[m][None], scratch, add=m > 0)
+    return np.moveaxis(0.5 * (out + out.transpose(0, 2, 1, 3)), -1, 0)
 
 
 def lagrangian_remainder(rho_ref, u_ref, flow_map, V, t, params, force=None):
@@ -122,37 +123,52 @@ def lagrangian_remainder(rho_ref, u_ref, flow_map, V, t, params, force=None):
     grid = u_ref.grid
     d = grid.dim
     N = grid.num_nodes
+    shape = (d,) + tuple(grid.shape)
     mu = params.mu
     lam = params.mu / 3.0 + params.eta
 
+    # every tensor as component rows over the nodes: gradY at the feet
+    # [j, k], V(t, X(t, y)) as a column, du_i/dy_j, d^2 u_i/dy_k dy_l and
+    # d^2 Y_j/dx_k dx_p
     frame = flow_map.frame(t)
-    gy = frame.inv                                  # gradY at feet, (N, j, k)
-    eye = np.eye(d)
-    gap = gy - eye
-    Vx = V.velocity(t, frame.X)                     # V(t, X(t, y))
+    gy = np.moveaxis(frame.inv, 0, -1)
+    Vx = V.velocity(t, frame.X).T[:, None]
     rho = rho_ref.values[0].ravel()
-    G1 = gradient_values(u_ref)                     # (N, i, j)
-    G2 = _hessian_fields(u_ref)                     # (N, i, k, l)
-    dY2 = inverse_map_second_derivatives(flow_map, t)  # (N, j, k, p)
-    lapY = np.einsum("pjii->pj", dY2)
+    G1 = np.moveaxis(gradient_values(u_ref), 0, -1)
+    G2 = np.moveaxis(_hessian_fields(u_ref), 0, -1)
+    dY2 = np.moveaxis(inverse_map_second_derivatives(flow_map, t), 0, -1)
+    scratch = np.empty(N)
 
-    # transport correction: rho~ du_i/dy_j V_k (dY_j/dx_k - delta_jk)
-    term1 = rho[:, None] * np.einsum("pij,pk,pjk->pi", G1, Vx, gap)
-    # viscous Jacobian-gap corrections
-    c_kl = np.einsum("plq,pkq->pkl", gy, gy) - eye
-    term2 = mu * np.einsum("pikl,pkl->pi", G2, c_kl)
-    c_ikl = np.einsum("pli,pkq->pikql", gy, gy)     # dY_l/dx_i dY_k/dx_q
-    term3 = lam * (np.einsum("pqkl,pikql->pi", G2, c_ikl)
-                   - np.einsum("pqiq->pi", G2))
+    def contract(A, B):
+        out = np.empty((len(A), B.shape[1], N))
+        _contract(out, A, B, scratch)
+        return out
+
+    # transport correction: rho~ du_i/dy_j (dY_j/dx_k - delta_jk) V_k
+    term1 = rho * contract(G1, contract(gy, Vx) - Vx)[:, 0]
+    # viscous Jacobian-gap corrections: c = gradY gradY^T - I
+    c = contract(gy, gy.transpose(1, 0, 2))
+    for k in range(d):
+        c[k, k] -= 1.0
+    term2 = mu * contract(G2.reshape(d, d * d, N), c.reshape(d * d, 1, N))[:, 0]
+    # z_l = sum_qk dY_k/dx_q d^2 u_q/dy_k dy_l: d/dy_l of div_x u, gradY frozen
+    z = np.empty((1, d, N))
+    for q in range(d):
+        _contract(z, gy[:, q][None], G2[q], scratch, add=q > 0)
+    term3 = lam * (contract(gy.transpose(1, 0, 2), z.reshape(d, 1, N))[:, 0]
+                   - sum(G2[q, :, q] for q in range(d)))
     # first-derivative corrections
-    term4 = mu * np.einsum("pik,pk->pi", G1, lapY)
-    term5 = lam * np.einsum("pqk,pkiq->pi", G1, dY2)
+    lapY = sum(dY2[:, i, i] for i in range(d))[:, None]
+    term4 = mu * contract(G1, lapY)[:, 0]
+    # term5_i = lam sum_qk du_q/dy_k d^2 Y_k/dx_i dx_q
+    t5 = np.empty((1, d, N))
+    for q in range(d):
+        _contract(t5, G1[q][None], dY2[:, :, q], scratch, add=q > 0)
+    term5 = lam * t5[0]
 
-    remainder = (term1 + term2 + term3 + term4 + term5).T.reshape(
-        (d,) + tuple(grid.shape))
-    transport = (rho[:, None] * np.einsum("pj,pij->pi", Vx, G1)).T.reshape(
-        (d,) + tuple(grid.shape))
-    fvals = (np.zeros((d,) + tuple(grid.shape)) if force is None
+    remainder = (term1 + term2 + term3 + term4 + term5).reshape(shape)
+    transport = (rho * contract(G1, Vx)[:, 0]).reshape(shape)
+    fvals = (np.zeros(shape) if force is None
              else np.asarray(force.values, dtype=float))
     return TransformedRHS(Field(grid, fvals, t), Field(grid, transport, t),
                           Field(grid, remainder, t), t)
@@ -173,6 +189,20 @@ class BoundaryData:
         if b is None:
             raise UnsupportedDimensionError("no tangential datum in 1D")
         return b
+
+
+def _bilinear(x, M, y):
+    """x . M y per node, (m, i) (m, i, j) (m, j) -> (m,).
+
+    Summed over (i, j) in row-major order, each term formed as
+    (M_ij y_j) x_i: the order a 3-operand einsum uses, so the slip data
+    keep their last bits.
+    """
+    terms = M * y[:, None, :] * x[:, :, None]
+    out = np.zeros(len(M))
+    for t_ij in terms.reshape(len(M), -1).T:
+        out += t_ij
+    return out
 
 
 def transformed_boundary_data(u_ref, V, flow_map, t, params):
@@ -216,9 +246,9 @@ def transformed_boundary_data(u_ref, V, flow_map, t, params):
         K = mu * np.einsum("pim,pmj->pij", G, Jgap)
         D = K + np.swapaxes(K, 1, 2)
         M = mu * (G + np.swapaxes(G, 1, 2))
-        Bval = (np.einsum("pij,pj,pi->p", D, n_X, tau_X)
-                + np.einsum("pij,pj,pi->p", M, dn, tau_X)
-                + np.einsum("pij,pj,pi->p", M, n_ref, dtau)
+        Bval = (_bilinear(tau_X, D, n_X)
+                + _bilinear(tau_X, M, dn)
+                + _bilinear(dtau, M, n_ref)
                 + kappa * np.einsum("pi,pi->p", u_b - Vy, dtau)
                 + kappa * np.einsum("pi,pi->p", VX - Vy, tau_X))
         faces[face.name] = {"d": dval, "B": Bval}

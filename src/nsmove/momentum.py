@@ -142,7 +142,7 @@ def assemble_stress_matrix(grid, params, mu_nodal=None):
     tmpl = _templates_1d(grid.spacing[0]) if d == 1 else _templates_2d(*grid.spacing)
     ngauss = len(tmpl)
     if mu_nodal is None:
-        mu_g = np.full((ncells, ngauss), params.mu)
+        mu_g = np.full((1, ngauss), params.mu)  # one block, shared by every cell
     else:
         mu_g = _gauss_point_values(grid, np.asarray(mu_nodal, dtype=float), cells)
     lam_g = params.eta - 2.0 * mu_g / 3.0
@@ -155,14 +155,15 @@ def assemble_stress_matrix(grid, params, mu_nodal=None):
     T_lam = np.array([[[Eg[(c1, c2)] for c2 in range(d)] for c1 in range(d)] for Eg in tmpl])
     blocks = sum(mu_g[:, g, None, None] * T_mu[g][:, :, None]
                  + lam_g[:, g, None, None] * T_lam[g][:, :, None]
-                 for g in range(ngauss))  # (d, d, ncells, nloc, nloc)
+                 for g in range(ngauss))  # (d, d, ncells or 1, nloc, nloc)
     # entries in (c1, c2, cell) order: duplicates are summed in the same
     # order for (i, j) and (j, i), so K is symmetric to the last bit
     comp = np.arange(d) * N
     rows, cols = np.broadcast_arrays(
         comp[:, None, None, None, None] + cells[:, :, None],
         comp[None, :, None, None, None] + cells[:, None, :])
-    A = sp.coo_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())),
+    A = sp.coo_matrix((np.broadcast_to(blocks, rows.shape).ravel(),
+                       (rows.ravel(), cols.ravel())),
                       shape=(d * N, d * N)).tocsr()
     A.sum_duplicates()
     return A
@@ -316,7 +317,8 @@ class _VCycle:
     every axis has an odd node count above ``_COARSEST_NODES``; the
     coarsest operator is factorized by sparse LU (a grid that does not
     halve gets one level: that factorization). The finest operator is held
-    by reference; call :meth:`refresh` after changing its diagonal.
+    by reference; call :meth:`refresh` with its new diagonal after changing
+    it.
     Briggs, Henson & McCormick, A Multigrid Tutorial, 2nd ed., SIAM 2000.
     """
 
@@ -340,8 +342,8 @@ class _VCycle:
         self.smooth = [w / op.diagonal() for w, op in zip(self.omega, self.ops)]
         self.coarsest = spla.splu(A.tocsc())
 
-    def refresh(self):
-        self.smooth[0] = self.omega[0] / self.ops[0].diagonal()
+    def refresh(self, diagonal):
+        self.smooth[0] = self.omega[0] / diagonal
 
     def _cycle(self, level, r):
         if level == len(self.prolong):
@@ -387,8 +389,10 @@ class _CrankNicolsonSystem:
         self.vcycle = _VCycle(self.matrix, self.free, shape)
 
     def set_mass(self, mass):
-        self.matrix.data[self._diag] = self._base + self.free * mass
-        self.vcycle.refresh()
+        # one diagonal entry per row, in row order: this is the diagonal
+        diagonal = self._base + self.free * mass
+        self.matrix.data[self._diag] = diagonal
+        self.vcycle.refresh(diagonal)
 
     def rhs(self, b, vals):
         out = b - self.cols @ vals
@@ -488,27 +492,30 @@ def momentum_energy_residual(u_levels, times, rho, rhs, params, bc=None,
     grid = grid or u_levels[0].grid
     d = grid.dim
     w = grid.quadrature_weights().ravel()
+    slip = bc is not None and bc.kind == "slip" and d == 2
+    if slip:
+        pts, faces = grid.node_coords(), grid.faces().values()
     records = []
     for m in range(len(u_levels) - 1):
         dt = times[m + 1] - times[m]
         th = 0.5 * (times[m] + times[m + 1])
         rho_h = np.asarray(rho(th), dtype=float).ravel()
-        u0 = u_levels[m].values.reshape(d, -1).T
-        u1 = u_levels[m + 1].values.reshape(d, -1).T
-        kin = float(np.sum(w * rho_h * (np.sum(u1**2, 1) - np.sum(u0**2, 1))) / (2 * dt))
+        # component rows (d, N): sums over a node's components stay cheap
+        u0 = u_levels[m].values.reshape(d, -1)
+        u1 = u_levels[m + 1].values.reshape(d, -1)
+        kin = float(np.sum(w * rho_h * (np.sum(u1**2, 0) - np.sum(u0**2, 0))) / (2 * dt))
         mid = Field(grid, 0.5 * (u_levels[m].values + u_levels[m + 1].values), th)
         gmid = gradient_values(mid)
         diss = float(np.sum(w * dissipation_density(gmid, params.mu, params.eta)))
-        f = np.asarray(rhs(th), dtype=float).reshape(-1, d)
-        umid = 0.5 * (u0 + u1)
-        work = float(np.sum(w * np.sum(f * umid, axis=1)))
+        f = np.asarray(rhs(th), dtype=float).reshape(-1, d).T
+        umid = mid.values.reshape(d, -1)
+        work = float(np.sum(w * np.sum(f * umid, axis=0)))
         bwork = 0.0
         fric = 0.0
-        if bc is not None and bc.kind == "slip" and d == 2:
-            pts = grid.node_coords()
-            for face in grid.faces().values():
+        if slip:
+            for face in faces:
                 flat, tau, wline = face.flat, face.tangent, face.weights
-                ut = umid[flat] @ tau
+                ut = umid[:, flat].T @ tau
                 B = bc.stress_datum(th, face.name, len(flat))
                 vt = bc.velocity(th, pts[flat]) @ tau
                 bwork += float(np.sum(wline * B * ut))

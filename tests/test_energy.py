@@ -14,6 +14,7 @@ from nsmove.energy import (
     relative_energy,
     relative_energy_remainder,
     relative_energy_values,
+    stress_tensor,
 )
 from nsmove.momentum import FluidParams
 from nsmove.motion import MotionField, advect_flow_map
@@ -242,6 +243,35 @@ class TestDiagnostics:
             gu = rng.standard_normal((10, 2, 2))
             vals = dissipation_density(gu, mu=0.7, eta=0.2)
             assert np.min(vals) >= -1e-13
+
+    def test_stress_and_dissipation_match_einsum(self):
+        # the diagonal-slice forms against the einsum forms they replaced, on
+        # random gradients and on the physical gradient of a moving map
+        def stress_reference(gu, mu, eta):
+            div = np.einsum("pii->p", gu)
+            eye = np.eye(gu.shape[-1])
+            sym = gu + np.swapaxes(gu, -1, -2)
+            return (mu * (sym - (2.0 / 3.0) * div[:, None, None] * eye)
+                    + eta * div[:, None, None] * eye)
+
+        rng = np.random.default_rng(41)
+        g = Grid((33, 33), (0.0, 0.0), (1.0, 1.0))
+        fm = advect_flow_map(MotionField.expression(
+            lambda t, p: p @ np.array([[0.3, 0.4], [0.0, 0.3]]).T, 2), g, 0.1, 0.01)
+        u = Field.from_function(g, lambda p: np.stack(
+            [np.sin(np.pi * p[:, 0]) * p[:, 1], np.cos(np.pi * p[:, 1]) * p[:, 0]], axis=1),
+            ncomp=2)
+        traj = StateTrajectory([0.0, 0.1], [Field(g, np.ones(g.shape))] * 2, [u, u],
+                               flow_map=fm)
+        grads = [rng.standard_normal((50, d, d)) for d in (1, 2)]
+        grads.append(traj.physical_velocity_gradient(1))
+        for gu in grads:
+            S_ref = stress_reference(gu, 0.7, 0.2)
+            S = stress_tensor(gu, 0.7, 0.2)
+            assert np.max(np.abs(S - S_ref)) <= 1e-12 * np.max(np.abs(S_ref))
+            D_ref = np.einsum("pij,pij->p", S_ref, gu)
+            D = dissipation_density(gu, 0.7, 0.2)
+            assert np.max(np.abs(D - D_ref)) <= 1e-12 * np.max(np.abs(D_ref))
 
     def test_korn_quotient_finite(self):
         g = Grid((33, 33), (0.0, 0.0), (1.0, 1.0))

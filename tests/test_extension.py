@@ -150,6 +150,34 @@ class TestWithContext:
             errs = np.abs(got - bd.stress(face))[mid]
             assert np.max(errs) <= 1e-12
 
+    def test_interpolates_only_on_the_collars(self, monkeypatch):
+        # each face samples u only at its collar nodes, where the cutoff is
+        # positive: four points (q and q/2 along tau and nu) per collar node
+        import nsmove.extension as ext_mod
+        from nsmove.extension import cutoff_profile
+
+        g, V, fm, u, params = self.setup_context(n=33)
+        bd = transformed_boundary_data(u, V, fm, 0.2, params)
+        counts = []
+        interp = ext_mod.interp_values
+
+        def counting(grid, vals, points, out_of_bounds="raise"):
+            counts.append(len(points))
+            return interp(grid, vals, points, out_of_bounds)
+
+        monkeypatch.setattr(ext_mod, "interp_values", counting)
+        ext = extend_boundary_data(bd, g, u_ref=u, V=V, flow_map=fm, params=params, t=0.2)
+        nodes = g.node_coords()
+        collars = []
+        for face in g.faces().values():
+            coord = nodes[:, face.axis]
+            q = (coord - g.lo[face.axis] if face.name.endswith("0")
+                 else g.hi[face.axis] - coord)
+            collars.append(int(np.count_nonzero(cutoff_profile(q, ext.eps) > 0)))
+        assert 0 < max(collars) < g.num_nodes
+        assert sum(counts) == 4 * sum(collars)
+        assert counts == [4 * c for c in collars]
+
     def test_monitor_nonincreasing_in_horizon(self):
         g, V, _, u, params = self.setup_context(n=33, t=0.21)
         fm = advect_flow_map(V, g, 0.21, 0.21 / 60)

@@ -1,5 +1,5 @@
 """Source hygiene: every import in the package is used, and so is every
-top-level definition.
+top-level definition; no einsum in the package takes three or more operands.
 
 A name bound by an import counts as used when it is read anywhere in the
 module or listed in ``__all__``; ``from __future__`` imports are exempt.
@@ -104,3 +104,31 @@ def test_detects_unnamed_definition():
         "def orphan():\n    return helper()\n"
         "def helper():\n    return FooError\n")}
     assert _unnamed_definitions(trees) == [("probe.py", 3, "Unused"), ("probe.py", 5, "orphan")]
+
+
+def _multi_operand_einsums(tree):
+    """(line, operand count) of the einsum calls with three or more operands.
+
+    Unoptimized, numpy evaluates such a call as one nested loop over every
+    index at once; the package writes them as products of component rows.
+    """
+    out = []
+    for node in ast.walk(tree):
+        func = getattr(node, "func", None)
+        name = getattr(func, "attr", getattr(func, "id", None))
+        if isinstance(node, ast.Call) and name == "einsum" and len(node.args) - 1 >= 3:
+            out.append((node.lineno, len(node.args) - 1))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", SRC, ids=[p.name for p in SRC])
+def test_no_multi_operand_einsum(path):
+    calls = _multi_operand_einsums(ast.parse(path.read_text(), filename=str(path)))
+    assert not calls, f"{path.name}: einsum with >= 3 operands at (line, operands) {calls}"
+
+
+def test_detects_multi_operand_einsum():
+    tree = ast.parse("np.einsum('pi,pi->p', a, b)\n"
+                     "np.einsum('pij,pj,pi->p', D, n,\n          t)\n"
+                     "einsum('i,i,i,i->', a, b, c, d)\n")
+    assert _multi_operand_einsums(tree) == [(2, 3), (4, 4)]

@@ -325,3 +325,191 @@ class TestBoundaryData:
         assert bd.normal("x1") is not None
         with pytest.raises(UnsupportedDimensionError):
             bd.stress("x1")
+
+
+# -- the row-product kernels against the generic einsum forms -------------
+
+
+def _remainder_terms_reference(rho, G1, G2, gy, dY2, Vx, mu, lam):
+    """The five remainder terms and the transport term, as einsums."""
+    eye = np.eye(gy.shape[-1])
+    gap = gy - eye
+    lapY = np.einsum("pjii->pj", dY2)
+    c_kl = np.einsum("plq,pkq->pkl", gy, gy) - eye
+    c_ikl = np.einsum("pli,pkq->pikql", gy, gy)
+    terms = (rho[:, None] * np.einsum("pij,pk,pjk->pi", G1, Vx, gap),
+             mu * np.einsum("pikl,pkl->pi", G2, c_kl),
+             lam * (np.einsum("pqkl,pikql->pi", G2, c_ikl) - np.einsum("pqiq->pi", G2)),
+             mu * np.einsum("pik,pk->pi", G1, lapY),
+             lam * np.einsum("pqk,pkiq->pi", G1, dY2))
+    return terms, rho[:, None] * np.einsum("pj,pij->pi", Vx, G1)
+
+
+def _inverse_map_second_derivatives_reference(fm, t):
+    from nsmove.fields import _diff_axis
+    g, d = fm.grid, fm.grid.dim
+    gy = fm.frame(t).inv
+    gy_nodes = gy.reshape(tuple(g.shape) + (d, d))
+    dgy = np.stack([_diff_axis(gy_nodes, h, a, 1) for a, h in enumerate(g.spacing)],
+                   axis=-1).reshape(g.num_nodes, d, d, d)
+    out = np.einsum("pjkm,pmq->pjkq", dgy, gy)
+    return 0.5 * (out + np.swapaxes(out, 2, 3))
+
+
+def _boundary_data_reference(u_ref, V, fm, t, params):
+    from nsmove.fields import gradient_values
+    g = fm.grid
+    frame = fm.frame(t)
+    nodes = g.node_coords()
+    uvals = u_ref.values.reshape(2, -1).T
+    G1 = gradient_values(u_ref)
+    out = {}
+    for face in g.faces().values():
+        flat, n_X, tau_X = frame.faces[face.name]
+        n_ref = np.broadcast_to(face.normal, n_X.shape)
+        y = nodes[flat]
+        Vy, VX = V.velocity(t, y), V.velocity(t, frame.X[flat])
+        u_b = uvals[flat]
+        dn, dtau = n_ref - n_X, face.tangent - tau_X
+        dval = (np.einsum("pi,pi->p", u_b - Vy, dn)
+                + np.einsum("pi,pi->p", VX - Vy, n_X))
+        G = G1[flat]
+        K = params.mu * np.einsum("pim,pmj->pij", G, np.eye(2) - frame.inv[flat])
+        D = K + np.swapaxes(K, 1, 2)
+        M = params.mu * (G + np.swapaxes(G, 1, 2))
+        Bval = (np.einsum("pij,pj,pi->p", D, n_X, tau_X)
+                + np.einsum("pij,pj,pi->p", M, dn, tau_X)
+                + np.einsum("pij,pj,pi->p", M, n_ref, dtau)
+                + params.kappa * np.einsum("pi,pi->p", u_b - Vy, dtau)
+                + params.kappa * np.einsum("pi,pi->p", VX - Vy, tau_X))
+        out[face.name] = (dval, Bval)
+    return out
+
+
+def _chain_like(n=33, t=0.1):
+    """chain_moving's motion (dilation 0.3 + shear 0.4) with a smooth u and rho."""
+    g = grid2d(n)
+    A = np.array([[0.3, 0.4], [0.0, 0.3]])
+    V = MotionField.expression(
+        lambda tt, p: p @ A.T, 2,
+        grad_fn=lambda tt, p: np.broadcast_to(A, p.shape + (2,)).copy(),
+        grad2_fn=lambda tt, p: np.zeros(p.shape + (2, 2)),
+        dt_fn=lambda tt, p: np.zeros_like(p))
+    fm = advect_flow_map(V, g, t, t / 10, with_hessian=True)
+    rho = Field.from_function(g, smooth_rho)
+    u = Field.from_function(g, lambda p: p @ A.T + 0.01 * smooth_u(p), ncomp=2)
+    return g, V, fm, rho, u, t
+
+
+def _curved(n=33, t=0.2):
+    """A nonlinear motion, so gradY varies and d^2 Y does not vanish."""
+    g = grid2d(n)
+    V = MotionField.expression(
+        lambda tt, p: 0.3 * np.stack([np.sin(np.pi * p[:, 1]) * p[:, 0],
+                                      np.cos(np.pi * p[:, 0]) * p[:, 1]], axis=1), 2)
+    return g, V, advect_flow_map(V, g, t, t / 20), t
+
+
+def _close(got, ref, rtol=1e-12):
+    """Agreement to ``rtol`` relative to the largest reference entry."""
+    return np.max(np.abs(got - ref)) <= rtol * np.max(np.abs(ref))
+
+
+class TestRowKernelsMatchEinsum:
+    """The kernels written as row products agree with the einsum forms they
+    replaced to 1e-12 relative, term by term on random inputs and in total
+    on chain-like data."""
+
+    @pytest.fixture
+    def random_inputs(self, monkeypatch):
+        # random gradY, V(X), Hessian and inverse-map curvature, none of them
+        # symmetric, fed through stand-ins for the helpers that compute them
+        import nsmove.lagrangian as lag
+        from types import SimpleNamespace
+        from nsmove.fields import gradient_values
+
+        rng = np.random.default_rng(29)
+        g = grid2d(17)
+        N = g.num_nodes
+        u = Field(g, rng.standard_normal((2,) + g.shape))
+        gy = rng.standard_normal((N, 2, 2))
+        Vx = rng.standard_normal((N, 2))
+        G2 = rng.standard_normal((N, 2, 2, 2))
+        dY2 = rng.standard_normal((N, 2, 2, 2))
+        rho = Field(g, 1.0 + rng.uniform(size=g.shape))
+        fm = SimpleNamespace(frame=lambda t: SimpleNamespace(inv=gy, X=np.zeros((N, 2))))
+        V = SimpleNamespace(velocity=lambda t, x: Vx)
+        hooks = {"G2": G2, "dY2": dY2}
+        monkeypatch.setattr(lag, "_hessian_fields", lambda f: hooks["G2"])
+        monkeypatch.setattr(lag, "inverse_map_second_derivatives",
+                            lambda fm, t: hooks["dY2"])
+        G1 = gradient_values(u)
+        return g, u, rho, fm, V, hooks, lambda r, mu, lam: _remainder_terms_reference(
+            r, G1, hooks["G2"], gy, hooks["dY2"], Vx, mu, lam)
+
+    def test_each_remainder_term_random(self, random_inputs):
+        from types import SimpleNamespace
+        g, u, rho, fm, V, hooks, reference = random_inputs
+        G2, dY2 = hooks["G2"], hooks["dY2"]
+        zero_rho = Field(g, np.zeros(g.shape))
+        # (term, rho, mu, eta, zeroed input): each case leaves one term alive;
+        # eta = -mu/3 makes lam = mu/3 + eta vanish
+        cases = [(0, rho, 0.0, 0.0, ("G2", "dY2")),
+                 (1, zero_rho, 0.7, -0.7 / 3, ("dY2",)),
+                 (2, zero_rho, 0.0, 0.4, ("dY2",)),
+                 (3, zero_rho, 0.7, -0.7 / 3, ("G2",)),
+                 (4, zero_rho, 0.0, 0.4, ("G2",))]
+        for term, r, mu, eta, zeroed in cases:
+            hooks["G2"], hooks["dY2"] = G2, dY2
+            for name in zeroed:
+                hooks[name] = np.zeros_like(hooks[name])
+            params = SimpleNamespace(mu=mu, eta=eta)
+            out = lagrangian_remainder(r, u, fm, V, 0.1, params)
+            terms, transport = reference(r.values[0].ravel(), mu, mu / 3 + eta)
+            got = out.remainder.values.reshape(2, -1).T
+            assert _close(got, terms[term]), term
+            assert _close(got, sum(terms)), term
+            if term == 0:
+                assert _close(out.transport.values.reshape(2, -1).T, transport)
+
+    def test_remainder_chain_like(self):
+        from nsmove.fields import gradient_values
+        from nsmove.lagrangian import _hessian_fields, inverse_map_second_derivatives
+        g, V, fm, rho, u, t = _chain_like()
+        params = FluidParams(mu=0.3, eta=0.1, kappa=0.5, bc="slip")
+        out = lagrangian_remainder(rho, u, fm, V, t, params)
+        frame = fm.frame(t)
+        terms, transport = _remainder_terms_reference(
+            rho.values[0].ravel(), gradient_values(u), _hessian_fields(u), frame.inv,
+            inverse_map_second_derivatives(fm, t), V.velocity(t, frame.X),
+            params.mu, params.mu / 3 + params.eta)
+        scale = max(np.max(np.abs(term)) for term in terms)
+        got = out.remainder.values.reshape(2, -1).T
+        assert np.max(np.abs(got - sum(terms))) <= 1e-12 * scale
+        assert _close(out.transport.values.reshape(2, -1).T, transport)
+
+    def test_inverse_map_second_derivatives(self):
+        from types import SimpleNamespace
+        from nsmove.lagrangian import inverse_map_second_derivatives
+        rng = np.random.default_rng(31)
+        g = grid2d(17)
+        inv = rng.standard_normal((g.num_nodes, 2, 2))
+        fake = SimpleNamespace(grid=g, frame=lambda t: SimpleNamespace(inv=inv))
+        maps = [(fake, 0.0), _chain_like()[2:3] + (0.1,), _curved()[2:]]
+        for fm, t in maps:
+            got = inverse_map_second_derivatives(fm, t)
+            ref = _inverse_map_second_derivatives_reference(fm, t)
+            assert got.shape == ref.shape
+            assert _close(got, ref)
+
+    def test_boundary_data(self):
+        rng = np.random.default_rng(37)
+        params = FluidParams(mu=0.3, eta=0.1, kappa=0.5, bc="slip")
+        g, V, fm, _, u_chain, t = _chain_like()
+        gc, Vc, fmc, tc = _curved()
+        u_random = Field(gc, rng.standard_normal((2,) + gc.shape))
+        for u, V, fm, t in ((u_chain, V, fm, t), (u_random, Vc, fmc, tc)):
+            bd = transformed_boundary_data(u, V, fm, t, params)
+            for face, (d_ref, B_ref) in _boundary_data_reference(u, V, fm, t, params).items():
+                assert _close(bd.normal(face), d_ref)
+                assert _close(bd.stress(face), B_ref)

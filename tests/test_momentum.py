@@ -87,6 +87,14 @@ class TestBasics:
             gap = abs(A - A.T)
             assert (gap.max() if gap.nnz else 0.0) == 0.0
 
+    def test_constant_viscosity_matches_nodal(self):
+        # mu_nodal=None shares one element block across the cells
+        params = FluidParams(mu=0.7, eta=0.2, bc="slip")
+        for g in (Grid((9, 11), (0.0, 0.0), (1.0, 2.0)), Grid((9,), (0.0,), (1.0,))):
+            K = assemble_stress_matrix(g, params)
+            K_nodal = assemble_stress_matrix(g, params, np.full(g.num_nodes, params.mu))
+            assert abs(K - K_nodal).max() <= 1e-14 * abs(K_nodal).max()
+
     def test_positivity_guard(self):
         g = Grid((9,), (0.0,), (1.0,))
         params = FluidParams(mu=0.5, bc="no-slip")

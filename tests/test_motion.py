@@ -370,8 +370,10 @@ class TestFrame:
         g = grid2d()
         fm = advect_flow_map(_nonlinear_2d(), g, 0.1, 0.01, with_hessian=True)
         traj = solve_transport(Field(g, np.ones(g.shape)), _nonlinear_2d(), 0.1, 0.01)
-        t = fm.times  # queries at a stored level before the last return views
-        for a in (fm.positions(t[1]), fm.jacobians(t[5]), fm.hessians(t[0]), traj.I, traj.G):
+        t = fm.times  # queries at a stored level, the last one included, return views
+        for a in (fm.positions(t[1]), fm.jacobians(t[5]), fm.hessians(t[0]),
+                  fm.positions(t[-1]), fm.jacobians(t[-1]), fm.hessians(t[-1]),
+                  traj.I, traj.G):
             with pytest.raises(ValueError):
                 a[0] = 0
 
