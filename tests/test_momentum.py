@@ -118,19 +118,25 @@ class TestBasics:
         assert all(np.max(np.abs(l.values)) == 0.0 for l in levels)
         assert all(r.residual <= 1e-10 for r in reports)
 
-    @pytest.mark.parametrize("shape", [(9, 11), (9,)], ids=["2d", "1d"])
-    def test_stiffness_matches_gauss_reference(self, shape):
-        g = Grid(shape, (0.0,) * len(shape), (1.0, 2.0)[:len(shape)])
+    def test_operator_symmetry(self):
+        # exact: mirrored entries are products of the same 1-D factors
         params = FluidParams(mu=0.7, eta=0.2, bc="slip")
-        K = assemble_stress_matrix(g, params)
-        K_ref = gauss_stiffness_reference(g, params)
-        assert abs(K - K_ref).max() <= 1e-14 * abs(K_ref).max()
-        gap = abs(K - K.T)
-        assert (gap.max() if gap.nnz else 0.0) == 0.0
-        if g.dim == 2:
-            # only exact nonzeros: 9 in the own component's block, 4 in the other's
-            stored = np.diff(K.indptr).reshape(2, *g.shape)
-            assert np.all(stored[:, 1:-1, 1:-1] == 13)
+        for g in (Grid((9, 11), (0.0, 0.0), (1.0, 2.0)), Grid((9,), (0.0,), (1.0,))):
+            K = assemble_stress_matrix(g, params)
+            gap = abs(K - K.T)
+            assert (gap.max() if gap.nnz else 0.0) == 0.0
+
+    def test_constant_viscosity_matches_nodal(self):
+        # the Kronecker form against the cell-by-cell Gauss assembly it replaced
+        params = FluidParams(mu=0.7, eta=0.2, bc="slip")
+        for g in (Grid((9, 11), (0.0, 0.0), (1.0, 2.0)), Grid((9,), (0.0,), (1.0,))):
+            K = assemble_stress_matrix(g, params)
+            K_ref = gauss_stiffness_reference(g, params)
+            assert abs(K - K_ref).max() <= 1e-14 * abs(K_ref).max()
+            if g.dim == 2:
+                # only exact nonzeros: 9 in the own component's block, 4 in the other's
+                stored = np.diff(K.indptr).reshape(2, *g.shape)
+                assert np.all(stored[:, 1:-1, 1:-1] == 13)
 
     def test_positivity_guard(self):
         g = Grid((9,), (0.0,), (1.0,))
