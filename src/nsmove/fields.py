@@ -7,8 +7,8 @@ ever arise downstream through composition with a flow map.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -31,6 +31,11 @@ def rotate90(v):
     """Counter-clockwise quarter turn; maps a 2D normal to its tangent."""
     v = np.asarray(v, dtype=float)
     return np.stack([-v[..., 1], v[..., 0]], axis=-1)
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -126,10 +131,15 @@ class Grid:
         return np.linspace(self.lo[axis], self.hi[axis], self.n[axis])
 
     def node_coords(self):
-        """All node coordinates, shape (num_nodes, dim), C-order (last axis fastest)."""
+        """All node coordinates, shape (num_nodes, dim), C-order (last axis
+        fastest). One read-only array per grid."""
+        return self._node_coords
+
+    @cached_property
+    def _node_coords(self):
         axes = [self.axis_coords(a) for a in range(self.dim)]
         mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return _read_only(np.stack([m.ravel() for m in mesh], axis=-1))
 
     def quadrature_weights(self):
         """Composite-trapezoid weights per node, shaped like the grid."""
@@ -172,20 +182,26 @@ class Grid:
         raise InvalidArgumentError(f"unknown face {face!r}")
 
     def faces(self):
-        """{name: :class:`Face`} of the closed faces, in ``face_names`` order."""
+        """{name: :class:`Face`} of the closed faces, in ``face_names`` order.
+        The records and their read-only arrays are built once per grid."""
+        return dict(self._faces)
+
+    @cached_property
+    def _faces(self):
         out = {}
         for face in self.face_names:
-            flat = np.ravel_multi_index(self.face_index(face, closed=True), self.n)
+            flat = _read_only(np.ravel_multi_index(self.face_index(face, closed=True), self.n))
             if self.dim == 1:
-                normal = np.array([-1.0 if face == "x0" else 1.0])
+                normal = _read_only(np.array([-1.0 if face == "x0" else 1.0]))
                 out[face] = Face(face, flat, 0, normal, None, None)
                 continue
             axis = 0 if face in ("x0", "x1") else 1
             h = self.spacing[1 - axis]
             weights = np.full(len(flat), h)
             weights[0] = weights[-1] = h / 2
-            normal = FACE_NORMALS[face]
-            out[face] = Face(face, flat, axis, normal, rotate90(normal), weights)
+            normal = FACE_NORMALS[face].copy()
+            out[face] = Face(face, flat, axis, _read_only(normal),
+                             _read_only(rotate90(normal)), _read_only(weights))
         return out
 
     def boundary_sets(self):
@@ -454,37 +470,3 @@ def integrate(f, weights=None):
     w = f.grid.quadrature_weights() if weights is None else weights
     out = np.array([float(np.sum(w * f.values[c])) for c in range(f.ncomp)])
     return out[0] if f.ncomp == 1 else out
-
-
-def write_field_csv(f, path):
-    """Snapshot format: header `# grid d nx [ny] extent...`, one row per node."""
-    header = f"# grid {f.grid.dim} " + " ".join(str(m) for m in f.grid.n)
-    for a in range(f.grid.dim):
-        header += f" {f.grid.lo[a]!r} {f.grid.hi[a]!r}"
-    header += f" t {f.t!r}"
-    flat = f.values.reshape(f.ncomp, -1).T
-    buf = io.StringIO()
-    buf.write(header + "\n")
-    for row in flat:
-        buf.write(",".join(repr(float(v)) for v in row) + "\n")
-    with open(path, "w") as fh:
-        fh.write(buf.getvalue())
-
-
-def read_field_csv(path):
-    with open(path) as fh:
-        header = fh.readline().strip()
-        rows = [line.strip() for line in fh if line.strip()]
-    tok = header.split()
-    if tok[:2] != ["#", "grid"]:
-        raise InvalidArgumentError(f"not a field snapshot: {header!r}")
-    d = int(tok[2])
-    n = tuple(int(v) for v in tok[3:3 + d])
-    ext = [float(v) for v in tok[3 + d:3 + d + 2 * d]]
-    lo = tuple(ext[0::2])
-    hi = tuple(ext[1::2])
-    t = float(tok[-1])
-    grid = Grid(n, lo, hi)
-    data = np.array([[float(v) for v in r.split(",")] for r in rows])
-    values = data.T.reshape((data.shape[1],) + n)
-    return Field(grid, values, t)

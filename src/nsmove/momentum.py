@@ -10,10 +10,11 @@ the friction term kappa (u - V).tau enter as natural boundary terms, while
 the normal component is enforced strongly. The constrained dofs are
 eliminated once per solve, and each step's system is solved by CG
 preconditioned with one geometric-multigrid V-cycle (bilinear prolongation,
-Galerkin coarse operators, damped-Jacobi smoothing), whose iteration count
-does not grow as h shrinks. Each step reports the work of the reaction on
-the constrained dofs, which closes the discrete energy identity to solver
-tolerance.
+Galerkin coarse stiffness, damped-Jacobi smoothing). Every level takes each
+step's mass, the coarse ones restricted from it, so the iteration count
+grows neither as h shrinks nor as the density changes. Each step reports
+the work of the reaction on the constrained dofs, which closes the discrete
+energy identity to solver tolerance.
 """
 
 from __future__ import annotations
@@ -117,27 +118,23 @@ def assemble_stress_matrix(grid, params):
 
 
 def assemble_friction_matrix(grid, kappa):
-    """kappa * line integral of (u.tau)(w.tau) over the reference boundary."""
+    """kappa * line integral of (u.tau)(w.tau) over the reference boundary.
+
+    The x-faces carry u_y and the y-faces u_x, so the matrix is
+    kappa blockdiag(Wx (x) Ey, Ex (x) Wy), with W the 1-D trapezoid weights
+    and E the selector of the two end nodes (both diagonal).
+    """
     d = grid.dim
-    N = grid.num_nodes
     if d == 1 or kappa == 0.0:
-        return sp.csr_matrix((d * N, d * N))
-    rows, cols, vals = [], [], []
-    for face in grid.faces().values():
-        for c1 in range(d):
-            for c2 in range(d):
-                coef = kappa * face.tangent[c1] * face.tangent[c2]
-                if coef == 0.0:
-                    continue
-                rows.append(c1 * N + face.flat)
-                cols.append(c2 * N + face.flat)
-                vals.append(coef * face.weights)
-    if not rows:
-        return sp.csr_matrix((d * N, d * N))
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(d * N, d * N)).tocsr()
-    return A
+        return sp.csr_matrix((d * grid.num_nodes, d * grid.num_nodes))
+    w, e = [], []
+    for n, h in zip(grid.shape, grid.spacing):
+        ends = np.zeros(n)
+        ends[[0, -1]] = 1.0
+        w.append(h * (1.0 - 0.5 * ends))
+        e.append(ends)
+    return sp.diags(kappa * np.concatenate([np.kron(w[0], e[1]), np.kron(e[0], w[1])]),
+                    format="csr")
 
 
 # -- boundary conditions -----------------------------------------------------
@@ -179,7 +176,7 @@ class MomentumBC:
 
 
 def _dirichlet_data(grid, bc, t):
-    """(dof indices, values) of the strongly enforced constraints at time t."""
+    """(sorted dof indices, values) of the strongly enforced constraints at time t."""
     d = grid.dim
     N = grid.num_nodes
     pts = grid.node_coords()
@@ -199,14 +196,11 @@ def _dirichlet_data(grid, bc, t):
             # u.n = V.n + d on an axis-aligned face: u_axis = V_axis + n_axis d
             idx.append(axis * N + flat)
             vals.append(vb[:, axis] + face.normal[axis] * dat)
+    # no dof is constrained twice: slip fixes u_x on the x-faces and u_y on
+    # the y-faces; sorted, as the y-faces' nodes interleave
     idx = np.concatenate(idx)
-    vals = np.concatenate(vals)
-    # corners may be constrained by two faces; keep the last write
-    order = np.argsort(idx, kind="stable")
-    idx, vals = idx[order], vals[order]
-    keep = np.ones(len(idx), dtype=bool)
-    keep[:-1] = idx[1:] != idx[:-1]
-    return idx[keep], vals[keep]
+    order = np.argsort(idx)
+    return idx[order], np.concatenate(vals)[order]
 
 
 def _slip_boundary_load(grid, bc, params, t):
@@ -228,7 +222,7 @@ def _slip_boundary_load(grid, bc, params, t):
     return load
 
 
-# -- the Crank-Nicolson system and its multigrid preconditioner ---------------
+# -- the Crank-Nicolson system and its multigrid hierarchy ---------------------
 
 _COARSEST_NODES = 5  # an axis with this many nodes or fewer is not halved
 
@@ -243,56 +237,90 @@ def _prolongation_1d(nc):
     return sp.csr_matrix((vals, (rows, cols)), shape=(nf, nc))
 
 
-def _jacobi_weight(A):
-    """Damping 1.6 / g, g the Gershgorin bound on the spectrum of D^-1 A.
+def _jacobi_weight(offdiag, diagonal):
+    """Damping 1.6 / g, g = max (offdiag + diagonal) / diagonal the Gershgorin
+    bound on the spectrum of D^-1 A (offdiag: row sums of |A| off the diagonal).
 
     Then omega * lambda_max(D^-1 A) <= 1.6 < 2, so the symmetric V-cycle is
-    positive definite. On the Crank-Nicolson Lame systems lambda_max is
-    about 0.86 g, so omega * lambda_max is about 1.4; the Laplacian's usual
-    4 / (3 g) damps less and costs about one more PCG iteration per step.
+    positive definite whatever the mass. On the Crank-Nicolson Lame systems
+    lambda_max is about 0.86 g, so omega * lambda_max is about 1.4; the
+    Laplacian's usual 4 / (3 g) damps less and costs about one more PCG
+    iteration per step.
     """
-    g = np.max(abs(A) @ np.ones(A.shape[0]) / A.diagonal())
-    return 1.6 / g
+    return 1.6 / (1.0 + np.max(offdiag / diagonal))
 
 
-class _VCycle:
-    """One symmetric geometric V-cycle for an SPD system on a tensor grid.
+class _CrankNicolsonSystem:
+    """M/dt + A/2 with the constrained dofs eliminated, and its V-cycle.
 
-    Prolongation is bilinear per component (a Kronecker product of 1-D
-    interpolations) with zero rows on the finest level's constrained dofs;
-    coarse operators are Galerkin, P^T A P; each level smooths with one
-    damped-Jacobi sweep (:func:`_jacobi_weight`) before and one after the
-    coarse correction, so the cycle is a symmetric preconditioner for CG.
-    Levels are halved while every axis has an odd node count above
-    ``_COARSEST_NODES``; the coarsest operator is factorized by sparse LU
-    (a grid that does not halve gets one level: that factorization). The
-    finest operator is held by reference; call :meth:`refresh` with its new
-    diagonal after changing it.
+    Built once per solve: level 0, F (A/2) F + (I - F) with F the diagonal of
+    the free-dof mask; the coupling columns (A/2)[:, idx]; and the coarse
+    levels, Galerkin R A P of the stiffness alone. Prolongation is bilinear
+    per component (a Kronecker product of 1-D interpolations) with zero rows
+    on the constrained dofs. Levels are halved while every axis has an odd
+    node count above ``_COARSEST_NODES`` (a grid that does not halve gets
+    one level). :meth:`set_mass` writes the step's mass m into the diagonal
+    of every level: F m on level 0 and P^T m of the level above on a coarse
+    one, which is the lumped Galerkin mass diag(P^T M P 1) because P 1 is the
+    free mask (all ones below level 0). It then refactors the coarsest level
+    by sparse LU; a one-level system keeps its first factorization as the
+    preconditioner. Each level smooths with one damped-Jacobi sweep
+    (:func:`_jacobi_weight`) before and one after the coarse correction, so
+    the cycle is a symmetric preconditioner for CG.
     Briggs, Henson & McCormick, A Multigrid Tutorial, 2nd ed., SIAM 2000.
     """
 
-    def __init__(self, A, free, shape):
-        ncomp = A.shape[0] // int(np.prod(shape))
-        self.ops, self.prolong, self.restrict = [A], [], []
-        shape = tuple(shape)
-        while all(n % 2 == 1 and n > _COARSEST_NODES for n in shape):
-            shape = tuple((n + 1) // 2 for n in shape)
+    def __init__(self, half, idx, mass, shape):
+        n = half.shape[0]
+        ncomp = n // int(np.prod(shape))
+        self.idx = idx
+        self.free = np.ones(n)
+        self.free[idx] = 0.0
+        self.cols = half[:, idx].tocsr()
+        F = sp.diags(self.free)
+        self.ops = [(F @ half @ F + sp.diags(1.0 - self.free)).tocsr()]
+        self.prolong, self.restrict = [], []
+        free = self.free
+        while all(m % 2 == 1 and m > _COARSEST_NODES for m in shape):
+            shape = tuple((m + 1) // 2 for m in shape)
             P = _prolongation_1d(shape[0])
             for nc in shape[1:]:
                 P = sp.kron(P, _prolongation_1d(nc))
             P = (sp.diags(free) @ sp.kron(sp.identity(ncomp), P)).tocsr()
-            R = P.T.tocsr()
-            A = (R @ A @ P).tocsr()
             self.prolong.append(P)
-            self.restrict.append(R)
-            self.ops.append(A)
-            free = np.ones(A.shape[0])
-        self.omega = [_jacobi_weight(op) for op in self.ops]
-        self.smooth = [w / op.diagonal() for w, op in zip(self.omega, self.ops)]
-        self.coarsest = spla.splu(A.tocsc())
+            self.restrict.append(P.T.tocsr())
+            self.ops.append((self.restrict[-1] @ self.ops[-1] @ P).tocsr())
+            free = np.ones(P.shape[1])
+        self._slots, self._base, self._offdiag = [], [], []
+        for op in self.ops:
+            # canonical order first: scipy sorts a product in place on first use
+            op.sort_indices()
+            rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
+            slots = np.flatnonzero(rows == op.indices)
+            self._slots.append(slots)
+            self._base.append(op.data[slots].copy())
+            self._offdiag.append(abs(op) @ np.ones(op.shape[0]) - self._base[-1])
+        self.smooth = [None] * len(self.ops)
+        self.coarsest = None
+        self.set_mass(mass)
 
-    def refresh(self, diagonal):
-        self.smooth[0] = self.omega[0] / diagonal
+    def set_mass(self, mass):
+        m = self.free * mass
+        for level, op in enumerate(self.ops):
+            if level:
+                m = self.restrict[level - 1] @ m
+            diagonal = self._base[level] + m
+            op.data[self._slots[level]] = diagonal
+            self.smooth[level] = _jacobi_weight(self._offdiag[level], diagonal) / diagonal
+        # a grid that does not halve keeps the first step's factorization:
+        # refactoring its one level every step would be a direct solve per step
+        if self.prolong or self.coarsest is None:
+            self.coarsest = spla.splu(self.ops[-1].tocsc())
+
+    def rhs(self, b, vals):
+        out = b - self.cols @ vals
+        out[self.idx] = vals
+        return out
 
     def _cycle(self, level, r):
         if level == len(self.prolong):
@@ -306,47 +334,6 @@ class _VCycle:
     def operator(self):
         return spla.LinearOperator(self.ops[0].shape, matvec=lambda r: self._cycle(0, r),
                                    dtype=float)
-
-
-class _CrankNicolsonSystem:
-    """M/dt + A/2 with the constrained dofs eliminated symmetrically.
-
-    Everything but the mass diagonal is built once per solve: F (A/2) F
-    (F zeroes the constrained rows and columns) plus the identity on the
-    constrained rows, the coupling columns (A/2)[:, idx] and the V-cycle,
-    whose coarse levels keep the mass of the first step. A step writes its
-    mass into the diagonal with :meth:`set_mass`.
-    """
-
-    def __init__(self, half, idx, mass, shape):
-        n = half.shape[0]
-        self.idx = idx
-        self.free = np.ones(n)
-        self.free[idx] = 0.0
-        self.cols = half[:, idx].tocsr()
-        # keep the entries coupling two free dofs and every diagonal entry
-        # (K has one per dof, mu > 0); constrained rows keep only a 1
-        rows = np.repeat(np.arange(n), np.diff(half.indptr))
-        diag = rows == half.indices
-        keep = (self.free[rows] * self.free[half.indices] > 0) | diag
-        data = np.where(self.free[rows] > 0, half.data, 1.0)[keep]
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[keep], minlength=n))])
-        self.matrix = sp.csr_matrix((data, half.indices[keep], indptr), shape=half.shape)
-        self._diag = np.flatnonzero(diag[keep])
-        self._base = data[self._diag].copy()
-        self.matrix.data[self._diag] = self._base + self.free * mass
-        self.vcycle = _VCycle(self.matrix, self.free, shape)
-
-    def set_mass(self, mass):
-        # one diagonal entry per row, in row order: this is the diagonal
-        diagonal = self._base + self.free * mass
-        self.matrix.data[self._diag] = diagonal
-        self.vcycle.refresh(diagonal)
-
-    def rhs(self, b, vals):
-        out = b - self.cols @ vals
-        out[self.idx] = vals
-        return out
 
 
 def _cg_solve(A, b, x0, tol, M):
@@ -412,8 +399,8 @@ def solve_linear_momentum(rho, rhs, bc, u0, params, dt, T, *,
             system = _CrankNicolsonSystem(half, idx, mass, grid.shape)
         else:
             system.set_mass(mass)
-        u_new, iters, res = _cg_solve(system.matrix, system.rhs(b, vals), u, cg_tol,
-                                      system.vcycle.operator())
+        u_new, iters, res = _cg_solve(system.ops[0], system.rhs(b, vals), u, cg_tol,
+                                      system.operator())
 
         if report_energy:
             kin = 0.5 * float(np.sum(Mdiag * u_new**2) - np.sum(Mdiag * u**2))

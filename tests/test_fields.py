@@ -14,10 +14,8 @@ from nsmove.fields import (
     interp_values,
     interpolate,
     level_bracket,
-    read_field_csv,
     rotate90,
     sobolev_norm,
-    write_field_csv,
 )
 
 
@@ -113,6 +111,24 @@ class TestGrid:
         g = grid1d()
         with pytest.raises(Exception):
             g.n = (5,)
+
+    @pytest.mark.parametrize("grid", [grid1d(9), Grid((9, 11), (0.0, 0.0), (1.0, 2.0))])
+    def test_nodes_and_faces_built_once(self, grid):
+        # one read-only array per grid; the per-call build it replaced is the oracle
+        pts = grid.node_coords()
+        assert grid.node_coords() is pts
+        mesh = np.meshgrid(*[grid.axis_coords(a) for a in range(grid.dim)], indexing="ij")
+        assert np.array_equal(pts, np.stack([m.ravel() for m in mesh], axis=-1))
+        faces = grid.faces()
+        faces.clear()  # the caller's dict, not the grid's
+        assert list(grid.faces()) == list(grid.face_names)
+        arrays = [pts] + [a for f in grid.faces().values()
+                          for a in (f.flat, f.normal, f.tangent, f.weights) if a is not None]
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        assert grid == Grid(grid.n, grid.lo, grid.hi)
+        assert hash(grid) == hash(Grid(grid.n, grid.lo, grid.hi))
 
 
 class TestDifferentiate:
@@ -306,18 +322,7 @@ class TestSobolevNorm:
         assert norms[0] <= norms[1] <= norms[2]
 
 
-class TestCsvRoundTrip:
-    def test_round_trip_2d(self, tmp_path):
-        g = grid2d(9)
-        rng = np.random.default_rng(4)
-        f = Field(g, rng.standard_normal((2,) + g.shape), t=0.25)
-        path = tmp_path / "snap.csv"
-        write_field_csv(f, path)
-        f2 = read_field_csv(path)
-        assert f2.grid == g
-        assert f2.t == 0.25
-        assert np.array_equal(f2.values, f.values)
-
+class TestIntegrate:
     def test_integrate(self):
         g = grid1d(129)
         f = Field.from_function(g, lambda p: p[:, 0])

@@ -107,6 +107,24 @@ def gauss_stiffness_reference(grid, params):
                          shape=(d * N, d * N)).tocsr()
 
 
+def face_friction_reference(grid, kappa):
+    """Friction assembled face by face, kappa tau_c1 tau_c2 times the line
+    weights at each face node: the loop the 1-D factor form replaced."""
+    d, N = grid.dim, grid.num_nodes
+    rows, cols, vals = [], [], []
+    for face in grid.faces().values():
+        for c1 in range(d):
+            for c2 in range(d):
+                coef = kappa * face.tangent[c1] * face.tangent[c2]
+                if coef != 0.0:
+                    rows.append(c1 * N + face.flat)
+                    cols.append(c2 * N + face.flat)
+                    vals.append(coef * face.weights)
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(d * N, d * N)).tocsr()
+
+
 class TestBasics:
     def test_zero_everything_stays_zero(self):
         g = Grid((17,), (0.0,), (1.0,))
@@ -137,6 +155,25 @@ class TestBasics:
                 # only exact nonzeros: 9 in the own component's block, 4 in the other's
                 stored = np.diff(K.indptr).reshape(2, *g.shape)
                 assert np.all(stored[:, 1:-1, 1:-1] == 13)
+
+    def test_friction_matches_face_loop(self):
+        g = Grid((9, 11), (0.0, 0.0), (1.0, 2.0))
+        F, F_ref = assemble_friction_matrix(g, 0.7), face_friction_reference(g, 0.7)
+        assert abs(F - F_ref).max() == 0.0
+        assert F.nnz == F_ref.nnz == 2 * (9 + 11)  # u_x on the y-faces, u_y on the x-faces
+        assert assemble_friction_matrix(Grid((9,), (0.0,), (1.0,)), 0.7).nnz == 0
+
+    @pytest.mark.parametrize("kind, shape", [
+        ("slip", (9, 11)), ("slip", (8,)), ("slip", (129, 129)), ("no-slip", (9, 11))])
+    def test_dirichlet_dofs_constrained_once(self, kind, shape):
+        # slip fixes u_x on the x-faces and u_y on the y-faces: no dof twice
+        g = Grid(shape, (0.0,) * len(shape), (1.0,) * len(shape))
+        bc = MomentumBC(kind, dilation, normal_datum=lambda t, face: 0.1)
+        idx, vals = _dirichlet_data(g, bc, 0.1)
+        assert np.all(np.diff(idx) > 0)
+        expect = (sum(len(f.flat) for f in g.faces().values()) if kind == "slip"
+                  else g.dim * int(g.boundary_mask().sum()))
+        assert len(idx) == len(vals) == expect
 
     def test_positivity_guard(self):
         g = Grid((9,), (0.0,), (1.0,))
@@ -345,6 +382,17 @@ def jacobi_cg_reference(rho, rhs, bc, u0, params, dt, T, cg_tol=1e-10):
     return out
 
 
+def slip_system(shape):
+    """The eliminated CN system of a slip problem with friction, built with
+    the mass of dt = 0.01 and unit density, and that mass."""
+    g = Grid(shape, (0.0,) * len(shape), (1.0,) * len(shape))
+    params = FluidParams(mu=0.3, eta=0.1, kappa=1.0, bc="slip")
+    A = assemble_stress_matrix(g, params) + assemble_friction_matrix(g, 1.0)
+    idx, _ = _dirichlet_data(g, MomentumBC.slip(dilation), 0.01)
+    mass = np.tile(g.quadrature_weights().ravel(), g.dim) / 0.01
+    return _CrankNicolsonSystem((0.5 * A).tocsr(), idx, mass, g.shape), mass
+
+
 class TestMultigridSolve:
     @pytest.mark.parametrize("n", [17, 33, 65, 129])
     def test_iterations_flat_in_n(self, n):
@@ -354,23 +402,53 @@ class TestMultigridSolve:
         assert max(iters) <= 9, iters
         assert all(r.residual <= 1e-10 for r in reports)
 
+    @pytest.mark.parametrize("factor", [10.0, 0.1])
+    def test_iterations_follow_density_swing(self, factor):
+        # uniform rho from 1 to factor over ten steps: every level of the
+        # V-cycle must take each step's mass, not the first step's
+        prob = chain_like_problem(65, kappa=1.0)
+        N = prob["u0"].grid.num_nodes
+        force = np.random.default_rng(13).standard_normal((N, 2))
+        prob.update(rho=lambda t: np.full(N, 1.0 + (factor - 1.0) * t / 0.1),
+                    rhs=lambda t: force)
+        _, reports = solve_linear_momentum(dt=0.01, T=0.1, **prob)
+        iters = [r.iterations for r in reports]
+        assert max(iters) <= 10, iters
+        assert all(r.residual <= 1e-10 for r in reports)
+
     @pytest.mark.parametrize("shape", [(33, 33), (20, 20), (33,)])
     def test_vcycle_symmetric_positive(self, shape):
-        g = Grid(shape, (0.0,) * len(shape), (1.0,) * len(shape))
-        d = g.dim
-        params = FluidParams(mu=0.3, eta=0.1, kappa=1.0, bc="slip")
-        A = assemble_stress_matrix(g, params) + assemble_friction_matrix(g, 1.0)
-        idx, _ = _dirichlet_data(g, MomentumBC.slip(dilation), 0.01)
-        mass = np.tile(g.quadrature_weights().ravel(), d) / 0.01
-        system = _CrankNicolsonSystem((0.5 * A).tocsr(), idx, mass, g.shape)
-        system.set_mass(1.3 * mass)  # a later step's density
-        M = system.vcycle.operator()
+        system, mass = slip_system(shape)
         rng = np.random.default_rng(7)
-        for _ in range(5):
-            x, y = rng.standard_normal((2, d * g.num_nodes))
-            Mx, My = M @ x, M @ y
-            assert abs(x @ My - y @ Mx) <= 1e-12 * abs(x @ My)
-            assert x @ Mx > 0.0
+        for factor in (1.3, 0.1):  # a later step's density, heavier or lighter
+            system.set_mass(factor * mass)
+            M = system.operator()
+            for _ in range(5):
+                x, y = rng.standard_normal((2, len(mass)))
+                Mx, My = M @ x, M @ y
+                assert abs(x @ My - y @ Mx) <= 1e-12 * abs(x @ My)
+                assert x @ Mx > 0.0
+
+    def test_every_level_takes_the_step_mass(self):
+        # a mass change dm adds F dm to level 0 and, to each coarse level, the
+        # lumped Galerkin mass diag(P^T dM P 1) of the level above; the
+        # damping and the coarsest factorization follow
+        system, mass = slip_system((33, 33))
+        before = [op.copy() for op in system.ops]
+        system.set_mass(3.0 * mass)
+        assert len(system.ops) == 4
+        gain = sp.diags(system.free * 2.0 * mass, format="csr")
+        for level, (old, new) in enumerate(zip(before, system.ops)):
+            if level:
+                P = system.prolong[level - 1]
+                gain = sp.diags((P.T @ gain @ P) @ np.ones(P.shape[1]), format="csr")
+            assert abs(new - old - gain).max() <= 1e-12 * abs(gain).max()
+            # the damping follows the current operator: 1.6 / its Gershgorin bound
+            g_now = np.max(abs(new) @ np.ones(new.shape[0]) / new.diagonal())
+            assert np.allclose(system.smooth[level] * new.diagonal(), 1.6 / g_now,
+                               rtol=1e-12, atol=0.0)
+        x = np.random.default_rng(3).standard_normal(system.ops[-1].shape[0])
+        assert np.max(np.abs(system.coarsest.solve(system.ops[-1] @ x) - x)) <= 1e-10
 
     @pytest.mark.parametrize("kind", ["slip", "no-slip", "no-slip-1d"])
     def test_agrees_with_jacobi_cg(self, kind):
@@ -401,7 +479,7 @@ class TestMultigridSolve:
         system = _CrankNicolsonSystem(
             (0.5 * assemble_stress_matrix(g, params)).tocsr(), idx,
             np.tile(g.quadrature_weights().ravel(), dim) / 0.01, g.shape)
-        assert len(system.vcycle.ops) == 1  # one level: the sparse factorization
+        assert len(system.ops) == 1  # one level: the sparse factorization
         _, reports = solve_linear_momentum(
             lambda t: 1.0 + pts[:, 0] * (1 + t), lambda t: np.cos(3 * pts),
             MomentumBC.slip(dilation), Field.zeros(g, ncomp=dim), params, 0.01, 0.05)
