@@ -7,7 +7,6 @@ Bregman divergence of H and vanishes iff the two states coincide.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,24 +167,10 @@ class EnergyReport:
     total_energy: np.ndarray
     dissipation: np.ndarray        # cumulative in time
     residual: np.ndarray           # LHS - RHS of the energy inequality
-    relative_energy: np.ndarray | None = None
-    gronwall: dict | None = None
 
     @property
     def max_residual(self):
         return float(np.max(np.abs(self.residual)))
-
-    def to_json(self):
-        series = []
-        for i, t in enumerate(self.times):
-            series.append([
-                float(t),
-                float(self.total_energy[i]),
-                float(self.dissipation[i]),
-                None if self.relative_energy is None else float(self.relative_energy[i]),
-                float(self.residual[i]),
-            ])
-        return json.dumps({"series": series, "gronwall": self.gronwall}, indent=1)
 
 
 def energy_inequality_residual(traj, V, law, params):
@@ -268,14 +253,16 @@ def _cumtrapz(rates, times):
     return out
 
 
-def relative_energy_remainder(state, reference, law, params, m, V=None,
-                              bc_tol=1e-6):
+_ADMISSIBLE_GAP = 1e-6  # largest |U.n - V.n| on the boundary of a reference U
+
+
+def relative_energy_remainder(state, reference, law, params, m, V=None):
     """Quadrature of the remainder driving the relative energy inequality.
 
     Terms: rho (dt U + u.grad U).(U - u) + S(grad U):(grad U - grad u)
     + div U (p(r) - p(rho)) + (r - rho) dt H'(r) + (r U - rho u).grad H'(r),
     over Omega_t at level m. The reference must satisfy U.n = V.n on the
-    boundary within ``bc_tol`` (test-function admissibility); its time
+    boundary within ``_ADMISSIBLE_GAP`` (test-function admissibility); its time
     derivatives come from central differences over the stored levels.
     """
     d = state.grid.dim
@@ -293,7 +280,7 @@ def relative_energy_remainder(state, reference, law, params, m, V=None,
         for flat, n, _ in frame.faces.values():
             gap = np.einsum("pi,pi->p", U[flat] - V.velocity(t, frame.X[flat]), n)
             worst = max(worst, float(np.max(np.abs(gap))))
-        if worst > bc_tol:
+        if worst > _ADMISSIBLE_GAP:
             raise InvalidArgumentError(
                 f"reference velocity violates U.n = V.n by {worst:.3e}")
 
@@ -361,7 +348,7 @@ def korn_quotient(z_field, params):
     return float(w12 / s_norm) if s_norm > 0 else np.inf
 
 
-def gronwall_weak_strong_check(times, e_rel, *, e0_tol, tol_ws, korn=None):
+def gronwall_weak_strong_check(times, e_rel, *, e0_tol, tol_ws):
     """Fit the minimal pointwise h >= 0 with E(tau) <= E(0) exp(int h) + slack.
 
     h on each interval is the log-difference quotient clipped at zero;
@@ -385,13 +372,10 @@ def gronwall_weak_strong_check(times, e_rel, *, e0_tol, tol_ws, korn=None):
         env[i + 1] = env[i] * np.exp(h[i] * (times[i + 1] - times[i]))
     slack = float(np.max(np.maximum(e - env, 0.0))) if len(e) else 0.0
     verdict = "PASS" if (slack <= tol_ws and float(np.max(e)) <= tol_ws) else "FAIL"
-    out = {
+    return {
         "h_max": float(np.max(h)) if len(h) else 0.0,
         "slack": slack,
         "max_relative_energy": float(np.max(e)),
         "tolerance": float(tol_ws),
         "verdict": verdict,
     }
-    if korn is not None:
-        out["korn_quotient"] = float(korn)
-    return out

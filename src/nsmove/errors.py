@@ -34,7 +34,14 @@ class DegenerateMapError(NsmoveError):
 
 
 class InversionFailureError(NsmoveError):
-    """Newton iteration for the inverse flow map did not converge."""
+    """Newton iteration for the inverse flow map did not converge at time t:
+    ``x`` is the physical point with the largest final residual."""
+
+    def __init__(self, message, t=None, x=None, residual=None):
+        super().__init__(message)
+        self.t = t
+        self.x = x
+        self.residual = residual
 
 
 class PositivityViolationError(NsmoveError):

@@ -63,11 +63,9 @@ def cutoff_profile(q, eps):
 
 @dataclass
 class ExtensionField:
-    """Extension u^b with its construction parts and the cutoff width."""
+    """Extension u^b, the blended and cut-off field, with the cutoff width."""
 
-    field: Field          # the blended, cut-off extension
-    part1: Field          # trace + three-point-sampling contribution
-    part2: Field          # line-integral (q * P) contribution
+    field: Field
     eps: float
     t: float
 
@@ -156,8 +154,6 @@ def extend_boundary_data(bdata, grid, *, u_ref=None, V=None, flow_map=None,
         frame = flow_map.frame(t)
 
     total = np.zeros((N, 2))
-    tot1 = np.zeros((N, 2))
-    tot2 = np.zeros((N, 2))
     weight_sum = np.zeros(N)
 
     for face in grid.faces().values():
@@ -225,23 +221,14 @@ def extend_boundary_data(bdata, grid, *, u_ref=None, V=None, flow_map=None,
         ub_tau1 = T_tau + samp
         ub_tau2 = q * P[s_index]
 
-        vec1 = (np.outer(ub_n, ctx.n_ref) + np.outer(ub_tau1, tau)) * phi[:, None]
-        vec2 = np.outer(ub_tau2, tau) * phi[:, None]
-        zeta = phi
-        total[collar] += zeta[:, None] * (vec1 + vec2)
-        tot1[collar] += zeta[:, None] * vec1
-        tot2[collar] += zeta[:, None] * vec2
-        weight_sum[collar] += zeta
+        vec = ((np.outer(ub_n, ctx.n_ref) + np.outer(ub_tau1, tau)) * phi[:, None]
+               + np.outer(ub_tau2, tau) * phi[:, None])
+        total[collar] += phi[:, None] * vec
+        weight_sum[collar] += phi
 
     scale = np.where(weight_sum > 0, 1.0 / np.maximum(weight_sum, 1e-300), 0.0)
     total *= scale[:, None]
-    tot1 *= scale[:, None]
-    tot2 *= scale[:, None]
-
-    def mk(vals):
-        return Field(grid, vals.T.reshape((2,) + shape), t)
-
-    return ExtensionField(mk(total), mk(tot1), mk(tot2), eps, t)
+    return ExtensionField(Field(grid, total.T.reshape((2,) + shape), t), eps, t)
 
 
 def stress_trace_fd(ext_field, grid, params, face):
@@ -261,13 +248,12 @@ def stress_trace_fd(ext_field, grid, params, face):
             + kappa * u_tau.values[0].ravel()[flat])
 
 
-def extension_norm_report(ext_levels, times, context_norm=0.0):
-    """Discrete trajectory norms of the extension and the monitored ratio.
+def extension_norm_report(ext_levels, times):
+    """Discrete trajectory norms of the extension.
 
     Components of the fixed-domain trajectory norm: sup-in-time H^2, L^2-in-
     time H^3, sup H^1 and L^2 H^2 of the FD time derivative, L^2 L^2 of the
-    second time derivative. The monitor is their sum divided by
-    1 + ``context_norm``.
+    second time derivative; ``trajectory_norm`` is their sum.
     """
     from .fields import sobolev_norm
 
@@ -295,13 +281,11 @@ def extension_norm_report(ext_levels, times, context_norm=0.0):
         l2_tt = float(np.sqrt(np.trapezoid(np.array(tt)**2, times[1:-1])))
     else:
         sup_h1_t = l2_h2_t = l2_tt = 0.0
-    total = sup_h2 + l2_h3 + sup_h1_t + l2_h2_t + l2_tt
     return {
         "sup_H2": sup_h2,
         "L2_H3": l2_h3,
         "sup_H1_dt": sup_h1_t,
         "L2_H2_dt": l2_h2_t,
         "L2_L2_dtt": l2_tt,
-        "trajectory_norm": total,
-        "monitor": total / (1.0 + context_norm),
+        "trajectory_norm": sup_h2 + l2_h3 + sup_h1_t + l2_h2_t + l2_tt,
     }

@@ -465,8 +465,8 @@ def sobolev_norm(f, k, p=2):
     raise InvalidArgumentError(f"p must be 2 or inf, got {p}")
 
 
-def integrate(f, weights=None):
+def integrate(f):
     """Trapezoid integral of each component over the reference extent."""
-    w = f.grid.quadrature_weights() if weights is None else weights
+    w = f.grid.quadrature_weights()
     out = np.array([float(np.sum(w * f.values[c])) for c in range(f.ncomp)])
     return out[0] if f.ncomp == 1 else out

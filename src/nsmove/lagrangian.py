@@ -28,16 +28,15 @@ def _eval_physical(obj, t, x):
     if callable(obj):
         return np.asarray(obj(x), dtype=float)
     if hasattr(obj, "eval_physical"):
-        out = obj.eval_physical(t, x)
-        return np.asarray(out[0] if isinstance(out, tuple) else out, dtype=float)
+        return np.asarray(obj.eval_physical(t, x)[0], dtype=float)
     raise TypeError(f"cannot evaluate {type(obj).__name__} at physical points")
 
 
 def pull_back_state(rho, u, flow_map, t):
     """(rho~, u~) on the reference grid: composition with X(t, .).
 
-    ``rho`` and ``u`` are callables on physical coordinates or objects with
-    an ``eval_physical(t, x)`` method (e.g. a density trajectory).
+    ``rho`` and ``u`` are callables on physical coordinates or objects whose
+    ``eval_physical(t, x)`` returns (values, points), e.g. a density trajectory.
     """
     grid = flow_map.grid
     d = grid.dim
@@ -50,9 +49,9 @@ def pull_back_state(rho, u, flow_map, t):
     return Field(grid, rho_vals, t), Field(grid, u_vals, t)
 
 
-def push_forward_eval(field, flow_map, t, x, seed=None):
+def push_forward_eval(field, flow_map, t, x):
     """Evaluate a reference field at physical points via the inverse map."""
-    z = flow_map.invert(t, x, seed=seed)
+    z = flow_map.invert(t, x)
     vals = interp_values(field.grid, field.values, z, out_of_bounds="clamp")
     return vals[:, 0] if field.ncomp == 1 else vals
 

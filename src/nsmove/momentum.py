@@ -351,9 +351,11 @@ def _cg_solve(A, b, x0, tol, M):
     return x, count[0], res
 
 
-def solve_linear_momentum(rho, rhs, bc, u0, params, dt, T, *,
-                          cg_tol=1e-10, rho_min=1e-10, t0=0.0, report_energy=True):
-    """Crank-Nicolson time stepping of rho du/dt - div S(grad u) = F.
+_RHO_FLOOR = 1e-10  # smallest admissible midpoint density
+
+
+def solve_linear_momentum(rho, rhs, bc, u0, params, dt, T, *, cg_tol=1e-10):
+    """Crank-Nicolson time stepping of rho du/dt - div S(grad u) = F on [0, T].
 
     ``rho`` and ``rhs`` are callables of time returning nodal values (density
     (N,), force (N, d)); ``bc`` is a :class:`MomentumBC` whose kind must be
@@ -376,16 +378,16 @@ def solve_linear_momentum(rho, rhs, bc, u0, params, dt, T, *,
     wq = np.tile(w, d)
 
     u = u0.values.reshape(d, -1).ravel()
-    levels = [u0.copy(t=t0)]
+    levels = [u0.copy(t=0.0)]
     reports = []
     system = None
     for m in range(steps):
-        th = t0 + (m + 0.5) * dt
-        tn = t0 + (m + 1) * dt
+        th = (m + 0.5) * dt
+        tn = (m + 1) * dt
         rho_h = np.asarray(rho(th), dtype=float).ravel()
-        if np.any(rho_h < rho_min):
+        if np.any(rho_h < _RHO_FLOOR):
             raise PositivityViolationError(
-                f"density {rho_h.min():.3e} below floor {rho_min:.3e} at t={th}")
+                f"density {rho_h.min():.3e} below floor {_RHO_FLOOR:.3e} at t={th}")
         Mdiag = wq * np.tile(rho_h, d)
         mass = Mdiag / dt
         f = np.asarray(rhs(th), dtype=float).reshape(N, d)
@@ -402,24 +404,20 @@ def solve_linear_momentum(rho, rhs, bc, u0, params, dt, T, *,
         u_new, iters, res = _cg_solve(system.ops[0], system.rhs(b, vals), u, cg_tol,
                                       system.operator())
 
-        if report_energy:
-            kin = 0.5 * float(np.sum(Mdiag * u_new**2) - np.sum(Mdiag * u**2))
-            mid = 0.5 * (u + u_new)
-            diss = float(mid @ (K @ mid))
-            bwork = float(mid @ bload)
-            # CN residual on the constrained rows: the reaction's work
-            reaction = (mass * (u_new - u) + A_op @ mid - load)[idx]
-            rwork = float(mid[idx] @ reaction)
-        else:
-            kin = diss = bwork = rwork = 0.0
+        kin = 0.5 * float(np.sum(Mdiag * u_new**2) - np.sum(Mdiag * u**2))
+        mid = 0.5 * (u + u_new)
+        diss = float(mid @ (K @ mid))
+        bwork = float(mid @ bload)
+        # CN residual on the constrained rows: the reaction's work
+        reaction = (mass * (u_new - u) + A_op @ mid - load)[idx]
+        rwork = float(mid[idx] @ reaction)
         reports.append(MomentumStepReport(tn, iters, res, diss, kin, bwork, rwork))
         u = u_new
         levels.append(Field(grid, u.reshape(d, *grid.shape), tn))
     return levels, reports
 
 
-def momentum_energy_residual(u_levels, times, rho, rhs, params, bc=None,
-                             grid=None):
+def momentum_energy_residual(u_levels, times, rho, rhs, params, bc=None):
     """Discrete energy-identity imbalance per step, by independent quadrature.
 
     Evaluates d/dt int rho |u|^2/2 + int S(grad u):grad u - int F.u
@@ -427,7 +425,7 @@ def momentum_energy_residual(u_levels, times, rho, rhs, params, bc=None,
     do not reuse the assembled operator; the imbalance is O(dt^2 + h^2) on
     smooth solutions. Testing is against u (V-terms folded into rhs/bc data).
     """
-    grid = grid or u_levels[0].grid
+    grid = u_levels[0].grid
     d = grid.dim
     w = grid.quadrature_weights().ravel()
     slip = bc is not None and bc.kind == "slip" and d == 2

@@ -27,16 +27,15 @@ from .fields import blend_levels, interp_matrix, rotate90
 class MotionField:
     """Velocity field V(t, x) with derivative evaluators up to grad^3, d_tt.
 
-    Built-in kinds (zero, translation, dilation, shear) are analytically
-    exact. The ``expression`` kind falls back to finite differences for any
-    derivative not supplied: first gradients are accurate to ~1e-10, second
-    to ~1e-7, third to ~1e-5 on O(1) data; good enough for monitors, not for
-    acceptance-grade oracles.
+    The affine constructors (zero, translation, dilation, shear) are
+    analytically exact. An ``expression`` field falls back to finite
+    differences for any derivative not supplied: first gradients are accurate
+    to ~1e-10, second to ~1e-7, third to ~1e-5 on O(1) data; good enough for
+    monitors, not for acceptance-grade oracles.
     """
 
-    def __init__(self, kind, dim, fn, *, dt_fn=None, dtt_fn=None, grad_fn=None,
-                 grad2_fn=None, grad3_fn=None, params=None):
-        self.kind = kind
+    def __init__(self, dim, fn, *, dt_fn=None, dtt_fn=None, grad_fn=None,
+                 grad2_fn=None, grad3_fn=None):
         self.dim = dim
         self._fn = fn
         self._dt_fn = dt_fn
@@ -44,55 +43,44 @@ class MotionField:
         self._grad_fn = grad_fn
         self._grad2_fn = grad2_fn
         self._grad3_fn = grad3_fn
-        self.params = dict(params or {})
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def _affine(cls, kind, A, c, params=None):
+    def _affine(cls, A, c):
         """V(t, x) = A x + c, with its exact (zero beyond grad) derivatives."""
         A = np.asarray(A, dtype=float)
         c = np.asarray(c, dtype=float)
         dim = len(c)
         z = lambda t, p: np.zeros_like(p)
-        return cls(kind, dim, lambda t, p: p @ A.T + c, dt_fn=z, dtt_fn=z,
+        return cls(dim, lambda t, p: p @ A.T + c, dt_fn=z, dtt_fn=z,
                    grad_fn=lambda t, p: np.broadcast_to(A, p.shape + (dim,)).copy(),
                    grad2_fn=lambda t, p: np.zeros(p.shape + (dim, dim)),
-                   grad3_fn=lambda t, p: np.zeros(p.shape + (dim, dim, dim)),
-                   params=params)
+                   grad3_fn=lambda t, p: np.zeros(p.shape + (dim, dim, dim)))
 
     @classmethod
     def zero(cls, dim):
-        return cls._affine("zero", np.zeros((dim, dim)), np.zeros(dim))
+        return cls._affine(np.zeros((dim, dim)), np.zeros(dim))
 
     @classmethod
     def translation(cls, c):
         c = np.atleast_1d(np.asarray(c, dtype=float))
-        return cls._affine("translation", np.zeros((len(c), len(c))), c,
-                           {"velocity": c})
+        return cls._affine(np.zeros((len(c), len(c))), c)
 
     @classmethod
     def dilation(cls, alpha, dim):
-        alpha = float(alpha)
-        return cls._affine("dilation", alpha * np.eye(dim), np.zeros(dim),
-                           {"rate": alpha})
+        return cls._affine(float(alpha) * np.eye(dim), np.zeros(dim))
 
     @classmethod
     def shear(cls, sigma):
         """2D horizontal shear: V = (sigma * x2, 0)."""
-        sigma = float(sigma)
-        return cls._affine("shear", [[0.0, sigma], [0.0, 0.0]], np.zeros(2),
-                           {"rate": sigma})
+        return cls._affine([[0.0, float(sigma)], [0.0, 0.0]], np.zeros(2))
 
     @classmethod
     def expression(cls, fn, dim, **kwargs):
-        return cls("expression", dim, fn, **kwargs)
+        return cls(dim, fn, **kwargs)
 
     # -- evaluators --------------------------------------------------------
-
-    @property
-    def is_identity_flow(self):
-        return self.kind == "zero"
 
     def velocity(self, t, pts):
         return np.asarray(self._fn(t, np.asarray(pts, dtype=float)), dtype=float)
@@ -297,25 +285,24 @@ def _checked_det(J, t, grid):
     return det
 
 
+_NEWTON_TOL = 1e-10      # max |X(t, z) - x| at which the inverse is accepted
+_NEWTON_ITERATIONS = 50
+
+
 class FlowMap:
     """Stored forward map levels: times, positions, Jacobians, optional Hessians."""
 
-    def __init__(self, grid, times, X, J, H=None, motion=None):
+    def __init__(self, grid, times, X, J, H=None):
         self.grid = grid
         self.times = np.asarray(times, dtype=float)
         self.X = X          # (M+1, N, d)
         self.J = J          # (M+1, N, d, d)
         self.H = H          # (M+1, N, d, d, d) or None
-        self.motion = motion
         self._frame = None
 
     @property
     def dim(self):
         return self.grid.dim
-
-    @property
-    def is_identity(self):
-        return self.motion is not None and self.motion.is_identity_flow
 
     def positions(self, t):
         """X(t, z) at every reference node, (N, d)."""
@@ -371,17 +358,14 @@ class FlowMap:
 
     def eval_forward(self, t, z):
         """X(t, z) at arbitrary reference points by cubic interpolation."""
-        if self.is_identity:
-            return np.atleast_2d(np.array(z, dtype=float, copy=True))
         return self._forward_and_jacobian(self._stack(t), z)[0]
 
-    def invert(self, t, x, seed=None, tol=1e-10, max_iter=50):
+    def invert(self, t, x, seed=None):
         """Y(t, x): Newton iteration on X(t, z) - x = 0, seeded from the
         reference node whose stored position X(t, z) is nearest to x (found
-        with a k-d tree), or from a caller-provided seed."""
+        with a k-d tree), or from a caller-provided seed. Raises
+        :class:`InversionFailureError` if it has not converged."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        if self.is_identity:
-            return x.copy()
         XJ = self._stack(t)
         if seed is None:
             _, nearest = cKDTree(XJ[:, :self.dim]).query(x)
@@ -390,16 +374,18 @@ class FlowMap:
             z = np.array(seed, dtype=float, copy=True)
         lo = np.array(self.grid.lo)
         hi = np.array(self.grid.hi)
-        for _ in range(max_iter):
+        for _ in range(_NEWTON_ITERATIONS):
             X, J = self._forward_and_jacobian(XJ, z)
             res = X - x
-            if np.max(np.abs(res)) <= tol:
+            if np.max(np.abs(res)) <= _NEWTON_TOL:
                 return z
             step = np.einsum("pij,pj->pi", _mat_inv(J), res)
             z = np.clip(z - step, lo, hi)
-        res = np.max(np.abs(self._forward_and_jacobian(XJ, z)[0] - x))
+        res = np.max(np.abs(self._forward_and_jacobian(XJ, z)[0] - x), axis=1)
+        worst = int(np.argmax(res))
         raise InversionFailureError(
-            f"inverse map Newton stalled at t={t}, residual {res:.3e}")
+            f"inverse map Newton stalled at t={t}, x={x[worst]}, residual {res[worst]:.3e}",
+            t=t, x=x[worst], residual=float(res[worst]))
 
 
 def advect_flow_map(V, grid, T, dt_map, *, with_hessian=False,
@@ -422,7 +408,7 @@ def advect_flow_map(V, grid, T, dt_map, *, with_hessian=False,
     times = t0 + dt_map * np.arange(steps + 1)
     for m in _rk4_levels(V, levels, t0, dt_map):
         _checked_det(J[m], times[m], grid)
-    return FlowMap(grid, times, X, J, H, motion=V)
+    return FlowMap(grid, times, X, J, H)
 
 
 def physical_gradient(grad_y, frame):

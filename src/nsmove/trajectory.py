@@ -17,7 +17,7 @@ class StateTrajectory:
     ``flow_map=None`` the domain is static and samples sit at the nodes.
     """
 
-    def __init__(self, times, rho_fields, u_fields, flow_map=None, meta=None):
+    def __init__(self, times, rho_fields, u_fields, flow_map=None):
         self.times = np.asarray(times, dtype=float)
         self.rho = list(rho_fields)
         self.u = list(u_fields)
@@ -25,7 +25,6 @@ class StateTrajectory:
             raise InvalidArgumentError("one rho and one u field per time level")
         self.flow_map = flow_map
         self.grid = self.rho[0].grid
-        self.meta = dict(meta or {})
 
     def __len__(self):
         return len(self.times)

@@ -59,9 +59,7 @@ class DiscreteVelocity:
         node-major into (N, d + 1 + d^2 + d), reference-sampled."""
         f = self.fields[m]
         d, N = self.dim, self.grid.num_nodes
-        frame = None
-        if self.flow_map is not None and not self.flow_map.is_identity:
-            frame = self.flow_map.frame(self.times[m])
+        frame = None if self.flow_map is None else self.flow_map.frame(self.times[m])
         gx = physical_gradient(gradient_values(f), frame)  # du_i/dx_k
         div = np.einsum("nii->n", gx)
         divf = Field(self.grid, div.reshape(self.grid.shape), self.times[m])
@@ -70,7 +68,7 @@ class DiscreteVelocity:
                                gx.reshape(N, d * d), gdiv_x], axis=1)
 
     def _to_ref(self, t, x):
-        if self.flow_map is None or self.flow_map.is_identity:
+        if self.flow_map is None:
             return np.atleast_2d(np.asarray(x, dtype=float))
         seed = self._seed if (self._seed is not None
                               and self._seed.shape == np.shape(x)) else None
@@ -134,9 +132,9 @@ class DensityTrajectory:
         vals = self.rho0.values[0].ravel() * np.exp(-blend_levels(self.I, self.times, t))
         return Field(self.grid, vals.reshape(self.grid.shape), t)
 
-    def eval_physical(self, t, x, seed=None):
-        """rho(t, x) for physical points x in the current image domain."""
-        z = self.flow_map.invert(t, x, seed=seed)
+    def eval_physical(self, t, x):
+        """rho(t, x) and Y(t, x) at physical points x of the current image."""
+        z = self.flow_map.invert(t, x)
         rho_bar = self.density_field(t)
         vals = interp_values(self.grid, rho_bar.values, z, out_of_bounds="clamp")
         return vals[:, 0], z
@@ -145,7 +143,7 @@ class DensityTrajectory:
         return float(np.min(self.density_field(t).values))
 
 
-def solve_transport(rho0, v, T, dt, *, t0=0.0):
+def solve_transport(rho0, v, T, dt):
     """Solve the linear continuity equation along characteristics of v.
 
     ``v`` supplies values, gradient, divergence and grad-divergence along
@@ -160,8 +158,8 @@ def solve_transport(rho0, v, T, dt, *, t0=0.0):
     N, d = grid.num_nodes, grid.dim
     X, J, I, G = (np.zeros((steps + 1, N) + shape) for shape in ((d,), (d, d), (), (d,)))
     X[0], J[0] = grid.node_coords(), np.eye(d)
-    times = t0 + dt * np.arange(steps + 1)
-    for _ in _rk4_levels(v, {"X": X, "J": J, "I": I, "G": G}, t0, dt):
+    times = dt * np.arange(steps + 1)
+    for _ in _rk4_levels(v, {"X": X, "J": J, "I": I, "G": G}, 0.0, dt):
         pass
     return DensityTrajectory(rho0, times, X, J, I, G)
 

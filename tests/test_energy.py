@@ -4,7 +4,6 @@ import pytest
 from nsmove.errors import InvalidArgumentError, NotSameDataError
 from nsmove.fields import Field, Grid
 from nsmove.energy import (
-    EnergyReport,
     PressureLaw,
     _boundary_friction_rate,
     dissipation_density,
@@ -171,15 +170,6 @@ class TestEnergyInequality:
         params = FluidParams(mu=0.4, kappa=2.0, bc="slip")
         assert _boundary_friction_rate(traj, MotionField.zero(2), params, 0) == 12.0
 
-    def test_json_round_trip(self):
-        import json
-        rep = EnergyReport(np.array([0.0, 0.1]), np.array([1.0, 0.9]),
-                           np.array([0.0, 0.05]), np.array([0.0, 1e-4]),
-                           gronwall={"verdict": "PASS"})
-        data = json.loads(rep.to_json())
-        assert data["gronwall"]["verdict"] == "PASS"
-        assert len(data["series"]) == 2
-
 
 class TestRemainderTerm:
     def test_identical_steady_states_zero(self):
@@ -204,6 +194,24 @@ class TestRemainderTerm:
         with pytest.raises(InvalidArgumentError):
             relative_energy_remainder(bad, bad, LAW_G2,
                                       FluidParams(mu=0.3, bc="slip"), 1, V=V)
+
+    @pytest.mark.parametrize("offset, admissible", [(1e-7, True), (1e-5, False)])
+    def test_boundary_compatibility_on_moving_map(self, offset, admissible):
+        # V a dilation: U = V o X is admissible, and a constant offset in
+        # u_x breaks U.n = V.n on the x-faces by exactly that offset
+        g = Grid((9, 9), (0.0, 0.0), (1.0, 1.0))
+        V = MotionField.dilation(0.3, 2)
+        fm = advect_flow_map(V, g, 0.1, 0.05)
+        times = np.array([0.0, 0.05, 0.1])
+        ref = _static_trajectory(
+            g, times, lambda t, p: np.ones(len(p)),
+            lambda t, p: V.velocity(t, fm.positions(t)) + [offset, 0.0], flow_map=fm)
+        params = FluidParams(mu=0.3, bc="slip")
+        if admissible:
+            assert np.isfinite(relative_energy_remainder(ref, ref, LAW_G2, params, 1, V=V))
+        else:
+            with pytest.raises(InvalidArgumentError, match="violates U.n = V.n"):
+                relative_energy_remainder(ref, ref, LAW_G2, params, 1, V=V)
 
 
 class TestGronwall:

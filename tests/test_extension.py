@@ -190,7 +190,7 @@ class TestWithContext:
                 exts.append(extend_boundary_data(bd, g, u_ref=u, V=V,
                                                  flow_map=fm, params=params, t=t))
             rep = extension_norm_report(exts, times)
-            monitors.append(rep["monitor"])
+            monitors.append(rep["trajectory_norm"])
         assert monitors[0] >= monitors[1] >= monitors[2]
 
 

@@ -8,6 +8,9 @@ class other than a dunder, counts as used when some code in ``src/``,
 ``tests/`` or ``perfbench/`` other than its definition names it (a read,
 an attribute, an import or an ``__all__`` entry). Exception classes are
 exempt: the error vocabulary is declared ahead of the layers that raise it.
+Every defaulted parameter of such a function, method or constructor (a
+dataclass field included) is passed, by keyword or by position, by some
+call in the same code.
 """
 
 import ast
@@ -52,6 +55,11 @@ def test_detects_unused_import():
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
+def _is_exception(node):
+    return any(isinstance(b, ast.Name) and (b.id.endswith("Error") or b.id == "Exception")
+               for b in node.bases)
+
+
 def _definitions(tree):
     """Top-level functions, non-exception classes and their non-dunder
     methods: {name: line}, a method named ``Class.method``."""
@@ -59,9 +67,7 @@ def _definitions(tree):
     for node in tree.body:
         if isinstance(node, _FUNCTIONS):
             out[node.name] = node.lineno
-        elif isinstance(node, ast.ClassDef) and not any(
-                isinstance(b, ast.Name) and (b.id.endswith("Error") or b.id == "Exception")
-                for b in node.bases):
+        elif isinstance(node, ast.ClassDef) and not _is_exception(node):
             out[node.name] = node.lineno
             for item in node.body:
                 if isinstance(item, _FUNCTIONS) and not item.name.startswith("__"):
@@ -120,6 +126,121 @@ def test_detects_unnamed_definition():
         "helper(Used)\n")}
     assert _unnamed_definitions(trees) == [
         ("probe.py", 3, "Unused"), ("probe.py", 5, "orphan"), ("probe.py", 14, "Used.stale")]
+
+
+def _is_dataclass(node):
+    return any(getattr(getattr(dec, "func", dec), "id", None) == "dataclass"
+               for dec in node.decorator_list)
+
+
+def _defaulted(fn, skip_first):
+    """(position or None, name) of each parameter of ``fn`` with a default;
+    keyword-only ones have no position, and a method's first is not counted."""
+    args = fn.args.posonlyargs + fn.args.args
+    if skip_first:
+        args = args[1:]
+    out = [(i, a.arg) for i, a in enumerate(args)][len(args) - len(fn.args.defaults):]
+    out += [(None, a.arg) for a, dflt in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+            if dflt is not None]
+    return out
+
+
+def _parameter_definitions(tree):
+    """{callee name: [(line, label, position, parameter)]} for every
+    defaulted parameter in ``tree``: a function or method is called by its
+    name, a constructor (``__init__`` or a dataclass's fields) by its
+    class's. Exception classes are exempt."""
+    out = {}
+
+    def visit(node, owner):
+        for item in node.body:
+            if isinstance(item, ast.ClassDef):
+                if _is_exception(item):
+                    continue
+                if _is_dataclass(item):
+                    fields = [s for s in item.body if isinstance(s, ast.AnnAssign)
+                              and isinstance(s.target, ast.Name)]
+                    out.setdefault(item.name, []).extend(
+                        (s.lineno, item.name, i, s.target.id)
+                        for i, s in enumerate(fields) if s.value is not None)
+                visit(item, item)
+            elif isinstance(item, _FUNCTIONS):
+                static = any(getattr(dec, "id", None) == "staticmethod"
+                             for dec in item.decorator_list)
+                method = owner is not None and not static
+                callee = owner.name if method and item.name == "__init__" else item.name
+                label = f"{owner.name}.{item.name}" if owner is not None else item.name
+                out.setdefault(callee, []).extend(
+                    (item.lineno, label, pos, name) for pos, name in _defaulted(item, method))
+                visit(item, None)
+
+    visit(tree, None)
+    return out
+
+
+def _calls(tree):
+    """{callee name: [(positional count, keyword names) or None]}, None for a
+    call that unpacks ``*args`` or ``**kwargs``; ``cls(...)`` calls its class."""
+    out = {}
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = getattr(func, "attr", getattr(func, "id", None))
+                if name == "cls" and owner is not None:
+                    name = owner
+                star = (any(isinstance(a, ast.Starred) for a in child.args)
+                        or any(k.arg is None for k in child.keywords))
+                out.setdefault(name, []).append(
+                    None if star else (len(child.args), {k.arg for k in child.keywords}))
+            visit(child, child.name if isinstance(child, ast.ClassDef) else owner)
+
+    visit(tree, None)
+    return out
+
+
+def _unset_parameters(trees):
+    """(file, line, label, parameter) of the defaulted parameters in
+    ``trees`` ({path: tree} of the package) that no call in ``trees`` or in
+    the rest of the code passes."""
+    calls = {}
+    for tree in list(trees.values()) + [ast.parse(p.read_text(), filename=str(p))
+                                        for p in CODE if p not in trees]:
+        for name, found in _calls(tree).items():
+            calls.setdefault(name, []).extend(found)
+
+    def passed(callee, pos, name):
+        return any(c is None or name in c[1] or (pos is not None and pos < c[0])
+                   for c in calls.get(callee, []))
+
+    return sorted((path.name, line, label, name) for path, tree in trees.items()
+                  for callee, params in _parameter_definitions(tree).items()
+                  for line, label, pos, name in params if not passed(callee, pos, name))
+
+
+def test_no_unset_parameters():
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in SRC}
+    unset = _unset_parameters(trees)
+    assert not unset, f"defaulted parameters that no call passes: {unset}"
+
+
+def test_detects_unset_parameter():
+    trees = {ROOT / "src" / "nsmove" / "probe.py": ast.parse(
+        "class BadError(ValueError):\n    def __init__(self, msg, t=None):\n        pass\n"
+        "@dataclass\nclass Rec:\n    a: int\n    b: int = 0\n    c: int = 1\n"
+        "class Box:\n    def __init__(self, x, y=0, *, z=1):\n        pass\n"
+        "    @classmethod\n    def make(cls, w=2):\n        return cls(1, 2)\n"
+        "    def get(self, i, j=0, k=1):\n        pass\n"
+        "    @staticmethod\n    def pure(a, b=0):\n        pass\n"
+        "def f(a, b=0, *, c=1, e=2):\n    pass\n"
+        "def g(p=0):\n    pass\n"
+        "f(1, c=2)\nBox.make()\nBox(0).get(1, 2)\nRec(1, 2)\nBox.pure(1, 2)\n"
+        "g(*args)\n")}
+    assert _unset_parameters(trees) == [
+        ("probe.py", 8, "Rec", "c"), ("probe.py", 10, "Box.__init__", "z"),
+        ("probe.py", 13, "Box.make", "w"), ("probe.py", 15, "Box.get", "k"),
+        ("probe.py", 20, "f", "b"), ("probe.py", 20, "f", "e")]
 
 
 def _multi_operand_einsums(tree):

@@ -3,7 +3,11 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from nsmove.errors import InvalidArgumentError, PositivityViolationError
+from nsmove.errors import (
+    InvalidArgumentError,
+    LinearSolverFailureError,
+    PositivityViolationError,
+)
 from nsmove.fields import Field, Grid
 from nsmove.momentum import (
     FluidParams,
@@ -401,6 +405,13 @@ class TestMultigridSolve:
         iters = [r.iterations for r in reports]
         assert max(iters) <= 9, iters
         assert all(r.residual <= 1e-10 for r in reports)
+
+    def test_unreachable_tolerance_raises(self):
+        # no CG iterate reaches a relative residual of 1e-30 in floating point
+        with pytest.raises(LinearSolverFailureError) as info:
+            solve_linear_momentum(cg_tol=1e-30, dt=0.01, T=0.01, **chain_like_problem(17))
+        assert np.isfinite(info.value.residual)
+        assert info.value.residual > 1e-29
 
     @pytest.mark.parametrize("factor", [10.0, 0.1])
     def test_iterations_follow_density_swing(self, factor):

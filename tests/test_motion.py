@@ -6,7 +6,11 @@ import pytest
 
 from nsmove import motion
 from nsmove.energy import PressureLaw, energy_inequality_residual
-from nsmove.errors import DegenerateMapError, InvalidArgumentError
+from nsmove.errors import (
+    DegenerateMapError,
+    InvalidArgumentError,
+    InversionFailureError,
+)
 from nsmove.extension import extend_boundary_data
 from nsmove.fields import Field, Grid, differentiate
 from nsmove.lagrangian import (
@@ -132,7 +136,7 @@ class TestInvert:
         g = grid2d()
         fm = advect_flow_map(MotionField.zero(2), g, 0.5, 0.05)
         x = np.array([[0.3, 0.7], [0.0, 1.0]])
-        assert np.allclose(fm.invert(0.5, x), x)
+        assert np.array_equal(fm.invert(0.5, x), x)
 
     def test_translation(self):
         g = grid2d(17)
@@ -141,6 +145,18 @@ class TestInvert:
         x = np.array([[0.6, 0.6], [0.25, 0.35]])
         z = fm.invert(0.5, x)
         assert np.max(np.abs(z - (x - 0.5 * c))) < 1e-9
+
+    def test_stall_reports_time_and_point(self):
+        # (5, 5) lies outside the image of the unit square; Newton clamps
+        # to the corner z = (1, 1), whose image is (1.1, 1.05)
+        g = grid2d(17)
+        fm = advect_flow_map(MotionField.translation([0.2, 0.1]), g, 0.5, 0.05)
+        with pytest.raises(InversionFailureError) as info:
+            fm.invert(0.5, np.array([[0.6, 0.6], [5.0, 5.0]]))
+        err = info.value
+        assert err.t == 0.5
+        assert np.array_equal(err.x, [5.0, 5.0])
+        assert err.residual == pytest.approx(3.95, abs=1e-9)
 
     def test_dilation_round_trip(self):
         g = Grid((33,), (0.25,), (1.25,))
