@@ -1,7 +1,8 @@
 """Boundary-data extension on the reference rectangle, flat-face case.
 
 Given per-face normal data d and tangential-stress data B (plus optional
-context fields u, V whose frame gaps generated the data), builds a vector
+context fields u, V whose frame gaps generated the data: the same
+:class:`~nsmove.lagrangian.FaceGaps` record per face), builds a vector
 field on the reference domain whose trace reproduces d exactly at the face
 nodes and whose FD tangential-stress trace (``stress_trace_fd``) reproduces
 B. With zero context the stress identity holds to round-off at every face
@@ -21,7 +22,8 @@ q from the face):
                       2 sum C_ab [u_a(foot + q e_b) - u_a(foot + (q/2) e_b)]
                       whose q-derivative at the face realizes the
                       context-derivative content of B (coefficient table C
-                      re-derived by matching the stress identity);
+                      from the record's table A, re-derived by matching the
+                      stress identity);
   tangential part 2:  q * P(s), the line integral from the face of the
                       lower-order residual that closes the identity at the
                       face nodes. It is linear in q, so the one-sided FD
@@ -48,6 +50,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, UnsupportedDimensionError
 from .fields import Field, _diff_axis, differentiate, gradient_values, interp_values
+from .lagrangian import FaceGaps
 
 
 def smoothstep(t):
@@ -68,54 +71,6 @@ class ExtensionField:
     field: Field
     eps: float
     t: float
-
-
-def _gap_table(Jgap, x, y):
-    """[p, a, b] = sum_j Jgap[p, b, j] x[p, j] y[p, a], each term formed as
-    (Jgap x) y and the two summed in order, as a 3-operand einsum does."""
-    terms = Jgap[:, None] * x[:, None, None] * y[:, :, None, None]
-    return terms[..., 0] + terms[..., 1]
-
-
-class _FaceContext:
-    """Per-face frame gaps and the stress-datum coefficient table.
-
-    ``frame`` is None for zero context, else the map's
-    :class:`~nsmove.motion.Frame` at t, shared by the four faces.
-    """
-
-    def __init__(self, face, nodes, V, frame, t, mu):
-        flat = face.flat
-        m = len(flat)
-        self.flat = flat
-        self.n_ref = face.normal
-        self.tau_ref = face.tangent
-        self.foot = nodes[flat]
-        if frame is None:
-            self.n_X = np.broadcast_to(self.n_ref, (m, 2)).copy()
-            self.tau_X = np.broadcast_to(self.tau_ref, (m, 2)).copy()
-            self.dn = np.zeros((m, 2))
-            self.dtau = np.zeros((m, 2))
-            self.dV = np.zeros((m, 2))
-            self.A = np.zeros((m, 2, 2))
-            self.gradV_foot = np.zeros((m, 2, 2))
-            return
-        _, n_X, tau_X = frame.faces[face.name]
-        self.n_X, self.tau_X = n_X, tau_X
-        self.dn = self.n_ref - n_X
-        self.dtau = self.tau_ref - tau_X
-        self.dV = V.velocity(t, frame.X[flat]) - V.velocity(t, self.foot)
-        self.gradV_foot = V.gradient(t, self.foot)
-        Jgap = np.eye(2) - frame.inv[flat]
-        # coefficient of dU_a/dy_b in the stress datum B
-        self.A = mu * (_gap_table(Jgap, n_X, tau_X)
-                       + _gap_table(Jgap, tau_X, n_X)
-                       + np.einsum("pb,pa->pab", self.dn, tau_X)
-                       + np.einsum("pa,pb->pab", self.dn, tau_X)
-                       + np.einsum("pb,a->pab", self.dtau,
-                                   np.asarray(self.n_ref))
-                       + np.einsum("pa,b->pab", self.dtau,
-                                   np.asarray(self.n_ref)))
 
 
 def extend_boundary_data(bdata, grid, *, u_ref=None, V=None, flow_map=None,
@@ -145,19 +100,16 @@ def extend_boundary_data(bdata, grid, *, u_ref=None, V=None, flow_map=None,
     uvals = (np.zeros((N, 2)) if u_ref is None
              else u_ref.values.reshape(2, -1).T)
     G_all = np.zeros((N, 2, 2)) if u_ref is None else gradient_values(u_ref)
-    Vy_all = (np.zeros((N, 2)) if V is None
-              else V.velocity(t, nodes))
-    du_all = uvals - Vy_all
-
     frame = None
     if flow_map is not None and V is not None:
         frame = flow_map.frame(t)
+    du_all = uvals if frame is None else uvals - V.velocity(t, nodes)
 
     total = np.zeros((N, 2))
     weight_sum = np.zeros(N)
 
     for face in grid.faces().values():
-        ctx = _FaceContext(face, nodes, V, frame, t, mu)
+        gaps = FaceGaps(face, nodes, frame, V, t, mu)
         axis = face.axis
         s_axis = 1 - axis
         hs = grid.spacing[s_axis]
@@ -173,44 +125,39 @@ def extend_boundary_data(bdata, grid, *, u_ref=None, V=None, flow_map=None,
 
         d_face = np.asarray(bdata.faces[face.name]["d"], dtype=float)
         B_face = np.asarray(bdata.faces[face.name]["B"], dtype=float)
-        tau, nu = ctx.tau_ref, -ctx.n_ref
+        tau, nu = face.tangent, -face.normal
         sgn_tau = tau[s_axis]  # tau versus increasing s coordinate
 
         # face-node quantities (arrays over the s index)
-        G_face = G_all[ctx.flat]                       # (m, a, c)
-        u_foot = uvals[ctx.flat]
-        V_foot = Vy_all[ctx.flat]
-        g_tau = (np.einsum("pa,pa->p", u_foot - V_foot, ctx.dtau)
-                 + np.einsum("pa,pa->p", ctx.dV, ctx.tau_X))
-        trace_n_ctx = (np.einsum("pa,pa->p", u_foot - V_foot, ctx.dn)
-                       + np.einsum("pa,pa->p", ctx.dV, ctx.n_X))
-        d_rest = d_face - trace_n_ctx
+        G_face = G_all[gaps.flat]                      # (m, a, c)
+        du_face = du_all[gaps.flat]
+        g_tau = gaps.tangent(du_face)
+        d_rest = d_face - gaps.normal(du_face)
 
         # coefficient table: C_{a,tau}, C_{a,nu}
-        C_tau = -np.einsum("pab,b->pa", ctx.A, tau) / mu
-        C_nu = -ctx.dtau - np.einsum("pab,b->pa", ctx.A, nu) / mu
+        C_tau = -np.einsum("pab,b->pa", gaps.A, tau) / mu
+        C_nu = -gaps.dtau - np.einsum("pab,b->pa", gaps.A, nu) / mu
 
         # directional derivatives at the face nodes
         G_dir_tau = G_face @ tau                       # (m, a)
         G_dir_nu = G_face @ nu
-        dnu_Ttau = (np.einsum("pa,pa->p", ctx.dtau, G_dir_nu)
-                    - np.einsum("pa,pa->p", ctx.gradV_foot @ nu, ctx.dtau))
+        dnu_Ttau = np.einsum("pa,pa->p", gaps.dtau, G_dir_nu)
+        if frame is not None:
+            dnu_Ttau -= np.einsum("pa,pa->p", V.gradient(t, gaps.y) @ nu, gaps.dtau)
         samp_nu = (np.einsum("pa,pa->p", C_tau, G_dir_tau)
                    + np.einsum("pa,pa->p", C_nu, G_dir_nu))
         dtau_d = sgn_tau * _diff_axis(d_face, hs, 0, 1)
         P = -(B_face - kappa * g_tau) / mu + dtau_d - dnu_Ttau - samp_nu
 
-        # assemble on the collar, broadcasting face arrays by s index
-        du = du_all[collar]
-        ub_n = (np.einsum("pa,pa->p", du, ctx.dn[s_index])
-                + (np.einsum("pa,pa->p", ctx.dV, ctx.n_X)[s_index])
-                + d_rest[s_index])
-        T_tau = (np.einsum("pa,pa->p", du, ctx.dtau[s_index])
-                 + (np.einsum("pa,pa->p", ctx.dV, ctx.tau_X)[s_index]))
+        # assemble on the collar: its lines parallel to the face, each
+        # taking the face arrays by s index
+        du = du_all[collar].reshape(-1, len(gaps.flat), 2)
+        ub_n = gaps.normal(du).ravel() + d_rest[s_index]
+        T_tau = gaps.tangent(du).ravel()
         samp = np.zeros(len(collar))
         if u_ref is not None:
             # u at foot + q e and foot + (q/2) e for e = tau, nu: one call
-            foot_pts = ctx.foot[s_index]
+            foot_pts = gaps.y[s_index]
             pts = np.concatenate([foot_pts + f * q[:, None] * e_vec
                                   for e_vec in (tau, nu) for f in (1.0, 0.5)])
             u_pts = interp_values(grid, u_ref.values, pts, out_of_bounds="clamp")
@@ -221,7 +168,7 @@ def extend_boundary_data(bdata, grid, *, u_ref=None, V=None, flow_map=None,
         ub_tau1 = T_tau + samp
         ub_tau2 = q * P[s_index]
 
-        vec = ((np.outer(ub_n, ctx.n_ref) + np.outer(ub_tau1, tau)) * phi[:, None]
+        vec = ((np.outer(ub_n, face.normal) + np.outer(ub_tau1, tau)) * phi[:, None]
                + np.outer(ub_tau2, tau) * phi[:, None])
         total[collar] += phi[:, None] * vec
         weight_sum[collar] += phi

@@ -2,8 +2,9 @@
 
 Pulls fields back to the reference domain, assembles the variable-coefficient
 remainder produced by rewriting the momentum operator in the moving frame,
-and transforms the slip boundary data. Composing the momentum equation with
-X(t, .) and splitting off the fixed-coefficient part gives
+and transforms the slip boundary data from one :class:`FaceGaps` record per
+face, which the extension of the data reads too. Composing the momentum
+equation with X(t, .) and splitting off the fixed-coefficient part gives
 
     rho~ d_t u~ - mu Lap u~ - (mu/3 + eta) grad div u~
         = F~ = F + rho~ (V o X) . grad_y u~ + R(rho~, u~),
@@ -24,25 +25,17 @@ from .fields import Field, _diff_axis, gradient_values, interp_values
 from .motion import _contract
 
 
-def _eval_physical(obj, t, x):
-    if callable(obj):
-        return np.asarray(obj(x), dtype=float)
-    if hasattr(obj, "eval_physical"):
-        return np.asarray(obj.eval_physical(t, x)[0], dtype=float)
-    raise TypeError(f"cannot evaluate {type(obj).__name__} at physical points")
-
-
 def pull_back_state(rho, u, flow_map, t):
     """(rho~, u~) on the reference grid: composition with X(t, .).
 
-    ``rho`` and ``u`` are callables on physical coordinates or objects whose
-    ``eval_physical(t, x)`` returns (values, points), e.g. a density trajectory.
+    ``rho`` and ``u`` are callables on physical points (N, d), returning
+    the density (N,) and the velocity (N, d).
     """
     grid = flow_map.grid
     d = grid.dim
     pos = flow_map.positions(t)
-    rho_vals = _eval_physical(rho, t, pos).reshape(grid.shape)
-    u_vals = _eval_physical(u, t, pos)
+    rho_vals = np.asarray(rho(pos), dtype=float).reshape(grid.shape)
+    u_vals = np.asarray(u(pos), dtype=float)
     if u_vals.ndim == 1:
         u_vals = u_vals[:, None]
     u_vals = u_vals.T.reshape((d,) + tuple(grid.shape))
@@ -190,65 +183,86 @@ class BoundaryData:
         return b
 
 
-def _bilinear(x, M, y):
-    """x . M y per node, (m, i) (m, i, j) (m, j) -> (m,).
+def _gap_table(Jgap, x, y):
+    """[p, a, b] = y[p, a] (Jgap[p] x[p])_b, summed over j in order."""
+    terms = Jgap[:, None] * x[:, None, None] * y[:, :, None, None]
+    return terms[..., 0] + terms[..., 1]
 
-    Summed over (i, j) in row-major order, each term formed as
-    (M_ij y_j) x_i: the order a 3-operand einsum uses, so the slip data
-    keep their last bits.
+
+class FaceGaps:
+    """Frame gaps of one 2-D boundary face at t, per face node y.
+
+    ``n_X``, ``tau_X``: the physical unit normal and tangent at X(t, y);
+    ``dn`` = n_ref - n_X, ``dtau`` = tau_ref - tau_X; ``Vy`` = V(t, y),
+    ``dV`` = V(t, X) - V(t, y); ``A[:, a, b]`` the coefficient of du_a/dy_b
+    in the tangential stress datum B. ``frame`` (the map's
+    :class:`~nsmove.motion.Frame` at t) None is zero context: the reference
+    normal and tangent, every gap zero. The slip data and their extension
+    both read these.
     """
-    terms = M * y[:, None, :] * x[:, :, None]
-    out = np.zeros(len(M))
-    for t_ij in terms.reshape(len(M), -1).T:
-        out += t_ij
-    return out
+
+    def __init__(self, face, nodes, frame, V, t, mu):
+        flat = self.flat = face.flat
+        self.y = nodes[flat]
+        m = len(flat)
+        if frame is None:
+            n_X = np.broadcast_to(face.normal, (m, 2))
+            tau_X = np.broadcast_to(face.tangent, (m, 2))
+            Jgap = np.zeros((m, 2, 2))
+            self.Vy = VX = np.zeros((m, 2))
+        else:
+            _, n_X, tau_X = frame.faces[face.name]
+            Jgap = np.eye(2) - frame.inv[flat]           # I - gradY
+            self.Vy = V.velocity(t, self.y)
+            VX = V.velocity(t, frame.X[flat])
+        self.n_X, self.tau_X = n_X, tau_X
+        self.dn = face.normal - n_X
+        self.dtau = face.tangent - tau_X
+        self.dV = VX - self.Vy
+        # B's grad u part is tau_X.D n_X + tau_X.M dn + dtau.M n_ref, with
+        # D = mu (G Jgap + (G Jgap)^T) and M = mu (G + G^T), G = grad_y u
+        S = tau_X[:, :, None] * self.dn[:, None] + face.normal[:, None] * self.dtau[:, None]
+        self.A = mu * (_gap_table(Jgap, n_X, tau_X) + _gap_table(Jgap, tau_X, n_X)
+                       + S + S.transpose(0, 2, 1))
+
+    def normal(self, du):
+        """du.dn + dV.n_X for du = u~ - V(t, y): the frame-gap part of d.
+        ``du`` is (m, 2) at the face nodes or (k, m, 2) on k grid lines
+        parallel to the face."""
+        return (np.einsum("...a,...a->...", du, self.dn)
+                + np.einsum("pa,pa->p", self.dV, self.n_X))
+
+    def tangent(self, du):
+        """du.dtau + dV.tau_X, shaped as :meth:`normal`."""
+        return (np.einsum("...a,...a->...", du, self.dtau)
+                + np.einsum("pa,pa->p", self.dV, self.tau_X))
 
 
 def transformed_boundary_data(u_ref, V, flow_map, t, params):
     """Slip data (d, B) of the fixed-domain problem, per boundary face.
 
     d(y) = (u~ - V)(t, y).(n(y) - n(X)) + (V(t, X) - V(t, y)).n(X);
-    B(y) collects the Jacobian-gap stress term, the frame-gap terms and the
-    friction terms; both vanish identically at t = 0 and for V = 0.
+    B(y) = sum_ab A_ab du_a/dy_b + kappa ((u~ - V)(t, y).(tau(y) - tau(X))
+    + (V(t, X) - V(t, y)).tau(X)), with the gaps and A of :class:`FaceGaps`;
+    both vanish identically at t = 0 and for V = 0.
     """
     grid = flow_map.grid
-    d = grid.dim
-    mu, kappa = params.mu, params.kappa
     frame = flow_map.frame(t)
     nodes = grid.node_coords()
-    uvals = u_ref.values.reshape(d, -1).T
     faces = {}
-    if d == 1:
+    if grid.dim == 1:
         for face in grid.faces().values():
             Vy = V.velocity(t, nodes[face.flat])
             VX = V.velocity(t, frame.X[face.flat])
             faces[face.name] = {"d": (VX - Vy) @ face.normal, "B": None}
         return BoundaryData(faces, t)
 
+    uvals = u_ref.values.reshape(2, -1).T
     G1 = gradient_values(u_ref)
-    eye = np.eye(2)
     for face in grid.faces().values():
-        flat, n_X, tau_X = frame.faces[face.name]
-        n_ref = np.broadcast_to(face.normal, n_X.shape)
-        tau_ref = face.tangent
-        y = nodes[flat]
-        Vy = V.velocity(t, y)
-        VX = V.velocity(t, frame.X[flat])
-        u_b = uvals[flat]
-        dn = n_ref - n_X
-        dtau = tau_ref - tau_X
-        dval = (np.einsum("pi,pi->p", u_b - Vy, dn)
-                + np.einsum("pi,pi->p", VX - Vy, n_X))
-
-        G = G1[flat]                       # (m, i, j)
-        Jgap = eye - frame.inv[flat]       # I - gradY
-        K = mu * np.einsum("pim,pmj->pij", G, Jgap)
-        D = K + np.swapaxes(K, 1, 2)
-        M = mu * (G + np.swapaxes(G, 1, 2))
-        Bval = (_bilinear(tau_X, D, n_X)
-                + _bilinear(tau_X, M, dn)
-                + _bilinear(dtau, M, n_ref)
-                + kappa * np.einsum("pi,pi->p", u_b - Vy, dtau)
-                + kappa * np.einsum("pi,pi->p", VX - Vy, tau_X))
-        faces[face.name] = {"d": dval, "B": Bval}
+        gaps = FaceGaps(face, nodes, frame, V, t, params.mu)
+        du = uvals[gaps.flat] - gaps.Vy
+        B = (np.einsum("pab,pab->p", gaps.A, G1[gaps.flat])
+             + params.kappa * gaps.tangent(du))
+        faces[face.name] = {"d": gaps.normal(du), "B": B}
     return BoundaryData(faces, t)

@@ -224,17 +224,20 @@ def _slip_boundary_load(grid, bc, params, t):
 
 # -- the Crank-Nicolson system and its multigrid hierarchy ---------------------
 
-_COARSEST_NODES = 5  # an axis with this many nodes or fewer is not halved
+_COARSEST_NODES = 5  # a level with an axis this short or shorter is not halved
 
 
-def _prolongation_1d(nc):
-    """Linear interpolation from nc coarse nodes to the 2 nc - 1 fine ones."""
-    nf = 2 * nc - 1
-    odd = np.arange(1, nf, 2)
-    rows = np.concatenate([np.arange(0, nf, 2), odd, odd])
-    cols = np.concatenate([np.arange(nc), np.arange(nc - 1), np.arange(1, nc)])
-    vals = np.concatenate([np.ones(nc), np.full(2 * (nc - 1), 0.5)])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(nf, nc))
+def _prolongation_1d(nf, nc):
+    """Linear interpolation from nc coarse nodes to nf fine ones on the same
+    interval; for nf = 2 nc - 1 the weights are 1 and 1/2."""
+    s = np.arange(nf) * (nc - 1) / (nf - 1)     # fine nodes in coarse spacings
+    j = np.minimum(s.astype(int), nc - 2)
+    w = s - j
+    rows = np.repeat(np.arange(nf), 2)
+    cols = np.stack([j, j + 1], axis=1).ravel()
+    vals = np.stack([1.0 - w, w], axis=1).ravel()
+    keep = vals != 0.0
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(nf, nc))
 
 
 def _jacobi_weight(offdiag, diagonal):
@@ -257,14 +260,13 @@ class _CrankNicolsonSystem:
     the free-dof mask; the coupling columns (A/2)[:, idx]; and the coarse
     levels, Galerkin R A P of the stiffness alone. Prolongation is bilinear
     per component (a Kronecker product of 1-D interpolations) with zero rows
-    on the constrained dofs. Levels are halved while every axis has an odd
-    node count above ``_COARSEST_NODES`` (a grid that does not halve gets
-    one level). :meth:`set_mass` writes the step's mass m into the diagonal
-    of every level: F m on level 0 and P^T m of the level above on a coarse
-    one, which is the lumped Galerkin mass diag(P^T M P 1) because P 1 is the
-    free mask (all ones below level 0). It then refactors the coarsest level
-    by sparse LU; a one-level system keeps its first factorization as the
-    preconditioner. Each level smooths with one damped-Jacobi sweep
+    on the constrained dofs. Levels are halved, an axis of m nodes to
+    (m + 1) // 2 on the same interval, while every axis has more than
+    ``_COARSEST_NODES`` nodes. :meth:`set_mass` writes the step's mass m into
+    the diagonal of every level: F m on level 0 and P^T m of the level above
+    on a coarse one, which is the lumped Galerkin mass diag(P^T M P 1)
+    because P 1 is the free mask (all ones below level 0). It then
+    refactors the coarsest level by sparse LU. Each level smooths with one damped-Jacobi sweep
     (:func:`_jacobi_weight`) before and one after the coarse correction, so
     the cycle is a symmetric preconditioner for CG.
     Briggs, Henson & McCormick, A Multigrid Tutorial, 2nd ed., SIAM 2000.
@@ -281,12 +283,13 @@ class _CrankNicolsonSystem:
         self.ops = [(F @ half @ F + sp.diags(1.0 - self.free)).tocsr()]
         self.prolong, self.restrict = [], []
         free = self.free
-        while all(m % 2 == 1 and m > _COARSEST_NODES for m in shape):
-            shape = tuple((m + 1) // 2 for m in shape)
-            P = _prolongation_1d(shape[0])
-            for nc in shape[1:]:
-                P = sp.kron(P, _prolongation_1d(nc))
-            P = (sp.diags(free) @ sp.kron(sp.identity(ncomp), P)).tocsr()
+        while all(m > _COARSEST_NODES for m in shape):
+            coarse = tuple((m + 1) // 2 for m in shape)
+            P = sp.identity(ncomp)
+            for nf, nc in zip(shape, coarse):
+                P = sp.kron(P, _prolongation_1d(nf, nc))
+            shape = coarse
+            P = (sp.diags(free) @ P).tocsr()
             self.prolong.append(P)
             self.restrict.append(P.T.tocsr())
             self.ops.append((self.restrict[-1] @ self.ops[-1] @ P).tocsr())
@@ -301,7 +304,6 @@ class _CrankNicolsonSystem:
             self._base.append(op.data[slots].copy())
             self._offdiag.append(abs(op) @ np.ones(op.shape[0]) - self._base[-1])
         self.smooth = [None] * len(self.ops)
-        self.coarsest = None
         self.set_mass(mass)
 
     def set_mass(self, mass):
@@ -312,10 +314,7 @@ class _CrankNicolsonSystem:
             diagonal = self._base[level] + m
             op.data[self._slots[level]] = diagonal
             self.smooth[level] = _jacobi_weight(self._offdiag[level], diagonal) / diagonal
-        # a grid that does not halve keeps the first step's factorization:
-        # refactoring its one level every step would be a direct solve per step
-        if self.prolong or self.coarsest is None:
-            self.coarsest = spla.splu(self.ops[-1].tocsc())
+        self.coarsest = spla.splu(self.ops[-1].tocsc())
 
     def rhs(self, b, vals):
         out = b - self.cols @ vals

@@ -30,8 +30,10 @@ class DiscreteVelocity:
 
     ``flow_map`` is the flow map X of the velocity that moves the domain: the
     level fields hold u at the images X(t_m, y) of the reference nodes y.
-    ``None`` means the fields live on a static grid. Physical-point
-    evaluation inverts the map, then interpolates; spatial derivatives go
+    ``None`` means the fields live on a static grid, where a point outside
+    the rectangle raises :class:`~nsmove.errors.OutOfDomainError`.
+    Physical-point evaluation inverts the map, then interpolates (the
+    inverse lies in the rectangle); spatial derivatives go
     through the Jacobian transforms. Linear interpolation in time between
     levels.
 
@@ -88,7 +90,7 @@ class DiscreteVelocity:
                              else self._level_data(k)
                              for k in ((m,) if w == 0.0 else (m, m + 1))}
         lev = blend_levels(self._level_cache, self.times, t)
-        vals = interp_matrix(self.grid, z, out_of_bounds="clamp") @ lev
+        vals = interp_matrix(self.grid, z) @ lev
         vals.setflags(write=False)
         self._stage_cache = (t, np.array(x, dtype=float), vals)
         return vals

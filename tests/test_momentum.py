@@ -413,11 +413,13 @@ class TestMultigridSolve:
         assert np.isfinite(info.value.residual)
         assert info.value.residual > 1e-29
 
-    @pytest.mark.parametrize("factor", [10.0, 0.1])
-    def test_iterations_follow_density_swing(self, factor):
+    @pytest.mark.parametrize("factor, n", [(10.0, 65), (0.1, 65), (10.0, 64), (0.1, 64)],
+                             ids=["10.0", "0.1", "10.0-64", "0.1-64"])
+    def test_iterations_follow_density_swing(self, factor, n):
         # uniform rho from 1 to factor over ten steps: every level of the
-        # V-cycle must take each step's mass, not the first step's
-        prob = chain_like_problem(65, kappa=1.0)
+        # V-cycle must take each step's mass, not the first step's; an even
+        # axis coarsens too (64 -> 32 -> ... -> 4 nodes)
+        prob = chain_like_problem(n, kappa=1.0)
         N = prob["u0"].grid.num_nodes
         force = np.random.default_rng(13).standard_normal((N, 2))
         prob.update(rho=lambda t: np.full(N, 1.0 + (factor - 1.0) * t / 0.1),
@@ -480,17 +482,14 @@ class TestMultigridSolve:
         gap = max(np.max(np.abs(l.values.ravel() - u)) for l, u in zip(levels, ref))
         assert gap <= 1e-7 * scale
 
-    @pytest.mark.parametrize("n, dim", [(20, 2), (20, 1)])
-    def test_grid_that_does_not_halve(self, n, dim):
-        shape = (n,) * dim
-        g = Grid(shape, (0.0,) * dim, (1.0,) * dim)
+    @pytest.mark.parametrize("dim", [2, 1])
+    def test_even_axes_coarsen(self, dim):
+        # 20 -> 10 -> 5 nodes per axis: the hierarchy halves an even axis too
+        system, _ = slip_system((20,) * dim)
+        assert [op.shape[0] for op in system.ops] == [dim * m**dim for m in (20, 10, 5)]
+        g = Grid((20,) * dim, (0.0,) * dim, (1.0,) * dim)
         pts = g.node_coords().reshape(g.num_nodes, -1)
         params = FluidParams(mu=0.3, eta=0.1, kappa=1.0, bc="slip")
-        idx, _ = _dirichlet_data(g, MomentumBC.slip(dilation), 0.01)
-        system = _CrankNicolsonSystem(
-            (0.5 * assemble_stress_matrix(g, params)).tocsr(), idx,
-            np.tile(g.quadrature_weights().ravel(), dim) / 0.01, g.shape)
-        assert len(system.ops) == 1  # one level: the sparse factorization
         _, reports = solve_linear_momentum(
             lambda t: 1.0 + pts[:, 0] * (1 + t), lambda t: np.cos(3 * pts),
             MomentumBC.slip(dilation), Field.zeros(g, ncomp=dim), params, 0.01, 0.05)

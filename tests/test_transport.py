@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nsmove.errors import InvalidArgumentError, PositivityViolationError
+from nsmove.errors import InvalidArgumentError, OutOfDomainError, PositivityViolationError
 from nsmove.fields import (
     Field,
     Grid,
@@ -262,7 +262,7 @@ class TestDiscreteVelocity:
         # the same array moved in place is a new stage too
         p = p1.copy()
         sample(dv, p)
-        p += 0.01
+        p += 0.01 * (0.5 - p)   # inward: the static grid has no clamp
         for a, b in zip(sample(dv, p), sample(DiscreteVelocity(times, fields), p)):
             assert np.array_equal(a, b)
 
@@ -275,6 +275,43 @@ class TestDiscreteVelocity:
                     dv.divergence(0.05, pts), dv.grad_divergence(0.05, pts)):
             with pytest.raises(ValueError):
                 out[0] = 1.0
+
+    def test_static_feet_leaving_the_grid_raise(self):
+        # u = (1, 0) carries the x = 1 nodes out of the square: the first
+        # RK4 midpoint stage, at x = 1 + dt / 2, is refused, not clamped
+        g = Grid((17, 17), (0.0, 0.0), (1.0, 1.0))
+        times = np.linspace(0.0, 0.2, 5)
+        east = np.stack([np.ones(g.shape), np.zeros(g.shape)])
+        dv = DiscreteVelocity(times, [Field(g, east, t) for t in times])
+        with pytest.raises(OutOfDomainError) as info:
+            solve_transport(Field(g, np.ones(g.shape)), dv, 0.2, 0.05)
+        assert np.array_equal(info.value.point, [1.025, 0.0])
+
+    def test_moving_map_feet_match_analytic_transport(self):
+        # u~ = V o X sampled per level along the map of an affine V: the
+        # pull-back and interpolation are exact on it, so the feet and rho
+        # reproduce transport by V itself; launched inside (0.3, 0.7)^2, the
+        # RK4 stages stay in the image of the map
+        A = np.array([[0.3, 0.4], [0.0, 0.3]])
+        V = MotionField.expression(
+            lambda t, p: p @ A.T, 2,
+            grad_fn=lambda t, p: np.broadcast_to(A, p.shape + (2,)).copy())
+        g = Grid((33, 33), (0.0, 0.0), (1.0, 1.0))
+        T, dt = 0.1, 0.01
+        fm = advect_flow_map(V, g, T, dt)
+        fields = [Field(g, V.velocity(t, fm.positions(t)).T.reshape((2,) + g.shape), t)
+                  for t in fm.times]
+        dv = DiscreteVelocity(fm.times, fields, flow_map=fm)
+        sub = Grid((17, 17), (0.3, 0.3), (0.7, 0.7))
+        rho0 = Field.from_function(
+            sub, lambda p: 1.0 + 0.5 * np.exp(-np.sum((p - 0.5) ** 2, axis=1) / 0.02))
+        got = solve_transport(rho0, dv, T, dt)
+        ref = solve_transport(rho0, V, T, dt)
+        assert np.max(np.abs(got.flow_map.X - ref.flow_map.X)) <= 1e-13
+        assert np.max(np.abs(got.density_field(T).values
+                             - ref.density_field(T).values)) <= 1e-13
+        m0 = mass_total(got, 0.0)
+        assert abs(mass_total(got, T) - m0) <= 1e-10 * m0
 
     def test_transport_with_discrete_velocity(self):
         # discrete sampling of the dilation field reproduces the closed form
