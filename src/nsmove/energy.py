@@ -10,19 +10,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import InvalidArgumentError, NotSameDataError
 from .fields import gradient_values
 from .motion import _contract, physical_gradient
 
 
+def _potential_gauss_legendre(p, rho):
+    """H(rho) = rho * int_1^rho p(z)/z^2 dz by the 32-node Gauss-Legendre rule."""
+    x, w = np.polynomial.legendre.leggauss(32)
+    z = 1.0 + 0.5 * (rho - 1.0) * (x + 1.0)
+    return rho * 0.5 * (rho - 1.0) * np.dot(w, p(z) / z**2)
+
+
 class PressureLaw:
     """Barotropic pressure p(rho) with potential H and p' evaluators.
 
     Isentropic laws p = a rho^gamma (gamma >= 1, a > 0) use closed forms,
-    validated against quadrature once at construction; user laws supply
-    callables and fall back to adaptive quadrature for H (rel. tol 1e-10).
+    checked at construction against H(2) from a 32-node Gauss-Legendre rule
+    (rel. tol 1e-8); user laws supply callables and fall back to adaptive
+    ``scipy.integrate.quad`` for H (rel. tol 1e-10), imported on first use.
     An optional artificial-pressure add-on delta * rho^beta is kept apart
     from the base law: ``p_total`` and ``potential_total`` include it,
     ``p``, ``dp`` and ``potential`` do not.
@@ -42,7 +49,7 @@ class PressureLaw:
             self.coeff = float(coeff)
             self._p = lambda r: self.coeff * r**self.gamma
             self._dp = lambda r: self.coeff * self.gamma * r**(self.gamma - 1.0)
-            ref = self._potential_quadrature(2.0)
+            ref = _potential_gauss_legendre(self._p, 2.0)
             if abs(self.potential(2.0) - ref) > 1e-8 * max(1.0, abs(ref)):
                 raise InvalidArgumentError("closed-form potential failed validation")
         elif kind == "user":
@@ -62,6 +69,8 @@ class PressureLaw:
         return self._dp(np.asarray(rho, dtype=float))
 
     def _potential_quadrature(self, rho):
+        from scipy.integrate import quad  # pulls in scipy.optimize: user laws only
+
         val, _ = quad(lambda z: self._p(z) / z**2, 1.0, rho, epsrel=1e-10, limit=200)
         return rho * val
 

@@ -367,8 +367,12 @@ def interp_matrix(grid, points, out_of_bounds="raise"):
     Row p is the tensor product of the per-axis 4-point stencils of point p:
     4 stored entries in 1D, 16 in 2D, summing to 1. Points outside the extent
     beyond a 1e-12 relative tolerance raise :class:`OutOfDomainError` unless
-    ``out_of_bounds='clamp'``, which moves them onto the nearest face.
+    ``out_of_bounds='clamp'``, which moves them onto the nearest face; any
+    other ``out_of_bounds`` raises :class:`InvalidArgumentError`.
     """
+    if out_of_bounds not in ("raise", "clamp"):
+        raise InvalidArgumentError(
+            f"out_of_bounds must be 'raise' or 'clamp', got {out_of_bounds!r}")
     pts = np.asarray(points, dtype=float)
     if grid.dim == 1 and pts.ndim <= 1:
         pts = np.atleast_1d(pts)[:, np.newaxis]

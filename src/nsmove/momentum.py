@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .energy import dissipation_density
 from .errors import (
@@ -314,7 +313,9 @@ class _CrankNicolsonSystem:
             diagonal = self._base[level] + m
             op.data[self._slots[level]] = diagonal
             self.smooth[level] = _jacobi_weight(self._offdiag[level], diagonal) / diagonal
-        self.coarsest = spla.splu(self.ops[-1].tocsc())
+        from scipy.sparse.linalg import splu
+
+        self.coarsest = splu(self.ops[-1].tocsc())
 
     def rhs(self, b, vals):
         out = b - self.cols @ vals
@@ -331,17 +332,21 @@ class _CrankNicolsonSystem:
         return x + s * (r - A @ x)
 
     def operator(self):
-        return spla.LinearOperator(self.ops[0].shape, matvec=lambda r: self._cycle(0, r),
-                                   dtype=float)
+        from scipy.sparse.linalg import LinearOperator
+
+        return LinearOperator(self.ops[0].shape, matvec=lambda r: self._cycle(0, r),
+                              dtype=float)
 
 
 def _cg_solve(A, b, x0, tol, M):
+    from scipy.sparse.linalg import cg
+
     count = [0]
 
     def cb(_):
         count[0] += 1
 
-    x, info = spla.cg(A, b, x0=x0, rtol=tol, atol=0.0, M=M, callback=cb)
+    x, info = cg(A, b, x0=x0, rtol=tol, atol=0.0, M=M, callback=cb)
     bnorm = np.linalg.norm(b)
     res = np.linalg.norm(A @ x - b) / (bnorm if bnorm > 0 else 1.0)
     if info != 0 or not np.isfinite(res) or res > 10 * tol:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     DegenerateMapError,
@@ -243,9 +242,9 @@ def _rk4_levels(source, levels, t0, dt):
 
 
 def _check_steps(T, dt):
+    if not (T >= 0 and dt > 0):
+        raise InvalidArgumentError(f"need T >= 0 and dt > 0, got T = {T}, dt = {dt}")
     steps = T / dt
-    if dt <= 0:
-        raise InvalidArgumentError("time step must be positive")
     if abs(steps - round(steps)) > 1e-12 * max(1.0, steps):
         raise InvalidArgumentError(f"T/dt = {steps} is not integral")
     return int(round(steps))
@@ -368,6 +367,8 @@ class FlowMap:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         XJ = self._stack(t)
         if seed is None:
+            from scipy.spatial import cKDTree
+
             _, nearest = cKDTree(XJ[:, :self.dim]).query(x)
             z = self.grid.node_coords()[nearest]
         else:

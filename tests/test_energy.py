@@ -60,6 +60,23 @@ class TestPressureLaw:
                 assert d2H > 0
                 assert d2H == pytest.approx(law.dp(r) / r, rel=1e-4)
 
+    @pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0, 3.0])
+    @pytest.mark.parametrize("r", [0.3, 2.0, 7.0])
+    def test_closed_form_matches_adaptive_quadrature(self, gamma, r):
+        from scipy.integrate import quad
+
+        law = PressureLaw(gamma=gamma, coeff=1.3)
+        val, _ = quad(lambda z: law.p(z) / z**2, 1.0, r, epsrel=1e-13, limit=200)
+        assert law.potential(r) == pytest.approx(r * val, rel=1e-10)
+
+    def test_wrong_closed_form_rejected_at_construction(self, monkeypatch):
+        # the Gauss-Legendre check catches a closed form that is off by 1e-6
+        right = PressureLaw.potential
+        monkeypatch.setattr(PressureLaw, "potential",
+                            lambda self, rho: right(self, rho) * (1.0 + 1e-6))
+        with pytest.raises(InvalidArgumentError, match="failed validation"):
+            PressureLaw(gamma=1.4, coeff=1.0)
+
     def test_rejects_bad_args(self):
         with pytest.raises(InvalidArgumentError):
             PressureLaw(gamma=0.5)

@@ -224,6 +224,12 @@ class TestInterpolate:
         out = interpolate(f, np.array([1.2]), out_of_bounds="clamp")
         assert np.allclose(out, 1.0)
 
+    def test_unknown_bounds_mode_rejected(self):
+        # a misspelt mode must not fall through to clamping x = 1.5 onto the face
+        f = Field.zeros(grid2d(9))
+        with pytest.raises(InvalidArgumentError, match="rasie"):
+            interpolate(f, np.array([[1.5, 0.5]]), out_of_bounds="rasie")
+
 
 def _gather_einsum(grid, vals, pts):
     """Reference kernel: gather the 4 (1D) or 4 x 4 (2D) neighbours and

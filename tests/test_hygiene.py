@@ -10,10 +10,17 @@ an attribute, an import or an ``__all__`` entry). Exception classes are
 exempt: the error vocabulary is declared ahead of the layers that raise it.
 Every defaulted parameter of such a function, method or constructor (a
 dataclass field included) is passed, by keyword or by position, by some
-call in the same code.
+call in the same code. Importing the package and running a static-grid
+transport load numpy and ``scipy.sparse`` only, never a heavier scipy
+subpackage.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -269,3 +276,55 @@ def test_detects_multi_operand_einsum():
                      "np.einsum('pij,pj,pi->p', D, n,\n          t)\n"
                      "einsum('i,i,i,i->', a, b, c, d)\n")
     assert _multi_operand_einsums(tree) == [(2, 3), (4, 4)]
+
+
+# quad, the k-d tree and splu/CG, each imported in the one call that needs
+# it, and what they pull in
+_HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.spatial",
+                "scipy.sparse.linalg", "scipy.linalg")
+
+
+def _heavy_scipy_loaded(code):
+    """The heavy scipy subpackages in ``sys.modules`` after ``code`` runs in a
+    fresh interpreter that imports nsmove from ``src/``."""
+    probe = code + textwrap.dedent(f"""
+        import json, sys
+        print(json.dumps([m for m in {_HEAVY_SCIPY!r} if m in sys.modules]))
+        """)
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_import_and_pressure_law_load_no_heavy_scipy():
+    modules = [f"nsmove.{p.stem}" for p in SRC if p.stem != "__init__"]
+    code = textwrap.dedent(f"""
+        import importlib
+        for name in {modules!r}:
+            importlib.import_module(name)
+        from nsmove.energy import PressureLaw
+        PressureLaw(gamma=1.4, coeff=1.0)
+        """)
+    assert _heavy_scipy_loaded(code) == []
+
+
+def test_static_transport_loads_no_heavy_scipy():
+    code = textwrap.dedent("""
+        import numpy as np
+        from nsmove.fields import Field, Grid
+        from nsmove.transport import DiscreteVelocity, solve_transport
+        g = Grid((17, 17), (0.0, 0.0), (1.0, 1.0))
+        times = np.linspace(0.0, 0.1, 3)
+        bump = lambda p: 0.2 * np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])
+        u = lambda p: np.stack([bump(p), -bump(p)], axis=1)
+        dv = DiscreteVelocity(times, [Field.from_function(g, u, t=t, ncomp=2)
+                                      for t in times])
+        traj = solve_transport(Field(g, np.ones(g.shape)), dv, 0.1, 0.05)
+        assert len(traj.times) == 3
+        """)
+    assert _heavy_scipy_loaded(code) == []
+
+
+def test_guard_sees_a_heavy_import():
+    assert "scipy.spatial" in _heavy_scipy_loaded("import scipy.spatial\n")

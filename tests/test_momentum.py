@@ -140,6 +140,16 @@ class TestBasics:
         assert all(np.max(np.abs(l.values)) == 0.0 for l in levels)
         assert all(r.residual <= 1e-10 for r in reports)
 
+    @pytest.mark.parametrize("T, dt", [(0.1, 0.0), (-0.1, 0.01)])
+    def test_bad_horizon_or_step_rejected(self, T, dt):
+        # a negative T would make a negative step count, and no step run
+        g = Grid((17,), (0.0,), (1.0,))
+        with pytest.raises(InvalidArgumentError, match=f"T = {T}, dt = {dt}"):
+            solve_linear_momentum(
+                lambda t: np.ones(17), lambda t: np.zeros((17, 1)),
+                MomentumBC.no_slip(zero_v), Field.zeros(g),
+                FluidParams(mu=0.5, bc="no-slip"), dt, T)
+
     def test_operator_symmetry(self):
         # exact: mirrored entries are products of the same 1-D factors
         params = FluidParams(mu=0.7, eta=0.2, bc="slip")

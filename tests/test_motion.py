@@ -130,6 +130,12 @@ class TestAdvect:
         with pytest.raises(InvalidArgumentError):
             advect_flow_map(MotionField.zero(1), g, 1.0, 0.3)
 
+    @pytest.mark.parametrize("T, dt", [(0.1, 0.0), (0.1, -0.01), (-0.1, 0.01)])
+    def test_bad_horizon_or_step_rejected(self, T, dt):
+        # checked before T / dt is taken, which dt = 0 would make a ZeroDivisionError
+        with pytest.raises(InvalidArgumentError, match=f"T = {T}, dt = {dt}"):
+            advect_flow_map(MotionField.zero(1), grid1d(), T, dt)
+
 
 class TestInvert:
     def test_identity(self):

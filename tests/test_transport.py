@@ -31,6 +31,11 @@ class TestSolveTransport:
         assert np.allclose(traj.density_field(0.5).values, rho0.values)
         assert np.allclose(traj.flow_map.positions(0.5)[:, 0], rho0.grid.axis_coords(0))
 
+    @pytest.mark.parametrize("T, dt", [(0.1, 0.0), (-0.1, 0.01)])
+    def test_bad_horizon_or_step_rejected(self, T, dt):
+        with pytest.raises(InvalidArgumentError, match=f"T = {T}, dt = {dt}"):
+            solve_transport(rho_init_1d(17), MotionField.zero(1), T, dt)
+
     def test_constant_velocity_divergence_free(self):
         rho0 = rho_init_1d()
         traj = solve_transport(rho0, MotionField.translation([0.3]), 0.5, 0.01)
