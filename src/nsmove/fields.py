@@ -204,14 +204,6 @@ class Grid:
                              _read_only(rotate90(normal)), _read_only(weights))
         return out
 
-    def boundary_sets(self):
-        """Flat-index partition of the boundary, one entry per face."""
-        out = {}
-        for face in self.face_names:
-            idx = self.face_index(face, closed=False)
-            out[face] = np.ravel_multi_index(idx, self.n) if self.dim == 2 else idx[0]
-        return out
-
     def boundary_mask(self):
         mask = np.zeros(self.n, dtype=bool)
         if self.dim == 1:

@@ -7,14 +7,16 @@ construction. The viscosities are constant, so the stiffness is a sum of
 Kronecker products of 1-D P1 stiffness, mass and derivative-value matrices
 and stores only its exact nonzeros. The slip tangential stress datum B and
 the friction term kappa (u - V).tau enter as natural boundary terms, while
-the normal component is enforced strongly. The constrained dofs are
-eliminated once per solve, and each step's system is solved by CG
-preconditioned with one geometric-multigrid V-cycle (bilinear prolongation,
-Galerkin coarse stiffness, damped-Jacobi smoothing). Every level takes each
-step's mass, the coarse ones restricted from it, so the iteration count
-grows neither as h shrinks nor as the density changes. Each step reports
-the work of the reaction on the constrained dofs, which closes the discrete
-energy identity to solver tolerance.
+the normal component is enforced strongly. A solve stores one copy of the
+Lame operator, A = K + friction; the explicit half step, the dissipation and
+the reaction use it, and the eliminated system is built from its data. The
+constrained dofs are eliminated once per solve, and each step's system is
+solved by CG preconditioned with one geometric-multigrid V-cycle (bilinear
+prolongation, Galerkin coarse stiffness, damped-Jacobi smoothing). Every
+level takes each step's mass, the coarse ones restricted from it, so the
+iteration count grows neither as h shrinks nor as the density changes. Each
+step reports the work of the reaction on the constrained dofs, which closes
+the discrete energy identity to solver tolerance.
 """
 
 from __future__ import annotations
@@ -56,6 +58,8 @@ class FluidParams:
 class MomentumStepReport:
     """Solver health and energy terms of one Crank-Nicolson step.
 
+    ``dissipation`` is ubar . K ubar, computed as ubar . (A ubar) minus
+    sum f ubar^2, with A = K + friction and f the friction's diagonal.
     ``reaction_work`` is ubar . r, with r = M (u1 - u0)/dt + A ubar - load
     restricted to the constrained rows: the work of the reaction that
     enforces the strong normal condition. kinetic_change/dt + dissipation +
@@ -99,7 +103,7 @@ def assemble_stress_matrix(grid, params):
     E^01 = Gx (x) Gy^T = (E^10)^T; in 1-D K = (2 mu + lam) Kx. Two-point
     Gauss quadrature per cell gives the same matrix to round-off. Only exact
     nonzeros are stored (13 per interior row in 2-D), and K is exactly
-    symmetric.
+    symmetric. The blocks are joined as CSR, never through COO.
     """
     mu = params.mu
     lam = params.eta - 2.0 * mu / 3.0
@@ -112,8 +116,9 @@ def assemble_stress_matrix(grid, params):
     Exy = sp.kron(Gx, Gy.T, format="csr")
     Eyx = Exy.T.tocsr()
     lap = mu * (Exx + Eyy)
-    return sp.bmat([[lap + (mu + lam) * Exx, lam * Exy + mu * Eyx],
-                    [mu * Exy + lam * Eyx, lap + (mu + lam) * Eyy]], format="csr")
+    top = sp.hstack([lap + (mu + lam) * Exx, lam * Exy + mu * Eyx], format="csr")
+    bottom = sp.hstack([mu * Exy + lam * Eyx, lap + (mu + lam) * Eyy], format="csr")
+    return sp.vstack([top, bottom], format="csr")
 
 
 def assemble_friction_matrix(grid, kappa):
@@ -144,7 +149,8 @@ class MomentumBC:
 
     ``velocity(t, pts)`` provides the boundary velocity (V, or V at flow-map
     images for Lagrangian no-slip). For slip runs, ``normal_datum(t, face)``
-    and ``stress_datum(t, face)`` return the per-face-node d and B arrays.
+    and ``stress_datum(t, face)`` return d and B on a face: one value per
+    face node, or a scalar for the whole face.
     """
 
     def __init__(self, kind, velocity, normal_datum=None, stress_datum=None):
@@ -164,14 +170,25 @@ class MomentumBC:
         return cls("slip", velocity, normal_datum, stress_datum)
 
     def normal_datum(self, t, face, npts):
-        if self._d is None:
-            return np.zeros(npts)
-        return np.asarray(self._d(t, face), dtype=float)
+        return _face_datum("normal datum", self._d, t, face, npts)
 
     def stress_datum(self, t, face, npts):
-        if self._B is None:
-            return np.zeros(npts)
-        return np.asarray(self._B(t, face), dtype=float)
+        return _face_datum("stress datum", self._B, t, face, npts)
+
+
+def _face_datum(name, fn, t, face, npts):
+    """fn(t, face) as npts values: a scalar is broadcast over the face, and
+    any shape but () or (npts,) is rejected."""
+    if fn is None:
+        return np.zeros(npts)
+    vals = np.asarray(fn(t, face), dtype=float)
+    if vals.shape == ():
+        return np.full(npts, vals)
+    if vals.shape != (npts,):
+        raise InvalidArgumentError(
+            f"{name} at t={t} on face {face!r} has shape {vals.shape}; "
+            f"expected a scalar or shape ({npts},)")
+    return vals
 
 
 def _dirichlet_data(grid, bc, t):
@@ -252,34 +269,51 @@ def _jacobi_weight(offdiag, diagonal):
     return 1.6 / (1.0 + np.max(offdiag / diagonal))
 
 
+def _diagonal_slots(op):
+    """Positions in ``op.data`` of the diagonal entries, one stored per row."""
+    rows = np.repeat(np.arange(op.shape[0], dtype=op.indices.dtype), np.diff(op.indptr))
+    return np.flatnonzero(rows == op.indices)
+
+
 class _CrankNicolsonSystem:
     """M/dt + A/2 with the constrained dofs eliminated, and its V-cycle.
 
-    Built once per solve: level 0, F (A/2) F + (I - F) with F the diagonal of
-    the free-dof mask; the coupling columns (A/2)[:, idx]; and the coarse
-    levels, Galerkin R A P of the stiffness alone. Prolongation is bilinear
-    per component (a Kronecker product of 1-D interpolations) with zero rows
-    on the constrained dofs. Levels are halved, an axis of m nodes to
-    (m + 1) // 2 on the same interval, while every axis has more than
-    ``_COARSEST_NODES`` nodes. :meth:`set_mass` writes the step's mass m into
+    Built once per solve from A = K + friction, which it does not keep:
+    level 0, F (A/2) F + (I - F) with F the diagonal of the free-dof mask,
+    is one masked, halved copy of A's data (a/2 on free rows x free
+    columns, 1 on the constrained diagonals, no other entry); the coupling
+    columns are (A/2)[:, idx]; and the coarse levels are Galerkin R A P of
+    the stiffness alone. Prolongation is bilinear per component (a Kronecker
+    product of 1-D interpolations) with zero rows on the constrained dofs.
+    Levels are halved, an axis of m nodes to (m + 1) // 2 on the same
+    interval, while every axis has more than ``_COARSEST_NODES`` nodes.
+    :meth:`set_mass` writes the step's mass m into
     the diagonal of every level: F m on level 0 and P^T m of the level above
     on a coarse one, which is the lumped Galerkin mass diag(P^T M P 1)
     because P 1 is the free mask (all ones below level 0). It then
-    refactors the coarsest level by sparse LU. Each level smooths with one damped-Jacobi sweep
-    (:func:`_jacobi_weight`) before and one after the coarse correction, so
-    the cycle is a symmetric preconditioner for CG.
+    refactors the coarsest level by sparse LU. Each level smooths with one
+    damped-Jacobi sweep (:func:`_jacobi_weight`) before and one after the
+    coarse correction, so the cycle is a symmetric preconditioner for CG.
     Briggs, Henson & McCormick, A Multigrid Tutorial, 2nd ed., SIAM 2000.
     """
 
-    def __init__(self, half, idx, mass, shape):
-        n = half.shape[0]
+    def __init__(self, A, idx, mass, shape):
+        n = A.shape[0]
         ncomp = n // int(np.prod(shape))
         self.idx = idx
         self.free = np.ones(n)
         self.free[idx] = 0.0
-        self.cols = half[:, idx].tocsr()
-        F = sp.diags(self.free)
-        self.ops = [(F @ half @ F + sp.diags(1.0 - self.free)).tocsr()]
+        self.cols = A[:, idx]
+        self.cols.data *= 0.5
+        # level 0 from one copy of A's data: halved on free rows x free
+        # columns, zero elsewhere but 1 on the constrained diagonals
+        data = 0.5 * A.data
+        data *= np.repeat(self.free, np.diff(A.indptr))
+        data *= self.free[A.indices]
+        data[_diagonal_slots(A)[idx]] = 1.0
+        level0 = sp.csr_matrix((data, A.indices.copy(), A.indptr.copy()), shape=A.shape)
+        level0.eliminate_zeros()
+        self.ops = [level0]
         self.prolong, self.restrict = [], []
         free = self.free
         while all(m > _COARSEST_NODES for m in shape):
@@ -297,11 +331,13 @@ class _CrankNicolsonSystem:
         for op in self.ops:
             # canonical order first: scipy sorts a product in place on first use
             op.sort_indices()
-            rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
-            slots = np.flatnonzero(rows == op.indices)
+            slots = _diagonal_slots(op)
             self._slots.append(slots)
             self._base.append(op.data[slots].copy())
-            self._offdiag.append(abs(op) @ np.ones(op.shape[0]) - self._base[-1])
+            # row sums of |op| by the same CSR product, on op's own index arrays
+            magnitude = sp.csr_matrix((np.abs(op.data), op.indices, op.indptr),
+                                      shape=op.shape, copy=False)
+            self._offdiag.append(magnitude @ np.ones(op.shape[0]) - self._base[-1])
         self.smooth = [None] * len(self.ops)
         self.set_mass(mass)
 
@@ -373,11 +409,12 @@ def solve_linear_momentum(rho, rhs, bc, u0, params, dt, T, *, cg_tol=1e-10):
     d = grid.dim
     N = grid.num_nodes
     steps = _check_steps(T, dt)
-    K = assemble_stress_matrix(grid, params)
-    A_op = K
+    A = assemble_stress_matrix(grid, params)
+    fric = np.zeros(d * N)  # the friction matrix's diagonal; it has no other entries
     if params.bc == "slip" and params.kappa > 0:
-        A_op = K + assemble_friction_matrix(grid, params.kappa)
-    half = 0.5 * A_op
+        friction = assemble_friction_matrix(grid, params.kappa)
+        A = A + friction
+        fric = friction.diagonal()
     w = grid.quadrature_weights().ravel()
     wq = np.tile(w, d)
 
@@ -397,12 +434,12 @@ def solve_linear_momentum(rho, rhs, bc, u0, params, dt, T, *, cg_tol=1e-10):
         f = np.asarray(rhs(th), dtype=float).reshape(N, d)
         bload = _slip_boundary_load(grid, bc, params, th)
         load = (w[:, None] * f).T.ravel() + bload
-        b = mass * u - half @ u + load
+        b = mass * u - 0.5 * (A @ u) + load
 
         # the constrained dofs are the same at every step; only values move
         idx, vals = _dirichlet_data(grid, bc, tn)
         if system is None:
-            system = _CrankNicolsonSystem(half, idx, mass, grid.shape)
+            system = _CrankNicolsonSystem(A, idx, mass, grid.shape)
         else:
             system.set_mass(mass)
         u_new, iters, res = _cg_solve(system.ops[0], system.rhs(b, vals), u, cg_tol,
@@ -410,10 +447,11 @@ def solve_linear_momentum(rho, rhs, bc, u0, params, dt, T, *, cg_tol=1e-10):
 
         kin = 0.5 * float(np.sum(Mdiag * u_new**2) - np.sum(Mdiag * u**2))
         mid = 0.5 * (u + u_new)
-        diss = float(mid @ (K @ mid))
+        Amid = A @ mid
+        diss = float(mid @ Amid) - float(np.sum(fric * mid**2))
         bwork = float(mid @ bload)
         # CN residual on the constrained rows: the reaction's work
-        reaction = (mass * (u_new - u) + A_op @ mid - load)[idx]
+        reaction = (mass * (u_new - u) + Amid - load)[idx]
         rwork = float(mid[idx] @ reaction)
         reports.append(MomentumStepReport(tn, iters, res, diss, kin, bwork, rwork))
         u = u_new

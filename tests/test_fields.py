@@ -99,14 +99,6 @@ class TestGrid:
         with pytest.raises(InvalidArgumentError):
             Grid((3,), (0.0,), (1.0,))
 
-    def test_boundary_sets_partition(self):
-        g = grid2d(9)
-        sets = g.boundary_sets()
-        all_idx = np.concatenate(list(sets.values()))
-        assert len(all_idx) == len(np.unique(all_idx))
-        mask = g.boundary_mask()
-        assert len(all_idx) == mask.sum()
-
     def test_immutable(self):
         g = grid1d()
         with pytest.raises(Exception):

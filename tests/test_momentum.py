@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -14,6 +17,7 @@ from nsmove.momentum import (
     MomentumBC,
     _CrankNicolsonSystem,
     _dirichlet_data,
+    _p1_matrices_1d,
     _slip_boundary_load,
     assemble_friction_matrix,
     assemble_stress_matrix,
@@ -188,6 +192,34 @@ class TestBasics:
         expect = (sum(len(f.flat) for f in g.faces().values()) if kind == "slip"
                   else g.dim * int(g.boundary_mask().sum()))
         assert len(idx) == len(vals) == expect
+
+    @pytest.mark.parametrize("which, t", [("normal_datum", 0.01), ("stress_datum", 0.005)])
+    @pytest.mark.parametrize("datum", [np.array([0.1]), np.full(5, 0.1)],
+                             ids=["1-value", "5-values"])
+    def test_face_datum_shape_checked(self, which, t, datum):
+        # one value would broadcast silently over a 17-node face, and five
+        # died in numpy; both name t, the face and the two shapes now
+        g = Grid((17, 17), (0.0, 0.0), (1.0, 1.0))
+        bc = MomentumBC.slip(dilation, **{which: lambda t, face: datum})
+        shape = re.escape(str(datum.shape))
+        with pytest.raises(InvalidArgumentError, match=rf"t={t} on face 'x0' has shape "
+                                                       rf"{shape}; expected a scalar or "
+                                                       r"shape \(17,\)"):
+            solve_linear_momentum(
+                lambda t: np.ones(g.num_nodes), lambda t: np.zeros((g.num_nodes, 2)),
+                bc, Field.zeros(g, ncomp=2), FluidParams(mu=0.3, bc="slip"), 0.01, 0.02)
+
+    def test_scalar_face_datum_broadcasts(self):
+        g = Grid((17, 17), (0.0, 0.0), (1.0, 1.0))
+        scalar = MomentumBC.slip(dilation, normal_datum=lambda t, face: 0.1,
+                                 stress_datum=lambda t, face: 0.2)
+        full = MomentumBC.slip(dilation, normal_datum=lambda t, face: np.full(17, 0.1),
+                               stress_datum=lambda t, face: np.full(17, 0.2))
+        params = FluidParams(mu=0.3, kappa=1.0, bc="slip")
+        assert all(np.array_equal(x, y) for x, y in zip(_dirichlet_data(g, scalar, 0.1),
+                                                        _dirichlet_data(g, full, 0.1)))
+        assert np.array_equal(_slip_boundary_load(g, scalar, params, 0.1),
+                              _slip_boundary_load(g, full, params, 0.1))
 
     def test_positivity_guard(self):
         g = Grid((9,), (0.0,), (1.0,))
@@ -396,15 +428,21 @@ def jacobi_cg_reference(rho, rhs, bc, u0, params, dt, T, cg_tol=1e-10):
     return out
 
 
-def slip_system(shape):
-    """The eliminated CN system of a slip problem with friction, built with
-    the mass of dt = 0.01 and unit density, and that mass."""
+def slip_operator(shape):
+    """A = stiffness + friction of a slip problem, its constrained dofs, and
+    the lumped mass of dt = 0.01 and unit density."""
     g = Grid(shape, (0.0,) * len(shape), (1.0,) * len(shape))
     params = FluidParams(mu=0.3, eta=0.1, kappa=1.0, bc="slip")
     A = assemble_stress_matrix(g, params) + assemble_friction_matrix(g, 1.0)
     idx, _ = _dirichlet_data(g, MomentumBC.slip(dilation), 0.01)
     mass = np.tile(g.quadrature_weights().ravel(), g.dim) / 0.01
-    return _CrankNicolsonSystem((0.5 * A).tocsr(), idx, mass, g.shape), mass
+    return A, idx, mass
+
+
+def slip_system(shape):
+    """The eliminated CN system of :func:`slip_operator`, and its mass."""
+    A, idx, mass = slip_operator(shape)
+    return _CrankNicolsonSystem(A, idx, mass, shape), mass
 
 
 class TestMultigridSolve:
@@ -504,6 +542,63 @@ class TestMultigridSolve:
             lambda t: 1.0 + pts[:, 0] * (1 + t), lambda t: np.cos(3 * pts),
             MomentumBC.slip(dilation), Field.zeros(g, ncomp=dim), params, 0.01, 0.05)
         assert all(r.residual <= 1e-10 for r in reports)
+
+
+def bmat_stiffness_reference(grid, params):
+    """The 2-D stiffness with its four blocks joined by ``sp.bmat`` (through
+    COO), as assembled before the CSR stacking."""
+    mu, lam = params.mu, params.eta - 2.0 * params.mu / 3.0
+    (Kx, Mx, Gx), (Ky, My, Gy) = [_p1_matrices_1d(n, h)
+                                  for n, h in zip(grid.shape, grid.spacing)]
+    Exx = sp.kron(Kx, My, format="csr")
+    Eyy = sp.kron(Mx, Ky, format="csr")
+    Exy = sp.kron(Gx, Gy.T, format="csr")
+    Eyx = Exy.T.tocsr()
+    lap = mu * (Exx + Eyy)
+    return sp.bmat([[lap + (mu + lam) * Exx, lam * Exy + mu * Eyx],
+                    [mu * Exy + lam * Eyx, lap + (mu + lam) * Eyy]], format="csr")
+
+
+def same_csr(a, b):
+    return all(np.array_equal(getattr(a, k), getattr(b, k))
+               for k in ("data", "indices", "indptr"))
+
+
+class TestOneCopyOfA:
+    @pytest.mark.parametrize("n", [17, 33, 64, 129])
+    def test_built_from_A_as_from_its_products(self, n):
+        # the CSR stacking, the masked halved copy of A's data and the halved
+        # columns store exactly the arrays of bmat and of F (A/2) F + (I - F)
+        g = Grid((n, n), (0.0, 0.0), (1.0, 1.0))
+        params = FluidParams(mu=0.3, eta=0.1, kappa=1.0, bc="slip")
+        assert same_csr(assemble_stress_matrix(g, params),
+                        bmat_stiffness_reference(g, params))
+        A, idx, mass = slip_operator((n, n))
+        system = _CrankNicolsonSystem(A, idx, mass, (n, n))
+        free = system.free
+        F = sp.diags(free)
+        ref = (F @ (0.5 * A) @ F + sp.diags(1.0 - free)).tocsr()
+        ref.sort_indices()
+        ref.setdiag(ref.diagonal() + free * mass)  # the first step's mass
+        assert same_csr(system.ops[0], ref)
+        assert same_csr(system.cols, (0.5 * A)[:, idx])
+
+    def test_solve_peak_memory_bounded(self):
+        # one stored copy of the Lame operator per solve: the traced peak of
+        # a solve is at most 5.5x the stiffness's CSR bytes (it was 7.3x
+        # with K, A, A/2 and level 0 all held, and bmat's COO detour)
+        prob = chain_like_problem(65)
+        solve_linear_momentum(dt=0.01, T=0.03, **prob)  # imports, first-use caches
+        K = assemble_stress_matrix(prob["u0"].grid, prob["params"])
+        stiffness = K.data.nbytes + K.indices.nbytes + K.indptr.nbytes
+        del K
+        tracemalloc.start()
+        try:
+            solve_linear_momentum(dt=0.01, T=0.03, **prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.5 * stiffness, peak / stiffness
 
 
 class TestReactionWork:
