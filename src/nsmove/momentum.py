@@ -12,7 +12,9 @@ Lame operator, A = K + friction; the explicit half step, the dissipation and
 the reaction use it, and the eliminated system is built from its data. The
 constrained dofs are eliminated once per solve, and each step's system is
 solved by CG preconditioned with one geometric-multigrid V-cycle (bilinear
-prolongation, Galerkin coarse stiffness, damped-Jacobi smoothing). Every
+prolongation, Galerkin coarse stiffness, damped-Jacobi smoothing, a dense
+inverse on the coarsest level of at most 5 nodes per axis), written in
+numpy so that a solve loads no ``scipy.sparse.linalg``. Every
 level takes each step's mass, the coarse ones restricted from it, so the
 iteration count grows neither as h shrinks nor as the density changes. Each
 step reports the work of the reaction on the constrained dofs, which closes
@@ -240,7 +242,7 @@ def _slip_boundary_load(grid, bc, params, t):
 
 # -- the Crank-Nicolson system and its multigrid hierarchy ---------------------
 
-_COARSEST_NODES = 5  # a level with an axis this short or shorter is not halved
+_COARSEST_NODES = 5  # an axis this short or shorter is not halved again
 
 
 def _prolongation_1d(nf, nc):
@@ -285,15 +287,18 @@ class _CrankNicolsonSystem:
     columns are (A/2)[:, idx]; and the coarse levels are Galerkin R A P of
     the stiffness alone. Prolongation is bilinear per component (a Kronecker
     product of 1-D interpolations) with zero rows on the constrained dofs.
-    Levels are halved, an axis of m nodes to (m + 1) // 2 on the same
-    interval, while every axis has more than ``_COARSEST_NODES`` nodes.
+    Each coarser level halves every axis that still has more than
+    ``_COARSEST_NODES`` nodes, m nodes to (m + 1) // 2 on the same interval,
+    and keeps the others, until no axis is longer: the coarsest level has
+    at most 5 nodes per axis (at most 50 dofs in 2-D) on every grid.
     :meth:`set_mass` writes the step's mass m into
     the diagonal of every level: F m on level 0 and P^T m of the level above
     on a coarse one, which is the lumped Galerkin mass diag(P^T M P 1)
     because P 1 is the free mask (all ones below level 0). It then
-    refactors the coarsest level by sparse LU. Each level smooths with one
+    inverts the coarsest level densely, in numpy. Each level smooths with one
     damped-Jacobi sweep (:func:`_jacobi_weight`) before and one after the
-    coarse correction, so the cycle is a symmetric preconditioner for CG.
+    coarse correction, so :meth:`precondition`, one cycle, is a symmetric
+    preconditioner for CG.
     Briggs, Henson & McCormick, A Multigrid Tutorial, 2nd ed., SIAM 2000.
     """
 
@@ -316,8 +321,8 @@ class _CrankNicolsonSystem:
         self.ops = [level0]
         self.prolong, self.restrict = [], []
         free = self.free
-        while all(m > _COARSEST_NODES for m in shape):
-            coarse = tuple((m + 1) // 2 for m in shape)
+        while any(m > _COARSEST_NODES for m in shape):
+            coarse = tuple((m + 1) // 2 if m > _COARSEST_NODES else m for m in shape)
             P = sp.identity(ncomp)
             for nf, nc in zip(shape, coarse):
                 P = sp.kron(P, _prolongation_1d(nf, nc))
@@ -349,46 +354,64 @@ class _CrankNicolsonSystem:
             diagonal = self._base[level] + m
             op.data[self._slots[level]] = diagonal
             self.smooth[level] = _jacobi_weight(self._offdiag[level], diagonal) / diagonal
-        from scipy.sparse.linalg import splu
-
-        self.coarsest = splu(self.ops[-1].tocsc())
+        self.coarsest = np.linalg.inv(self.ops[-1].toarray())
 
     def rhs(self, b, vals):
         out = b - self.cols @ vals
         out[self.idx] = vals
         return out
 
-    def _cycle(self, level, r):
+    def precondition(self, r, level=0):
+        """One V-cycle on the residual r, from ``level`` down."""
         if level == len(self.prolong):
-            return self.coarsest.solve(r)
+            return self.coarsest @ r
         A, s = self.ops[level], self.smooth[level]
         x = s * r
-        x += self.prolong[level] @ self._cycle(level + 1,
-                                               self.restrict[level] @ (r - A @ x))
+        x += self.prolong[level] @ self.precondition(self.restrict[level] @ (r - A @ x),
+                                                     level + 1)
         return x + s * (r - A @ x)
 
-    def operator(self):
-        from scipy.sparse.linalg import LinearOperator
 
-        return LinearOperator(self.ops[0].shape, matvec=lambda r: self._cycle(0, r),
-                              dtype=float)
+def _cg_solve(A, b, x0, tol, precondition):
+    """Preconditioned CG on A x = b from x0, step for step the iteration of
+    ``scipy.sparse.linalg.cg`` (scipy 1.17) with rtol=tol, atol=0: r = b - A x0
+    (b if x0 = 0), stop once ||r|| < tol ||b||, at most 10 n iterations,
+    ``info`` 0 on convergence and the iteration limit otherwise.
 
-
-def _cg_solve(A, b, x0, tol, M):
-    from scipy.sparse.linalg import cg
-
-    count = [0]
-
-    def cb(_):
-        count[0] += 1
-
-    x, info = cg(A, b, x0=x0, rtol=tol, atol=0.0, M=M, callback=cb)
+    Returns (x, iterations, relative residual ||A x - b|| / ||b||); raises
+    :class:`LinearSolverFailureError` if CG stopped short of tol or the true
+    residual is not within 10 tol.
+    """
+    x = np.array(x0, dtype=float)
     bnorm = np.linalg.norm(b)
+    iterations = info = 0
+    if bnorm == 0:
+        x[:] = 0.0
+    else:
+        r = b - A @ x if x.any() else b.copy()
+        maxiter = 10 * len(b)
+        for iterations in range(maxiter):
+            if np.linalg.norm(r) < tol * bnorm:
+                break
+            z = precondition(r)
+            rho = np.dot(r, z)
+            if iterations:
+                p *= rho / rho_prev
+                p += z
+            else:
+                p = z.copy()
+            q = A @ p
+            alpha = rho / np.dot(p, q)
+            x += alpha * p
+            r -= alpha * q
+            rho_prev = rho
+        else:
+            iterations = info = maxiter
     res = np.linalg.norm(A @ x - b) / (bnorm if bnorm > 0 else 1.0)
     if info != 0 or not np.isfinite(res) or res > 10 * tol:
         raise LinearSolverFailureError(
             f"CG stagnated (info={info}, residual={res:.3e})", residual=res)
-    return x, count[0], res
+    return x, iterations, res
 
 
 _RHO_FLOOR = 1e-10  # smallest admissible midpoint density
@@ -443,7 +466,7 @@ def solve_linear_momentum(rho, rhs, bc, u0, params, dt, T, *, cg_tol=1e-10):
         else:
             system.set_mass(mass)
         u_new, iters, res = _cg_solve(system.ops[0], system.rhs(b, vals), u, cg_tol,
-                                      system.operator())
+                                      system.precondition)
 
         kin = 0.5 * float(np.sum(Mdiag * u_new**2) - np.sum(Mdiag * u**2))
         mid = 0.5 * (u + u_new)

@@ -3,7 +3,9 @@
 The flow map X(t, .) solves dX/dt = V(t, X), X(0, z) = z per reference node,
 together with the Jacobian ODE d(gradX)/dt = gradV gradX and, on request, the
 second-Jacobian ODE. Everything is classical RK4 with a fixed step; the
-inverse map is recovered by Newton iteration on the stored forward map.
+inverse map is recovered by Newton iteration on the stored forward map,
+seeded from the node with the nearest stored image. That node is found by a
+numpy window search about an affine fit of the inverse map, not a k-d tree.
 ``FlowMap.frame(t)`` derives the geometry at one time (gradY, det gradX,
 the physical face normals) once for every layer that reads it.
 """
@@ -284,6 +286,76 @@ def _checked_det(J, t, grid):
     return det
 
 
+def _checked_points(grid, x, t):
+    """x as (npts, d) floats, as :func:`~nsmove.fields.interp_matrix` reads
+    points: (npts,) is a column on a 1-D grid. Any other shape, or a
+    non-finite coordinate, raises :class:`InvalidArgumentError`."""
+    pts = np.asarray(x, dtype=float)
+    if grid.dim == 1 and pts.ndim <= 1:
+        pts = np.atleast_1d(pts)[:, np.newaxis]
+    pts = np.atleast_2d(pts)
+    if pts.ndim != 2 or pts.shape[1] != grid.dim:
+        raise InvalidArgumentError(
+            f"points to invert at t={t} have shape {np.shape(x)}; "
+            f"expected (npts, {grid.dim})")
+    finite = np.all(np.isfinite(pts), axis=1)
+    if not np.all(finite):
+        raise InvalidArgumentError(
+            f"non-finite point to invert at t={t}: {pts[np.argmin(finite)]}")
+    return pts
+
+
+def _nearest_node(grid, images, x):
+    """Flat index of the node whose image (a row of ``images``, (N, d)) is
+    nearest to each row of x: the node a k-d tree over ``images`` returns.
+
+    A least-squares affine fit z ~ [x, 1] C of the inverse map predicts each
+    point's node; every node within the fit's largest miss at the nodes,
+    rounded up, plus one, of it on each axis is searched, one window offset
+    at a time, so temporaries stay O(npts). The fit also bounds where any
+    image closer than the best one found can lie: a point whose bound leaves
+    the window (one far outside the image, say) is searched over every node
+    inside that bound.
+    """
+    shape = np.array(grid.shape)
+    h = np.array(grid.spacing)
+    nodes = grid.node_coords()
+    C = np.linalg.lstsq(np.column_stack([images, np.ones(len(images))]), nodes,
+                        rcond=None)[0]
+    lin, shift = C[:-1], C[-1]
+    miss = np.max(np.abs(images @ lin + shift - nodes), axis=0) / h  # in cells
+    centre = (x @ lin + shift - np.array(grid.lo)) / h
+    width = np.ceil(miss).astype(int) + 1
+    base = np.clip(np.rint(centre).astype(int), 0, shape - 1)
+    strides = np.array([int(np.prod(shape[a + 1:])) for a in range(grid.dim)])
+    # per axis and window offset, the clipped node index times its stride
+    steps = [np.clip(base[:, a] + np.arange(-w, w + 1)[:, None], 0, m - 1) * stride
+             for a, (w, m, stride) in enumerate(zip(width, shape, strides))]
+    coords = [np.ascontiguousarray(images[:, a]) for a in range(grid.dim)]
+    best = np.full(len(x), np.inf)
+    nearest = np.zeros(len(x), dtype=np.intp)
+    for offset in np.ndindex(*(2 * width + 1)):
+        flat = sum(step[o] for step, o in zip(steps, offset))
+        dist = sum((c[flat] - x[:, a]) ** 2 for a, c in enumerate(coords))
+        closer = dist < best
+        best[closer] = dist[closer]
+        nearest[closer] = flat[closer]
+    # |z_k - zhat(x)| <= miss h + |C_a| |X_k - x| on axis a for every node
+    # k; the slack covers rounding in the fit
+    reach = (miss + np.sqrt(best)[:, None] * np.linalg.norm(lin, axis=0) / h) \
+        * (1 + 1e-9) + 1e-9
+    first = np.maximum(np.ceil(centre - reach).astype(int), 0)
+    last = np.minimum(np.floor(centre + reach).astype(int), shape - 1)
+    outside = np.any((first < base - width) | (last > base + width), axis=1)
+    block = images.reshape(*grid.shape, grid.dim)
+    for p in np.flatnonzero(outside):
+        box = tuple(slice(a, b + 1) for a, b in zip(first[p], last[p]))
+        dist = np.sum((block[box] - x[p]) ** 2, axis=-1)
+        local = np.unravel_index(np.argmin(dist), dist.shape)
+        nearest[p] = (np.array(local) + first[p]) @ strides
+    return nearest
+
+
 _NEWTON_TOL = 1e-10      # max |X(t, z) - x| at which the inverse is accepted
 _NEWTON_ITERATIONS = 50
 
@@ -362,15 +434,15 @@ class FlowMap:
     def invert(self, t, x, seed=None):
         """Y(t, x): Newton iteration on X(t, z) - x = 0, seeded from the
         reference node whose stored position X(t, z) is nearest to x (found
-        with a k-d tree), or from a caller-provided seed. Raises
-        :class:`InversionFailureError` if it has not converged."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        by :func:`_nearest_node`), or from a caller-provided seed.
+
+        x has shape (npts, d), or (npts,) on a 1-D grid; any other shape, or
+        a non-finite coordinate, raises :class:`InvalidArgumentError`. Raises
+        :class:`InversionFailureError` if Newton has not converged."""
+        x = _checked_points(self.grid, x, t)
         XJ = self._stack(t)
         if seed is None:
-            from scipy.spatial import cKDTree
-
-            _, nearest = cKDTree(XJ[:, :self.dim]).query(x)
-            z = self.grid.node_coords()[nearest]
+            z = self.grid.node_coords()[_nearest_node(self.grid, XJ[:, :self.dim], x)]
         else:
             z = np.array(seed, dtype=float, copy=True)
         lo = np.array(self.grid.lo)

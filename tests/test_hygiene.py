@@ -10,9 +10,9 @@ an attribute, an import or an ``__all__`` entry). Exception classes are
 exempt: the error vocabulary is declared ahead of the layers that raise it.
 Every defaulted parameter of such a function, method or constructor (a
 dataclass field included) is passed, by keyword or by position, by some
-call in the same code. Importing the package and running a static-grid
-transport load numpy and ``scipy.sparse`` only, never a heavier scipy
-subpackage.
+call in the same code. Importing the package, running a static-grid
+transport and running the moving-domain chain load numpy and
+``scipy.sparse`` only, never a heavier scipy subpackage.
 """
 
 import ast
@@ -278,10 +278,11 @@ def test_detects_multi_operand_einsum():
     assert _multi_operand_einsums(tree) == [(2, 3), (4, 4)]
 
 
-# quad, the k-d tree and splu/CG, each imported in the one call that needs
-# it, and what they pull in
+# quad, imported only in the call that integrates a user pressure law, and
+# what it pulls in; and the k-d tree and splu/CG the chain no longer uses,
+# with the scipy.linalg and scipy.special they pull in
 _HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.spatial",
-                "scipy.sparse.linalg", "scipy.linalg")
+                "scipy.sparse.linalg", "scipy.linalg", "scipy.special")
 
 
 def _heavy_scipy_loaded(code):
@@ -322,6 +323,28 @@ def test_static_transport_loads_no_heavy_scipy():
                                       for t in times])
         traj = solve_transport(Field(g, np.ones(g.shape)), dv, 0.1, 0.05)
         assert len(traj.times) == 3
+        """)
+    assert _heavy_scipy_loaded(code) == []
+
+
+def test_moving_chain_loads_no_heavy_scipy():
+    code = textwrap.dedent("""
+        import numpy as np
+        from nsmove.fields import Field, Grid
+        from nsmove.momentum import FluidParams, MomentumBC, solve_linear_momentum
+        from nsmove.motion import MotionField, advect_flow_map
+        from nsmove.transport import solve_transport
+        g = Grid((17, 17), (0.0, 0.0), (1.0, 1.0))
+        V = MotionField.shear(0.4)
+        fm = advect_flow_map(V, g, 0.1, 0.05)
+        traj = solve_transport(Field(g, np.ones(g.shape)), V, 0.1, 0.05)
+        rho, _ = traj.eval_physical(0.1, fm.positions(0.1))  # a seedless invert
+        assert np.allclose(rho, 1.0)
+        params = FluidParams(mu=0.3, eta=0.1, kappa=0.5, bc="slip")
+        levels, _ = solve_linear_momentum(
+            lambda t: rho, lambda t: np.zeros((g.num_nodes, 2)),
+            MomentumBC.slip(V.velocity), Field.zeros(g, ncomp=2), params, 0.05, 0.1)
+        assert len(levels) == 3
         """)
     assert _heavy_scipy_loaded(code) == []
 

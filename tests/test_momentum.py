@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from nsmove import momentum
 from nsmove.errors import (
     InvalidArgumentError,
     LinearSolverFailureError,
@@ -373,11 +374,13 @@ def dilation(t, pts):
     return 0.3 * np.asarray(pts, dtype=float)
 
 
-def chain_like_problem(n, kappa=1.0):
+def chain_like_problem(n, kappa=1.0, hi=(1.0, 1.0)):
     """Slip data as the moving-domain chain makes them: V a dilation (so
     V.n != 0), nonzero normal datum d and stress datum B, a density bump
-    that grows in time, and a smooth force. Returns solver arguments."""
-    g = Grid((n, n), (0.0, 0.0), (1.0, 1.0))
+    that grows in time, and a smooth force. Returns solver arguments.
+
+    n nodes per axis on the unit square, or a shape on [0, hi]."""
+    g = Grid((n, n) if np.isscalar(n) else n, (0.0, 0.0), hi)
     pts = g.node_coords()
     bump = np.exp(-np.sum((pts - 0.45) ** 2, axis=1) / 0.02)
     force = np.stack([np.sin(np.pi * pts[:, 1]), np.cos(2 * pts[:, 0])], axis=1)
@@ -483,10 +486,9 @@ class TestMultigridSolve:
         rng = np.random.default_rng(7)
         for factor in (1.3, 0.1):  # a later step's density, heavier or lighter
             system.set_mass(factor * mass)
-            M = system.operator()
             for _ in range(5):
                 x, y = rng.standard_normal((2, len(mass)))
-                Mx, My = M @ x, M @ y
+                Mx, My = system.precondition(x), system.precondition(y)
                 assert abs(x @ My - y @ Mx) <= 1e-12 * abs(x @ My)
                 assert x @ Mx > 0.0
 
@@ -509,7 +511,7 @@ class TestMultigridSolve:
             assert np.allclose(system.smooth[level] * new.diagonal(), 1.6 / g_now,
                                rtol=1e-12, atol=0.0)
         x = np.random.default_rng(3).standard_normal(system.ops[-1].shape[0])
-        assert np.max(np.abs(system.coarsest.solve(system.ops[-1] @ x) - x)) <= 1e-10
+        assert np.max(np.abs(system.coarsest @ (system.ops[-1] @ x) - x)) <= 1e-10
 
     @pytest.mark.parametrize("kind", ["slip", "no-slip", "no-slip-1d"])
     def test_agrees_with_jacobi_cg(self, kind):
@@ -541,6 +543,38 @@ class TestMultigridSolve:
         _, reports = solve_linear_momentum(
             lambda t: 1.0 + pts[:, 0] * (1 + t), lambda t: np.cos(3 * pts),
             MomentumBC.slip(dilation), Field.zeros(g, ncomp=dim), params, 0.01, 0.05)
+        assert all(r.residual <= 1e-10 for r in reports)
+
+    def test_pcg_matches_scipy_cg(self, monkeypatch):
+        # the numpy PCG loop takes scipy's cg steps: with the same V-cycle
+        # as a LinearOperator, every step's iterate and count are the same
+        real, steps = momentum._cg_solve, []
+
+        def both(A, b, x0, tol, precondition):
+            x, iterations, res = real(A, b, x0, tol, precondition)
+            count = [0]
+            M = spla.LinearOperator(A.shape, matvec=precondition, dtype=float)
+            ref, info = spla.cg(A, b, x0=x0, rtol=tol, atol=0.0, M=M,
+                                callback=lambda _: count.__setitem__(0, count[0] + 1))
+            steps.append((np.array_equal(x, ref), iterations, count[0], info))
+            return x, iterations, res
+
+        monkeypatch.setattr(momentum, "_cg_solve", both)
+        solve_linear_momentum(dt=0.01, T=0.03, **chain_like_problem(33))
+        assert len(steps) == 3
+        for same, iterations, count, info in steps:
+            assert same and iterations == count and info == 0
+
+    @pytest.mark.parametrize("shape, hi, coarsest", [((9, 65), (1.0, 8.0), (5, 5)),
+                                                     ((6, 200), (1.0, 40.0), (3, 4))])
+    def test_long_axis_keeps_halving(self, shape, hi, coarsest):
+        # the short axis stops at 5 nodes or fewer and the long one is
+        # halved on until it does too: (9, 65) -> (5, 33) -> ... -> (5, 5),
+        # (6, 200) -> (3, 100) -> ... -> (3, 4)
+        system, _ = slip_system(shape)
+        assert system.ops[-1].shape[0] == 2 * np.prod(coarsest)
+        _, reports = solve_linear_momentum(dt=0.01, T=0.05,
+                                           **chain_like_problem(shape, hi=hi))
         assert all(r.residual <= 1e-10 for r in reports)
 
 

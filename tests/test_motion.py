@@ -202,6 +202,67 @@ class TestInvert:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
 
+    def test_flat_points_on_1d_grid(self):
+        # (npts,) is a column of points on a 1-D grid, as interp_matrix reads it
+        g = Grid((33,), (0.25,), (1.25,))
+        fm = advect_flow_map(MotionField.dilation(0.4, 1), g, 0.5, 1e-2)
+        x = np.linspace(0.4, 1.5, 7)
+        assert np.array_equal(fm.invert(0.5, x), fm.invert(0.5, x[:, None]))
+
+    def test_wrong_shape_rejected(self):
+        fm = advect_flow_map(MotionField.shear(0.4), grid2d(), 0.5, 0.05)
+        with pytest.raises(InvalidArgumentError, match=r"t=0\.5 have shape \(1, 3\)"):
+            fm.invert(0.5, np.zeros((1, 3)))
+
+    def test_non_finite_point_rejected(self):
+        fm = advect_flow_map(MotionField.shear(0.4), grid2d(), 0.5, 0.05)
+        with pytest.raises(InvalidArgumentError, match=r"t=0\.5: \[0\.3 +nan\]"):
+            fm.invert(0.5, [[0.3, 0.5], [0.3, np.nan]])
+
+
+def _chain_map():
+    """The affine flow map of the moving-domain benchmark chain at 129^2:
+    V = (0.3 x + 0.4 y, 0.3 y), T = 0.1."""
+    A = np.array([[0.3, 0.4], [0.0, 0.3]])
+    V = MotionField.expression(
+        lambda t, p: p @ A.T, 2,
+        grad_fn=lambda t, p: np.broadcast_to(A, p.shape + (2,)).copy())
+    return advect_flow_map(V, grid2d(129), 0.1, 0.01), 0.1
+
+
+_SEED_MAPS = {
+    "nonlinear-65": lambda: (advect_flow_map(_nonlinear_2d(), grid2d(65), 0.2, 0.01), 0.2),
+    "chain-129": _chain_map,
+    "dilation-1d": lambda: (advect_flow_map(MotionField.dilation(0.4, 1),
+                                            Grid((33,), (0.25,), (1.25,)), 0.5, 1e-2), 0.5),
+    # a slanted image: the node nearest to a point outside it is often not
+    # in the window about the affine prediction, clipped to the grid
+    "shear-33": lambda: (advect_flow_map(MotionField.shear(2.0), grid2d(33), 1.0, 0.1), 1.0),
+}
+
+
+class TestNearestNode:
+    @pytest.mark.parametrize("name", sorted(_SEED_MAPS))
+    def test_matches_kd_tree(self, name):
+        # the seed is the k-d tree's nearest node image, so Newton starts
+        # from the same node it always has
+        from scipy.spatial import cKDTree
+
+        fm, t = _SEED_MAPS[name]()
+        images = fm.positions(t)
+        d = images.shape[1]
+        rng = np.random.default_rng(5)
+        queries = {
+            "node images": images,
+            "uniform": rng.uniform(images.min(axis=0), images.max(axis=0), (2000, d)),
+            "outside": np.full((1, d), 5.0),
+            "around": rng.uniform(images.min(axis=0) - 3, images.max(axis=0) + 3, (300, d)),
+        }
+        tree = cKDTree(images)
+        for kind, x in queries.items():
+            found = motion._nearest_node(fm.grid, images, x)
+            assert np.array_equal(found, tree.query(x)[1]), kind
+
 
 class TestJacobians:
     def test_zero_gap(self):
