@@ -3,11 +3,9 @@
 Characteristics-based transport, Lagrangian-transformed momentum solves,
 boundary-data extension, and energy / relative-energy diagnostics.
 
-Import rule: modules import only numpy and ``scipy.sparse``. The one
-exception is ``scipy.integrate``, which a user-supplied pressure law needs
-and which is imported inside the call that integrates it; importing the
-package and running the moving-domain chain load no scipy subpackage but
-``scipy.sparse``.
+Import rule: modules import only numpy and ``scipy.sparse``, with no
+exception, so importing the package and running the moving-domain chain
+load no scipy subpackage but ``scipy.sparse``.
 """
 
 from . import errors

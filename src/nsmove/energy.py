@@ -1,4 +1,5 @@
-"""Pressure law and potential, energy balance, relative energy, Gronwall check.
+"""Isentropic pressure law and potential, energy balance, relative energy,
+Gronwall check.
 
 The pressure potential is the convex function with p(r) = r H'(r) - H(r) and
 H(1) = 0; the relative energy combines the kinetic difference with the
@@ -23,95 +24,53 @@ def _potential_gauss_legendre(p, rho):
     return rho * 0.5 * (rho - 1.0) * np.dot(w, p(z) / z**2)
 
 
-class PressureLaw:
-    """Barotropic pressure p(rho) with potential H and p' evaluators.
+def _positive(rho):
+    """rho as a float array, which must be > 0 where the potential is taken."""
+    rho = np.asarray(rho, dtype=float)
+    if np.any(rho <= 0):
+        raise InvalidArgumentError("pressure potential requires rho > 0")
+    return rho
 
-    Isentropic laws p = a rho^gamma (gamma >= 1, a > 0) use closed forms,
-    checked at construction against H(2) from a 32-node Gauss-Legendre rule
-    (rel. tol 1e-8); user laws supply callables and fall back to adaptive
-    ``scipy.integrate.quad`` for H (rel. tol 1e-10), imported on first use.
-    An optional artificial-pressure add-on delta * rho^beta is kept apart
-    from the base law: ``p_total`` and ``potential_total`` include it,
-    ``p``, ``dp`` and ``potential`` do not.
+
+class PressureLaw:
+    """Isentropic pressure p = a rho^gamma (gamma >= 1, a > 0) with its
+    potential H and p', all in closed form.
+
+    The closed-form H is checked at construction against H(2) from a
+    32-node Gauss-Legendre rule (rel. tol 1e-8). This is the law for which
+    weak solutions on moving slip domains are built (Feireisl, Kreml,
+    Necasova, Neustupa & Stebel, J. Differential Equations 254, 2013), the
+    solutions that the weak-strong uniqueness result compares against.
     """
 
-    def __init__(self, kind="isentropic", *, gamma=2.0, coeff=1.0,
-                 p_fn=None, dp_fn=None, delta=0.0, beta=4.0):
-        self.kind = kind
-        self.delta = float(delta)
-        self.beta = float(beta)
-        if delta < 0 or (delta > 0 and beta < 2):
-            raise InvalidArgumentError("artificial pressure needs delta >= 0, beta >= 2")
-        if kind == "isentropic":
-            if gamma < 1 or coeff <= 0:
-                raise InvalidArgumentError("isentropic law needs gamma >= 1, a > 0")
-            self.gamma = float(gamma)
-            self.coeff = float(coeff)
-            self._p = lambda r: self.coeff * r**self.gamma
-            self._dp = lambda r: self.coeff * self.gamma * r**(self.gamma - 1.0)
-            ref = _potential_gauss_legendre(self._p, 2.0)
-            if abs(self.potential(2.0) - ref) > 1e-8 * max(1.0, abs(ref)):
-                raise InvalidArgumentError("closed-form potential failed validation")
-        elif kind == "user":
-            if p_fn is None or dp_fn is None:
-                raise InvalidArgumentError("user law requires p and p' callables")
-            self.gamma = None
-            self.coeff = None
-            self._p = p_fn
-            self._dp = dp_fn
-        else:
-            raise InvalidArgumentError(f"unknown pressure-law kind {kind!r}")
+    def __init__(self, *, gamma=2.0, coeff=1.0):
+        if gamma < 1 or coeff <= 0:
+            raise InvalidArgumentError("isentropic law needs gamma >= 1, a > 0")
+        self.gamma = float(gamma)
+        self.coeff = float(coeff)
+        ref = _potential_gauss_legendre(self.p, 2.0)
+        if abs(self.potential(2.0) - ref) > 1e-8 * max(1.0, abs(ref)):
+            raise InvalidArgumentError("closed-form potential failed validation")
 
     def p(self, rho):
-        return self._p(np.asarray(rho, dtype=float))
+        return self.coeff * np.asarray(rho, dtype=float)**self.gamma
 
     def dp(self, rho):
-        return self._dp(np.asarray(rho, dtype=float))
-
-    def _potential_quadrature(self, rho):
-        from scipy.integrate import quad  # pulls in scipy.optimize: user laws only
-
-        val, _ = quad(lambda z: self._p(z) / z**2, 1.0, rho, epsrel=1e-10, limit=200)
-        return rho * val
+        return self.coeff * self.gamma * np.asarray(rho, dtype=float)**(self.gamma - 1.0)
 
     def potential(self, rho):
-        """H(rho) = rho * int_1^rho p(z)/z^2 dz; closed form when isentropic."""
-        rho_arr = np.asarray(rho, dtype=float)
-        if np.any(rho_arr <= 0):
-            raise InvalidArgumentError("pressure potential requires rho > 0")
-        if self.kind == "isentropic":
-            a, g = self.coeff, self.gamma
-            if g == 1.0:
-                return a * rho_arr * np.log(rho_arr)
-            return a * (rho_arr**g - rho_arr) / (g - 1.0)
-        flat = np.atleast_1d(rho_arr).ravel()
-        out = np.array([self._potential_quadrature(r) for r in flat])
-        return out.reshape(rho_arr.shape) if rho_arr.shape else float(out[0])
+        """H(rho) = rho * int_1^rho p(z)/z^2 dz."""
+        rho, a, g = _positive(rho), self.coeff, self.gamma
+        if g == 1.0:
+            return a * rho * np.log(rho)
+        return a * (rho**g - rho) / (g - 1.0)
 
     def dpotential(self, rho):
         """H'(rho); satisfies p = rho H' - H."""
-        rho_arr = np.asarray(rho, dtype=float)
-        if self.kind == "isentropic":
-            a, g = self.coeff, self.gamma
-            if g == 1.0:
-                return a * (np.log(rho_arr) + 1.0)
-            return a * (g * rho_arr**(g - 1.0) - 1.0) / (g - 1.0)
-        return self.potential(rho_arr) / rho_arr + self.p(rho_arr) / rho_arr
-
-    def p_total(self, rho):
-        """Base pressure plus the artificial add-on delta rho^beta."""
-        rho_arr = np.asarray(rho, dtype=float)
-        out = self.p(rho_arr)
-        if self.delta > 0:
-            out = out + self.delta * rho_arr**self.beta
-        return out
-
-    def potential_total(self, rho):
-        rho_arr = np.asarray(rho, dtype=float)
-        out = self.potential(rho_arr)
-        if self.delta > 0:
-            out = out + self.delta * (rho_arr**self.beta - rho_arr) / (self.beta - 1.0)
-        return out
+        rho, a, g = _positive(rho), self.coeff, self.gamma
+        if g == 1.0:
+            return a * (np.log(rho) + 1.0)
+        return a * (g * rho**(g - 1.0) - 1.0) / (g - 1.0)
 
 
 def _trace(a):
@@ -205,8 +164,7 @@ def energy_inequality_residual(traj, V, law, params):
         rho = traj.rho[m].values[0].ravel()
         u = traj.u[m].values.reshape(d, -1)
         gu = np.moveaxis(traj.physical_velocity_gradient(m), 0, -1)
-        E[m] = float(np.sum(w * (0.5 * rho * _dot(u, u)
-                                 + law.potential_total(rho))))
+        E[m] = float(np.sum(w * (0.5 * rho * _dot(u, u) + law.potential(rho))))
         S = _stress(gu, mu, eta)
         diss_rate[m] = float(np.sum(w * _dot(S, gu)))
         pos = traj.positions(m)
@@ -220,7 +178,7 @@ def energy_inequality_residual(traj, V, law, params):
             _dot(S, gV)
             - _dot(rho_u, dtV)
             - _dot(rho_u, gV_u[:, 0])         # convection
-            - law.p_total(rho) * _trace(gV)
+            - law.p(rho) * _trace(gV)
         )))
         pV[m] = float(np.sum(w * _dot(rho_u, Vv)))
         if params.bc == "slip" and params.kappa > 0 and d == 2:
@@ -272,7 +230,8 @@ def relative_energy_remainder(state, reference, law, params, m, V=None):
     + div U (p(r) - p(rho)) + (r - rho) dt H'(r) + (r U - rho u).grad H'(r),
     over Omega_t at level m. The reference must satisfy U.n = V.n on the
     boundary within ``_ADMISSIBLE_GAP`` (test-function admissibility); its time
-    derivatives come from central differences over the stored levels.
+    derivatives come from central differences over the stored levels. V is
+    required when either trajectory has a flow map, and unused otherwise.
     """
     d = state.grid.dim
     w = state.physical_weights(m).ravel()
@@ -282,7 +241,9 @@ def relative_energy_remainder(state, reference, law, params, m, V=None):
     U = reference.u[m].values.reshape(d, -1).T
     if np.any(r <= 0):
         raise InvalidArgumentError("reference density must be positive")
-    if V is not None and state.flow_map is not None and d == 2:
+    if V is None and (state.flow_map is not None or reference.flow_map is not None):
+        raise InvalidArgumentError("a trajectory on a moving domain needs V")
+    if state.flow_map is not None and d == 2:
         t = state.times[m]
         frame = state.frame(m)
         worst = 0.0
@@ -299,7 +260,7 @@ def relative_energy_remainder(state, reference, law, params, m, V=None):
     # along the map's velocity; convert to the Eulerian time derivative.
     dtU = _time_derivative_fields(reference.u, reference.times, m)
     dtr = _time_derivative_fields(reference.rho, reference.times, m)[:, 0]
-    if reference.flow_map is not None and V is not None:
+    if reference.flow_map is not None:
         pos = reference.positions(m)
         Vv = V.velocity(reference.times[m], pos)
         dtU = dtU - np.einsum("pj,pij->pi", Vv, gU)

@@ -8,7 +8,7 @@ nodes and whose FD tangential-stress trace (``stress_trace_fd``) reproduces
 B. With zero context the stress identity holds to round-off at every face
 node, given three things: no context fields, data that vanish in the
 corner collars, and the first two node layers inside the cutoff plateau
-(2h <= eps; with the default eps = 1/8 on the unit square, n = 17 gives
+(2h <= eps; with eps = 1/8 on the unit square, n = 17 gives
 an error of 3.6e-16, while n = 13 gives 1.07 and n = 9 gives 3.4). With
 context fields it holds to stencil accuracy; no order beyond that is
 proven (the linear-u case measures round-off, <= 5.4e-15 up to n = 129).
@@ -74,25 +74,24 @@ class ExtensionField:
 
 
 def extend_boundary_data(bdata, grid, *, u_ref=None, V=None, flow_map=None,
-                         params=None, eps=None, t=None):
-    """Construct the extension of the boundary data (d, B) on the rectangle.
+                         params=None):
+    """Construct the extension of the boundary data (d, B) on the rectangle
+    at the data's time ``bdata.t``.
 
     ``bdata`` is a :class:`~nsmove.lagrangian.BoundaryData`; context fields
-    are optional (zero context extends raw data). ``eps`` is the collar
-    half-width (default: one eighth of the shortest extent; the support is
-    confined to q < 2 eps).
+    are optional (zero context extends raw data), but V and ``flow_map``
+    come together or not at all. The collar half-width eps is one eighth
+    of the shortest extent, so the support, confined to q < 2 eps, never
+    reaches the opposite face's collar.
     """
     if grid.dim != 2:
         raise UnsupportedDimensionError("the extension construction needs d = 2")
+    if (V is None) != (flow_map is None):
+        raise InvalidArgumentError("the context needs both V and flow_map, or neither")
     mu = params.mu if params is not None else 1.0
     kappa = params.kappa if params is not None else 0.0
-    extents = [hi - lo for lo, hi in zip(grid.lo, grid.hi)]
-    if eps is None:
-        eps = min(extents) / 8.0
-    if 2 * eps >= min(extents) / 2.0:
-        raise InvalidArgumentError(
-            f"collar width 2*eps = {2 * eps} too wide for extents {extents}")
-    t = bdata.t if t is None else t
+    eps = min(hi - lo for lo, hi in zip(grid.lo, grid.hi)) / 8.0
+    t = bdata.t
 
     nodes = grid.node_coords()
     shape = tuple(grid.shape)
@@ -100,9 +99,7 @@ def extend_boundary_data(bdata, grid, *, u_ref=None, V=None, flow_map=None,
     uvals = (np.zeros((N, 2)) if u_ref is None
              else u_ref.values.reshape(2, -1).T)
     G_all = np.zeros((N, 2, 2)) if u_ref is None else gradient_values(u_ref)
-    frame = None
-    if flow_map is not None and V is not None:
-        frame = flow_map.frame(t)
+    frame = None if flow_map is None else flow_map.frame(t)
     du_all = uvals if frame is None else uvals - V.velocity(t, nodes)
 
     total = np.zeros((N, 2))

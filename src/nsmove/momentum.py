@@ -415,9 +415,10 @@ def _cg_solve(A, b, x0, tol, precondition):
 
 
 _RHO_FLOOR = 1e-10  # smallest admissible midpoint density
+_CG_TOL = 1e-10     # relative residual at which each step's CG stops
 
 
-def solve_linear_momentum(rho, rhs, bc, u0, params, dt, T, *, cg_tol=1e-10):
+def solve_linear_momentum(rho, rhs, bc, u0, params, dt, T):
     """Crank-Nicolson time stepping of rho du/dt - div S(grad u) = F on [0, T].
 
     ``rho`` and ``rhs`` are callables of time returning nodal values (density
@@ -465,7 +466,7 @@ def solve_linear_momentum(rho, rhs, bc, u0, params, dt, T, *, cg_tol=1e-10):
             system = _CrankNicolsonSystem(A, idx, mass, grid.shape)
         else:
             system.set_mass(mass)
-        u_new, iters, res = _cg_solve(system.ops[0], system.rhs(b, vals), u, cg_tol,
+        u_new, iters, res = _cg_solve(system.ops[0], system.rhs(b, vals), u, _CG_TOL,
                                       system.precondition)
 
         kin = 0.5 * float(np.sum(Mdiag * u_new**2) - np.sum(Mdiag * u**2))

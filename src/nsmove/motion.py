@@ -207,8 +207,8 @@ def _rhs(source, t, y, out, rows, work):
         _contract(out[None, rows["G"]], source.grad_divergence(t, x).T[None], J, work[0])
 
 
-def _rk4_levels(source, levels, t0, dt):
-    """Classical RK4 along characteristics on one packed state.
+def _rk4_levels(source, levels, dt):
+    """Classical RK4 along characteristics on one packed state, from t = 0.
 
     ``levels`` maps the parts to integrate, in packing order, to node-major
     stores (M+1, N, ...) whose level 0 holds the initial values: X and J,
@@ -222,7 +222,7 @@ def _rk4_levels(source, levels, t0, dt):
     ys, k, acc = np.empty_like(y), np.empty_like(y), np.empty_like(y)
     work = np.empty((1 + (d ** 3 if "H" in rows else 0), N))
     for m in range(len(levels["X"]) - 1):
-        t = t0 + m * dt
+        t = m * dt
         _rhs(source, t, y, acc, rows, work)             # k1
         np.multiply(acc, dt / 2, out=ys)
         for h, h_next in ((dt / 2, dt / 2), (dt / 2, dt)):
@@ -461,9 +461,8 @@ class FlowMap:
             t=t, x=x[worst], residual=float(res[worst]))
 
 
-def advect_flow_map(V, grid, T, dt_map, *, with_hessian=False,
-                    t0=0.0, X0=None, J0=None, H0=None):
-    """Integrate the flow of V from the grid nodes over [t0, t0+T].
+def advect_flow_map(V, grid, T, dt_map, *, with_hessian=False):
+    """Integrate the flow of V over [0, T] from X(0) = identity on the grid.
 
     RK4 per node for the trajectory, the Jacobian ODE, and (on request) the
     second-Jacobian ODE, all with the same fixed step. Aborts with
@@ -472,14 +471,14 @@ def advect_flow_map(V, grid, T, dt_map, *, with_hessian=False,
     steps = _check_steps(T, dt_map)
     N, d = grid.num_nodes, grid.dim
     X, J = np.empty((steps + 1, N, d)), np.empty((steps + 1, N, d, d))
-    X[0] = grid.node_coords() if X0 is None else X0
-    J[0] = np.eye(d) if J0 is None else J0
+    X[0] = grid.node_coords()
+    J[0] = np.eye(d)
     levels, H = {"X": X, "J": J}, None
     if with_hessian:
         H = levels["H"] = np.empty((steps + 1, N, d, d, d))
-        H[0] = 0.0 if H0 is None else H0
-    times = t0 + dt_map * np.arange(steps + 1)
-    for m in _rk4_levels(V, levels, t0, dt_map):
+        H[0] = 0.0
+    times = dt_map * np.arange(steps + 1)
+    for m in _rk4_levels(V, levels, dt_map):
         _checked_det(J[m], times[m], grid)
     return FlowMap(grid, times, X, J, H)
 

@@ -161,7 +161,7 @@ def solve_transport(rho0, v, T, dt):
     X, J, I, G = (np.zeros((steps + 1, N) + shape) for shape in ((d,), (d, d), (), (d,)))
     X[0], J[0] = grid.node_coords(), np.eye(d)
     times = dt * np.arange(steps + 1)
-    for _ in _rk4_levels(v, {"X": X, "J": J, "I": I, "G": G}, 0.0, dt):
+    for _ in _rk4_levels(v, {"X": X, "J": J, "I": I, "G": G}, dt):
         pass
     return DensityTrajectory(rho0, times, X, J, I, G)
 

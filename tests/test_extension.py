@@ -51,8 +51,9 @@ class TestTraces:
         g = unit_square(65)
         bd = zero_data(g)
         bd.faces["y0"]["d"] = bump(g.axis_coords(0))
-        eps = 1.0 / 8.0
-        ext = extend_boundary_data(bd, g, eps=eps)
+        eps = 1.0 / 8.0  # one eighth of the shortest extent
+        ext = extend_boundary_data(bd, g)
+        assert ext.eps == eps
         pts = g.node_coords()
         outside = pts[:, 1] >= 2 * eps + 1e-12
         vals = ext.field.values.reshape(2, -1).T
@@ -133,8 +134,7 @@ class TestWithContext:
         g, V, fm, u, params = self.setup_context()
         t = 0.2
         bd = transformed_boundary_data(u, V, fm, t, params)
-        ext = extend_boundary_data(bd, g, u_ref=u, V=V, flow_map=fm,
-                                   params=params, t=t)
+        ext = extend_boundary_data(bd, g, u_ref=u, V=V, flow_map=fm, params=params)
         for face in g.face_names:
             flat = np.ravel_multi_index(g.face_index(face, closed=True), g.shape)
             from nsmove.fields import FACE_NORMALS
@@ -166,7 +166,7 @@ class TestWithContext:
             return interp(grid, vals, points, out_of_bounds)
 
         monkeypatch.setattr(ext_mod, "interp_values", counting)
-        ext = extend_boundary_data(bd, g, u_ref=u, V=V, flow_map=fm, params=params, t=0.2)
+        ext = extend_boundary_data(bd, g, u_ref=u, V=V, flow_map=fm, params=params)
         nodes = g.node_coords()
         collars = []
         for face in g.faces().values():
@@ -188,17 +188,22 @@ class TestWithContext:
             for t in times:
                 bd = transformed_boundary_data(u, V, fm, t, params)
                 exts.append(extend_boundary_data(bd, g, u_ref=u, V=V,
-                                                 flow_map=fm, params=params, t=t))
+                                                 flow_map=fm, params=params))
             rep = extension_norm_report(exts, times)
             monitors.append(rep["trajectory_norm"])
         assert monitors[0] >= monitors[1] >= monitors[2]
 
 
 class TestValidation:
-    def test_collar_too_wide(self):
+    @pytest.mark.parametrize("given", ["V", "flow_map"])
+    def test_context_needs_v_and_flow_map(self, given):
+        # one without the other would drop the frame gaps and extend the
+        # data as if there were no context
         g = unit_square(17)
-        with pytest.raises(InvalidArgumentError):
-            extend_boundary_data(zero_data(g), g, eps=0.3)
+        V = MotionField.shear(0.6)
+        context = {"V": V, "flow_map": advect_flow_map(V, g, 0.1, 0.05)}
+        with pytest.raises(InvalidArgumentError, match="both V and flow_map"):
+            extend_boundary_data(zero_data(g, 0.1), g, **{given: context[given]})
 
     def test_1d_unsupported(self):
         g = Grid((17,), (0.0,), (1.0,))

@@ -10,9 +10,11 @@ an attribute, an import or an ``__all__`` entry). Exception classes are
 exempt: the error vocabulary is declared ahead of the layers that raise it.
 Every defaulted parameter of such a function, method or constructor (a
 dataclass field included) is passed, by keyword or by position, by some
-call in the same code. Importing the package, running a static-grid
-transport and running the moving-domain chain load numpy and
-``scipy.sparse`` only, never a heavier scipy subpackage.
+call in ``src/`` or ``perfbench/`` outside a ``tests`` directory, save a
+named list of exemptions: a test alone does not justify an option.
+Importing the package, running a static-grid transport and running the
+moving-domain chain load numpy and ``scipy.sparse`` only, never a heavier
+scipy subpackage.
 """
 
 import ast
@@ -207,13 +209,17 @@ def _calls(tree):
     return out
 
 
-def _unset_parameters(trees):
+def _unset_parameters(trees, others=None):
     """(file, line, label, parameter) of the defaulted parameters in
     ``trees`` ({path: tree} of the package) that no call in ``trees`` or in
-    the rest of the code passes."""
+    ``others`` ({path: tree}, default the rest of the code) passes. Calls
+    in a file under a ``tests`` directory do not count."""
+    if others is None:
+        others = {p: ast.parse(p.read_text(), filename=str(p)) for p in CODE if p not in trees}
     calls = {}
-    for tree in list(trees.values()) + [ast.parse(p.read_text(), filename=str(p))
-                                        for p in CODE if p not in trees]:
+    for path, tree in {**trees, **others}.items():
+        if "tests" in path.relative_to(ROOT).parts:
+            continue
         for name, found in _calls(tree).items():
             calls.setdefault(name, []).extend(found)
 
@@ -226,10 +232,28 @@ def _unset_parameters(trees):
                   for line, label, pos, name in params if not passed(callee, pos, name))
 
 
+# (label, parameter) set by tests only, each kept for a named reason
+_KEPT_UNSET = {
+    # ROADMAP item 2: transport on a moving map's discrete velocity
+    ("DiscreteVelocity.__init__", "flow_map"),
+    # ROADMAP item 5: the coupled driver's body force
+    ("lagrangian_remainder", "force"),
+    # ROADMAP item 6: the weak-strong check on a moving domain
+    ("relative_energy_remainder", "V"),
+    # the exported Field API (nsmove.__all__)
+    ("Field.copy", "values"),
+    ("Field.zeros", "ncomp"),
+    ("Field.zeros", "t"),
+    ("interpolate", "out_of_bounds"),
+}
+
+
 def test_no_unset_parameters():
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in SRC}
-    unset = _unset_parameters(trees)
-    assert not unset, f"defaulted parameters that no call passes: {unset}"
+    unset = {(label, name) for _, _, label, name in _unset_parameters(trees)}
+    assert unset <= _KEPT_UNSET, (
+        f"defaulted parameters that no call outside the tests passes: {unset - _KEPT_UNSET}")
+    assert unset == _KEPT_UNSET, f"exempt but passed, so no longer exempt: {_KEPT_UNSET - unset}"
 
 
 def test_detects_unset_parameter():
@@ -242,12 +266,16 @@ def test_detects_unset_parameter():
         "    @staticmethod\n    def pure(a, b=0):\n        pass\n"
         "def f(a, b=0, *, c=1, e=2):\n    pass\n"
         "def g(p=0):\n    pass\n"
+        "def h(q=0):\n    pass\n"
         "f(1, c=2)\nBox.make()\nBox(0).get(1, 2)\nRec(1, 2)\nBox.pure(1, 2)\n"
         "g(*args)\n")}
-    assert _unset_parameters(trees) == [
-        ("probe.py", 8, "Rec", "c"), ("probe.py", 10, "Box.__init__", "z"),
-        ("probe.py", 13, "Box.make", "w"), ("probe.py", 15, "Box.get", "k"),
-        ("probe.py", 20, "f", "b"), ("probe.py", 20, "f", "e")]
+    # a call in perfbench/ sets z; one in a test file does not set q
+    others = {ROOT / "perfbench" / "probe.py": ast.parse("Box(0, z=3)\n"),
+              ROOT / "tests" / "test_probe.py": ast.parse("h(q=1)\nf(1, e=2)\n")}
+    assert _unset_parameters(trees, others) == [
+        ("probe.py", 8, "Rec", "c"), ("probe.py", 13, "Box.make", "w"),
+        ("probe.py", 15, "Box.get", "k"), ("probe.py", 20, "f", "b"),
+        ("probe.py", 20, "f", "e"), ("probe.py", 24, "h", "q")]
 
 
 def _multi_operand_einsums(tree):
@@ -278,9 +306,9 @@ def test_detects_multi_operand_einsum():
     assert _multi_operand_einsums(tree) == [(2, 3), (4, 4)]
 
 
-# quad, imported only in the call that integrates a user pressure law, and
-# what it pulls in; and the k-d tree and splu/CG the chain no longer uses,
-# with the scipy.linalg and scipy.special they pull in
+# quad and what it pulls in, which no pressure law needs any more; and the
+# k-d tree and splu/CG the chain no longer uses, with the scipy.linalg and
+# scipy.special they pull in
 _HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.spatial",
                 "scipy.sparse.linalg", "scipy.linalg", "scipy.special")
 

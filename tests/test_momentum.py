@@ -457,10 +457,11 @@ class TestMultigridSolve:
         assert max(iters) <= 9, iters
         assert all(r.residual <= 1e-10 for r in reports)
 
-    def test_unreachable_tolerance_raises(self):
+    def test_unreachable_tolerance_raises(self, monkeypatch):
         # no CG iterate reaches a relative residual of 1e-30 in floating point
+        monkeypatch.setattr(momentum, "_CG_TOL", 1e-30)
         with pytest.raises(LinearSolverFailureError) as info:
-            solve_linear_momentum(cg_tol=1e-30, dt=0.01, T=0.01, **chain_like_problem(17))
+            solve_linear_momentum(dt=0.01, T=0.01, **chain_like_problem(17))
         assert np.isfinite(info.value.residual)
         assert info.value.residual > 1e-29
 

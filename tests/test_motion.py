@@ -354,23 +354,6 @@ class TestJacobians:
                 err = max(err, np.max(np.abs(fd - ode[:, i, j])))
         assert err < 5e-3  # O(h^2) with h = 1/32
 
-    def test_semigroup(self):
-        g = grid2d(9)
-        V = MotionField.expression(
-            lambda t, p: np.stack([0.3 * p[:, 1] * (1 + 0.5 * t),
-                                   -0.2 * p[:, 0]], axis=-1), 2)
-        # the restart from H0 matters only where grad2V != 0
-        for V, with_hessian in ((V, False), (V, True), (_nonlinear_2d(), True)):
-            whole = advect_flow_map(V, g, 0.4, 0.01, with_hessian=with_hessian)
-            half = advect_flow_map(V, g, 0.2, 0.01, with_hessian=with_hessian)
-            rest = advect_flow_map(V, g, 0.2, 0.01, with_hessian=with_hessian, t0=0.2,
-                                   X0=half.X[-1], J0=half.J[-1],
-                                   H0=half.H[-1] if with_hessian else None)
-            assert np.max(np.abs(whole.positions(0.4) - rest.positions(0.4))) < 1e-9
-            assert np.max(np.abs(whole.jacobians(0.4) - rest.jacobians(0.4))) < 1e-9
-            if with_hessian:
-                assert np.max(np.abs(whole.hessians(0.4) - rest.hessians(0.4))) < 1e-9
-
     def test_gap_growth_trend(self):
         g = grid2d(9)
         V = MotionField.shear(0.8)
