@@ -228,10 +228,10 @@ def relative_energy_remainder(state, reference, law, params, m, V=None):
 
     Terms: rho (dt U + u.grad U).(U - u) + S(grad U):(grad U - grad u)
     + div U (p(r) - p(rho)) + (r - rho) dt H'(r) + (r U - rho u).grad H'(r),
-    over Omega_t at level m. The reference must satisfy U.n = V.n on the
-    boundary within ``_ADMISSIBLE_GAP`` (test-function admissibility); its time
-    derivatives come from central differences over the stored levels. V is
-    required when either trajectory has a flow map, and unused otherwise.
+    over Omega_t at level m. The reference must satisfy U.n = V.n on its own
+    frame's boundary within ``_ADMISSIBLE_GAP`` (test-function admissibility);
+    its time derivatives come from central differences over the stored levels.
+    Both or neither trajectory has a flow map, and V is needed if both do.
     """
     d = state.grid.dim
     w = state.physical_weights(m).ravel()
@@ -243,9 +243,11 @@ def relative_energy_remainder(state, reference, law, params, m, V=None):
         raise InvalidArgumentError("reference density must be positive")
     if V is None and (state.flow_map is not None or reference.flow_map is not None):
         raise InvalidArgumentError("a trajectory on a moving domain needs V")
-    if state.flow_map is not None and d == 2:
-        t = state.times[m]
-        frame = state.frame(m)
+    if (state.flow_map is None) != (reference.flow_map is None):
+        raise InvalidArgumentError("state and reference domains differ: one has no flow map")
+    if reference.flow_map is not None and d == 2:
+        t = reference.times[m]
+        frame = reference.frame(m)
         worst = 0.0
         for flat, n, _ in frame.faces.values():
             gap = np.einsum("pi,pi->p", U[flat] - V.velocity(t, frame.X[flat]), n)

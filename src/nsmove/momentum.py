@@ -7,9 +7,10 @@ construction. The viscosities are constant, so the stiffness is a sum of
 Kronecker products of 1-D P1 stiffness, mass and derivative-value matrices
 and stores only its exact nonzeros. The slip tangential stress datum B and
 the friction term kappa (u - V).tau enter as natural boundary terms, while
-the normal component is enforced strongly. A solve stores one copy of the
-Lame operator, A = K + friction; the explicit half step, the dissipation and
-the reaction use it, and the eliminated system is built from its data. The
+the normal component is enforced strongly. A solve stores one fine-level
+matrix, H = A/2 with A = K + friction, made from K in place: the explicit
+half step, the dissipation and the reaction use it, and the eliminated
+system applies its finest level through it rather than a masked copy. The
 constrained dofs are eliminated once per solve, and each step's system is
 solved by CG preconditioned with one geometric-multigrid V-cycle (bilinear
 prolongation, Galerkin coarse stiffness, damped-Jacobi smoothing, a dense
@@ -105,7 +106,8 @@ def assemble_stress_matrix(grid, params):
     E^01 = Gx (x) Gy^T = (E^10)^T; in 1-D K = (2 mu + lam) Kx. Two-point
     Gauss quadrature per cell gives the same matrix to round-off. Only exact
     nonzeros are stored (13 per interior row in 2-D), and K is exactly
-    symmetric. The blocks are joined as CSR, never through COO.
+    symmetric. The blocks are joined as CSR, never through COO, and each
+    term is freed once it has been used.
     """
     mu = params.mu
     lam = params.eta - 2.0 * mu / 3.0
@@ -115,12 +117,16 @@ def assemble_stress_matrix(grid, params):
     (Kx, Mx, Gx), (Ky, My, Gy) = p1
     Exx = sp.kron(Kx, My, format="csr")
     Eyy = sp.kron(Mx, Ky, format="csr")
+    lap = mu * (Exx + Eyy)
+    b00, b11 = lap + (mu + lam) * Exx, lap + (mu + lam) * Eyy
+    del Exx, Eyy, lap
     Exy = sp.kron(Gx, Gy.T, format="csr")
     Eyx = Exy.T.tocsr()
-    lap = mu * (Exx + Eyy)
-    top = sp.hstack([lap + (mu + lam) * Exx, lam * Exy + mu * Eyx], format="csr")
-    bottom = sp.hstack([mu * Exy + lam * Eyx, lap + (mu + lam) * Eyy], format="csr")
-    return sp.vstack([top, bottom], format="csr")
+    b01, b10 = lam * Exy + mu * Eyx, mu * Exy + lam * Eyx
+    del Exy, Eyx
+    top = sp.hstack([b00, b01], format="csr")
+    del b00, b01
+    return sp.vstack([top, sp.hstack([b10, b11], format="csr")], format="csr")
 
 
 def assemble_friction_matrix(grid, kappa):
@@ -280,69 +286,63 @@ def _diagonal_slots(op):
 class _CrankNicolsonSystem:
     """M/dt + A/2 with the constrained dofs eliminated, and its V-cycle.
 
-    Built once per solve from A = K + friction, which it does not keep:
-    level 0, F (A/2) F + (I - F) with F the diagonal of the free-dof mask,
-    is one masked, halved copy of A's data (a/2 on free rows x free
-    columns, 1 on the constrained diagonals, no other entry); the coupling
-    columns are (A/2)[:, idx]; and the coarse levels are Galerkin R A P of
-    the stiffness alone. Prolongation is bilinear per component (a Kronecker
-    product of 1-D interpolations) with zero rows on the constrained dofs.
-    Each coarser level halves every axis that still has more than
-    ``_COARSEST_NODES`` nodes, m nodes to (m + 1) // 2 on the same interval,
-    and keeps the others, until no axis is longer: the coarsest level has
-    at most 5 nodes per axis (at most 50 dofs in 2-D) on every grid.
-    :meth:`set_mass` writes the step's mass m into
-    the diagonal of every level: F m on level 0 and P^T m of the level above
-    on a coarse one, which is the lumped Galerkin mass diag(P^T M P 1)
-    because P 1 is the free mask (all ones below level 0). It then
-    inverts the coarsest level densely, in numpy. Each level smooths with one
-    damped-Jacobi sweep (:func:`_jacobi_weight`) before and one after the
-    coarse correction, so :meth:`precondition`, one cycle, is a symmetric
-    preconditioner for CG.
+    Built once per solve on the solve's H = A/2, A = K + friction. Level 0,
+    F H F + (I - F) with F the diagonal of the free-dof mask, is not stored:
+    :meth:`apply` computes H (F x) and copies x onto the constrained rows. A
+    constrained column adds an exact zero to a row's sum, so each product has a
+    masked copy's terms in the same order. The coupling columns are H[:, idx],
+    and the coarse levels are Galerkin R H P of the stiffness alone, R the view
+    ``P.T``, made CSR only while the product is formed. Prolongation is
+    bilinear per component (a Kronecker product of 1-D interpolations) with
+    zero rows on the constrained dofs. Each coarser level halves every axis
+    that still has more than ``_COARSEST_NODES`` nodes, m nodes to (m + 1) // 2
+    on the same interval, and keeps the others, until no axis is longer: the
+    coarsest level has at most 5 nodes per axis (at most 50 dofs in 2-D) on
+    every grid. :meth:`set_mass` writes the step's mass m into the diagonal of
+    every level: F m into H's on level 0, and P^T m of the level above on a
+    coarse one, the lumped Galerkin mass diag(P^T M P 1) as P 1 is the free
+    mask (all ones below level 0). It then inverts the coarsest level densely,
+    in numpy. :meth:`solve` runs CG and then restores H's bare diagonal, so
+    that between steps H is A/2 for the explicit half step and the midpoint
+    product. Each level smooths with one damped-Jacobi sweep
+    (:func:`_jacobi_weight`) before and one after the coarse correction, so
+    :meth:`precondition`, one cycle, is a symmetric preconditioner for CG.
     Briggs, Henson & McCormick, A Multigrid Tutorial, 2nd ed., SIAM 2000.
     """
 
-    def __init__(self, A, idx, mass, shape):
-        n = A.shape[0]
+    def __init__(self, H, idx, mass, shape):
+        n = H.shape[0]
         ncomp = n // int(np.prod(shape))
         self.idx = idx
         self.free = np.ones(n)
         self.free[idx] = 0.0
-        self.cols = A[:, idx]
-        self.cols.data *= 0.5
-        # level 0 from one copy of A's data: halved on free rows x free
-        # columns, zero elsewhere but 1 on the constrained diagonals
-        data = 0.5 * A.data
-        data *= np.repeat(self.free, np.diff(A.indptr))
-        data *= self.free[A.indices]
-        data[_diagonal_slots(A)[idx]] = 1.0
-        level0 = sp.csr_matrix((data, A.indices.copy(), A.indptr.copy()), shape=A.shape)
-        level0.eliminate_zeros()
-        self.ops = [level0]
-        self.prolong, self.restrict = [], []
-        free = self.free
+        self.cols = H[:, idx]
+        self.ops = [H]
+        self.prolong, self.restrict, masks = [], [], [self.free]
         while any(m > _COARSEST_NODES for m in shape):
             coarse = tuple((m + 1) // 2 if m > _COARSEST_NODES else m for m in shape)
             P = sp.identity(ncomp)
             for nf, nc in zip(shape, coarse):
                 P = sp.kron(P, _prolongation_1d(nf, nc))
             shape = coarse
-            P = (sp.diags(free) @ P).tocsr()
+            P = (sp.diags(masks[-1]) @ P).tocsr()
             self.prolong.append(P)
-            self.restrict.append(P.T.tocsr())
-            self.ops.append((self.restrict[-1] @ self.ops[-1] @ P).tocsr())
-            free = np.ones(P.shape[1])
+            self.restrict.append(P.T)
+            self.ops.append(P.T.tocsr() @ self.ops[-1] @ P)
+            masks.append(np.ones(P.shape[1]))
         self._slots, self._base, self._offdiag = [], [], []
-        for op in self.ops:
+        # level 0: row sums over the free columns, identity rows on the constrained dofs
+        for op, free in zip(self.ops, masks):
             # canonical order first: scipy sorts a product in place on first use
             op.sort_indices()
-            slots = _diagonal_slots(op)
-            self._slots.append(slots)
-            self._base.append(op.data[slots].copy())
-            # row sums of |op| by the same CSR product, on op's own index arrays
-            magnitude = sp.csr_matrix((np.abs(op.data), op.indices, op.indptr),
-                                      shape=op.shape, copy=False)
-            self._offdiag.append(magnitude @ np.ones(op.shape[0]) - self._base[-1])
+            self._slots.append(_diagonal_slots(op))
+            diagonal = op.data[self._slots[-1]]
+            self._base.append(np.where(free > 0.0, diagonal, 1.0))
+            # row sums of |op| by the same CSR product on op's index arrays
+            sums = sp.csr_matrix((np.abs(op.data), op.indices, op.indptr),
+                                 shape=op.shape, copy=False) @ free
+            self._offdiag.append(free * (sums - diagonal))
+        self._bare = H.data[self._slots[0]]
         self.smooth = [None] * len(self.ops)
         self.set_mass(mass)
 
@@ -354,33 +354,47 @@ class _CrankNicolsonSystem:
             diagonal = self._base[level] + m
             op.data[self._slots[level]] = diagonal
             self.smooth[level] = _jacobi_weight(self._offdiag[level], diagonal) / diagonal
-        self.coarsest = np.linalg.inv(self.ops[-1].toarray())
+        # the coarsest level's dense matrix; on level 0 too, as F I = I F
+        self.coarsest = np.linalg.inv(self.apply(np.eye(op.shape[0]), level))
 
-    def rhs(self, b, vals):
-        out = b - self.cols @ vals
-        out[self.idx] = vals
-        return out
+    def apply(self, x, level=0):
+        """The operator of ``level`` times x; on level 0, H (F x) but x on idx."""
+        if level:
+            return self.ops[level] @ x
+        fx = x.copy()
+        fx[self.idx] = 0.0
+        y = self.ops[0] @ fx
+        y[self.idx] = x[self.idx]
+        return y
 
     def precondition(self, r, level=0):
         """One V-cycle on the residual r, from ``level`` down."""
         if level == len(self.prolong):
             return self.coarsest @ r
-        A, s = self.ops[level], self.smooth[level]
+        s, R = self.smooth[level], self.restrict[level]
         x = s * r
-        x += self.prolong[level] @ self.precondition(self.restrict[level] @ (r - A @ x),
-                                                     level + 1)
-        return x + s * (r - A @ x)
+        x += self.prolong[level] @ self.precondition(R @ (r - self.apply(x, level)), level + 1)
+        return x + s * (r - self.apply(x, level))
+
+    def solve(self, b, vals, x0):
+        """CG from x0 on the step :meth:`set_mass` set, the constrained dofs at vals."""
+        b = b - self.cols @ vals
+        b[self.idx] = vals
+        try:
+            return _cg_solve(self.apply, b, x0, _CG_TOL, self.precondition)
+        finally:
+            self.ops[0].data[self._slots[0]] = self._bare
 
 
-def _cg_solve(A, b, x0, tol, precondition):
-    """Preconditioned CG on A x = b from x0, step for step the iteration of
-    ``scipy.sparse.linalg.cg`` (scipy 1.17) with rtol=tol, atol=0: r = b - A x0
-    (b if x0 = 0), stop once ||r|| < tol ||b||, at most 10 n iterations,
-    ``info`` 0 on convergence and the iteration limit otherwise.
+def _cg_solve(apply, b, x0, tol, precondition):
+    """Preconditioned CG on apply(x) = b from x0, step for step the iteration of
+    ``scipy.sparse.linalg.cg`` (scipy 1.17) with rtol=tol, atol=0: r = b -
+    apply(x0) (b if x0 = 0), stop once ||r|| < tol ||b||, at most 10 n
+    iterations, ``info`` 0 on convergence and the iteration limit otherwise.
 
-    Returns (x, iterations, relative residual ||A x - b|| / ||b||); raises
-    :class:`LinearSolverFailureError` if CG stopped short of tol or the true
-    residual is not within 10 tol.
+    Returns (x, iterations, relative residual ||apply(x) - b|| / ||b||);
+    raises :class:`LinearSolverFailureError` if CG stopped short of tol or
+    the true residual is not within 10 tol.
     """
     x = np.array(x0, dtype=float)
     bnorm = np.linalg.norm(b)
@@ -388,7 +402,7 @@ def _cg_solve(A, b, x0, tol, precondition):
     if bnorm == 0:
         x[:] = 0.0
     else:
-        r = b - A @ x if x.any() else b.copy()
+        r = b - apply(x) if x.any() else b.copy()
         maxiter = 10 * len(b)
         for iterations in range(maxiter):
             if np.linalg.norm(r) < tol * bnorm:
@@ -400,14 +414,14 @@ def _cg_solve(A, b, x0, tol, precondition):
                 p += z
             else:
                 p = z.copy()
-            q = A @ p
+            q = apply(p)
             alpha = rho / np.dot(p, q)
             x += alpha * p
             r -= alpha * q
             rho_prev = rho
         else:
             iterations = info = maxiter
-    res = np.linalg.norm(A @ x - b) / (bnorm if bnorm > 0 else 1.0)
+    res = np.linalg.norm(apply(x) - b) / (bnorm if bnorm > 0 else 1.0)
     if info != 0 or not np.isfinite(res) or res > 10 * tol:
         raise LinearSolverFailureError(
             f"CG stagnated (info={info}, residual={res:.3e})", residual=res)
@@ -433,12 +447,12 @@ def solve_linear_momentum(rho, rhs, bc, u0, params, dt, T):
     d = grid.dim
     N = grid.num_nodes
     steps = _check_steps(T, dt)
-    A = assemble_stress_matrix(grid, params)
+    H = assemble_stress_matrix(grid, params)  # K, then A = K + friction, then H = A/2
     fric = np.zeros(d * N)  # the friction matrix's diagonal; it has no other entries
     if params.bc == "slip" and params.kappa > 0:
-        friction = assemble_friction_matrix(grid, params.kappa)
-        A = A + friction
-        fric = friction.diagonal()
+        fric = assemble_friction_matrix(grid, params.kappa).diagonal()
+        H.data[_diagonal_slots(H)] += fric
+    H.data *= 0.5
     w = grid.quadrature_weights().ravel()
     wq = np.tile(w, d)
 
@@ -458,20 +472,19 @@ def solve_linear_momentum(rho, rhs, bc, u0, params, dt, T):
         f = np.asarray(rhs(th), dtype=float).reshape(N, d)
         bload = _slip_boundary_load(grid, bc, params, th)
         load = (w[:, None] * f).T.ravel() + bload
-        b = mass * u - 0.5 * (A @ u) + load
+        b = mass * u - H @ u + load
 
         # the constrained dofs are the same at every step; only values move
         idx, vals = _dirichlet_data(grid, bc, tn)
         if system is None:
-            system = _CrankNicolsonSystem(A, idx, mass, grid.shape)
+            system = _CrankNicolsonSystem(H, idx, mass, grid.shape)
         else:
             system.set_mass(mass)
-        u_new, iters, res = _cg_solve(system.ops[0], system.rhs(b, vals), u, _CG_TOL,
-                                      system.precondition)
+        u_new, iters, res = system.solve(b, vals, u)
 
         kin = 0.5 * float(np.sum(Mdiag * u_new**2) - np.sum(Mdiag * u**2))
         mid = 0.5 * (u + u_new)
-        Amid = A @ mid
+        Amid = 2.0 * (H @ mid)
         diss = float(mid @ Amid) - float(np.sum(fric * mid**2))
         bwork = float(mid @ bload)
         # CN residual on the constrained rows: the reaction's work

@@ -238,6 +238,60 @@ class TestRemainderTerm:
                 relative_energy_remainder(ref, ref, LAW_G2, params, 1, V=V)
 
 
+    @pytest.mark.parametrize("moving", ["state", "reference"])
+    def test_mixed_static_and_moving_refused(self, moving):
+        # a static trajectory and a moving one live on different domains,
+        # even with V given and an admissible reference
+        g = Grid((9, 9), (0.0, 0.0), (1.0, 1.0))
+        V = MotionField.dilation(0.3, 2)
+        fm = advect_flow_map(V, g, 0.1, 0.05)
+        times = np.array([0.0, 0.05, 0.1])
+        trajs = {kind: _static_trajectory(
+            g, times, lambda t, p: np.ones(len(p)),
+            lambda t, p: V.velocity(t, fm.positions(t)),
+            flow_map=fm if kind == moving else None) for kind in ("state", "reference")}
+        params = FluidParams(mu=0.3, bc="slip")
+        with pytest.raises(InvalidArgumentError, match="domains differ"):
+            relative_energy_remainder(trajs["state"], trajs["reference"], LAW_G2,
+                                      params, 1, V=V)
+
+    def test_static_state_moving_inadmissible_reference(self):
+        # a static state and a moving reference whose U.n misses V.n by 1e-3:
+        # the admissibility check once ran only on the state's (absent) frame
+        # and returned -5.4e-4 here
+        g = Grid((9, 9), (0.0, 0.0), (1.0, 1.0))
+        V = MotionField.dilation(0.3, 2)
+        fm = advect_flow_map(V, g, 0.1, 0.05)
+        times = np.array([0.0, 0.05, 0.1])
+        u = lambda t, p: V.velocity(t, fm.positions(t)) + [1e-3, 0.0]
+        state = _static_trajectory(g, times, lambda t, p: np.ones(len(p)), u)
+        ref = _static_trajectory(g, times, lambda t, p: np.ones(len(p)), u, flow_map=fm)
+        with pytest.raises(InvalidArgumentError):
+            relative_energy_remainder(state, ref, LAW_G2, FluidParams(mu=0.3, bc="slip"),
+                                      1, V=V)
+
+    @pytest.mark.parametrize("offset, admissible", [(0.0, True), (1e-3, False)])
+    def test_admissibility_on_reference_frame(self, offset, admissible):
+        # the state on another map (V = 0 keeps its nodes in place): U.n = V.n
+        # is judged at the reference's own boundary images, where U = V o X
+        # holds exactly; at the state's nodes it would miss by 4.5e-3
+        g = Grid((9, 9), (0.0, 0.0), (1.0, 1.0))
+        V = MotionField.dilation(0.3, 2)
+        fm = advect_flow_map(V, g, 0.1, 0.05)
+        still = advect_flow_map(MotionField.zero(2), g, 0.1, 0.05)
+        times = np.array([0.0, 0.05, 0.1])
+        state = _static_trajectory(g, times, lambda t, p: np.ones(len(p)),
+                                   lambda t, p: np.zeros_like(p), flow_map=still)
+        ref = _static_trajectory(
+            g, times, lambda t, p: np.ones(len(p)),
+            lambda t, p: V.velocity(t, fm.positions(t)) + [offset, 0.0], flow_map=fm)
+        params = FluidParams(mu=0.3, bc="slip")
+        if admissible:
+            assert np.isfinite(relative_energy_remainder(state, ref, LAW_G2, params, 1, V=V))
+        else:
+            with pytest.raises(InvalidArgumentError, match="violates U.n = V.n"):
+                relative_energy_remainder(state, ref, LAW_G2, params, 1, V=V)
+
 class TestGronwall:
     def test_identical_trajectories_pass(self):
         times = np.linspace(0, 1, 11)

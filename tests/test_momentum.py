@@ -443,9 +443,18 @@ def slip_operator(shape):
 
 
 def slip_system(shape):
-    """The eliminated CN system of :func:`slip_operator`, and its mass."""
+    """The eliminated CN system of :func:`slip_operator` on H = A/2, and its
+    mass."""
     A, idx, mass = slip_operator(shape)
-    return _CrankNicolsonSystem(A, idx, mass, shape), mass
+    return _CrankNicolsonSystem(0.5 * A, idx, mass, shape), mass
+
+
+def level_matrices(system):
+    """Copies of every level's operator; level 0 as :meth:`apply` applies
+    it, F H F + (I - F) with H = ``system.ops[0]`` and F the free mask."""
+    F = sp.diags(system.free)
+    level0 = (F @ system.ops[0] @ F + sp.diags(1.0 - system.free)).tocsr()
+    return [level0] + [op.copy() for op in system.ops[1:]]
 
 
 class TestMultigridSolve:
@@ -498,11 +507,11 @@ class TestMultigridSolve:
         # lumped Galerkin mass diag(P^T dM P 1) of the level above; the
         # damping and the coarsest factorization follow
         system, mass = slip_system((33, 33))
-        before = [op.copy() for op in system.ops]
+        before = level_matrices(system)
         system.set_mass(3.0 * mass)
         assert len(system.ops) == 4
         gain = sp.diags(system.free * 2.0 * mass, format="csr")
-        for level, (old, new) in enumerate(zip(before, system.ops)):
+        for level, (old, new) in enumerate(zip(before, level_matrices(system))):
             if level:
                 P = system.prolong[level - 1]
                 gain = sp.diags((P.T @ gain @ P) @ np.ones(P.shape[1]), format="csr")
@@ -551,9 +560,10 @@ class TestMultigridSolve:
         # as a LinearOperator, every step's iterate and count are the same
         real, steps = momentum._cg_solve, []
 
-        def both(A, b, x0, tol, precondition):
-            x, iterations, res = real(A, b, x0, tol, precondition)
+        def both(apply, b, x0, tol, precondition):
+            x, iterations, res = real(apply, b, x0, tol, precondition)
             count = [0]
+            A = spla.LinearOperator((len(b), len(b)), matvec=apply, dtype=float)
             M = spla.LinearOperator(A.shape, matvec=precondition, dtype=float)
             ref, info = spla.cg(A, b, x0=x0, rtol=tol, atol=0.0, M=M,
                                 callback=lambda _: count.__setitem__(0, count[0] + 1))
@@ -599,41 +609,118 @@ def same_csr(a, b):
                for k in ("data", "indices", "indptr"))
 
 
+def traced_peak(fn):
+    """Peak bytes that tracemalloc traces while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def csr_bytes(a):
+    return a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
+
+
 class TestOneCopyOfA:
     @pytest.mark.parametrize("n", [17, 33, 64, 129])
     def test_built_from_A_as_from_its_products(self, n):
-        # the CSR stacking, the masked halved copy of A's data and the halved
-        # columns store exactly the arrays of bmat and of F (A/2) F + (I - F)
+        # the CSR stacking and the halved columns store exactly the arrays of
+        # bmat and of (A/2)[:, idx]; level 0 applied from H = A/2 gives
+        # exactly the product of F (A/2) F + (I - F) + diag(F m); each coarse
+        # level stores exactly the arrays of R (A/2) P of the level above
+        # with R = P^T as CSR, taking the restricted mass on its diagonal
         g = Grid((n, n), (0.0, 0.0), (1.0, 1.0))
         params = FluidParams(mu=0.3, eta=0.1, kappa=1.0, bc="slip")
         assert same_csr(assemble_stress_matrix(g, params),
                         bmat_stiffness_reference(g, params))
         A, idx, mass = slip_operator((n, n))
-        system = _CrankNicolsonSystem(A, idx, mass, (n, n))
+        H = 0.5 * A
+        system = _CrankNicolsonSystem(H, idx, mass, (n, n))
+        assert system.ops[0] is H
         free = system.free
         F = sp.diags(free)
         ref = (F @ (0.5 * A) @ F + sp.diags(1.0 - free)).tocsr()
         ref.sort_indices()
+        coarse = ref.copy()
         ref.setdiag(ref.diagonal() + free * mass)  # the first step's mass
-        assert same_csr(system.ops[0], ref)
+        for x in np.random.default_rng(n).standard_normal((3, len(mass))):
+            assert np.array_equal(system.apply(x), ref @ x)
         assert same_csr(system.cols, (0.5 * A)[:, idx])
+        m = free * mass
+        for P, op in zip(system.prolong, system.ops[1:]):
+            # the next product takes this one in scipy's output order
+            coarse = (P.T.tocsr() @ coarse @ P).tocsr()
+            m = P.T.tocsr() @ m
+            stepped = coarse.sorted_indices()
+            stepped.setdiag(stepped.diagonal() + m)
+            assert same_csr(op, stepped)
+
+    def test_solve_restores_bare_diagonal(self, monkeypatch):
+        # the step's mass sits in H's diagonal only while CG runs: after
+        # every step of a solve, and after a CG that fails, H is A/2 exactly
+        prob = chain_like_problem(33)
+        g, params = prob["u0"].grid, prob["params"]
+        A = assemble_stress_matrix(g, params) + assemble_friction_matrix(g, params.kappa)
+        built = []
+
+        class Recorded(_CrankNicolsonSystem):
+            def solve(self, b, vals, x0):
+                out = super().solve(b, vals, x0)
+                built.append(np.array_equal(self.ops[0].data, 0.5 * A.data))
+                return out
+
+        monkeypatch.setattr(momentum, "_CrankNicolsonSystem", Recorded)
+        solve_linear_momentum(dt=0.01, T=0.03, **prob)
+        assert built == [True] * 3
+
+        A, idx, mass = slip_operator((17, 17))
+        system = _CrankNicolsonSystem(0.5 * A, idx, mass, (17, 17))
+        assert not np.array_equal(system.ops[0].data, 0.5 * A.data)  # mass set
+        monkeypatch.setattr(momentum, "_CG_TOL", 1e-30)
+        with pytest.raises(LinearSolverFailureError):
+            system.solve(np.ones(len(mass)), np.zeros(len(idx)), np.zeros(len(mass)))
+        assert np.array_equal(system.ops[0].data, 0.5 * A.data)
+        assert np.array_equal(system.ops[0].indices, A.indices)
+
+    @pytest.mark.parametrize("shape", [(5, 5), (4, 5)])
+    def test_level0_coarsest(self, shape):
+        # every axis <= 5 nodes: no coarse level, and level 0 itself is
+        # inverted densely, so each PCG step converges in one iteration
+        system, mass = slip_system(shape)
+        assert len(system.ops) == 1 and not system.prolong
+        level0 = level_matrices(system)[0]
+        x = np.random.default_rng(5).standard_normal(len(mass))
+        assert np.max(np.abs(system.coarsest @ (level0 @ x) - x)) <= 1e-12
+        prob = chain_like_problem(shape)
+        levels, reports = solve_linear_momentum(dt=0.01, T=0.05, **prob)
+        assert all(r.iterations == 1 and r.residual <= 1e-10 for r in reports)
+        ref = jacobi_cg_reference(dt=0.01, T=0.05, **prob)
+        scale = max(np.max(np.abs(u)) for u in ref)
+        gap = max(np.max(np.abs(l.values.ravel() - u)) for l, u in zip(levels, ref))
+        assert gap <= 1e-7 * scale
 
     def test_solve_peak_memory_bounded(self):
-        # one stored copy of the Lame operator per solve: the traced peak of
-        # a solve is at most 5.5x the stiffness's CSR bytes (it was 7.3x
-        # with K, A, A/2 and level 0 all held, and bmat's COO detour)
+        # one fine-level matrix per solve, H = A/2 made in place from K, with
+        # level 0 applied from it: the traced peak of a solve is at most 3.6x
+        # the stiffness's CSR bytes (4.6x with A and a masked level-0 copy,
+        # 7.3x with K, A, A/2 and level 0 all held and bmat's COO detour)
         prob = chain_like_problem(65)
         solve_linear_momentum(dt=0.01, T=0.03, **prob)  # imports, first-use caches
-        K = assemble_stress_matrix(prob["u0"].grid, prob["params"])
-        stiffness = K.data.nbytes + K.indices.nbytes + K.indptr.nbytes
-        del K
-        tracemalloc.start()
-        try:
-            solve_linear_momentum(dt=0.01, T=0.03, **prob)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 5.5 * stiffness, peak / stiffness
+        stiffness = csr_bytes(assemble_stress_matrix(prob["u0"].grid, prob["params"]))
+        peak = traced_peak(lambda: solve_linear_momentum(dt=0.01, T=0.03, **prob))
+        assert peak <= 3.6 * stiffness, peak / stiffness
+
+    def test_assemble_peak_memory_bounded(self):
+        # each Kronecker term and block of the stiffness is freed once it has
+        # been used: the traced peak is at most 3.3x the CSR bytes of the
+        # matrix returned (3.9x with every term alive while the blocks stack)
+        g = Grid((65, 65), (0.0, 0.0), (1.0, 1.0))
+        params = FluidParams(mu=0.3, eta=0.1, kappa=1.0, bc="slip")
+        stiffness = csr_bytes(assemble_stress_matrix(g, params))
+        peak = traced_peak(lambda: assemble_stress_matrix(g, params))
+        assert peak <= 3.3 * stiffness, peak / stiffness
 
 
 class TestReactionWork:
