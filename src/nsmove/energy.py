@@ -231,7 +231,8 @@ def relative_energy_remainder(state, reference, law, params, m, V=None):
     over Omega_t at level m. The reference must satisfy U.n = V.n on its own
     frame's boundary within ``_ADMISSIBLE_GAP`` (test-function admissibility);
     its time derivatives come from central differences over the stored levels.
-    Both or neither trajectory has a flow map, and V is needed if both do.
+    Both or neither trajectory has a flow map, and V is needed if both do;
+    two flow maps must place the nodes at the same positions at level m.
     """
     d = state.grid.dim
     w = state.physical_weights(m).ravel()
@@ -245,6 +246,12 @@ def relative_energy_remainder(state, reference, law, params, m, V=None):
         raise InvalidArgumentError("a trajectory on a moving domain needs V")
     if (state.flow_map is None) != (reference.flow_map is None):
         raise InvalidArgumentError("state and reference domains differ: one has no flow map")
+    if state.flow_map is not None and reference.flow_map is not None:
+        gap = float(np.max(np.abs(state.positions(m) - reference.positions(m))))
+        if gap > 0.0:
+            raise InvalidArgumentError(
+                f"state and reference domains differ at t={reference.times[m]}: "
+                f"node positions up to {gap:.3e} apart")
     if reference.flow_map is not None and d == 2:
         t = reference.times[m]
         frame = reference.frame(m)

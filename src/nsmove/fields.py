@@ -308,15 +308,18 @@ def gradient_values(f):
     return np.moveaxis(g.reshape(f.ncomp, f.grid.dim, -1), -1, 0)
 
 
+_INTERP_CHUNK = 4096     # points per component-major block of 2-D weights
+
+
 def _catmull_rom_weights(s):
     s2 = s * s
     s3 = s2 * s
-    return np.stack([
-        0.5 * (-s3 + 2 * s2 - s),
-        0.5 * (3 * s3 - 5 * s2 + 2),
-        0.5 * (-3 * s3 + 4 * s2 + s),
-        0.5 * (s3 - s2),
-    ], axis=-1)
+    w = np.empty((4,) + s.shape)
+    w[0] = 0.5 * (-s3 + 2 * s2 - s)
+    w[1] = 0.5 * (3 * s3 - 5 * s2 + 2)
+    w[2] = 0.5 * (-3 * s3 + 4 * s2 + s)
+    w[3] = 0.5 * (s3 - s2)
+    return w
 
 
 def _lagrange_cubic_weights(u):
@@ -325,31 +328,24 @@ def _lagrange_cubic_weights(u):
     w1 = u * (u - 2) * (u - 3) / 2.0
     w2 = -u * (u - 1) * (u - 3) / 2.0
     w3 = u * (u - 1) * (u - 2) / 6.0
-    return np.stack([w0, w1, w2, w3], axis=-1)
+    return np.stack([w0, w1, w2, w3])
 
 
-def _axis_stencil(xi, n):
-    """Starting index and 4-point weights for one axis, vectorized.
+def _axis_stencil(xi, n, itype):
+    """Starting indices (``itype``) and 4-point weights on component rows,
+    (4, npts), for one axis.
 
     ``xi`` is the index-space coordinate (0 .. n-1). Interior cells use the
     Catmull-Rom kernel; the first/last cell falls back to the one-sided
     Lagrange cubic on the nearest four nodes. Both reproduce linears exactly.
     """
-    cell = np.clip(np.floor(xi).astype(int), 0, n - 2)
-    s = xi - cell
+    cell = np.minimum(xi.astype(itype), n - 2)
+    w = _catmull_rom_weights(xi - cell)
     start = cell - 1
-    w = _catmull_rom_weights(s)
-
-    left = cell == 0
-    if np.any(left):
-        wl = _lagrange_cubic_weights(xi[left])
-        w[left] = wl
-        start[left] = 0
-    right = cell == n - 2
-    if np.any(right):
-        wr = _lagrange_cubic_weights(xi[right] - (n - 4))
-        w[right] = wr
-        start[right] = n - 4
+    for edge, first in ((0, 0), (n - 2, n - 4)):
+        i = np.flatnonzero(cell == edge)
+        w[:, i] = _lagrange_cubic_weights(xi[i] - first)
+        start[i] = first
     return start, w
 
 
@@ -357,10 +353,15 @@ def interp_matrix(grid, points, out_of_bounds="raise"):
     """Interpolation weights at ``points``, a CSR matrix (npts, num_nodes).
 
     Row p is the tensor product of the per-axis 4-point stencils of point p:
-    4 stored entries in 1D, 16 in 2D, summing to 1. Points outside the extent
-    beyond a 1e-12 relative tolerance raise :class:`OutOfDomainError` unless
+    4 stored entries in 1D, 16 in 2D, summing to 1. A non-finite point raises
+    :class:`InvalidArgumentError`. Points outside the extent beyond a 1e-12
+    relative tolerance raise :class:`OutOfDomainError` unless
     ``out_of_bounds='clamp'``, which moves them onto the nearest face; any
     other ``out_of_bounds`` raises :class:`InvalidArgumentError`.
+
+    The per-axis weights are built on component rows and multiplied in
+    blocks of points into the node-major CSR data; the column indices are
+    the start indices raveled with the stencil offsets.
     """
     if out_of_bounds not in ("raise", "clamp"):
         raise InvalidArgumentError(
@@ -371,34 +372,43 @@ def interp_matrix(grid, points, out_of_bounds="raise"):
     pts = np.atleast_2d(pts)
     if pts.shape[1] != grid.dim:
         raise InvalidArgumentError(f"points must have {grid.dim} coordinates")
-
-    stencils = []
     for a in range(grid.dim):
         lo, hi = grid.lo[a], grid.hi[a]
-        h = grid.spacing[a]
         tol = 1e-12 * max(1.0, abs(hi - lo))
         x = pts[:, a]
+        # a NaN fails both comparisons, so the masks are built only on a failure
+        if x.min(initial=np.inf) >= lo - tol and x.max(initial=-np.inf) <= hi + tol:
+            continue
+        finite = np.all(np.isfinite(pts), axis=1)
+        if not np.all(finite):
+            raise InvalidArgumentError(
+                f"non-finite point to interpolate: {pts[np.argmin(finite)]}")
         if out_of_bounds == "raise":
-            bad = (x < lo - tol) | (x > hi + tol)
-            if np.any(bad):
-                raise OutOfDomainError(
-                    f"point outside extent along axis {a}", point=pts[bad][0]
-                )
-        stencils.append(_axis_stencil(np.clip((x - lo) / h, 0.0, grid.n[a] - 1.0),
-                                      grid.n[a]))
+            raise OutOfDomainError(f"point outside extent along axis {a}",
+                                   point=pts[(x < lo - tol) | (x > hi + tol)][0])
 
-    starts, weights = zip(*stencils)
-    w = weights[0]
-    for wa in weights[1:]:
-        w = np.einsum("pk,pl->pkl", w, wa).reshape(len(pts), 4 * w.shape[1])
-    npts, k = w.shape
+    npts, k = len(pts), 4 ** grid.dim
     # int32 when it fits, or scipy scans int64 indices to downcast them
     itype = np.int32 if max(npts * k, grid.num_nodes) < 2**31 else np.intp
-    offsets = np.ravel_multi_index(np.indices((4,) * grid.dim).reshape(grid.dim, k),
-                                   grid.n).astype(itype)
-    cols = np.ravel_multi_index(starts, grid.n).astype(itype)[:, None] + offsets
+    starts, weights = zip(*(
+        _axis_stencil(np.clip((pts[:, a] - grid.lo[a]) / h, 0.0, grid.n[a] - 1.0),
+                      grid.n[a], itype)
+        for a, h in enumerate(grid.spacing)))
+    offsets = np.arange(4, dtype=itype)
+    data = np.empty((npts, k))
+    if grid.dim == 1:
+        cols = starts[0]
+        data[:] = weights[0].T
+    else:
+        cols = starts[0] * grid.n[1] + starts[1]
+        offsets = (offsets[:, None] * grid.n[1] + offsets).ravel()
+        for c in range(0, npts, _INTERP_CHUNK):
+            rows = slice(c, c + _INTERP_CHUNK)
+            data[rows] = (weights[0][:, None, rows] * weights[1][:, rows]).reshape(k, -1).T
+    del weights   # freed before the column indices are built
     indptr = np.arange(0, npts * k + 1, k, dtype=itype)
-    return csr_matrix((w.ravel(), cols.ravel(), indptr), shape=(npts, grid.num_nodes))
+    return csr_matrix((data.ravel(), (cols[:, None] + offsets).ravel(), indptr),
+                      shape=(npts, grid.num_nodes))
 
 
 def interp_values(grid, vals, points, out_of_bounds="raise"):

@@ -39,7 +39,9 @@ class DiscreteVelocity:
 
     The four protocol methods return read-only column slices of one cached
     stage: per (t, points), the bracketing levels blended, then interpolated
-    with one sparse matrix.
+    with one sparse matrix. The blend of the last stage time is kept, so the
+    two RK4 stages at t + dt/2, and a step's last stage and the next step's
+    first when their times are equal, blend once.
     """
 
     def __init__(self, times, fields, flow_map=None):
@@ -52,6 +54,7 @@ class DiscreteVelocity:
         self.dim = self.grid.dim
         self._level_cache = {}
         self._stage_cache = None
+        self._blend = None
         self._seed = None
 
     # -- reference-side per-level derived fields ---------------------------
@@ -79,18 +82,23 @@ class DiscreteVelocity:
         return z
 
     def _stage(self, t, x):
-        """Interpolated stacked level data at (t, x), cached for the last pair."""
+        """Interpolated stacked level data at (t, x), cached for the last pair
+        (compared by value: the caller may move x in place)."""
         cached = self._stage_cache
         if cached is not None and cached[0] == t and np.array_equal(cached[1], x):
             return cached[2]
+        # the stale stage and blend are freed before new arrays are built
+        self._stage_cache = cached = None
         z = self._to_ref(t, x)
-        m, w = level_bracket(self.times, t)
-        # keep only the bracketing levels
-        self._level_cache = {k: self._level_cache[k] if k in self._level_cache
-                             else self._level_data(k)
-                             for k in ((m,) if w == 0.0 else (m, m + 1))}
-        lev = blend_levels(self._level_cache, self.times, t)
-        vals = interp_matrix(self.grid, z) @ lev
+        if self._blend is None or self._blend[0] != t:
+            self._blend = None
+            m, w = level_bracket(self.times, t)
+            # keep only the bracketing levels
+            self._level_cache = {k: self._level_cache[k] if k in self._level_cache
+                                 else self._level_data(k)
+                                 for k in ((m,) if w == 0.0 else (m, m + 1))}
+            self._blend = (t, blend_levels(self._level_cache, self.times, t))
+        vals = interp_matrix(self.grid, z) @ self._blend[1]
         vals.setflags(write=False)
         self._stage_cache = (t, np.array(x, dtype=float), vals)
         return vals

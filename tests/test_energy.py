@@ -272,16 +272,14 @@ class TestRemainderTerm:
 
     @pytest.mark.parametrize("offset, admissible", [(0.0, True), (1e-3, False)])
     def test_admissibility_on_reference_frame(self, offset, admissible):
-        # the state on another map (V = 0 keeps its nodes in place): U.n = V.n
-        # is judged at the reference's own boundary images, where U = V o X
-        # holds exactly; at the state's nodes it would miss by 4.5e-3
+        # a resting state on the reference's map: U.n = V.n is judged at the
+        # reference's own boundary images, where U = V o X holds exactly
         g = Grid((9, 9), (0.0, 0.0), (1.0, 1.0))
         V = MotionField.dilation(0.3, 2)
         fm = advect_flow_map(V, g, 0.1, 0.05)
-        still = advect_flow_map(MotionField.zero(2), g, 0.1, 0.05)
         times = np.array([0.0, 0.05, 0.1])
         state = _static_trajectory(g, times, lambda t, p: np.ones(len(p)),
-                                   lambda t, p: np.zeros_like(p), flow_map=still)
+                                   lambda t, p: np.zeros_like(p), flow_map=fm)
         ref = _static_trajectory(
             g, times, lambda t, p: np.ones(len(p)),
             lambda t, p: V.velocity(t, fm.positions(t)) + [offset, 0.0], flow_map=fm)
@@ -291,6 +289,25 @@ class TestRemainderTerm:
         else:
             with pytest.raises(InvalidArgumentError, match="violates U.n = V.n"):
                 relative_energy_remainder(state, ref, LAW_G2, params, 1, V=V)
+
+    def test_different_flow_maps_refused(self):
+        # a state on a V = 0 map and a reference on the dilation's map: at
+        # t = 0.05 their domains are up to 4.5e-3 apart, and the remainder
+        # once came back finite
+        g = Grid((9, 9), (0.0, 0.0), (1.0, 1.0))
+        V = MotionField.dilation(0.3, 2)
+        fm = advect_flow_map(V, g, 0.1, 0.05)
+        still = advect_flow_map(MotionField.zero(2), g, 0.1, 0.05)
+        times = np.array([0.0, 0.05, 0.1])
+        state = _static_trajectory(g, times, lambda t, p: np.ones(len(p)),
+                                   lambda t, p: np.zeros_like(p), flow_map=still)
+        ref = _static_trajectory(g, times, lambda t, p: np.ones(len(p)),
+                                 lambda t, p: V.velocity(t, fm.positions(t)), flow_map=fm)
+        gap = np.max(np.abs(fm.positions(0.05) - still.positions(0.05)))
+        with pytest.raises(InvalidArgumentError,
+                           match=f"differ at t=0.05: node positions up to {gap:.3e}"):
+            relative_energy_remainder(state, ref, LAW_G2, FluidParams(mu=0.3, bc="slip"),
+                                      1, V=V)
 
 class TestGronwall:
     def test_identical_trajectories_pass(self):

@@ -1,6 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
+from nsmove import transport
 from nsmove.errors import InvalidArgumentError, OutOfDomainError, PositivityViolationError
 from nsmove.fields import (
     Field,
@@ -270,6 +273,42 @@ class TestDiscreteVelocity:
         p += 0.01 * (0.5 - p)   # inward: the static grid has no clamp
         for a, b in zip(sample(dv, p), sample(DiscreteVelocity(times, fields), p)):
             assert np.array_equal(a, b)
+
+    def test_one_blend_per_stage_time(self, monkeypatch):
+        # RK4 stages 2 and 3 share t + dt/2, and with a dyadic dt a step's
+        # last stage time is the next one's first: S steps blend at the
+        # 2 S + 1 distinct stage times, and build each level's data once
+        S, dt = 4, 1 / 32
+        times = dt * np.arange(S + 1)
+        g, fields = self._static_2d(times)
+        dv = DiscreteVelocity(times, fields)
+        built, blended = [], []
+        level_data, blend = dv._level_data, transport.blend_levels
+        monkeypatch.setattr(dv, "_level_data", lambda m: built.append(m) or level_data(m))
+        monkeypatch.setattr(transport, "blend_levels",
+                            lambda lv, ts, t: blended.append(t) or blend(lv, ts, t))
+        sub = Grid((9, 9), (0.3, 0.3), (0.7, 0.7))
+        solve_transport(Field(sub, np.ones(sub.shape)), dv, S * dt, dt)
+        assert built == list(range(S + 1))
+        assert blended == list(dt / 2 * np.arange(2 * S + 1))
+
+    def test_stale_stage_and_blend_freed_before_new_arrays(self, monkeypatch):
+        # a stage at a new t drops the last stage's values and blend before
+        # it builds level data or an interpolation matrix, so no second
+        # (N, 9) array of either is alive then
+        times = np.array([0.0, 0.1, 0.2])
+        g, fields = self._static_2d(times)
+        dv = DiscreteVelocity(times, fields)
+        p1, p2 = np.random.default_rng(6).uniform(0.0, 1.0, size=(2, 50, 2))
+        stage, blend = weakref.ref(dv._stage(0.05, p1)), weakref.ref(dv._blend[1])
+        alive = []
+        level_data, build = dv._level_data, transport.interp_matrix
+        monkeypatch.setattr(dv, "_level_data", lambda m: alive.append(
+            ("level", stage() is not None, blend() is not None)) or level_data(m))
+        monkeypatch.setattr(transport, "interp_matrix", lambda grid, z: alive.append(
+            ("matrix", stage() is not None, blend() is not None)) or build(grid, z))
+        dv.velocity(0.15, p2)
+        assert alive == [("level", False, False), ("matrix", False, False)]
 
     def test_stage_values_are_read_only(self):
         times = np.array([0.0, 0.1])
