@@ -61,10 +61,10 @@ def level_bracket(times, t):
     """(m, w) with t = (1 - w) times[m] + w times[m + 1].
 
     Times up to 1e-12 outside ``[times[0], times[-1]]`` are clamped onto
-    it, anything further raises :class:`InvalidArgumentError`. A single
-    stored level gives (0, 0.0).
+    it; anything further, or NaN, raises :class:`InvalidArgumentError`. A
+    single stored level gives (0, 0.0).
     """
-    if t < times[0] - 1e-12 or t > times[-1] + 1e-12:
+    if not times[0] - 1e-12 <= t <= times[-1] + 1e-12:
         raise InvalidArgumentError(
             f"t={t} outside the stored times [{times[0]}, {times[-1]}]")
     if len(times) == 1:

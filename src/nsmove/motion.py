@@ -120,11 +120,6 @@ class MotionField:
         g = self.gradient(t, pts)
         return sum(g[..., i, i] for i in range(self.dim))
 
-    def grad_divergence(self, t, pts):
-        """d/dx_j of div V, from the second gradient."""
-        g2 = self.gradient2(t, pts)
-        return sum(g2[..., i, i, :] for i in range(self.dim))
-
     def _fd_jacobian(self, fn, pts, h):
         pts = np.asarray(pts, dtype=float)
         cols = []
@@ -184,8 +179,8 @@ def _rhs(source, t, y, out, rows, work):
     """out = f(t, y) for the packed (C, N) state y with row slices ``rows``.
 
     J' = g J, H'[i, j, k] = sum_p W[i, p, k] J[p, j] + sum_p g[i, p] H[p, j, k]
-    with W[i, p, k] = sum_q grad2V[i, p, q] J[q, k], I' = div V and
-    G' = grad(div V) J. ``work`` is a spare row, then W's d^3 rows.
+    with W[i, p, k] = sum_q grad2V[i, p, q] J[q, k], and I' = div V.
+    ``work`` is a spare row, then W's d^3 rows.
     """
     N, d = y.shape[1], rows["X"].stop
     x = y[rows["X"]].T
@@ -203,8 +198,6 @@ def _rhs(source, t, y, out, rows, work):
             _contract(H[i].reshape(d, d, N), J.transpose(1, 0, 2), Wi, work[0], add=True)
     if "I" in rows:
         out[rows["I"]] = source.divergence(t, x)
-    if "G" in rows:
-        _contract(out[None, rows["G"]], source.grad_divergence(t, x).T[None], J, work[0])
 
 
 def _rk4_levels(source, levels, dt):
@@ -212,10 +205,11 @@ def _rk4_levels(source, levels, dt):
 
     ``levels`` maps the parts to integrate, in packing order, to node-major
     stores (M+1, N, ...) whose level 0 holds the initial values: X and J,
-    then H (flow map) or I and G (transport). The state is packed into one
+    then H (flow map) or I (transport). The state is packed into one
     component-major (C, N) array and the stages run on preallocated
-    buffers. Step m writes level m+1 of every store and yields m+1; after
-    the last step the stores are read-only.
+    buffers. Step m times its last stage at (m + 1) dt, as the next step's
+    first (m dt + dt can be an ulp off it), writes level m+1 of every store
+    and yields m+1; after the last step the stores are read-only.
     """
     y, rows = _pack({part: store[0] for part, store in levels.items()})
     N, d = levels["X"].shape[1:]
@@ -232,7 +226,7 @@ def _rk4_levels(source, levels, dt):
             k *= 2.0
             acc += k
         ys += y
-        _rhs(source, t + dt, ys, k, rows, work)         # k4
+        _rhs(source, (m + 1) * dt, ys, k, rows, work)   # k4
         acc += k
         acc *= dt / 6
         y += acc

@@ -6,7 +6,8 @@ The density along the trajectory launched from a reference node z is
 
 with the line integral accumulated inside the same RK4 stages that advance
 the feet, so positivity and the exponential/Jacobian mass cancellation hold
-at the discrete level.
+at the discrete level. The trajectory stores X, gradX and I only; grad rho
+is the shared finite-difference stencil on the density field.
 """
 
 from __future__ import annotations
@@ -37,11 +38,12 @@ class DiscreteVelocity:
     through the Jacobian transforms. Linear interpolation in time between
     levels.
 
-    The four protocol methods return read-only column slices of one cached
+    The three protocol methods return read-only column slices of one cached
     stage: per (t, points), the bracketing levels blended, then interpolated
     with one sparse matrix. The blend of the last stage time is kept, so the
     two RK4 stages at t + dt/2, and a step's last stage and the next step's
-    first when their times are equal, blend once.
+    first, both at (m + 1) dt, blend once; at a stored level's time the
+    level is read unblended.
     """
 
     def __init__(self, times, fields, flow_map=None):
@@ -60,17 +62,15 @@ class DiscreteVelocity:
     # -- reference-side per-level derived fields ---------------------------
 
     def _level_data(self, m):
-        """Nodal u | div_x u | grad_x u | grad_x div_x u at level m, stacked
-        node-major into (N, d + 1 + d^2 + d), reference-sampled."""
+        """Nodal u | div_x u | grad_x u at level m, stacked node-major into
+        (N, d + 1 + d^2), reference-sampled."""
         f = self.fields[m]
         d, N = self.dim, self.grid.num_nodes
         frame = None if self.flow_map is None else self.flow_map.frame(self.times[m])
         gx = physical_gradient(gradient_values(f), frame)  # du_i/dx_k
         div = np.einsum("nii->n", gx)
-        divf = Field(self.grid, div.reshape(self.grid.shape), self.times[m])
-        gdiv_x = physical_gradient(gradient_values(divf), frame)[:, 0]
         return np.concatenate([f.values.reshape(d, N).T, div[:, None],
-                               gx.reshape(N, d * d), gdiv_x], axis=1)
+                               gx.reshape(N, d * d)], axis=1)
 
     def _to_ref(self, t, x):
         if self.flow_map is None:
@@ -110,33 +110,27 @@ class DiscreteVelocity:
 
     def gradient(self, t, pts):
         d = self.dim
-        return self._stage(t, pts)[:, d + 1:d + 1 + d * d].reshape(-1, d, d)
+        return self._stage(t, pts)[:, d + 1:].reshape(-1, d, d)
 
     def divergence(self, t, pts):
         return self._stage(t, pts)[:, self.dim]
-
-    def grad_divergence(self, t, pts):
-        d = self.dim
-        return self._stage(t, pts)[:, d + 1 + d * d:]
 
 
 class DensityTrajectory:
     """Characteristics solution: feet, Jacobians, divergence integrals.
 
     Stored per level: the feet X(t_m, z) and gradX(t_m, z) as ``flow_map``,
-    the forward map of the transporting velocity; the accumulated divergence
-    integral I, and its gradient-propagation companion G (both accumulated
-    inside the RK4 stages). The per-level density field holds values
-    rho(t_m, X(t_m, z)) = rho0(z) exp(-I).
+    the forward map of the transporting velocity, and the divergence
+    integral I accumulated inside the RK4 stages. The per-level density
+    field holds values rho(t_m, X(t_m, z)) = rho0(z) exp(-I).
     """
 
-    def __init__(self, rho0, times, X, J, I, G):
+    def __init__(self, rho0, times, X, J, I):
         self.rho0 = rho0
         self.grid = rho0.grid
         self.times = np.asarray(times, dtype=float)
         self.flow_map = FlowMap(self.grid, self.times, X, J)
         self.I = I
-        self.G = G
 
     def density_field(self, t):
         vals = self.rho0.values[0].ravel() * np.exp(-blend_levels(self.I, self.times, t))
@@ -156,8 +150,8 @@ class DensityTrajectory:
 def solve_transport(rho0, v, T, dt):
     """Solve the linear continuity equation along characteristics of v.
 
-    ``v`` supplies values, gradient, divergence and grad-divergence along
-    the feet (an analytic motion field or a :class:`DiscreteVelocity`).
+    ``v`` supplies values, gradient and divergence along the feet (an
+    analytic motion field or a :class:`DiscreteVelocity`).
     Requires rho0 > 0 everywhere; the solution then stays positive by
     construction of the exponential formula.
     """
@@ -166,29 +160,25 @@ def solve_transport(rho0, v, T, dt):
     steps = _check_steps(T, dt)
     grid = rho0.grid
     N, d = grid.num_nodes, grid.dim
-    X, J, I, G = (np.zeros((steps + 1, N) + shape) for shape in ((d,), (d, d), (), (d,)))
+    X, J, I = (np.zeros((steps + 1, N) + shape) for shape in ((d,), (d, d), ()))
     X[0], J[0] = grid.node_coords(), np.eye(d)
     times = dt * np.arange(steps + 1)
-    for _ in _rk4_levels(v, {"X": X, "J": J, "I": I, "G": G}, dt):
+    for _ in _rk4_levels(v, {"X": X, "J": J, "I": I}, dt):
         pass
-    return DensityTrajectory(rho0, times, X, J, I, G)
+    return DensityTrajectory(rho0, times, X, J, I)
 
 
 def density_gradient(traj, t):
     """Physical-space gradient grad_x rho at the characteristic feet.
 
-    Differentiating the exponential solution formula in z gives
-    grad_x rho . gradX = exp(-I) (grad_z rho0 - rho0 G); the result is the
-    inverse-transpose Jacobian applied to that bracket, returned as a
-    d-component Field sampled at the feet X(t, z).
+    The stencil of :func:`~nsmove.fields.gradient_values` differentiates
+    the density field rho(t, X(t, z)) in z, and gradY carries the result
+    to x, as for grad u; O(h^2). Returned as a d-component Field sampled
+    at the feet X(t, z).
     """
     grid = traj.grid
-    expI = np.exp(-blend_levels(traj.I, traj.times, t))
-    G = blend_levels(traj.G, traj.times, t)
-    grad0 = gradient_values(traj.rho0)[:, 0]     # (N, d)
-    rho0 = traj.rho0.values[0].ravel()
-    bracket = expI[:, None] * (grad0 - rho0[:, None] * G)
-    gx = physical_gradient(bracket[:, None], traj.flow_map.frame(t))[:, 0]
+    gx = physical_gradient(gradient_values(traj.density_field(t)),
+                           traj.flow_map.frame(t))[:, 0]
     return Field(grid, gx.T.reshape((grid.dim,) + tuple(grid.shape)), t)
 
 

@@ -20,6 +20,7 @@ from nsmove.fields import (
     rotate90,
     sobolev_norm,
 )
+from nsmove.motion import FlowMap
 
 
 def grid1d(n=65):
@@ -84,6 +85,23 @@ class TestLevelBracket:
         assert level_bracket(np.array([0.25]), 0.25) == (0, 0.0)
         with pytest.raises(InvalidArgumentError):
             level_bracket(np.array([0.25]), 0.3)
+
+    def test_nan_time_refused(self):
+        # NaN fails every comparison: it is refused by name, not blended
+        # into all-NaN level data
+        levels = np.array([[1.0], [3.0], [7.0], [13.0]])
+        for times, lv in ((self.times, levels), (np.array([0.25]), levels[:1])):
+            with pytest.raises(InvalidArgumentError, match="t=nan"):
+                level_bracket(times, np.nan)
+            with pytest.raises(InvalidArgumentError, match="t=nan"):
+                blend_levels(lv, times, np.nan)
+        g = grid2d(9)
+        N = g.num_nodes
+        X = np.broadcast_to(g.node_coords(), (2, N, 2))
+        J = np.broadcast_to(np.eye(2), (2, N, 2, 2))
+        fm = FlowMap(g, [0.0, 0.1], X, J)
+        with pytest.raises(InvalidArgumentError, match="t=nan"):
+            fm.frame(np.nan)
 
     def test_blend(self):
         levels = np.array([[1.0], [3.0], [7.0], [13.0]])

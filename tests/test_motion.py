@@ -330,13 +330,12 @@ class TestJacobians:
         J = rng.standard_normal((N, d, d))
         H = rng.standard_normal((N, d, d, d))
         k = _packed_rhs(V, 0.0, X=rng.standard_normal((N, d)), J=J, H=H,
-                        I=np.zeros(N), G=np.zeros((N, d)))
-        gd = np.einsum("...iij->...j", g2)
+                        I=np.zeros(N))
         assert np.max(np.abs(k["J"] - np.einsum("...ip,...pj->...ij", g, J))) <= 1e-12
         H_ref = (np.einsum("...ipq,...pj,...qk->...ijk", g2, J, J)
                  + np.einsum("...ip,...pjk->...ijk", g, H))
         assert np.max(np.abs(k["H"] - H_ref)) <= 1e-12
-        assert np.max(np.abs(k["G"] - np.einsum("...p,...pj->...j", gd, J))) <= 1e-12
+        assert np.max(np.abs(k["I"] - np.einsum("...ii->...", g))) <= 1e-12
 
     def test_jacobian_matches_fd_of_trajectories(self):
         # gradX from the Jacobian ODE vs differentiate() of the node positions
@@ -419,8 +418,7 @@ class TestFrame:
         g = grid2d(5)
         N = g.num_nodes
         traj = DensityTrajectory(Field(g, np.ones(g.shape)), [0.0, 1.0],
-                                 *_folded_levels(g, 7), np.zeros((2, N)),
-                                 np.zeros((2, N, 2)))
+                                 *_folded_levels(g, 7), np.zeros((2, N)))
         assert mass_total(traj, 0.0) == pytest.approx(1.0, abs=1e-14)
         with pytest.raises(DegenerateMapError):
             mass_total(traj, 1.0)
@@ -439,7 +437,7 @@ class TestFrame:
         t = fm.times  # queries at a stored level, the last one included, return views
         for a in (fm.positions(t[1]), fm.jacobians(t[5]), fm.hessians(t[0]),
                   fm.positions(t[-1]), fm.jacobians(t[-1]), fm.hessians(t[-1]),
-                  traj.I, traj.G):
+                  traj.I):
             with pytest.raises(ValueError):
                 a[0] = 0
 
@@ -545,7 +543,7 @@ class TestRk4Stages:
     def test_solve_transport(self, monkeypatch):
         # through a namespace of bound methods: MotionField.divergence itself
         # calls gradient, which a counter on the class would count too
-        names = ("velocity", "gradient", "divergence", "grad_divergence")
+        names = ("velocity", "gradient", "divergence")
         V = _nonlinear_2d()
         source = SimpleNamespace(**{name: getattr(V, name) for name in names})
         calls = _count_calls(monkeypatch, source, names)

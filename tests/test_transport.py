@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -121,17 +122,31 @@ class TestDensityGradient:
         g0 = differentiate(rho0, 0, 1).values[0]
         assert np.max(np.abs(g - g0)) < 1e-12
 
-    def test_dilation_fd_oracle(self):
-        # cross-validate the propagated gradient against FD of the solved field
-        rho0 = rho_init_1d(129, 0.5, 1.5)
-        alpha, T = 0.6, 0.3
-        traj = solve_transport(rho0, MotionField.dilation(alpha, 1), T, 1e-3)
-        gx = density_gradient(traj, T).values[0]
-        # FD oracle: rho_bar(z) solved field, d(rho)/dx = d(rho_bar)/dz / (dX/dz)
-        rho_bar = traj.density_field(T)
-        fd = differentiate(rho_bar, 0, 1).values[0] / traj.flow_map.jacobians(T)[:, 0, 0]
-        h = rho0.grid.spacing[0]
-        assert np.max(np.abs(gx - fd)) < 10 * h**2
+    def test_affine_closed_form_second_order(self):
+        # V = A x moves z to X = e^{At} z and rho(t, X) = rho0(z) e^{-tr A t},
+        # so at the feet grad_x rho = e^{-tr A t} e^{-A^T t} grad rho0(z):
+        # the FD gradient of the density field, carried to x by gradY,
+        # converges to it at second order
+        A = np.array([[0.3, 0.4], [0.0, 0.3]])
+        V = MotionField.expression(
+            lambda t, p: p @ A.T, 2,
+            grad_fn=lambda t, p: np.broadcast_to(A, p.shape + (2,)).copy())
+        T = 0.1
+        # e^{-A T} = e^{-0.3 T} (I - 0.4 T E_12)
+        exp_minus_AT = np.exp(-0.3 * T) * np.array([[1.0, -0.4 * T], [0.0, 1.0]])
+        errs = {}
+        for n in (33, 65):
+            g = Grid((n, n), (0.0, 0.0), (1.0, 1.0))
+            rho0 = Field.from_function(
+                g, lambda p: 1.0 + 0.5 * np.exp(-np.sum((p - 0.5) ** 2, axis=1) / 0.02))
+            traj = solve_transport(rho0, V, T, 0.01)
+            gx = density_gradient(traj, T).values.reshape(2, -1).T
+            z = g.node_coords()
+            grad0 = -(z - 0.5) / 0.01 * (rho0.values[0].ravel() - 1.0)[:, None]
+            exact = np.exp(-0.6 * T) * grad0 @ exp_minus_AT
+            errs[n] = np.max(np.abs(gx - exact))
+        assert errs[65] <= 3e-2
+        assert np.log2(errs[33] / errs[65]) >= 1.8
 
 
 class TestTimeDerivativeConsistency:
@@ -195,7 +210,7 @@ class TestDiscreteVelocity:
         assert np.max(np.abs(v[:, 0] - np.sin(x[:, 0]))) < 1e-4
 
     def test_one_inversion_per_stage(self):
-        # the four protocol methods share one pull-back per (t, points)
+        # the three protocol methods share one pull-back per (t, points)
         dv, fm = self._dilation_sampled()
         calls = []
         invert = fm.invert
@@ -206,7 +221,7 @@ class TestDiscreteVelocity:
 
         fm.invert = counting_invert
         x = np.linspace(0.8, 1.4, 5)[:, None]
-        for method in (dv.velocity, dv.gradient, dv.divergence, dv.grad_divergence):
+        for method in (dv.velocity, dv.gradient, dv.divergence):
             method(0.3, x)
         assert len(calls) == 1
         # 2 RK4 steps of 4 stages: one inversion per stage, not per sample
@@ -235,19 +250,15 @@ class TestDiscreteVelocity:
         w = (t - times[1]) / (times[2] - times[1])
 
         def level(f):
-            # u, grad u, div u, grad div u, each interpolated on its own
+            # u, grad u, div u, each interpolated on its own
             grads = [differentiate(f, k).values for k in range(2)]   # (2,) + shape
-            div = Field(g, grads[0][0] + grads[1][1])
             return (interp_values(g, f.values, pts),
                     np.stack([interp_values(g, grads[k], pts) for k in range(2)],
                              axis=-1),
-                    interp_values(g, div.values, pts)[:, 0],
-                    np.stack([interp_values(g, differentiate(div, k).values, pts)[:, 0]
-                              for k in range(2)], axis=-1))
+                    interp_values(g, (grads[0][0] + grads[1][1])[None], pts)[:, 0])
 
         refs = [(1 - w) * a + w * b for a, b in zip(level(fields[1]), level(fields[2]))]
-        got = [dv.velocity(t, pts), dv.gradient(t, pts), dv.divergence(t, pts),
-               dv.grad_divergence(t, pts)]
+        got = [dv.velocity(t, pts), dv.gradient(t, pts), dv.divergence(t, pts)]
         for a, b in zip(got, refs):
             assert a.shape == b.shape
             assert np.max(np.abs(a - b)) <= 1e-14
@@ -261,8 +272,7 @@ class TestDiscreteVelocity:
         t = 0.05
 
         def sample(src, p):
-            return [src.velocity(t, p), src.gradient(t, p), src.divergence(t, p),
-                    src.grad_divergence(t, p)]
+            return [src.velocity(t, p), src.gradient(t, p), src.divergence(t, p)]
 
         sample(dv, p1)
         for a, b in zip(sample(dv, p2), sample(DiscreteVelocity(times, fields), p2)):
@@ -275,22 +285,32 @@ class TestDiscreteVelocity:
             assert np.array_equal(a, b)
 
     def test_one_blend_per_stage_time(self, monkeypatch):
-        # RK4 stages 2 and 3 share t + dt/2, and with a dyadic dt a step's
-        # last stage time is the next one's first: S steps blend at the
-        # 2 S + 1 distinct stage times, and build each level's data once
-        S, dt = 4, 1 / 32
+        # RK4 stages 2 and 3 share m dt + dt/2, and a step's last stage is
+        # timed at (m + 1) dt, the next step's first stage time and the next
+        # level's: S steps blend at the 2 S + 1 distinct stage times, read
+        # the stored level itself at every step end and build each level's
+        # data once. dt = 0.01 is not dyadic: m dt + dt is an ulp off
+        # (m + 1) dt at m = 5, 6 and 9
+        S, dt = 10, 0.01
         times = dt * np.arange(S + 1)
         g, fields = self._static_2d(times)
         dv = DiscreteVelocity(times, fields)
         built, blended = [], []
         level_data, blend = dv._level_data, transport.blend_levels
+
+        def recording_blend(levels, ts, t):
+            out = blend(levels, ts, t)
+            blended.append((t, any(out is a for a in levels.values())))
+            return out
+
         monkeypatch.setattr(dv, "_level_data", lambda m: built.append(m) or level_data(m))
-        monkeypatch.setattr(transport, "blend_levels",
-                            lambda lv, ts, t: blended.append(t) or blend(lv, ts, t))
+        monkeypatch.setattr(transport, "blend_levels", recording_blend)
         sub = Grid((9, 9), (0.3, 0.3), (0.7, 0.7))
         solve_transport(Field(sub, np.ones(sub.shape)), dv, S * dt, dt)
         assert built == list(range(S + 1))
-        assert blended == list(dt / 2 * np.arange(2 * S + 1))
+        assert len(blended) == 2 * S + 1
+        assert blended[::2] == [(t, True) for t in times]
+        assert blended[1::2] == [(m * dt + dt / 2, False) for m in range(S)]
 
     def test_stale_stage_and_blend_freed_before_new_arrays(self, monkeypatch):
         # a stage at a new t drops the last stage's values and blend before
@@ -310,13 +330,40 @@ class TestDiscreteVelocity:
         dv.velocity(0.15, p2)
         assert alive == [("level", False, False), ("matrix", False, False)]
 
+    def test_transport_peak_memory_bounded(self):
+        # a 65^2 static-grid transport over 10 levels peaks at <= 2.4 times
+        # the bytes of the X, J and I levels it returns (2.19 measured):
+        # beyond them it holds the packed RK4 buffers, two levels' data,
+        # their blend, and one stage's interpolation matrix and values
+        g = Grid((65, 65), (0.0, 0.0), (1.0, 1.0))
+        times = 0.01 * np.arange(11)
+
+        def u(t):
+            # u . n = 0 on every face: the feet stay in the square
+            return lambda p: np.stack([
+                0.3 * (1 + t) * np.sin(np.pi * p[:, 0]) * np.cos(2 * p[:, 1]),
+                0.2 * np.cos(np.pi * p[:, 1] + t) * np.sin(np.pi * p[:, 1])], axis=1)
+
+        fields = [Field.from_function(g, u(t), t=t, ncomp=2) for t in times]
+        rho0 = Field.from_function(
+            g, lambda p: 1.0 + 0.5 * np.exp(-np.sum((p - 0.5) ** 2, axis=1) / 0.02))
+        solve_transport(rho0, DiscreteVelocity(times, fields), 0.1, 0.01)  # warm-up
+        tracemalloc.start()
+        try:
+            traj = solve_transport(rho0, DiscreteVelocity(times, fields), 0.1, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stored = sum(a.nbytes for a in (traj.flow_map.X, traj.flow_map.J, traj.I))
+        assert peak <= 2.4 * stored
+
     def test_stage_values_are_read_only(self):
         times = np.array([0.0, 0.1])
         g, fields = self._static_2d(times)
         dv = DiscreteVelocity(times, fields)
         pts = np.array([[0.3, 0.4], [0.6, 0.1]])
         for out in (dv.velocity(0.05, pts), dv.gradient(0.05, pts),
-                    dv.divergence(0.05, pts), dv.grad_divergence(0.05, pts)):
+                    dv.divergence(0.05, pts)):
             with pytest.raises(ValueError):
                 out[0] = 1.0
 
