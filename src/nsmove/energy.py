@@ -106,7 +106,7 @@ def dissipation_density(grad_u, mu, eta=0.0):
     """S(grad u) : grad u, pointwise.
 
     Equals mu/2 |grad u + grad^T u - 2/3 div I|^2 + eta div^2 only in 3D; in
-    the 1D/2D reductions used here the deviator has nonzero trace, so the
+    the 2D reduction used here the deviator has nonzero trace, so the
     contraction is evaluated directly. Nonnegative in d <= 3.
     """
     g = np.moveaxis(grad_u, 0, -1)
@@ -181,7 +181,7 @@ def energy_inequality_residual(traj, V, law, params):
             - law.p(rho) * _trace(gV)
         )))
         pV[m] = float(np.sum(w * _dot(rho_u, Vv)))
-        if params.bc == "slip" and params.kappa > 0 and d == 2:
+        if params.bc == "slip" and params.kappa > 0:
             fric_rate[m] = _boundary_friction_rate(traj, V, params, m)
     diss_cum = _cumtrapz(diss_rate, traj.times)
     fric_cum = _cumtrapz(fric_rate, traj.times)
@@ -252,7 +252,7 @@ def relative_energy_remainder(state, reference, law, params, m, V=None):
             raise InvalidArgumentError(
                 f"state and reference domains differ at t={reference.times[m]}: "
                 f"node positions up to {gap:.3e} apart")
-    if reference.flow_map is not None and d == 2:
+    if reference.flow_map is not None:
         t = reference.times[m]
         frame = reference.frame(m)
         worst = 0.0

@@ -9,10 +9,6 @@ class InvalidArgumentError(NsmoveError, ValueError):
     """A precondition on an argument was violated."""
 
 
-class UnsupportedDimensionError(InvalidArgumentError):
-    """Operation not defined for this spatial dimension."""
-
-
 class OutOfDomainError(NsmoveError):
     """A query point left the interpolable region.
 

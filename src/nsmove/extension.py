@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, UnsupportedDimensionError
+from .errors import InvalidArgumentError
 from .fields import Field, _diff_axis, differentiate, gradient_values, interp_values
 from .lagrangian import FaceGaps
 
@@ -84,8 +84,6 @@ def extend_boundary_data(bdata, grid, *, u_ref=None, V=None, flow_map=None,
     of the shortest extent, so the support, confined to q < 2 eps, never
     reaches the opposite face's collar.
     """
-    if grid.dim != 2:
-        raise UnsupportedDimensionError("the extension construction needs d = 2")
     if (V is None) != (flow_map is None):
         raise InvalidArgumentError("the context needs both V and flow_map, or neither")
     mu = params.mu if params is not None else 1.0

@@ -1,8 +1,8 @@
 """Structured reference grids, discrete fields, stencils, interpolation, norms.
 
-Everything in here lives on the fixed reference domain: uniform tensor grids
-in 1D (interval) or 2D (axis-aligned rectangle). Curved physical domains only
-ever arise downstream through composition with a flow map.
+Everything in here lives on the fixed reference domain: a uniform tensor
+grid on an axis-aligned rectangle. Curved physical domains only ever arise
+downstream through composition with a flow map.
 """
 
 from __future__ import annotations
@@ -15,10 +15,9 @@ from scipy.sparse import csr_matrix
 
 from .errors import InvalidArgumentError, OutOfDomainError
 
-FACE_NAMES_1D = ("x0", "x1")
-FACE_NAMES_2D = ("x0", "x1", "y0", "y1")
+FACE_NAMES = ("x0", "x1", "y0", "y1")
 
-#: outward unit normals of the reference faces (2D)
+#: outward unit normals of the reference faces
 FACE_NORMALS = {
     "x0": np.array([-1.0, 0.0]),
     "x1": np.array([1.0, 0.0]),
@@ -28,7 +27,7 @@ FACE_NORMALS = {
 
 
 def rotate90(v):
-    """Counter-clockwise quarter turn; maps a 2D normal to its tangent."""
+    """Counter-clockwise quarter turn; maps a normal to its tangent."""
     v = np.asarray(v, dtype=float)
     return np.stack([-v[..., 1], v[..., 0]], axis=-1)
 
@@ -45,16 +44,25 @@ class Face:
     ``flat`` are the flat node indices in order of the coordinate along the
     face, ``axis`` is the normal axis, ``normal`` the outward unit normal,
     ``tangent`` its quarter turn and ``weights`` the trapezoid line weights
-    of the nodes. In 1D the normal is -1 or +1 and ``tangent`` and
-    ``weights`` are ``None``.
+    of the nodes.
     """
 
     name: str
     flat: np.ndarray
     axis: int
     normal: np.ndarray
-    tangent: np.ndarray | None
-    weights: np.ndarray | None
+    tangent: np.ndarray
+    weights: np.ndarray
+
+
+def level_times(times):
+    """``times`` as a float array of stored level times; empty or not
+    strictly increasing times raise :class:`InvalidArgumentError`."""
+    times = np.asarray(times, dtype=float)
+    if len(times) == 0 or not np.all(np.diff(times) > 0):
+        raise InvalidArgumentError(
+            f"level times must be non-empty and increasing, got {times}")
+    return times
 
 
 def level_bracket(times, t):
@@ -86,7 +94,7 @@ def blend_levels(levels, times, t):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform tensor grid on an interval (1D) or rectangle (2D).
+    """Uniform tensor grid on a rectangle: exactly two axes.
 
     Spacing along axis i is exactly ``extent_i / (n_i - 1)``. Immutable.
     """
@@ -99,8 +107,8 @@ class Grid:
         n = tuple(int(v) for v in np.atleast_1d(self.n))
         lo = tuple(float(v) for v in np.atleast_1d(self.lo))
         hi = tuple(float(v) for v in np.atleast_1d(self.hi))
-        if len(n) not in (1, 2):
-            raise InvalidArgumentError(f"grid dimension must be 1 or 2, got {len(n)}")
+        if len(n) != 2:
+            raise InvalidArgumentError(f"a grid has exactly 2 axes, got {len(n)}")
         if len(lo) != len(n) or len(hi) != len(n):
             raise InvalidArgumentError("n, lo, hi must have matching lengths")
         if any(m < 4 for m in n):
@@ -146,8 +154,6 @@ class Grid:
         w = np.ones(self.n[0])
         w[0] = w[-1] = 0.5
         w = w * self.spacing[0]
-        if self.dim == 1:
-            return w
         w2 = np.ones(self.n[1])
         w2[0] = w2[-1] = 0.5
         w2 = w2 * self.spacing[1]
@@ -155,7 +161,7 @@ class Grid:
 
     @property
     def face_names(self):
-        return FACE_NAMES_1D if self.dim == 1 else FACE_NAMES_2D
+        return FACE_NAMES
 
     def face_index(self, face, closed=True):
         """Multi-index arrays of the nodes on a face.
@@ -163,14 +169,7 @@ class Grid:
         ``closed=False`` drops corner nodes from the y-faces so the four sets
         partition the boundary (x-faces own the corners).
         """
-        nx = self.n[0]
-        if self.dim == 1:
-            if face == "x0":
-                return (np.array([0]),)
-            if face == "x1":
-                return (np.array([nx - 1]),)
-            raise InvalidArgumentError(f"unknown face {face!r}")
-        ny = self.n[1]
+        nx, ny = self.n
         if face == "x0":
             return np.full(ny, 0), np.arange(ny)
         if face == "x1":
@@ -191,10 +190,6 @@ class Grid:
         out = {}
         for face in self.face_names:
             flat = _read_only(np.ravel_multi_index(self.face_index(face, closed=True), self.n))
-            if self.dim == 1:
-                normal = _read_only(np.array([-1.0 if face == "x0" else 1.0]))
-                out[face] = Face(face, flat, 0, normal, None, None)
-                continue
             axis = 0 if face in ("x0", "x1") else 1
             h = self.spacing[1 - axis]
             weights = np.full(len(flat), h)
@@ -206,11 +201,8 @@ class Grid:
 
     def boundary_mask(self):
         mask = np.zeros(self.n, dtype=bool)
-        if self.dim == 1:
-            mask[0] = mask[-1] = True
-        else:
-            mask[0, :] = mask[-1, :] = True
-            mask[:, 0] = mask[:, -1] = True
+        mask[0, :] = mask[-1, :] = True
+        mask[:, 0] = mask[:, -1] = True
         return mask
 
 
@@ -255,9 +247,7 @@ class Field:
     def from_function(cls, grid, fn, t=0.0, ncomp=1):
         """Sample ``fn(points) -> (N,) or (N, ncomp)`` at the grid nodes."""
         pts = grid.node_coords()
-        vals = np.asarray(fn(pts), dtype=float)
-        if vals.ndim == 1:
-            vals = vals[:, np.newaxis]
+        vals = np.asarray(fn(pts), dtype=float).reshape(len(pts), -1)
         vals = np.moveaxis(vals, -1, 0).reshape((vals.shape[-1],) + tuple(grid.shape))
         if ncomp is not None and vals.shape[0] != ncomp:
             raise InvalidArgumentError(f"function returned {vals.shape[0]} components")
@@ -308,7 +298,7 @@ def gradient_values(f):
     return np.moveaxis(g.reshape(f.ncomp, f.grid.dim, -1), -1, 0)
 
 
-_INTERP_CHUNK = 4096     # points per component-major block of 2-D weights
+_INTERP_CHUNK = 4096     # points per component-major block of weights
 
 
 def _catmull_rom_weights(s):
@@ -353,7 +343,7 @@ def interp_matrix(grid, points, out_of_bounds="raise"):
     """Interpolation weights at ``points``, a CSR matrix (npts, num_nodes).
 
     Row p is the tensor product of the per-axis 4-point stencils of point p:
-    4 stored entries in 1D, 16 in 2D, summing to 1. A non-finite point raises
+    16 stored entries, summing to 1. A non-finite point raises
     :class:`InvalidArgumentError`. Points outside the extent beyond a 1e-12
     relative tolerance raise :class:`OutOfDomainError` unless
     ``out_of_bounds='clamp'``, which moves them onto the nearest face; any
@@ -366,10 +356,7 @@ def interp_matrix(grid, points, out_of_bounds="raise"):
     if out_of_bounds not in ("raise", "clamp"):
         raise InvalidArgumentError(
             f"out_of_bounds must be 'raise' or 'clamp', got {out_of_bounds!r}")
-    pts = np.asarray(points, dtype=float)
-    if grid.dim == 1 and pts.ndim <= 1:
-        pts = np.atleast_1d(pts)[:, np.newaxis]
-    pts = np.atleast_2d(pts)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != grid.dim:
         raise InvalidArgumentError(f"points must have {grid.dim} coordinates")
     for a in range(grid.dim):
@@ -387,7 +374,7 @@ def interp_matrix(grid, points, out_of_bounds="raise"):
             raise OutOfDomainError(f"point outside extent along axis {a}",
                                    point=pts[(x < lo - tol) | (x > hi + tol)][0])
 
-    npts, k = len(pts), 4 ** grid.dim
+    npts, k = len(pts), 16
     # int32 when it fits, or scipy scans int64 indices to downcast them
     itype = np.int32 if max(npts * k, grid.num_nodes) < 2**31 else np.intp
     starts, weights = zip(*(
@@ -396,15 +383,11 @@ def interp_matrix(grid, points, out_of_bounds="raise"):
         for a, h in enumerate(grid.spacing)))
     offsets = np.arange(4, dtype=itype)
     data = np.empty((npts, k))
-    if grid.dim == 1:
-        cols = starts[0]
-        data[:] = weights[0].T
-    else:
-        cols = starts[0] * grid.n[1] + starts[1]
-        offsets = (offsets[:, None] * grid.n[1] + offsets).ravel()
-        for c in range(0, npts, _INTERP_CHUNK):
-            rows = slice(c, c + _INTERP_CHUNK)
-            data[rows] = (weights[0][:, None, rows] * weights[1][:, rows]).reshape(k, -1).T
+    cols = starts[0] * grid.n[1] + starts[1]
+    offsets = (offsets[:, None] * grid.n[1] + offsets).ravel()
+    for c in range(0, npts, _INTERP_CHUNK):
+        rows = slice(c, c + _INTERP_CHUNK)
+        data[rows] = (weights[0][:, None, rows] * weights[1][:, rows]).reshape(k, -1).T
     del weights   # freed before the column indices are built
     indptr = np.arange(0, npts * k + 1, k, dtype=itype)
     return csr_matrix((data.ravel(), (cols[:, None] + offsets).ravel(), indptr),
@@ -441,10 +424,8 @@ def _alpha_derivative(f, alpha):
     return g
 
 
-def _multi_indices(dim, k):
-    if dim == 1:
-        return [(a,) for a in range(k + 1)]
-    return [(a, b) for a in range(k + 1) for b in range(k + 1 - a) if a + b <= k]
+def _multi_indices(k):
+    return [(a, b) for a in range(k + 1) for b in range(k + 1 - a)]
 
 
 def sobolev_norm(f, k, p=2):
@@ -459,7 +440,7 @@ def sobolev_norm(f, k, p=2):
         raise InvalidArgumentError(f"k must be in 0..3, got {k}")
     if k >= 2 and any(m < 5 for m in f.grid.n):
         raise InvalidArgumentError("k >= 2 requires at least 5 nodes per axis")
-    derivs = [_alpha_derivative(f, a) for a in _multi_indices(f.grid.dim, k)]
+    derivs = [_alpha_derivative(f, a) for a in _multi_indices(k)]
     if p == 2:
         w = f.grid.quadrature_weights()
         total = 0.0

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedDimensionError
 from .fields import Field, _diff_axis, gradient_values, interp_values
 from .motion import _contract
 
@@ -35,10 +34,7 @@ def pull_back_state(rho, u, flow_map, t):
     d = grid.dim
     pos = flow_map.positions(t)
     rho_vals = np.asarray(rho(pos), dtype=float).reshape(grid.shape)
-    u_vals = np.asarray(u(pos), dtype=float)
-    if u_vals.ndim == 1:
-        u_vals = u_vals[:, None]
-    u_vals = u_vals.T.reshape((d,) + tuple(grid.shape))
+    u_vals = np.asarray(u(pos), dtype=float).T.reshape((d,) + tuple(grid.shape))
     return Field(grid, rho_vals, t), Field(grid, u_vals, t)
 
 
@@ -177,10 +173,7 @@ class BoundaryData:
         return self.faces[face]["d"]
 
     def stress(self, face):
-        b = self.faces[face]["B"]
-        if b is None:
-            raise UnsupportedDimensionError("no tangential datum in 1D")
-        return b
+        return self.faces[face]["B"]
 
 
 def _gap_table(Jgap, x, y):
@@ -190,7 +183,7 @@ def _gap_table(Jgap, x, y):
 
 
 class FaceGaps:
-    """Frame gaps of one 2-D boundary face at t, per face node y.
+    """Frame gaps of one boundary face at t, per face node y.
 
     ``n_X``, ``tau_X``: the physical unit normal and tangent at X(t, y);
     ``dn`` = n_ref - n_X, ``dtau`` = tau_ref - tau_X; ``Vy`` = V(t, y),
@@ -250,13 +243,6 @@ def transformed_boundary_data(u_ref, V, flow_map, t, params):
     frame = flow_map.frame(t)
     nodes = grid.node_coords()
     faces = {}
-    if grid.dim == 1:
-        for face in grid.faces().values():
-            Vy = V.velocity(t, nodes[face.flat])
-            VX = V.velocity(t, frame.X[face.flat])
-            faces[face.name] = {"d": (VX - Vy) @ face.normal, "B": None}
-        return BoundaryData(faces, t)
-
     uvals = u_ref.values.reshape(2, -1).T
     G1 = gradient_values(u_ref)
     for face in grid.faces().values():

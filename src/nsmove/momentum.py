@@ -103,18 +103,15 @@ def assemble_stress_matrix(grid, params):
     lam = eta - 2 mu / 3 (Newtonian stress). The viscosities are constant, so
     on the tensor grid every E^{pq} is a Kronecker product of the 1-D P1
     matrices of :func:`_p1_matrices_1d`: E^00 = Kx (x) My, E^11 = Mx (x) Ky,
-    E^01 = Gx (x) Gy^T = (E^10)^T; in 1-D K = (2 mu + lam) Kx. Two-point
-    Gauss quadrature per cell gives the same matrix to round-off. Only exact
-    nonzeros are stored (13 per interior row in 2-D), and K is exactly
-    symmetric. The blocks are joined as CSR, never through COO, and each
-    term is freed once it has been used.
+    E^01 = Gx (x) Gy^T = (E^10)^T. Two-point Gauss quadrature per cell
+    gives the same matrix to round-off. Only exact nonzeros are stored (13
+    per interior row), and K is exactly symmetric. The blocks are joined as
+    CSR, never through COO, and each term is freed once it has been used.
     """
     mu = params.mu
     lam = params.eta - 2.0 * mu / 3.0
-    p1 = [_p1_matrices_1d(n, h) for n, h in zip(grid.shape, grid.spacing)]
-    if grid.dim == 1:
-        return ((2.0 * mu + lam) * p1[0][0]).tocsr()
-    (Kx, Mx, Gx), (Ky, My, Gy) = p1
+    (Kx, Mx, Gx), (Ky, My, Gy) = [_p1_matrices_1d(n, h)
+                                  for n, h in zip(grid.shape, grid.spacing)]
     Exx = sp.kron(Kx, My, format="csr")
     Eyy = sp.kron(Mx, Ky, format="csr")
     lap = mu * (Exx + Eyy)
@@ -136,9 +133,8 @@ def assemble_friction_matrix(grid, kappa):
     kappa blockdiag(Wx (x) Ey, Ex (x) Wy), with W the 1-D trapezoid weights
     and E the selector of the two end nodes (both diagonal).
     """
-    d = grid.dim
-    if d == 1 or kappa == 0.0:
-        return sp.csr_matrix((d * grid.num_nodes, d * grid.num_nodes))
+    if kappa == 0.0:
+        return sp.csr_matrix((2 * grid.num_nodes, 2 * grid.num_nodes))
     w, e = [], []
     for n, h in zip(grid.shape, grid.spacing):
         ends = np.zeros(n)
@@ -199,6 +195,12 @@ def _face_datum(name, fn, t, face, npts):
     return vals
 
 
+def _check_bc_kind(bc, params):
+    if bc.kind != params.bc:
+        raise InvalidArgumentError(
+            f"boundary data are {bc.kind!r} but params.bc is {params.bc!r}")
+
+
 def _dirichlet_data(grid, bc, t):
     """(sorted dof indices, values) of the strongly enforced constraints at time t."""
     d = grid.dim
@@ -232,7 +234,7 @@ def _slip_boundary_load(grid, bc, params, t):
     d = grid.dim
     N = grid.num_nodes
     load = np.zeros(d * N)
-    if bc.kind != "slip" or d == 1:
+    if bc.kind != "slip":
         return load
     pts = grid.node_coords()
     for face in grid.faces().values():
@@ -297,11 +299,14 @@ class _CrankNicolsonSystem:
     zero rows on the constrained dofs. Each coarser level halves every axis
     that still has more than ``_COARSEST_NODES`` nodes, m nodes to (m + 1) // 2
     on the same interval, and keeps the others, until no axis is longer: the
-    coarsest level has at most 5 nodes per axis (at most 50 dofs in 2-D) on
-    every grid. :meth:`set_mass` writes the step's mass m into the diagonal of
-    every level: F m into H's on level 0, and P^T m of the level above on a
-    coarse one, the lumped Galerkin mass diag(P^T M P 1) as P 1 is the free
-    mask (all ones below level 0). It then inverts the coarsest level densely,
+    coarsest level has at most 5 nodes per axis (at most 50 dofs) on every
+    grid. A coarse dof whose fine children are all constrained (a face dof of
+    an axis that is kept, not halved) has an empty column in P; it gets an
+    identity row, as a constrained dof does on level 0, and is masked in the
+    next prolongation. :meth:`set_mass` writes the step's mass m into the
+    diagonal of every level: F m into H's on level 0, and P^T m of the level
+    above on a coarse one, the lumped Galerkin mass diag(P^T M P 1) as P 1 is
+    the mask of the level above. It then inverts the coarsest level densely,
     in numpy. :meth:`solve` runs CG and then restores H's bare diagonal, so
     that between steps H is A/2 for the explicit half step and the midpoint
     product. Each level smooths with one damped-Jacobi sweep
@@ -328,8 +333,11 @@ class _CrankNicolsonSystem:
             P = (sp.diags(masks[-1]) @ P).tocsr()
             self.prolong.append(P)
             self.restrict.append(P.T)
-            self.ops.append(P.T.tocsr() @ self.ops[-1] @ P)
-            masks.append(np.ones(P.shape[1]))
+            op = P.T.tocsr() @ self.ops[-1] @ P
+            masks.append((np.bincount(P.indices, minlength=P.shape[1]) > 0) * 1.0)
+            if not masks[-1].all():
+                op = op + sp.diags(1.0 - masks[-1])
+            self.ops.append(op)
         self._slots, self._base, self._offdiag = [], [], []
         # level 0: row sums over the free columns, identity rows on the constrained dofs
         for op, free in zip(self.ops, masks):
@@ -440,9 +448,7 @@ def solve_linear_momentum(rho, rhs, bc, u0, params, dt, T):
     ``params.bc``. The density is frozen per step at the midpoint.
     Returns (list of velocity Fields including the initial level, reports).
     """
-    if bc.kind != params.bc:
-        raise InvalidArgumentError(
-            f"boundary data are {bc.kind!r} but params.bc is {params.bc!r}")
+    _check_bc_kind(bc, params)
     grid = u0.grid
     d = grid.dim
     N = grid.num_nodes
@@ -496,18 +502,22 @@ def solve_linear_momentum(rho, rhs, bc, u0, params, dt, T):
     return levels, reports
 
 
-def momentum_energy_residual(u_levels, times, rho, rhs, params, bc=None):
+def momentum_energy_residual(u_levels, times, rho, rhs, params, bc):
     """Discrete energy-identity imbalance per step, by independent quadrature.
 
     Evaluates d/dt int rho |u|^2/2 + int S(grad u):grad u - int F.u
     - boundary work (slip), with trapezoid quadrature and FD gradients that
     do not reuse the assembled operator; the imbalance is O(dt^2 + h^2) on
     smooth solutions. Testing is against u (V-terms folded into rhs/bc data).
+    ``bc`` is the solve's :class:`MomentumBC`, whose kind must be
+    ``params.bc``: a slip boundary adds its stress datum's work and the
+    friction.
     """
+    _check_bc_kind(bc, params)
     grid = u_levels[0].grid
     d = grid.dim
     w = grid.quadrature_weights().ravel()
-    slip = bc is not None and bc.kind == "slip" and d == 2
+    slip = bc.kind == "slip"
     if slip:
         pts, faces = grid.node_coords(), grid.faces().values()
     records = []

@@ -65,7 +65,6 @@ class MotionField:
 
     @classmethod
     def translation(cls, c):
-        c = np.atleast_1d(np.asarray(c, dtype=float))
         return cls._affine(np.zeros((len(c), len(c))), c)
 
     @classmethod
@@ -131,10 +130,7 @@ class MotionField:
 
 
 def _mat_inv(J):
-    """Vectorized inverse of (..., d, d) with d in {1, 2}."""
-    d = J.shape[-1]
-    if d == 1:
-        return 1.0 / J
+    """Vectorized inverse of (..., 2, 2)."""
     a, b = J[..., 0, 0], J[..., 0, 1]
     c, e = J[..., 1, 0], J[..., 1, 1]
     det = a * e - b * c
@@ -252,9 +248,9 @@ class Frame:
 
     ``XJ`` stacks X | gradX node-major into (N, d + d^2), and ``X`` and ``J``
     are views of it; ``inv`` is gradY at the feet, the per-node inverse of
-    gradX; ``det`` is det gradX > 0. In 2-D ``faces`` is {name: (flat, n,
-    tau)}: the physical unit normal at the image of each face node
-    (gradY^T n_ref, renormalized) and its quarter turn; ``None`` in 1-D.
+    gradX; ``det`` is det gradX > 0. ``faces`` is {name: (flat, n, tau)}:
+    the physical unit normal at the image of each face node (gradY^T n_ref,
+    renormalized) and its quarter turn.
     """
 
     t: float
@@ -263,16 +259,13 @@ class Frame:
     J: np.ndarray
     inv: np.ndarray
     det: np.ndarray
-    faces: dict | None
+    faces: dict
 
 
 def _checked_det(J, t, grid):
     """det gradX per node; raises :class:`DegenerateMapError` with the node
     where it is smallest if it is <= 0 anywhere."""
-    if J.shape[-1] == 1:
-        det = J[..., 0, 0]
-    else:
-        det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+    det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
     if np.any(det <= 0):
         bad = int(np.argmin(det))
         raise DegenerateMapError(
@@ -281,14 +274,11 @@ def _checked_det(J, t, grid):
 
 
 def _checked_points(grid, x, t):
-    """x as (npts, d) floats, as :func:`~nsmove.fields.interp_matrix` reads
-    points: (npts,) is a column on a 1-D grid. Any other shape, or a
-    non-finite coordinate, raises :class:`InvalidArgumentError`."""
-    pts = np.asarray(x, dtype=float)
-    if grid.dim == 1 and pts.ndim <= 1:
-        pts = np.atleast_1d(pts)[:, np.newaxis]
-    pts = np.atleast_2d(pts)
-    if pts.ndim != 2 or pts.shape[1] != grid.dim:
+    """x as (npts, 2) floats, as :func:`~nsmove.fields.interp_matrix` reads
+    points. Any other shape, or a non-finite coordinate, raises
+    :class:`InvalidArgumentError`."""
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    if pts.shape[1:] != (grid.dim,):
         raise InvalidArgumentError(
             f"points to invert at t={t} have shape {np.shape(x)}; "
             f"expected (npts, {grid.dim})")
@@ -393,15 +383,13 @@ class FlowMap:
         X, J = XJ[:, :d], XJ[:, d:].reshape(N, d, d)
         det = _checked_det(J, t, self.grid)
         inv = _mat_inv(J)
-        faces = None
-        if d == 2:
-            faces = {}
-            for face in self.grid.faces().values():
-                # inverse-transpose: n_phys ~ gradY^T n_ref
-                n = np.einsum("pji,j->pi", inv[face.flat], face.normal)
-                n /= np.linalg.norm(n, axis=1, keepdims=True)
-                faces[face.name] = (face.flat, n, rotate90(n))
-        for a in chain((XJ, X, J, inv, det), *(faces or {}).values()):
+        faces = {}
+        for face in self.grid.faces().values():
+            # inverse-transpose: n_phys ~ gradY^T n_ref
+            n = np.einsum("pji,j->pi", inv[face.flat], face.normal)
+            n /= np.linalg.norm(n, axis=1, keepdims=True)
+            faces[face.name] = (face.flat, n, rotate90(n))
+        for a in chain((XJ, X, J, inv, det), *faces.values()):
             a.setflags(write=False)
         self._frame = Frame(float(t), XJ, X, J, inv, det, faces)
         return self._frame
@@ -430,8 +418,8 @@ class FlowMap:
         reference node whose stored position X(t, z) is nearest to x (found
         by :func:`_nearest_node`), or from a caller-provided seed.
 
-        x has shape (npts, d), or (npts,) on a 1-D grid; any other shape, or
-        a non-finite coordinate, raises :class:`InvalidArgumentError`. Raises
+        x has shape (npts, 2); any other shape, or a non-finite coordinate,
+        raises :class:`InvalidArgumentError`. Raises
         :class:`InversionFailureError` if Newton has not converged."""
         x = _checked_points(self.grid, x, t)
         XJ = self._stack(t)

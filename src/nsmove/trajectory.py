@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import InvalidArgumentError
-from .fields import gradient_values
+from .fields import gradient_values, level_times
 from .motion import physical_gradient
 
 
@@ -18,7 +16,7 @@ class StateTrajectory:
     """
 
     def __init__(self, times, rho_fields, u_fields, flow_map=None):
-        self.times = np.asarray(times, dtype=float)
+        self.times = level_times(times)
         self.rho = list(rho_fields)
         self.u = list(u_fields)
         if len(self.rho) != len(self.times) or len(self.u) != len(self.times):

@@ -22,6 +22,7 @@ from .fields import (
     interp_matrix,
     interp_values,
     level_bracket,
+    level_times,
 )
 from .motion import FlowMap, _check_steps, _rk4_levels, physical_gradient
 
@@ -47,7 +48,7 @@ class DiscreteVelocity:
     """
 
     def __init__(self, times, fields, flow_map=None):
-        self.times = np.asarray(times, dtype=float)
+        self.times = level_times(times)
         self.fields = list(fields)
         if len(self.times) != len(self.fields):
             raise InvalidArgumentError("one velocity field per time level required")

@@ -140,6 +140,19 @@ def _static_trajectory(grid, times, rho_fn, u_fn, flow_map=None):
     return StateTrajectory(times, rhos, us, flow_map)
 
 
+class TestStateTrajectory:
+    @pytest.mark.parametrize("times", [[], [0.0, 0.2, 0.1], [0.0, 0.1, 0.1]],
+                             ids=["empty", "unordered", "repeated"])
+    def test_level_times_checked(self, times):
+        # out-of-order levels would feed the energy rates negative time
+        # steps; no levels at all would be an IndexError
+        g = Grid((9, 9), (0.0, 0.0), (1.0, 1.0))
+        rhos = [Field(g, np.ones(g.shape), t) for t in times]
+        us = [Field.zeros(g, ncomp=2, t=t) for t in times]
+        with pytest.raises(InvalidArgumentError, match="non-empty and increasing"):
+            StateTrajectory(times, rhos, us)
+
+
 class TestEnergyInequality:
     def test_rest_state_zero_residual(self):
         g = Grid((17, 17), (0.0, 0.0), (1.0, 1.0))

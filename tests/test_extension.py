@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nsmove.errors import InvalidArgumentError, UnsupportedDimensionError
+from nsmove.errors import InvalidArgumentError
 from nsmove.extension import (
     extend_boundary_data,
     extension_norm_report,
@@ -204,10 +204,3 @@ class TestValidation:
         context = {"V": V, "flow_map": advect_flow_map(V, g, 0.1, 0.05)}
         with pytest.raises(InvalidArgumentError, match="both V and flow_map"):
             extend_boundary_data(zero_data(g, 0.1), g, **{given: context[given]})
-
-    def test_1d_unsupported(self):
-        g = Grid((17,), (0.0,), (1.0,))
-        with pytest.raises(UnsupportedDimensionError):
-            extend_boundary_data(BoundaryData({"x0": {"d": np.zeros(1), "B": None},
-                                               "x1": {"d": np.zeros(1), "B": None}},
-                                              0.0), g)

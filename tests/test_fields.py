@@ -21,10 +21,7 @@ from nsmove.fields import (
     sobolev_norm,
 )
 from nsmove.motion import FlowMap
-
-
-def grid1d(n=65):
-    return Grid((n,), (0.0,), (1.0,))
+from xonly import thin_grid, x_field, x_points
 
 
 def grid2d(n=33):
@@ -51,15 +48,6 @@ class TestFaces:
             edge = g.lo[face.axis] if name.endswith("0") else g.hi[face.axis]
             assert np.all(coords[:, face.axis] == edge)
             assert np.all(np.diff(coords[:, 1 - face.axis]) > 0)
-
-    def test_1d_normals(self):
-        faces = grid1d(9).faces()
-        assert np.array_equal(faces["x0"].flat, [0])
-        assert np.array_equal(faces["x1"].flat, [8])
-        assert np.array_equal(faces["x0"].normal, [-1.0])
-        assert np.array_equal(faces["x1"].normal, [1.0])
-        assert all(f.axis == 0 and f.tangent is None and f.weights is None
-                   for f in faces.values())
 
 
 class TestLevelBracket:
@@ -118,14 +106,19 @@ class TestGrid:
 
     def test_rejects_small_grids(self):
         with pytest.raises(InvalidArgumentError):
-            Grid((3,), (0.0,), (1.0,))
+            Grid((3, 9), (0.0, 0.0), (1.0, 1.0))
+
+    @pytest.mark.parametrize("axes", [1, 3])
+    def test_exactly_two_axes(self, axes):
+        with pytest.raises(InvalidArgumentError, match=f"exactly 2 axes, got {axes}"):
+            Grid((9,) * axes, (0.0,) * axes, (1.0,) * axes)
 
     def test_immutable(self):
-        g = grid1d()
+        g = grid2d()
         with pytest.raises(Exception):
-            g.n = (5,)
+            g.n = (5, 5)
 
-    @pytest.mark.parametrize("grid", [grid1d(9), Grid((9, 11), (0.0, 0.0), (1.0, 2.0))])
+    @pytest.mark.parametrize("grid", [thin_grid(9), Grid((9, 11), (0.0, 0.0), (1.0, 2.0))])
     def test_nodes_and_faces_built_once(self, grid):
         # one read-only array per grid; the per-call build it replaced is the oracle
         pts = grid.node_coords()
@@ -136,7 +129,7 @@ class TestGrid:
         faces.clear()  # the caller's dict, not the grid's
         assert list(grid.faces()) == list(grid.face_names)
         arrays = [pts] + [a for f in grid.faces().values()
-                          for a in (f.flat, f.normal, f.tangent, f.weights) if a is not None]
+                          for a in (f.flat, f.normal, f.tangent, f.weights)]
         for a in arrays:
             with pytest.raises(ValueError):
                 a[0] = 0.0
@@ -146,28 +139,27 @@ class TestGrid:
 
 class TestDifferentiate:
     def test_constant_derivative_zero(self):
-        g = grid1d()
+        g = thin_grid(65)
         f = Field(g, np.full(g.shape, 3.7))
         assert np.allclose(differentiate(f, 0, 1).values, 0.0)
         assert np.allclose(differentiate(f, 0, 2).values, 0.0)
 
     def test_linear_exact_everywhere(self):
-        g = grid1d()
-        x = g.axis_coords(0)
-        f = Field(g, 2.5 * x)
+        g = thin_grid(65)
+        f = x_field(g, lambda x: 2.5 * x)
         d = differentiate(f, 0, 1)
         assert np.allclose(d.values, 2.5, atol=1e-13)
 
     def test_quadratic_first_derivative(self):
-        g = grid1d(65)
-        x = g.axis_coords(0)
-        f = Field(g, x**2)
+        g = thin_grid(65)
+        x = g.axis_coords(0)[:, None]
+        f = x_field(g, lambda x: x**2)
         d = differentiate(f, 0, 1).values[0]
         interior_err = np.max(np.abs(d[1:-1] - 2 * x[1:-1]))
         assert interior_err <= 1e-10
         # one-sided stencil is exact on quadratics as well
-        assert abs(d[0] - 2 * x[0]) <= 1e-10
-        assert abs(d[-1] - 2 * x[-1]) <= 1e-10
+        assert np.max(np.abs(d[0] - 2 * x[0])) <= 1e-10
+        assert np.max(np.abs(d[-1] - 2 * x[-1])) <= 1e-10
 
     def test_second_derivative_2d(self):
         g = grid2d(41)
@@ -178,7 +170,7 @@ class TestDifferentiate:
         assert np.max(np.abs(d - exact)) < 6e-3
 
     def test_linearity(self):
-        g = grid1d(33)
+        g = thin_grid(33)
         rng = np.random.default_rng(0)
         f = Field(g, rng.standard_normal(g.shape))
         h = Field(g, rng.standard_normal(g.shape))
@@ -188,20 +180,20 @@ class TestDifferentiate:
         assert np.allclose(lhs, rhs, atol=1e-12)
 
     def test_axis_out_of_range(self):
-        g = grid1d()
+        g = grid2d()
         f = Field.zeros(g)
         with pytest.raises(InvalidArgumentError):
-            differentiate(f, 1, 1)
+            differentiate(f, 2, 1)
 
 
 class TestInterpolate:
     def test_node_values_exact(self):
-        g = grid1d(17)
+        g = thin_grid(17)
         rng = np.random.default_rng(1)
         f = Field(g, rng.standard_normal(g.shape))
         pts = g.node_coords()
         out = interpolate(f, pts)
-        assert np.allclose(out, f.values[0], atol=1e-13)
+        assert np.allclose(out, f.values[0].ravel(), atol=1e-13)
 
     def test_linear_reproduction(self):
         g = grid2d(9)
@@ -214,27 +206,26 @@ class TestInterpolate:
 
     def test_sin_regression_bound(self):
         # C measured once on this configuration and frozen with headroom.
-        g = grid1d(65)
-        f = Field.from_function(g, lambda p: np.sin(2 * np.pi * p[:, 0]))
+        g = thin_grid(65)
+        f = x_field(g, lambda x: np.sin(2 * np.pi * x))
         rng = np.random.default_rng(3)
-        pts = rng.uniform(0.05, 0.95, size=(400,))
-        out = interpolate(f, pts)
-        err = np.max(np.abs(out - np.sin(2 * np.pi * pts)))
+        x = rng.uniform(0.05, 0.95, size=(400,))
+        out = interpolate(f, np.column_stack([x, rng.uniform(0.0, 1.0, size=400)]))
+        err = np.max(np.abs(out - np.sin(2 * np.pi * x)))
         h = g.spacing[0]
         assert err <= 400.0 * h**4
 
     def test_out_of_domain_raises(self):
-        g = grid1d()
+        g = thin_grid(65)
         f = Field.zeros(g)
         with pytest.raises(OutOfDomainError) as exc:
-            interpolate(f, np.array([1.5]))
+            interpolate(f, x_points([1.5]))
         assert exc.value.point is not None
 
     def test_clamp_mode(self):
-        g = grid1d()
-        x = g.axis_coords(0)
-        f = Field(g, x)
-        out = interpolate(f, np.array([1.2]), out_of_bounds="clamp")
+        g = thin_grid(65)
+        f = x_field(g, lambda x: x)
+        out = interpolate(f, x_points([1.2]), out_of_bounds="clamp")
         assert np.allclose(out, 1.0)
 
     def test_unknown_bounds_mode_rejected(self):
@@ -305,13 +296,9 @@ def _reference_interp_matrix(grid, pts):
 
 
 def _gather_einsum(grid, vals, pts):
-    """Reference kernel: gather the 4 (1D) or 4 x 4 (2D) neighbours and
-    contract them with the per-axis stencil weights; clamps like 'clamp'."""
+    """Reference kernel: gather the 4 x 4 neighbours and contract them with
+    the per-axis stencil weights; clamps like 'clamp'."""
     xis = _clamped_index_coords(grid, pts)
-    if grid.dim == 1:
-        start, w = _axis_stencil(xis[0], grid.n[0])
-        gathered = vals[:, start[:, None] + np.arange(4)]
-        return np.einsum("cpk,pk->pc", gathered, w)
     s0, w0 = _axis_stencil(xis[0], grid.n[0])
     s1, w1 = _axis_stencil(xis[1], grid.n[1])
     i0 = s0[:, None] + np.arange(4)
@@ -334,35 +321,37 @@ def _axis_samples(rng, lo, hi, n):
 
 
 class TestInterpMatrix:
-    GRIDS = {1: Grid((17,), (0.25,), (1.25,)),
+    # 1: a thin grid, whose 5-node y-axis has two one-sided edge cells and
+    # two Catmull-Rom cells
+    GRIDS = {1: thin_grid(17, 0.25, 1.25),
              2: Grid((13, 10), (-0.5, 0.0), (0.5, 2.0))}
 
-    def _points(self, dim, rng):
-        g = self.GRIDS[dim]
-        axes = [_axis_samples(rng, g.lo[a], g.hi[a], g.n[a]) for a in range(dim)]
+    def _points(self, key, rng):
+        g = self.GRIDS[key]
+        axes = [_axis_samples(rng, g.lo[a], g.hi[a], g.n[a]) for a in range(2)]
         # every pairing of the per-axis samples
-        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
 
-    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("key", [1, 2])
     @pytest.mark.parametrize("c", [1, 2, 4])
-    def test_matches_gather_einsum_reference(self, dim, c):
-        g = self.GRIDS[dim]
-        rng = np.random.default_rng(10 * dim + c)
+    def test_matches_gather_einsum_reference(self, key, c):
+        g = self.GRIDS[key]
+        rng = np.random.default_rng(10 * key + c)
         vals = rng.standard_normal((c,) + g.shape)
-        pts = self._points(dim, rng)
+        pts = self._points(key, rng)
         ref = _gather_einsum(g, vals, pts)
         got = interp_values(g, vals, pts, out_of_bounds="clamp")
         assert got.shape == (len(pts), c)
         assert np.max(np.abs(got - ref)) <= 1e-13
 
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_rows_sum_to_one_with_full_stencils(self, dim):
-        g = self.GRIDS[dim]
-        pts = self._points(dim, np.random.default_rng(dim))
+    @pytest.mark.parametrize("key", [1, 2])
+    def test_rows_sum_to_one_with_full_stencils(self, key):
+        g = self.GRIDS[key]
+        pts = self._points(key, np.random.default_rng(key))
         M = interp_matrix(g, pts, out_of_bounds="clamp")
         assert M.shape == (len(pts), g.num_nodes)
-        assert np.all(np.diff(M.indptr) == 4**dim)
-        assert M.nnz == 4**dim * len(pts)
+        assert np.all(np.diff(M.indptr) == 16)
+        assert M.nnz == 16 * len(pts)
         assert np.max(np.abs(np.asarray(M.sum(axis=1)).ravel() - 1.0)) <= 1e-14
 
     def test_raise_carries_the_point(self):
@@ -386,11 +375,11 @@ class TestInterpMatrix:
             assert getattr(got, key).dtype == getattr(ref, key).dtype
             assert np.array_equal(getattr(got, key), getattr(ref, key))
 
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_csr_arrays_match_reference_on_samples(self, dim):
+    @pytest.mark.parametrize("key", [1, 2])
+    def test_csr_arrays_match_reference_on_samples(self, key):
         # weights, columns and row pointers keep their bits, clamped points included
-        g = self.GRIDS[dim]
-        pts = self._points(dim, np.random.default_rng(20 + dim))
+        g = self.GRIDS[key]
+        pts = self._points(key, np.random.default_rng(20 + key))
         self._assert_same_csr(interp_matrix(g, pts, out_of_bounds="clamp"),
                               _reference_interp_matrix(g, pts))
 
@@ -419,15 +408,16 @@ class TestInterpMatrix:
 
     @pytest.mark.parametrize("mode", ["raise", "clamp"])
     @pytest.mark.parametrize("pts", [
-        [0.5, np.nan, np.inf],
+        [[0.5, 0.5], [np.nan, 0.5], [np.inf, 0.5]],
         [[0.5, 0.5], [0.2, np.inf], [np.nan, 0.1]],
         [[0.5, 1.5], [np.nan, 0.5]],
     ], ids=["1d", "2d", "2d-outside-first"])
     def test_non_finite_point_refused(self, pts, mode):
         # a NaN once gave a row of NaN weights on an arbitrary cell; the
         # first non-finite point, pts[1], is named before any point outside
+        # (1d: non-finite in x only)
         pts = np.array(pts)
-        g = grid1d(9) if pts.ndim == 1 else grid2d(9)
+        g = grid2d(9)
         with pytest.raises(InvalidArgumentError, match=re.escape(str(pts[1]))):
             interp_matrix(g, pts, out_of_bounds=mode)
 
@@ -441,26 +431,26 @@ class TestSobolevNorm:
                 assert sobolev_norm(f, k, p) == 0.0
 
     def test_constant_l2(self):
-        g = grid1d()
+        g = thin_grid(65)
         f = Field(g, np.full(g.shape, -2.0))
         assert abs(sobolev_norm(f, 0, 2) - 2.0) < 1e-13
 
     def test_sin_h1(self):
-        g = grid1d(257)
-        f = Field.from_function(g, lambda p: np.sin(2 * np.pi * p[:, 0]))
+        g = thin_grid(257)
+        f = x_field(g, lambda x: np.sin(2 * np.pi * x))
         val = sobolev_norm(f, 1, 2)
         exact = np.sqrt(0.5 + 2 * np.pi**2)
         assert abs(val - exact) < 1e-3
 
     def test_monotone_in_k(self):
-        g = grid1d(65)
-        f = Field.from_function(g, lambda p: np.exp(p[:, 0]) * np.cos(3 * p[:, 0]))
+        g = thin_grid(65)
+        f = x_field(g, lambda x: np.exp(x) * np.cos(3 * x))
         norms = [sobolev_norm(f, k, 2) for k in (0, 1, 2)]
         assert norms[0] <= norms[1] <= norms[2]
 
 
 class TestIntegrate:
     def test_integrate(self):
-        g = grid1d(129)
-        f = Field.from_function(g, lambda p: p[:, 0])
+        g = thin_grid(129)
+        f = x_field(g, lambda x: x)
         assert abs(integrate(f) - 0.5) < 1e-12

@@ -25,31 +25,33 @@ from nsmove.momentum import (
     momentum_energy_residual,
     solve_linear_momentum,
 )
+from xonly import thin_grid
 
 
 def zero_v(t, pts):
     return np.zeros_like(np.atleast_2d(pts))
 
 
-def manufactured_1d(n, steps, mu=0.2, eta=0.1, T=0.25):
-    g = Grid((n,), (0.0,), (1.0,))
-    x = g.axis_coords(0)
+def manufactured_x_only(n, steps, mu=0.2, eta=0.1, T=0.25):
+    """u = e^{-t} (sin(pi x), 0), the interval's no-slip solution, on the
+    x-only embedding: slip with kappa = 0 fixes u_x = 0 on the x-faces and
+    u_y = 0 on the y-faces and leaves the shear stress free, which (u_x, 0)
+    satisfies. Returns (L2 error at T, levels, rhs, params, bc)."""
+    g = thin_grid(n)
+    base = np.column_stack([np.sin(np.pi * g.node_coords()[:, 0]), np.zeros(g.num_nodes)])
     c = 4 * mu / 3 + eta
 
-    def exact(t):
-        return np.exp(-t) * np.sin(np.pi * x)
-
     def rhs(t):
-        return ((-1 + c * np.pi**2) * np.exp(-t) * np.sin(np.pi * x))[:, None]
+        return (-1 + c * np.pi**2) * np.exp(-t) * base
 
-    params = FluidParams(mu=mu, eta=eta, bc="no-slip")
-    bc = MomentumBC.no_slip(zero_v)
-    u0 = Field(g, exact(0.0))
-    levels, reports = solve_linear_momentum(
-        lambda t: np.ones(n), rhs, bc, u0, params, T / steps, T)
-    err = levels[-1].values[0] - exact(T)
+    params = FluidParams(mu=mu, eta=eta, kappa=0.0, bc="slip")
+    bc = MomentumBC.slip(zero_v)
+    u0 = Field(g, base.T.reshape((2,) + g.shape))
+    levels, _ = solve_linear_momentum(
+        lambda t: np.ones(g.num_nodes), rhs, bc, u0, params, T / steps, T)
+    err = levels[-1].values - np.exp(-T) * u0.values
     w = g.quadrature_weights()
-    return float(np.sqrt(np.sum(w * err**2))), reports
+    return float(np.sqrt(np.sum(w * err**2))), levels, rhs, params, bc
 
 
 def manufactured_2d_slip(n, steps, mu=0.3, T=0.1):
@@ -84,24 +86,18 @@ def gauss_stiffness_reference(grid, params):
     block of components (c1, c2) is mu (delta (E^00 + E^11) + E^{c2 c1})
     + lam E^{c1 c2}, with E^{pq} = w dN_p outer dN_q."""
     d, N = grid.dim, grid.num_nodes
-    if d == 1:
-        i = np.arange(grid.n[0] - 1)
-        cells = np.stack([i, i + 1], axis=1)
-        dN = np.array([-1.0, 1.0]) / grid.spacing[0]
-        tmpl = [{(0, 0): 0.5 * grid.spacing[0] * np.outer(dN, dN)} for _ in _GAUSS]
-    else:
-        nx, ny = grid.n
-        hx, hy = grid.spacing
-        i, j = np.meshgrid(np.arange(nx - 1), np.arange(ny - 1), indexing="ij")
-        base = (i * ny + j).ravel()
-        cells = np.stack([base, base + ny, base + 1, base + ny + 1], axis=1)
-        tmpl = []
-        for gx in _GAUSS:
-            for gy in _GAUSS:
-                dN = [np.array([-(1 - gy), (1 - gy), -gy, gy]) / hx,
-                      np.array([-(1 - gx), -gx, (1 - gx), gx]) / hy]
-                tmpl.append({(p, q): 0.25 * hx * hy * np.outer(dN[p], dN[q])
-                             for p in range(2) for q in range(2)})
+    nx, ny = grid.n
+    hx, hy = grid.spacing
+    i, j = np.meshgrid(np.arange(nx - 1), np.arange(ny - 1), indexing="ij")
+    base = (i * ny + j).ravel()
+    cells = np.stack([base, base + ny, base + 1, base + ny + 1], axis=1)
+    tmpl = []
+    for gx in _GAUSS:
+        for gy in _GAUSS:
+            dN = [np.array([-(1 - gy), (1 - gy), -gy, gy]) / hx,
+                  np.array([-(1 - gx), -gx, (1 - gx), gx]) / hy]
+            tmpl.append({(p, q): 0.25 * hx * hy * np.outer(dN[p], dN[q])
+                         for p in range(2) for q in range(2)})
     mu, lam = params.mu, params.eta - 2.0 * params.mu / 3.0
     eye = np.eye(d)
     block = sum(np.array([[mu * (eye[c1, c2] * sum(E[(k, k)] for k in range(d)) + E[(c2, c1)])
@@ -136,11 +132,12 @@ def face_friction_reference(grid, kappa):
 
 class TestBasics:
     def test_zero_everything_stays_zero(self):
-        g = Grid((17,), (0.0,), (1.0,))
+        g = thin_grid(17)
+        N = g.num_nodes
         params = FluidParams(mu=0.5, bc="no-slip")
-        u0 = Field.zeros(g)
+        u0 = Field.zeros(g, ncomp=2)
         levels, reports = solve_linear_momentum(
-            lambda t: np.ones(17), lambda t: np.zeros((17, 1)),
+            lambda t: np.ones(N), lambda t: np.zeros((N, 2)),
             MomentumBC.no_slip(zero_v), u0, params, 0.01, 0.1)
         assert all(np.max(np.abs(l.values)) == 0.0 for l in levels)
         assert all(r.residual <= 1e-10 for r in reports)
@@ -148,17 +145,18 @@ class TestBasics:
     @pytest.mark.parametrize("T, dt", [(0.1, 0.0), (-0.1, 0.01)])
     def test_bad_horizon_or_step_rejected(self, T, dt):
         # a negative T would make a negative step count, and no step run
-        g = Grid((17,), (0.0,), (1.0,))
+        g = thin_grid(17)
+        N = g.num_nodes
         with pytest.raises(InvalidArgumentError, match=f"T = {T}, dt = {dt}"):
             solve_linear_momentum(
-                lambda t: np.ones(17), lambda t: np.zeros((17, 1)),
-                MomentumBC.no_slip(zero_v), Field.zeros(g),
+                lambda t: np.ones(N), lambda t: np.zeros((N, 2)),
+                MomentumBC.no_slip(zero_v), Field.zeros(g, ncomp=2),
                 FluidParams(mu=0.5, bc="no-slip"), dt, T)
 
     def test_operator_symmetry(self):
         # exact: mirrored entries are products of the same 1-D factors
         params = FluidParams(mu=0.7, eta=0.2, bc="slip")
-        for g in (Grid((9, 11), (0.0, 0.0), (1.0, 2.0)), Grid((9,), (0.0,), (1.0,))):
+        for g in (Grid((9, 11), (0.0, 0.0), (1.0, 2.0)), thin_grid(9)):
             K = assemble_stress_matrix(g, params)
             gap = abs(K - K.T)
             assert (gap.max() if gap.nnz else 0.0) == 0.0
@@ -166,32 +164,30 @@ class TestBasics:
     def test_constant_viscosity_matches_nodal(self):
         # the Kronecker form against the cell-by-cell Gauss assembly it replaced
         params = FluidParams(mu=0.7, eta=0.2, bc="slip")
-        for g in (Grid((9, 11), (0.0, 0.0), (1.0, 2.0)), Grid((9,), (0.0,), (1.0,))):
+        for g in (Grid((9, 11), (0.0, 0.0), (1.0, 2.0)), thin_grid(9)):
             K = assemble_stress_matrix(g, params)
             K_ref = gauss_stiffness_reference(g, params)
             assert abs(K - K_ref).max() <= 1e-14 * abs(K_ref).max()
-            if g.dim == 2:
-                # only exact nonzeros: 9 in the own component's block, 4 in the other's
-                stored = np.diff(K.indptr).reshape(2, *g.shape)
-                assert np.all(stored[:, 1:-1, 1:-1] == 13)
+            # only exact nonzeros: 9 in the own component's block, 4 in the other's
+            stored = np.diff(K.indptr).reshape(2, *g.shape)
+            assert np.all(stored[:, 1:-1, 1:-1] == 13)
 
     def test_friction_matches_face_loop(self):
         g = Grid((9, 11), (0.0, 0.0), (1.0, 2.0))
         F, F_ref = assemble_friction_matrix(g, 0.7), face_friction_reference(g, 0.7)
         assert abs(F - F_ref).max() == 0.0
         assert F.nnz == F_ref.nnz == 2 * (9 + 11)  # u_x on the y-faces, u_y on the x-faces
-        assert assemble_friction_matrix(Grid((9,), (0.0,), (1.0,)), 0.7).nnz == 0
 
     @pytest.mark.parametrize("kind, shape", [
-        ("slip", (9, 11)), ("slip", (8,)), ("slip", (129, 129)), ("no-slip", (9, 11))])
+        ("slip", (9, 11)), ("slip", (8, 5)), ("slip", (129, 129)), ("no-slip", (9, 11))])
     def test_dirichlet_dofs_constrained_once(self, kind, shape):
         # slip fixes u_x on the x-faces and u_y on the y-faces: no dof twice
-        g = Grid(shape, (0.0,) * len(shape), (1.0,) * len(shape))
+        g = Grid(shape, (0.0, 0.0), (1.0, 1.0))
         bc = MomentumBC(kind, dilation, normal_datum=lambda t, face: 0.1)
         idx, vals = _dirichlet_data(g, bc, 0.1)
         assert np.all(np.diff(idx) > 0)
         expect = (sum(len(f.flat) for f in g.faces().values()) if kind == "slip"
-                  else g.dim * int(g.boundary_mask().sum()))
+                  else 2 * int(g.boundary_mask().sum()))
         assert len(idx) == len(vals) == expect
 
     @pytest.mark.parametrize("which, t", [("normal_datum", 0.01), ("stress_datum", 0.005)])
@@ -223,12 +219,13 @@ class TestBasics:
                               _slip_boundary_load(g, full, params, 0.1))
 
     def test_positivity_guard(self):
-        g = Grid((9,), (0.0,), (1.0,))
+        g = thin_grid(9)
+        N = g.num_nodes
         params = FluidParams(mu=0.5, bc="no-slip")
         with pytest.raises(PositivityViolationError):
             solve_linear_momentum(
-                lambda t: np.full(9, -1.0), lambda t: np.zeros((9, 1)),
-                MomentumBC.no_slip(zero_v), Field.zeros(g), params, 0.01, 0.02)
+                lambda t: np.full(N, -1.0), lambda t: np.zeros((N, 2)),
+                MomentumBC.no_slip(zero_v), Field.zeros(g, ncomp=2), params, 0.01, 0.02)
 
     def test_params_validation(self):
         with pytest.raises(InvalidArgumentError):
@@ -247,29 +244,39 @@ class TestBasics:
             solve_linear_momentum(
                 lambda t: np.ones(g.num_nodes), lambda t: np.zeros((g.num_nodes, 2)),
                 bc, Field.zeros(g, ncomp=2), params, 0.01, 0.02)
+        # the energy balance would drop, or add, the boundary work and friction
+        with pytest.raises(InvalidArgumentError, match="params.bc"):
+            momentum_energy_residual(
+                [Field.zeros(g, ncomp=2, t=t) for t in (0.0, 0.01)], np.array([0.0, 0.01]),
+                lambda t: np.ones(g.num_nodes), lambda t: np.zeros((g.num_nodes, 2)),
+                params, bc)
 
     def test_1d_slip_dirichlet_data(self):
-        # u.n = V.n + d with n = -1 at x0 and +1 at x1
-        g = Grid((9,), (0.0,), (1.0,))
-        bc = MomentumBC.slip(lambda t, p: np.full_like(p, 0.7),
-                             normal_datum=lambda t, face: np.array(
-                                 [0.2 if face == "x0" else 0.5]))
+        # u.n = V.n + d with n = -1 at x0 and +1 at x1, on the x-only
+        # embedding: V = (0.7, 0), and the y-faces fix u_y = 0
+        g = thin_grid(9)
+        bc = MomentumBC.slip(lambda t, p: np.full_like(p, 0.7) * [1.0, 0.0],
+                             normal_datum=lambda t, face: {"x0": 0.2, "x1": 0.5}.get(face, 0.0))
         idx, vals = _dirichlet_data(g, bc, 0.1)
-        assert np.array_equal(idx, [0, 8])
-        assert np.allclose(vals, [0.7 - 0.2, 0.7 + 0.5], rtol=0.0, atol=1e-15)
+        faces = g.faces()
+        ux = idx < g.num_nodes
+        assert np.array_equal(idx[ux], np.concatenate([faces["x0"].flat, faces["x1"].flat]))
+        assert np.allclose(vals[ux], np.repeat([0.7 - 0.2, 0.7 + 0.5], 5), rtol=0.0, atol=1e-15)
+        assert np.array_equal(vals[~ux], np.zeros(2 * 9))
 
     def test_homogeneous_energy_nonincreasing(self):
-        g = Grid((33,), (0.0,), (1.0,))
+        g = thin_grid(33)
+        N = g.num_nodes
         rng = np.random.default_rng(5)
-        vals = rng.standard_normal(g.shape)
-        vals[0] = vals[-1] = 0.0
+        vals = rng.standard_normal((2,) + g.shape)
+        vals[:, g.boundary_mask()] = 0.0
         u0 = Field(g, vals)
         params = FluidParams(mu=0.3, bc="no-slip")
         levels, _ = solve_linear_momentum(
-            lambda t: np.ones(33), lambda t: np.zeros((33, 1)),
+            lambda t: np.ones(N), lambda t: np.zeros((N, 2)),
             MomentumBC.no_slip(zero_v), u0, params, 0.01, 0.2)
         w = g.quadrature_weights()
-        energies = [float(np.sum(w * l.values[0] ** 2)) for l in levels]
+        energies = [float(np.sum(w * l.values ** 2)) for l in levels]
         assert all(e1 <= e0 + 1e-13 for e0, e1 in zip(energies, energies[1:]))
 
 
@@ -277,8 +284,7 @@ class TestManufactured:
     def test_1d_no_slip_convergence(self):
         errs = []
         for n, steps in ((33, 16), (65, 32), (129, 64)):
-            e, _ = manufactured_1d(n, steps)
-            errs.append(e)
+            errs.append(manufactured_x_only(n, steps)[0])
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) >= 1.9
 
@@ -290,33 +296,22 @@ class TestManufactured:
 
 class TestEnergyResidual:
     def test_zero_solution_all_zero(self):
-        g = Grid((17,), (0.0,), (1.0,))
-        levels = [Field.zeros(g, t=t) for t in (0.0, 0.1, 0.2)]
+        g = thin_grid(17)
+        N = g.num_nodes
+        levels = [Field.zeros(g, ncomp=2, t=t) for t in (0.0, 0.1, 0.2)]
         recs = momentum_energy_residual(
-            levels, np.array([0.0, 0.1, 0.2]), lambda t: np.ones(17),
-            lambda t: np.zeros((17, 1)), FluidParams(mu=0.4))
+            levels, np.array([0.0, 0.1, 0.2]), lambda t: np.ones(N),
+            lambda t: np.zeros((N, 2)), FluidParams(mu=0.4), MomentumBC.no_slip(zero_v))
         assert all(r["imbalance"] == 0.0 for r in recs)
 
     def test_manufactured_imbalance_refines(self):
-        g = {}
         out = {}
         for n, steps in ((33, 16), (65, 32)):
-            grid = Grid((n,), (0.0,), (1.0,))
-            x = grid.axis_coords(0)
-            mu, eta, T = 0.2, 0.1, 0.25
-            c = 4 * mu / 3 + eta
-
-            def rhs(t):
-                return ((-1 + c * np.pi**2) * np.exp(-t) * np.sin(np.pi * x))[:, None]
-
-            params = FluidParams(mu=mu, eta=eta, bc="no-slip")
-            u0 = Field(grid, np.sin(np.pi * x))
-            levels, _ = solve_linear_momentum(
-                lambda t: np.ones(n), rhs, MomentumBC.no_slip(zero_v),
-                u0, params, T / steps, T)
+            _, levels, rhs, params, bc = manufactured_x_only(n, steps)
+            N = levels[0].grid.num_nodes
             recs = momentum_energy_residual(
-                levels, np.linspace(0, T, steps + 1), lambda t: np.ones(n),
-                rhs, params)
+                levels, np.linspace(0, 0.25, steps + 1), lambda t: np.ones(N),
+                rhs, params, bc)
             out[n] = max(abs(r["imbalance"]) for r in recs)
         assert out[65] < out[33]
         assert out[65] <= 0.5 * out[33] * 1.2  # ~second order
@@ -431,10 +426,32 @@ def jacobi_cg_reference(rho, rhs, bc, u0, params, dt, T, cg_tol=1e-10):
     return out
 
 
+def no_slip_problem(shape, x_only=False):
+    """A no-slip problem with a density that grows in time; ``x_only``
+    keeps the force, the start and the wall velocity to their x-components."""
+    g = Grid(shape, (0.0, 0.0), (1.0, 1.0))
+    pts = g.node_coords()
+    keep = [1.0, 0.0] if x_only else [1.0, 1.0]
+    return dict(rho=lambda t: 1.0 + t + 0.5 * pts[:, 0],
+                rhs=lambda t: np.cos(3 * pts) * keep, bc=MomentumBC.no_slip(
+                    lambda t, p: 0.1 * np.sin(np.asarray(p)) * keep),
+                u0=Field(g, (np.sin(np.pi * pts) * keep).T.reshape((2,) + g.shape)),
+                params=FluidParams(mu=0.2, eta=0.05))
+
+
+def assert_agrees_with_jacobi_cg(prob):
+    """The multigrid solve of ``prob`` within 1e-7 of the Jacobi-CG one."""
+    levels, _ = solve_linear_momentum(dt=0.02, T=0.1, **prob)
+    ref = jacobi_cg_reference(dt=0.02, T=0.1, **prob)
+    scale = max(np.max(np.abs(u)) for u in ref)
+    gap = max(np.max(np.abs(l.values.ravel() - u)) for l, u in zip(levels, ref))
+    assert gap <= 1e-7 * scale
+
+
 def slip_operator(shape):
     """A = stiffness + friction of a slip problem, its constrained dofs, and
     the lumped mass of dt = 0.01 and unit density."""
-    g = Grid(shape, (0.0,) * len(shape), (1.0,) * len(shape))
+    g = Grid(shape, (0.0, 0.0), (1.0, 1.0))
     params = FluidParams(mu=0.3, eta=0.1, kappa=1.0, bc="slip")
     A = assemble_stress_matrix(g, params) + assemble_friction_matrix(g, 1.0)
     idx, _ = _dirichlet_data(g, MomentumBC.slip(dilation), 0.01)
@@ -490,7 +507,7 @@ class TestMultigridSolve:
         assert max(iters) <= 10, iters
         assert all(r.residual <= 1e-10 for r in reports)
 
-    @pytest.mark.parametrize("shape", [(33, 33), (20, 20), (33,)])
+    @pytest.mark.parametrize("shape", [(33, 33), (20, 20), (33, 5)])
     def test_vcycle_symmetric_positive(self, shape):
         system, mass = slip_system(shape)
         rng = np.random.default_rng(7)
@@ -525,34 +542,39 @@ class TestMultigridSolve:
 
     @pytest.mark.parametrize("kind", ["slip", "no-slip", "no-slip-1d"])
     def test_agrees_with_jacobi_cg(self, kind):
+        # no-slip-1d: the x-only embedding of the interval problem
         if kind == "slip":
             prob = chain_like_problem(33, kappa=0.5)
+        elif kind == "no-slip":
+            prob = no_slip_problem((17, 17))
         else:
-            shape = (33,) if kind == "no-slip-1d" else (17, 17)
-            g = Grid(shape, (0.0,) * len(shape), (1.0,) * len(shape))
-            pts = g.node_coords().reshape(g.num_nodes, -1)
-            prob = dict(rho=lambda t: 1.0 + t + 0.5 * pts[:, 0],
-                        rhs=lambda t: np.cos(3 * pts), bc=MomentumBC.no_slip(
-                            lambda t, p: 0.1 * np.sin(np.asarray(p))),
-                        u0=Field(g, np.sin(np.pi * pts).T.reshape((g.dim,) + g.shape)),
-                        params=FluidParams(mu=0.2, eta=0.05))
-        levels, _ = solve_linear_momentum(dt=0.02, T=0.1, **prob)
-        ref = jacobi_cg_reference(dt=0.02, T=0.1, **prob)
-        scale = max(np.max(np.abs(u)) for u in ref)
-        gap = max(np.max(np.abs(l.values.ravel() - u)) for l, u in zip(levels, ref))
-        assert gap <= 1e-7 * scale
+            prob = no_slip_problem((33, 5), x_only=True)
+        assert_agrees_with_jacobi_cg(prob)
 
-    @pytest.mark.parametrize("dim", [2, 1])
-    def test_even_axes_coarsen(self, dim):
-        # 20 -> 10 -> 5 nodes per axis: the hierarchy halves an even axis too
-        system, _ = slip_system((20,) * dim)
-        assert [op.shape[0] for op in system.ops] == [dim * m**dim for m in (20, 10, 5)]
-        g = Grid((20,) * dim, (0.0,) * dim, (1.0,) * dim)
-        pts = g.node_coords().reshape(g.num_nodes, -1)
+    @pytest.mark.parametrize("kind", ["slip", "no-slip"])
+    @pytest.mark.parametrize("shape", [(17, 5), (5, 17), (17, 4), (33, 5), (129, 5)],
+                             ids=["17x5", "5x17", "17x4", "33x5", "129x5"])
+    def test_thin_grid_agrees_with_jacobi_cg(self, shape, kind):
+        # an axis of 4 or 5 nodes is kept, not halved, so its coarse face
+        # dofs have constrained fine children only: empty columns of P,
+        # whose rows of R H P take the identity
+        prob = chain_like_problem(shape, kappa=0.5) if kind == "slip" else no_slip_problem(shape)
+        assert_agrees_with_jacobi_cg(prob)
+
+    @pytest.mark.parametrize("even_axes", [2, 1])
+    def test_even_axes_coarsen(self, even_axes):
+        # 20 -> 10 -> 5 nodes: the hierarchy halves an even axis too, next
+        # to a kept 5-node one
+        shape = (20, 20) if even_axes == 2 else (20, 5)
+        system, _ = slip_system(shape)
+        assert [op.shape[0] for op in system.ops] == [
+            2 * m * (m if even_axes == 2 else 5) for m in (20, 10, 5)]
+        g = Grid(shape, (0.0, 0.0), (1.0, 1.0))
+        pts = g.node_coords()
         params = FluidParams(mu=0.3, eta=0.1, kappa=1.0, bc="slip")
         _, reports = solve_linear_momentum(
             lambda t: 1.0 + pts[:, 0] * (1 + t), lambda t: np.cos(3 * pts),
-            MomentumBC.slip(dilation), Field.zeros(g, ncomp=dim), params, 0.01, 0.05)
+            MomentumBC.slip(dilation), Field.zeros(g, ncomp=2), params, 0.01, 0.05)
         assert all(r.residual <= 1e-10 for r in reports)
 
     def test_pcg_matches_scipy_cg(self, monkeypatch):

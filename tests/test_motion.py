@@ -31,6 +31,7 @@ from nsmove.transport import (
     mass_total,
     solve_transport,
 )
+from xonly import thin_grid, x_dilation, x_motion, x_points
 
 
 def _packed_rhs(V, t, **parts):
@@ -43,20 +44,8 @@ def _packed_rhs(V, t, **parts):
     return {part: out[s].T.reshape(parts[part].shape) for part, s in rows.items()}
 
 
-def grid1d(n=17):
-    return Grid((n,), (0.0,), (1.0,))
-
-
 def grid2d(n=9):
     return Grid((n, n), (0.0, 0.0), (1.0, 1.0))
-
-
-def _quadratic_1d(a):
-    """V = a x^2 in 1D, with analytic first and second gradients."""
-    return MotionField.expression(
-        lambda t, p: a * p ** 2, 1,
-        grad_fn=lambda t, p: (2 * a * p)[..., None],
-        grad2_fn=lambda t, p: np.full(p.shape + (1, 1), 2 * a))
 
 
 def _nonlinear_2d():
@@ -106,8 +95,8 @@ class TestAdvect:
 
     def test_dilation_closed_form(self):
         # dX/dt = alpha X has the exponential as its closed-form oracle
-        g = Grid((5,), (0.5, ), (1.5, ))
-        fm = advect_flow_map(MotionField.dilation(0.5, 1), g, 1.0, 1e-3)
+        g = thin_grid(5, 0.5, 1.5)
+        fm = advect_flow_map(x_dilation(0.5), g, 1.0, 1e-3)
         pos = fm.positions(1.0)[:, 0]
         exact = g.node_coords()[:, 0] * np.exp(0.5)
         assert np.max(np.abs(pos - exact)) <= 1e-8
@@ -126,15 +115,15 @@ class TestAdvect:
         assert np.array_equal(fm.jacobians(0.0), np.broadcast_to(np.eye(2), (81, 2, 2)))
 
     def test_nonintegral_steps_rejected(self):
-        g = grid1d()
+        g = grid2d()
         with pytest.raises(InvalidArgumentError):
-            advect_flow_map(MotionField.zero(1), g, 1.0, 0.3)
+            advect_flow_map(MotionField.zero(2), g, 1.0, 0.3)
 
     @pytest.mark.parametrize("T, dt", [(0.1, 0.0), (0.1, -0.01), (-0.1, 0.01)])
     def test_bad_horizon_or_step_rejected(self, T, dt):
         # checked before T / dt is taken, which dt = 0 would make a ZeroDivisionError
         with pytest.raises(InvalidArgumentError, match=f"T = {T}, dt = {dt}"):
-            advect_flow_map(MotionField.zero(1), grid1d(), T, dt)
+            advect_flow_map(MotionField.zero(2), grid2d(), T, dt)
 
 
 class TestInvert:
@@ -165,12 +154,12 @@ class TestInvert:
         assert err.residual == pytest.approx(3.95, abs=1e-9)
 
     def test_dilation_round_trip(self):
-        g = Grid((33,), (0.25,), (1.25,))
+        g = thin_grid(33, 0.25, 1.25)
         alpha = 0.4
-        fm = advect_flow_map(MotionField.dilation(alpha, 1), g, 0.5, 1e-2)
-        x = np.linspace(0.4, 1.5, 7)[:, None]
+        fm = advect_flow_map(x_dilation(alpha), g, 0.5, 1e-2)
+        x = x_points(np.linspace(0.4, 1.5, 7))
         z = fm.invert(0.5, x)
-        assert np.max(np.abs(z - np.exp(-alpha * 0.5) * x)) < 1e-9
+        assert np.max(np.abs(z - x * [np.exp(-alpha * 0.5), 1.0])) < 1e-9
         back = fm.eval_forward(0.5, z)
         assert np.max(np.abs(back - x)) < 1e-9
 
@@ -202,13 +191,6 @@ class TestInvert:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
 
-    def test_flat_points_on_1d_grid(self):
-        # (npts,) is a column of points on a 1-D grid, as interp_matrix reads it
-        g = Grid((33,), (0.25,), (1.25,))
-        fm = advect_flow_map(MotionField.dilation(0.4, 1), g, 0.5, 1e-2)
-        x = np.linspace(0.4, 1.5, 7)
-        assert np.array_equal(fm.invert(0.5, x), fm.invert(0.5, x[:, None]))
-
     def test_wrong_shape_rejected(self):
         fm = advect_flow_map(MotionField.shear(0.4), grid2d(), 0.5, 0.05)
         with pytest.raises(InvalidArgumentError, match=r"t=0\.5 have shape \(1, 3\)"):
@@ -233,8 +215,8 @@ def _chain_map():
 _SEED_MAPS = {
     "nonlinear-65": lambda: (advect_flow_map(_nonlinear_2d(), grid2d(65), 0.2, 0.01), 0.2),
     "chain-129": _chain_map,
-    "dilation-1d": lambda: (advect_flow_map(MotionField.dilation(0.4, 1),
-                                            Grid((33,), (0.25,), (1.25,)), 0.5, 1e-2), 0.5),
+    "dilation-1d": lambda: (advect_flow_map(x_dilation(0.4), thin_grid(33, 0.25, 1.25),
+                                            0.5, 1e-2), 0.5),
     # a slanted image: the node nearest to a point outside it is often not
     # in the window about the affine prediction, clipped to the grid
     "shear-33": lambda: (advect_flow_map(MotionField.shear(2.0), grid2d(33), 1.0, 0.1), 1.0),
@@ -272,11 +254,11 @@ class TestJacobians:
         assert gap == 0.0
 
     def test_dilation_1d(self):
-        g = grid1d()
+        g = thin_grid(17)
         alpha, t = 0.3, 0.5
-        fm = advect_flow_map(MotionField.dilation(alpha, 1), g, t, 1e-3)
+        fm = advect_flow_map(x_dilation(alpha), g, t, 1e-3)
         fr = fm.frame(t)
-        gx, gy, gap = fr.J, fr.inv, np.max(np.abs(fr.inv - np.eye(1)))
+        gx, gy, gap = fr.J, fr.inv, np.max(np.abs(fr.inv - np.eye(2)))
         assert np.allclose(gx[:, 0, 0], np.exp(alpha * t), atol=1e-9)
         assert np.allclose(gy[:, 0, 0], np.exp(-alpha * t), atol=1e-9)
         assert abs(gap - abs(np.exp(-alpha * t) - 1)) < 1e-9
@@ -289,8 +271,9 @@ class TestJacobians:
     def test_quadratic_1d_closed_form(self):
         # dX/dt = a X^2: X = z / s, gradX = s^-2, grad2X = 2 a T s^-3, s = 1 - a T z
         a, T = 0.5, 0.2
-        g = grid1d(17)
-        fm = advect_flow_map(_quadratic_1d(a), g, T, 0.01, with_hessian=True)
+        g = thin_grid(17)
+        V = x_motion(lambda x: a * x ** 2, lambda x: 2 * a * x, lambda x: np.full_like(x, 2 * a))
+        fm = advect_flow_map(V, g, T, 0.01, with_hessian=True)
         z = g.node_coords()[:, 0]
         s = 1 - a * T * z
         assert np.max(np.abs(fm.positions(T)[:, 0] - z / s)) <= 1e-8
@@ -506,14 +489,14 @@ class TestFrameReuse:
     def test_moving_map_transport(self, monkeypatch):
         # Newton inversions at the RK4 stage times read X | gradX only; the
         # levels' physical gradients invert gradX once per level touched
-        g = Grid((65,), (0.5,), (1.5,))
-        fm = advect_flow_map(MotionField.dilation(0.4, 1), g, 0.3, 1e-2)
+        g = thin_grid(65, 0.5, 1.5)
+        fm = advect_flow_map(x_dilation(0.4), g, 0.3, 1e-2)
         times = fm.times[::10]
-        fields = [Field(g, np.sin(fm.positions(t)[:, 0]).reshape(g.shape), t)
+        fields = [Field(g, (np.sin(fm.positions(t)) * [1.0, 0.0]).T.reshape((2,) + g.shape), t)
                   for t in times]
         dv = DiscreteVelocity(times, fields, flow_map=fm)
         calls = _count_full_grid_inversions(monkeypatch, g.num_nodes)
-        sub = Grid((9,), (0.9,), (1.1,))
+        sub = thin_grid(9, 0.9, 1.1)
         solve_transport(Field(sub, np.ones(sub.shape)), dv, 0.2, 0.01)
         assert len(calls) == 3  # levels t = 0, 0.1, 0.2
 

@@ -21,79 +21,76 @@ from nsmove.transport import (
     mass_total,
     solve_transport,
 )
+from xonly import thin_grid, x_dilation, x_field, x_points
 
 
-def rho_init_1d(n=65, lo=0.0, hi=1.0):
-    g = Grid((n,), (lo,), (hi,))
-    return Field.from_function(g, lambda p: 1.0 + 0.5 * np.sin(2 * np.pi * p[:, 0]))
+def rho_x(x):
+    return 1.0 + 0.5 * np.sin(2 * np.pi * x)
 
 
 class TestSolveTransport:
     def test_zero_velocity(self):
-        rho0 = rho_init_1d()
-        traj = solve_transport(rho0, MotionField.zero(1), 0.5, 0.05)
+        rho0 = x_field(thin_grid(65), rho_x)
+        traj = solve_transport(rho0, MotionField.zero(2), 0.5, 0.05)
         assert np.allclose(traj.density_field(0.5).values, rho0.values)
-        assert np.allclose(traj.flow_map.positions(0.5)[:, 0], rho0.grid.axis_coords(0))
+        assert np.allclose(traj.flow_map.positions(0.5), rho0.grid.node_coords())
 
     @pytest.mark.parametrize("T, dt", [(0.1, 0.0), (-0.1, 0.01)])
     def test_bad_horizon_or_step_rejected(self, T, dt):
         with pytest.raises(InvalidArgumentError, match=f"T = {T}, dt = {dt}"):
-            solve_transport(rho_init_1d(17), MotionField.zero(1), T, dt)
+            solve_transport(x_field(thin_grid(17), rho_x), MotionField.zero(2), T, dt)
 
     def test_constant_velocity_divergence_free(self):
-        rho0 = rho_init_1d()
-        traj = solve_transport(rho0, MotionField.translation([0.3]), 0.5, 0.01)
+        rho0 = x_field(thin_grid(65), rho_x)
+        traj = solve_transport(rho0, MotionField.translation([0.3, 0.0]), 0.5, 0.01)
         # density constant along characteristics
         assert np.allclose(traj.density_field(0.5).values, rho0.values, atol=1e-13)
         # rho(t, x) = rho0(x - c t) at interior physical points
-        x = np.linspace(0.2, 1.1, 9)[:, None]
+        x = x_points(np.linspace(0.2, 1.1, 9))
         vals, _ = traj.eval_physical(0.5, x)
         exact = 1.0 + 0.5 * np.sin(2 * np.pi * (x[:, 0] - 0.15))
         assert np.max(np.abs(vals - exact)) < 1e-5
 
     def test_dilation_exponential_oracle(self):
-        # alpha = 1 in 1D, t = ln 2: rho(t, 2z) = rho0(z) / 2
-        rho0 = rho_init_1d(65, 0.5, 1.5)
+        # V = (x, 0), t = ln 2: rho(t, 2z) = rho0(z) / 2
+        rho0 = x_field(thin_grid(65, 0.5, 1.5), rho_x)
         t_end = np.log(2.0)
-        traj = solve_transport(rho0, MotionField.dilation(1.0, 1), t_end,
-                               t_end / 1000)
+        traj = solve_transport(rho0, x_dilation(1.0), t_end, t_end / 1000)
         rho_bar = traj.density_field(t_end).values
         assert np.max(np.abs(rho_bar - rho0.values / 2)) <= 1e-8
         assert np.max(np.abs(traj.flow_map.positions(t_end)[:, 0]
-                             - 2 * rho0.grid.axis_coords(0))) <= 1e-8
+                             - 2 * rho0.grid.node_coords()[:, 0])) <= 1e-8
 
     def test_single_level_solution(self):
         # T = 0: the one stored level is rho0 at the nodes
-        rho0 = rho_init_1d(17)
-        traj = solve_transport(rho0, MotionField.dilation(0.5, 1), 0.0, 0.01)
+        rho0 = x_field(thin_grid(17), rho_x)
+        traj = solve_transport(rho0, x_dilation(0.5), 0.0, 0.01)
         assert np.array_equal(traj.density_field(0.0).values, rho0.values)
         assert np.array_equal(traj.flow_map.positions(0.0), rho0.grid.node_coords())
 
     def test_positive_initial_density_required(self):
-        g = Grid((9,), (0.0,), (1.0,))
-        bad = Field(g, np.linspace(-0.1, 1.0, 9))
+        bad = x_field(thin_grid(9), lambda x: 1.1 * x - 0.1)
         with pytest.raises(PositivityViolationError):
-            solve_transport(bad, MotionField.zero(1), 0.1, 0.01)
+            solve_transport(bad, MotionField.zero(2), 0.1, 0.01)
 
     def test_positivity_lower_bound(self):
         # min rho(t) >= min rho0 * exp(-t sup|div v|), slack <= 1e-10
-        rho0 = rho_init_1d(65, 0.5, 1.5)
+        rho0 = x_field(thin_grid(65, 0.5, 1.5), rho_x)
         alpha, T = 0.7, 0.4
-        traj = solve_transport(rho0, MotionField.dilation(alpha, 1), T, 1e-3)
-        bound = np.min(rho0.values) * np.exp(-T * alpha)  # div = alpha in 1D
+        traj = solve_transport(rho0, x_dilation(alpha), T, 1e-3)
+        bound = np.min(rho0.values) * np.exp(-T * alpha)  # div V = alpha
         assert traj.min_density(T) >= bound - 1e-10
 
 
 class TestMass:
     def test_mass_constant_zero_velocity(self):
-        rho0 = rho_init_1d()
-        traj = solve_transport(rho0, MotionField.zero(1), 0.25, 0.05)
+        rho0 = x_field(thin_grid(65), rho_x)
+        traj = solve_transport(rho0, MotionField.zero(2), 0.25, 0.05)
         assert mass_total(traj, 0.25) == pytest.approx(mass_total(traj, 0.0), abs=1e-14)
 
-    @pytest.mark.parametrize("V", [MotionField.translation([0.4]),
-                                   MotionField.dilation(0.5, 1)])
+    @pytest.mark.parametrize("V", [MotionField.translation([0.4, 0.0]), x_dilation(0.5)])
     def test_mass_drift_tiny(self, V):
-        rho0 = rho_init_1d(129, 0.5, 1.5)
+        rho0 = x_field(thin_grid(129, 0.5, 1.5), rho_x)
         traj = solve_transport(rho0, V, 0.25, 1e-3)
         m0 = mass_total(traj, 0.0)
         drift = abs(mass_total(traj, 0.25) - m0) / m0
@@ -110,14 +107,14 @@ class TestMass:
 
 class TestDensityGradient:
     def test_constant_density_divfree(self):
-        g = Grid((33,), (0.0,), (1.0,))
+        g = thin_grid(33)
         rho0 = Field(g, np.full(g.shape, 2.0))
-        traj = solve_transport(rho0, MotionField.translation([0.2]), 0.3, 0.01)
+        traj = solve_transport(rho0, MotionField.translation([0.2, 0.0]), 0.3, 0.01)
         assert np.max(np.abs(density_gradient(traj, 0.3).values)) < 1e-12
 
     def test_zero_velocity_gives_initial_gradient(self):
-        rho0 = rho_init_1d()
-        traj = solve_transport(rho0, MotionField.zero(1), 0.3, 0.05)
+        rho0 = x_field(thin_grid(65), rho_x)
+        traj = solve_transport(rho0, MotionField.zero(2), 0.3, 0.05)
         g = density_gradient(traj, 0.3).values[0]
         g0 = differentiate(rho0, 0, 1).values[0]
         assert np.max(np.abs(g - g0)) < 1e-12
@@ -152,18 +149,18 @@ class TestDensityGradient:
 class TestTimeDerivativeConsistency:
     def test_eq_of_motion(self):
         # d/dt rho at fixed x matches -v.grad rho - rho div v
-        rho0 = rho_init_1d(129, 0.5, 1.5)
+        rho0 = x_field(thin_grid(129, 0.5, 1.5), rho_x)
         alpha, T, dt = 0.5, 0.2, 1e-3
-        V = MotionField.dilation(alpha, 1)
+        V = x_dilation(alpha)
         traj = solve_transport(rho0, V, T + dt, dt)
-        x = np.linspace(0.7, 1.2, 7)[:, None]
+        x = x_points(np.linspace(0.7, 1.2, 7))
         t = T / 2
         plus, _ = traj.eval_physical(t + dt, x)
         minus, _ = traj.eval_physical(t - dt, x)
         drho_dt = (plus - minus) / (2 * dt)
         vals, z = traj.eval_physical(t, x)
         gx = density_gradient(traj, t)
-        gx_at = interpolate(Field(gx.grid, gx.values, t), z, out_of_bounds="clamp")
+        gx_at = interpolate(Field(gx.grid, gx.values, t), z, out_of_bounds="clamp")[:, 0]
         rhs = -(alpha * x[:, 0]) * gx_at - vals * alpha
         h = rho0.grid.spacing[0]
         assert np.max(np.abs(drho_dt - rhs)) < 50 * (dt**2 + h**2)
@@ -171,12 +168,12 @@ class TestTimeDerivativeConsistency:
 
 class TestDiscreteVelocity:
     def test_matches_analytic_on_static_grid(self):
-        g = Grid((65,), (0.0,), (1.0,))
+        g = thin_grid(65)
         times = np.linspace(0.0, 0.5, 11)
-        fields = [Field.from_function(g, lambda p: 0.3 * np.sin(np.pi * p[:, 0]), t=t)
+        fields = [x_field(g, lambda x: 0.3 * np.sin(np.pi * x), t=t, vector=True)
                   for t in times]
         dv = DiscreteVelocity(times, fields)
-        pts = np.linspace(0.1, 0.9, 5)[:, None]
+        pts = x_points(np.linspace(0.1, 0.9, 5))
         v = dv.velocity(0.25, pts)
         assert np.max(np.abs(v[:, 0] - 0.3 * np.sin(np.pi * pts[:, 0]))) < 1e-5
         div = dv.divergence(0.25, pts)
@@ -184,10 +181,10 @@ class TestDiscreteVelocity:
         assert np.max(np.abs(div - exact)) < 1e-3
 
     def test_query_past_last_level_raises(self):
-        g = Grid((17,), (0.0,), (1.0,))
+        g = thin_grid(17)
         times = np.linspace(0.0, 0.2, 3)
-        dv = DiscreteVelocity(times, [Field.zeros(g, t=t) for t in times])
-        pts = np.array([[0.5]])
+        dv = DiscreteVelocity(times, [Field.zeros(g, ncomp=2, t=t) for t in times])
+        pts = x_points([0.5])
         assert dv.velocity(0.2, pts)[0, 0] == 0.0
         with pytest.raises(InvalidArgumentError):
             dv.velocity(0.25, pts)
@@ -195,17 +192,17 @@ class TestDiscreteVelocity:
     @staticmethod
     def _dilation_sampled():
         # u(x) = sin(x) sampled along a dilation flow map
-        g = Grid((65,), (0.5,), (1.5,))
-        fm = advect_flow_map(MotionField.dilation(0.4, 1), g, 0.3, 1e-2)
+        g = thin_grid(65, 0.5, 1.5)
+        fm = advect_flow_map(x_dilation(0.4), g, 0.3, 1e-2)
         times = fm.times[::10]
-        fields = [Field(g, np.sin(fm.positions(t)[:, 0]).reshape(g.shape), t)
+        fields = [Field(g, (np.sin(fm.positions(t)) * [1.0, 0.0]).T.reshape((2,) + g.shape), t)
                   for t in times]
         return DiscreteVelocity(times, fields, flow_map=fm), fm
 
     def test_reference_sampled_on_moving_grid(self):
         # fields sampled along a dilation flow map evaluate correctly in x
         dv, _ = self._dilation_sampled()
-        x = np.linspace(0.8, 1.4, 5)[:, None]
+        x = x_points(np.linspace(0.8, 1.4, 5))
         v = dv.velocity(0.3, x)
         assert np.max(np.abs(v[:, 0] - np.sin(x[:, 0]))) < 1e-4
 
@@ -220,14 +217,24 @@ class TestDiscreteVelocity:
             return invert(t, x, **kwargs)
 
         fm.invert = counting_invert
-        x = np.linspace(0.8, 1.4, 5)[:, None]
+        x = x_points(np.linspace(0.8, 1.4, 5))
         for method in (dv.velocity, dv.gradient, dv.divergence):
             method(0.3, x)
         assert len(calls) == 1
         # 2 RK4 steps of 4 stages: one inversion per stage, not per sample
-        sub = Grid((9,), (0.9,), (1.1,))
+        sub = thin_grid(9, 0.9, 1.1)
         solve_transport(Field(sub, np.ones(sub.shape)), dv, 0.02, 0.01)
         assert len(calls) == 1 + 2 * 4
+
+    @pytest.mark.parametrize("times", [[], [0.0, 0.2, 0.1], [0.0, 0.1, 0.1]],
+                             ids=["empty", "unordered", "repeated"])
+    def test_level_times_checked(self, times):
+        # blended by position, levels 0, 2, 5 at t = 0, 0.2, 0.1 would give
+        # u(0.05) = 0.5, not 2.5; no levels at all would be an IndexError
+        g = thin_grid(9)
+        fields = [Field(g, np.full((2,) + g.shape, v), t) for v, t in zip((0.0, 2.0, 5.0), times)]
+        with pytest.raises(InvalidArgumentError, match="non-empty and increasing"):
+            DiscreteVelocity(times, fields)
 
     @staticmethod
     def _static_2d(t_levels):
@@ -406,26 +413,25 @@ class TestDiscreteVelocity:
 
     def test_transport_with_discrete_velocity(self):
         # discrete sampling of the dilation field reproduces the closed form
-        g = Grid((129,), (0.5,), (1.5,))
-        rho0 = Field.from_function(g, lambda p: 1.0 + 0.2 * np.cos(np.pi * p[:, 0]))
+        g = thin_grid(129, 0.5, 1.5)
         alpha, T = 0.5, 0.2
         times = np.arange(0.0, T + 1e-12, 1e-2)
-        fields = [Field.from_function(g, lambda p: alpha * p[:, 0], t=t) for t in times]
+        fields = [x_field(g, lambda x: alpha * x, t=t, vector=True) for t in times]
         dv = DiscreteVelocity(times, fields)
         # static-grid sampling valid while the image stays in the extent:
         # e^{0.1} * 1.5 > 1.5, so shrink the launch region via a sub-grid
-        sub = Grid((65,), (0.6,), (1.2,))
-        rho0s = Field.from_function(sub, lambda p: 1.0 + 0.2 * np.cos(np.pi * p[:, 0]))
+        sub = thin_grid(65, 0.6, 1.2)
+        rho0s = x_field(sub, lambda x: 1.0 + 0.2 * np.cos(np.pi * x))
         traj = solve_transport(rho0s, dv, T, 2e-3)
-        got = traj.density_field(T).values[0]
-        exact = rho0s.values[0] * np.exp(-alpha * T)
+        got = traj.density_field(T).values
+        exact = rho0s.values * np.exp(-alpha * T)
         assert np.max(np.abs(got - exact)) < 2e-4
 
 
 class TestNormMonitor:
     def test_h2_trend_under_time_halving(self):
-        rho0 = rho_init_1d(65, 0.5, 1.5)
-        V = MotionField.dilation(0.5, 1)
+        rho0 = x_field(thin_grid(65, 0.5, 1.5), rho_x)
+        V = x_dilation(0.5)
 
         def linf_h2(T):
             traj = solve_transport(rho0, V, T, 1e-3)
