@@ -65,6 +65,22 @@ def level_times(times):
     return times
 
 
+def level_fields(fields, times, ncomp, name, grid=None):
+    """``fields`` as a list, one per level time, each with ``ncomp``
+    components on ``grid`` (default: the first field's); anything else
+    raises :class:`InvalidArgumentError` naming the level."""
+    fields = list(fields)
+    if len(fields) != len(times):
+        raise InvalidArgumentError(f"one {name} field per time level required")
+    grid = grid or fields[0].grid
+    for m, f in enumerate(fields):
+        if f.grid != grid or f.ncomp != ncomp:
+            raise InvalidArgumentError(
+                f"{name} level {m} has {f.ncomp} components on {f.grid}; "
+                f"expected {ncomp} on {grid}")
+    return fields
+
+
 def level_bracket(times, t):
     """(m, w) with t = (1 - w) times[m] + w times[m + 1].
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field, _diff_axis, gradient_values, interp_values
+from .fields import Field, _diff_axis, gradient_values, interpolate
 from .motion import _contract
 
 
@@ -40,9 +40,7 @@ def pull_back_state(rho, u, flow_map, t):
 
 def push_forward_eval(field, flow_map, t, x):
     """Evaluate a reference field at physical points via the inverse map."""
-    z = flow_map.invert(t, x)
-    vals = interp_values(field.grid, field.values, z, out_of_bounds="clamp")
-    return vals[:, 0] if field.ncomp == 1 else vals
+    return interpolate(field, flow_map.invert(t, x), out_of_bounds="clamp")
 
 
 @dataclass

@@ -26,7 +26,7 @@ from .fields import blend_levels, interp_matrix, rotate90
 
 
 class MotionField:
-    """Velocity field V(t, x) with derivative evaluators up to grad^3, d_tt.
+    """2-D velocity field V(t, x) with derivative evaluators up to grad^3, d_tt.
 
     The affine constructors (zero, translation, dilation, shear) are
     analytically exact. An ``expression`` field falls back to finite
@@ -37,7 +37,8 @@ class MotionField:
 
     def __init__(self, dim, fn, *, dt_fn=None, dtt_fn=None, grad_fn=None,
                  grad2_fn=None, grad3_fn=None):
-        self.dim = dim
+        if dim != 2:
+            raise InvalidArgumentError(f"a motion field is 2-D, got dim = {dim}")
         self._fn = fn
         self._dt_fn = dt_fn
         self._dtt_fn = dtt_fn
@@ -52,24 +53,23 @@ class MotionField:
         """V(t, x) = A x + c, with its exact (zero beyond grad) derivatives."""
         A = np.asarray(A, dtype=float)
         c = np.asarray(c, dtype=float)
-        dim = len(c)
         z = lambda t, p: np.zeros_like(p)
-        return cls(dim, lambda t, p: p @ A.T + c, dt_fn=z, dtt_fn=z,
-                   grad_fn=lambda t, p: np.broadcast_to(A, p.shape + (dim,)).copy(),
-                   grad2_fn=lambda t, p: np.zeros(p.shape + (dim, dim)),
-                   grad3_fn=lambda t, p: np.zeros(p.shape + (dim, dim, dim)))
+        return cls(len(c), lambda t, p: p @ A.T + c, dt_fn=z, dtt_fn=z,
+                   grad_fn=lambda t, p: np.broadcast_to(A, p.shape + (2,)).copy(),
+                   grad2_fn=lambda t, p: np.zeros(p.shape + (2, 2)),
+                   grad3_fn=lambda t, p: np.zeros(p.shape + (2, 2, 2)))
 
     @classmethod
-    def zero(cls, dim):
-        return cls._affine(np.zeros((dim, dim)), np.zeros(dim))
+    def zero(cls):
+        return cls._affine(np.zeros((2, 2)), np.zeros(2))
 
     @classmethod
     def translation(cls, c):
         return cls._affine(np.zeros((len(c), len(c))), c)
 
     @classmethod
-    def dilation(cls, alpha, dim):
-        return cls._affine(float(alpha) * np.eye(dim), np.zeros(dim))
+    def dilation(cls, alpha):
+        return cls._affine(float(alpha) * np.eye(2), np.zeros(2))
 
     @classmethod
     def shear(cls, sigma):
@@ -115,14 +115,14 @@ class MotionField:
             return np.asarray(self._grad3_fn(t, pts), dtype=float)
         return self._fd_jacobian(lambda p: self.gradient2(t, p), pts, 1e-3)
 
-    def divergence(self, t, pts):
-        g = self.gradient(t, pts)
-        return sum(g[..., i, i] for i in range(self.dim))
+    def velocity_and_gradient(self, t, pts):
+        """V (npts, 2) and grad V (npts, 2, 2): one RK4 stage's source call."""
+        return self.velocity(t, pts), self.gradient(t, pts)
 
     def _fd_jacobian(self, fn, pts, h):
         pts = np.asarray(pts, dtype=float)
         cols = []
-        for j in range(self.dim):
+        for j in range(2):
             dp = np.zeros_like(pts)
             dp[..., j] = h
             cols.append((fn(pts + dp) - fn(pts - dp)) / (2 * h))
@@ -175,14 +175,16 @@ def _rhs(source, t, y, out, rows, work):
     """out = f(t, y) for the packed (C, N) state y with row slices ``rows``.
 
     J' = g J, H'[i, j, k] = sum_p W[i, p, k] J[p, j] + sum_p g[i, p] H[p, j, k]
-    with W[i, p, k] = sum_q grad2V[i, p, q] J[q, k], and I' = div V.
+    with W[i, p, k] = sum_q grad2V[i, p, q] J[q, k], and I' = div V = tr g.
+    V and g = grad V come from one ``source.velocity_and_gradient`` call.
     ``work`` is a spare row, then W's d^3 rows.
     """
     N, d = y.shape[1], rows["X"].stop
     x = y[rows["X"]].T
-    out[rows["X"]] = source.velocity(t, x).T
+    v, g = source.velocity_and_gradient(t, x)
+    out[rows["X"]] = v.T
     J = y[rows["J"]].reshape(d, d, N)
-    g = _component_major(source.gradient(t, x))
+    g = _component_major(g)
     _contract(out[rows["J"]].reshape(d, d, N), g, J, work[0])
     if "H" in rows:
         W = work[1:].reshape(d * d, d, N)
@@ -193,7 +195,7 @@ def _rhs(source, t, y, out, rows, work):
         for i, Wi in enumerate(W.reshape(d, d, d, N)):
             _contract(H[i].reshape(d, d, N), J.transpose(1, 0, 2), Wi, work[0], add=True)
     if "I" in rows:
-        out[rows["I"]] = source.divergence(t, x)
+        out[rows["I"]] = g[0, 0] + g[1, 1]
 
 
 def _rk4_levels(source, levels, dt):

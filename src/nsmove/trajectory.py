@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from .errors import InvalidArgumentError
-from .fields import gradient_values, level_times
+from .fields import gradient_values, level_fields, level_times
 from .motion import physical_gradient
 
 
@@ -13,16 +12,15 @@ class StateTrajectory:
     When a flow map is attached, the samples live at the moving nodes
     X(t_m, y) (reference representation of fields on Omega_t); with
     ``flow_map=None`` the domain is static and samples sit at the nodes.
+    Every level is on one grid: rho has 1 component, u has 2.
     """
 
     def __init__(self, times, rho_fields, u_fields, flow_map=None):
         self.times = level_times(times)
-        self.rho = list(rho_fields)
-        self.u = list(u_fields)
-        if len(self.rho) != len(self.times) or len(self.u) != len(self.times):
-            raise InvalidArgumentError("one rho and one u field per time level")
-        self.flow_map = flow_map
+        self.rho = level_fields(rho_fields, self.times, 1, "rho")
         self.grid = self.rho[0].grid
+        self.u = level_fields(u_fields, self.times, 2, "u", self.grid)
+        self.flow_map = flow_map
 
     def __len__(self):
         return len(self.times)

@@ -6,22 +6,25 @@ The density along the trajectory launched from a reference node z is
 
 with the line integral accumulated inside the same RK4 stages that advance
 the feet, so positivity and the exponential/Jacobian mass cancellation hold
-at the discrete level. The trajectory stores X, gradX and I only; grad rho
-is the shared finite-difference stencil on the density field.
+at the discrete level. A stage asks the velocity for v and grad v in one
+``velocity_and_gradient(t, x)`` call; div v is the trace of grad v. The
+trajectory stores X, gradX and I only; grad rho is the shared
+finite-difference stencil on the density field.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidArgumentError, PositivityViolationError
+from .errors import PositivityViolationError
 from .fields import (
     Field,
     blend_levels,
     gradient_values,
     interp_matrix,
-    interp_values,
+    interpolate,
     level_bracket,
+    level_fields,
     level_times,
 )
 from .motion import FlowMap, _check_steps, _rk4_levels, physical_gradient
@@ -35,63 +38,46 @@ class DiscreteVelocity:
     ``None`` means the fields live on a static grid, where a point outside
     the rectangle raises :class:`~nsmove.errors.OutOfDomainError`.
     Physical-point evaluation inverts the map, then interpolates (the
-    inverse lies in the rectangle); spatial derivatives go
-    through the Jacobian transforms. Linear interpolation in time between
-    levels.
+    inverse lies in the rectangle); spatial derivatives go through the
+    Jacobian transforms. The levels are 2-component fields on one grid,
+    linearly interpolated in time.
 
-    The three protocol methods return read-only column slices of one cached
-    stage: per (t, points), the bracketing levels blended, then interpolated
-    with one sparse matrix. The blend of the last stage time is kept, so the
-    two RK4 stages at t + dt/2, and a step's last stage and the next step's
-    first, both at (m + 1) dt, blend once; at a stored level's time the
-    level is read unblended.
+    :meth:`velocity_and_gradient` is the one call an RK4 stage makes: the
+    bracketing levels blended, then interpolated with one sparse matrix. The
+    blend of the last stage time is kept, so the two RK4 stages at t + dt/2,
+    and a step's last stage and the next step's first, both at (m + 1) dt,
+    blend once; at a stored level's time the level is read unblended.
     """
 
     def __init__(self, times, fields, flow_map=None):
         self.times = level_times(times)
-        self.fields = list(fields)
-        if len(self.times) != len(self.fields):
-            raise InvalidArgumentError("one velocity field per time level required")
+        self.fields = level_fields(fields, self.times, 2, "velocity")
         self.flow_map = flow_map
         self.grid = self.fields[0].grid
-        self.dim = self.grid.dim
         self._level_cache = {}
-        self._stage_cache = None
         self._blend = None
         self._seed = None
 
-    # -- reference-side per-level derived fields ---------------------------
-
     def _level_data(self, m):
-        """Nodal u | div_x u | grad_x u at level m, stacked node-major into
-        (N, d + 1 + d^2), reference-sampled."""
+        """Nodal u | grad_x u at level m, stacked node-major into (N, 6),
+        reference-sampled."""
         f = self.fields[m]
-        d, N = self.dim, self.grid.num_nodes
         frame = None if self.flow_map is None else self.flow_map.frame(self.times[m])
         gx = physical_gradient(gradient_values(f), frame)  # du_i/dx_k
-        div = np.einsum("nii->n", gx)
-        return np.concatenate([f.values.reshape(d, N).T, div[:, None],
-                               gx.reshape(N, d * d)], axis=1)
+        return np.concatenate([f.values.reshape(2, -1).T, gx.reshape(-1, 4)], axis=1)
 
     def _to_ref(self, t, x):
         if self.flow_map is None:
-            return np.atleast_2d(np.asarray(x, dtype=float))
-        seed = self._seed if (self._seed is not None
-                              and self._seed.shape == np.shape(x)) else None
-        z = self.flow_map.invert(t, x, seed=seed)
-        self._seed = z
-        return z
+            return x   # interp_matrix reads the points as they are
+        seed = self._seed if np.shape(self._seed) == np.shape(x) else None
+        self._seed = self.flow_map.invert(t, x, seed=seed)
+        return self._seed
 
-    def _stage(self, t, x):
-        """Interpolated stacked level data at (t, x), cached for the last pair
-        (compared by value: the caller may move x in place)."""
-        cached = self._stage_cache
-        if cached is not None and cached[0] == t and np.array_equal(cached[1], x):
-            return cached[2]
-        # the stale stage and blend are freed before new arrays are built
-        self._stage_cache = cached = None
-        z = self._to_ref(t, x)
+    def velocity_and_gradient(self, t, pts):
+        """u and grad_x u at (t, pts), (npts, 2) and (npts, 2, 2)."""
+        z = self._to_ref(t, pts)
         if self._blend is None or self._blend[0] != t:
+            # the stale blend is freed before new arrays are built
             self._blend = None
             m, w = level_bracket(self.times, t)
             # keep only the bracketing levels
@@ -100,21 +86,7 @@ class DiscreteVelocity:
                                  for k in ((m,) if w == 0.0 else (m, m + 1))}
             self._blend = (t, blend_levels(self._level_cache, self.times, t))
         vals = interp_matrix(self.grid, z) @ self._blend[1]
-        vals.setflags(write=False)
-        self._stage_cache = (t, np.array(x, dtype=float), vals)
-        return vals
-
-    # -- VelocitySource protocol -------------------------------------------
-
-    def velocity(self, t, pts):
-        return self._stage(t, pts)[:, :self.dim]
-
-    def gradient(self, t, pts):
-        d = self.dim
-        return self._stage(t, pts)[:, d + 1:].reshape(-1, d, d)
-
-    def divergence(self, t, pts):
-        return self._stage(t, pts)[:, self.dim]
+        return vals[:, :2], vals[:, 2:].reshape(-1, 2, 2)
 
 
 class DensityTrajectory:
@@ -140,9 +112,7 @@ class DensityTrajectory:
     def eval_physical(self, t, x):
         """rho(t, x) and Y(t, x) at physical points x of the current image."""
         z = self.flow_map.invert(t, x)
-        rho_bar = self.density_field(t)
-        vals = interp_values(self.grid, rho_bar.values, z, out_of_bounds="clamp")
-        return vals[:, 0], z
+        return interpolate(self.density_field(t), z, out_of_bounds="clamp"), z
 
     def min_density(self, t):
         return float(np.min(self.density_field(t).values))
@@ -151,8 +121,9 @@ class DensityTrajectory:
 def solve_transport(rho0, v, T, dt):
     """Solve the linear continuity equation along characteristics of v.
 
-    ``v`` supplies values, gradient and divergence along the feet (an
-    analytic motion field or a :class:`DiscreteVelocity`).
+    ``v`` (an analytic motion field or a :class:`DiscreteVelocity`) is
+    asked once per RK4 stage for ``v.velocity_and_gradient(t, x)`` at the
+    feet; div v is the trace of the gradient.
     Requires rho0 > 0 everywhere; the solution then stays positive by
     construction of the exponential formula.
     """

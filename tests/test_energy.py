@@ -152,6 +152,20 @@ class TestStateTrajectory:
         with pytest.raises(InvalidArgumentError, match="non-empty and increasing"):
             StateTrajectory(times, rhos, us)
 
+    @pytest.mark.parametrize("part, level", [
+        ("rho", Field.zeros(Grid((9, 9), (0.0, 0.0), (1.0, 1.0)), ncomp=2, t=0.1)),
+        ("u", Field.zeros(Grid((9, 9), (0.0, 0.0), (1.0, 1.0)), ncomp=1, t=0.1)),
+        ("u", Field.zeros(Grid((9, 9), (0.0, 0.0), (2.0, 2.0)), ncomp=2, t=0.1))],
+        ids=["vector-rho", "scalar-u", "u-other-grid"])
+    def test_level_fields_checked(self, part, level):
+        # rho has 1 component and u 2, and every level of both is on one grid
+        g = Grid((9, 9), (0.0, 0.0), (1.0, 1.0))
+        levels = {"rho": [Field(g, np.ones(g.shape), t) for t in (0.0, 0.1)],
+                  "u": [Field.zeros(g, ncomp=2, t=t) for t in (0.0, 0.1)]}
+        levels[part][1] = level
+        with pytest.raises(InvalidArgumentError, match=f"{part} level 1 has"):
+            StateTrajectory([0.0, 0.1], levels["rho"], levels["u"])
+
 
 class TestEnergyInequality:
     def test_rest_state_zero_residual(self):
@@ -160,7 +174,7 @@ class TestEnergyInequality:
         traj = _static_trajectory(
             g, times, lambda t, p: np.full(len(p), 1.5),
             lambda t, p: np.zeros_like(p))
-        rep = energy_inequality_residual(traj, MotionField.zero(2), LAW_G2,
+        rep = energy_inequality_residual(traj, MotionField.zero(), LAW_G2,
                                          FluidParams(mu=0.4, bc="slip"))
         assert rep.max_residual <= 1e-13
         assert np.allclose(rep.total_energy, rep.total_energy[0])
@@ -189,7 +203,7 @@ class TestEnergyInequality:
         traj = _static_trajectory(g, [0.0], lambda t, p: np.ones(len(p)),
                                   lambda t, p: p[:, ::-1].copy())
         params = FluidParams(mu=0.4, kappa=2.0, bc="slip")
-        assert _boundary_friction_rate(traj, MotionField.zero(2), params, 0) == 12.0
+        assert _boundary_friction_rate(traj, MotionField.zero(), params, 0) == 12.0
 
 
 class TestRemainderTerm:
@@ -205,7 +219,7 @@ class TestRemainderTerm:
 
     def test_boundary_compatibility_enforced(self):
         g = Grid((9, 9), (0.0, 0.0), (1.0, 1.0))
-        V = MotionField.zero(2)
+        V = MotionField.zero()
         fm = advect_flow_map(V, g, 0.1, 0.05)
         times = np.array([0.0, 0.05, 0.1])
         bad = _static_trajectory(
@@ -221,7 +235,7 @@ class TestRemainderTerm:
         # without V neither the U.n = V.n check nor the material-to-Eulerian
         # time derivative can be done, so the remainder would be wrong
         g = Grid((9, 9), (0.0, 0.0), (1.0, 1.0))
-        V = MotionField.dilation(0.3, 2)
+        V = MotionField.dilation(0.3)
         fm = advect_flow_map(V, g, 0.1, 0.05)
         times = np.array([0.0, 0.05, 0.1])
         trajs = {kind: _static_trajectory(
@@ -237,7 +251,7 @@ class TestRemainderTerm:
         # V a dilation: U = V o X is admissible, and a constant offset in
         # u_x breaks U.n = V.n on the x-faces by exactly that offset
         g = Grid((9, 9), (0.0, 0.0), (1.0, 1.0))
-        V = MotionField.dilation(0.3, 2)
+        V = MotionField.dilation(0.3)
         fm = advect_flow_map(V, g, 0.1, 0.05)
         times = np.array([0.0, 0.05, 0.1])
         ref = _static_trajectory(
@@ -256,7 +270,7 @@ class TestRemainderTerm:
         # a static trajectory and a moving one live on different domains,
         # even with V given and an admissible reference
         g = Grid((9, 9), (0.0, 0.0), (1.0, 1.0))
-        V = MotionField.dilation(0.3, 2)
+        V = MotionField.dilation(0.3)
         fm = advect_flow_map(V, g, 0.1, 0.05)
         times = np.array([0.0, 0.05, 0.1])
         trajs = {kind: _static_trajectory(
@@ -273,7 +287,7 @@ class TestRemainderTerm:
         # the admissibility check once ran only on the state's (absent) frame
         # and returned -5.4e-4 here
         g = Grid((9, 9), (0.0, 0.0), (1.0, 1.0))
-        V = MotionField.dilation(0.3, 2)
+        V = MotionField.dilation(0.3)
         fm = advect_flow_map(V, g, 0.1, 0.05)
         times = np.array([0.0, 0.05, 0.1])
         u = lambda t, p: V.velocity(t, fm.positions(t)) + [1e-3, 0.0]
@@ -288,7 +302,7 @@ class TestRemainderTerm:
         # a resting state on the reference's map: U.n = V.n is judged at the
         # reference's own boundary images, where U = V o X holds exactly
         g = Grid((9, 9), (0.0, 0.0), (1.0, 1.0))
-        V = MotionField.dilation(0.3, 2)
+        V = MotionField.dilation(0.3)
         fm = advect_flow_map(V, g, 0.1, 0.05)
         times = np.array([0.0, 0.05, 0.1])
         state = _static_trajectory(g, times, lambda t, p: np.ones(len(p)),
@@ -308,9 +322,9 @@ class TestRemainderTerm:
         # t = 0.05 their domains are up to 4.5e-3 apart, and the remainder
         # once came back finite
         g = Grid((9, 9), (0.0, 0.0), (1.0, 1.0))
-        V = MotionField.dilation(0.3, 2)
+        V = MotionField.dilation(0.3)
         fm = advect_flow_map(V, g, 0.1, 0.05)
-        still = advect_flow_map(MotionField.zero(2), g, 0.1, 0.05)
+        still = advect_flow_map(MotionField.zero(), g, 0.1, 0.05)
         times = np.array([0.0, 0.05, 0.1])
         state = _static_trajectory(g, times, lambda t, p: np.ones(len(p)),
                                    lambda t, p: np.zeros_like(p), flow_map=still)

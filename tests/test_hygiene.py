@@ -244,7 +244,6 @@ _KEPT_UNSET = {
     ("Field.copy", "values"),
     ("Field.zeros", "ncomp"),
     ("Field.zeros", "t"),
-    ("interpolate", "out_of_bounds"),
 }
 
 

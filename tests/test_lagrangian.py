@@ -29,7 +29,7 @@ def smooth_rho(pts):
 class TestPullBack:
     def test_identity_map(self):
         g = grid2d(17)
-        fm = advect_flow_map(MotionField.zero(2), g, 0.2, 0.02)
+        fm = advect_flow_map(MotionField.zero(), g, 0.2, 0.02)
         rho, u = pull_back_state(smooth_rho, smooth_u, fm, 0.2)
         pts = g.node_coords()
         assert np.allclose(rho.values[0].ravel(), smooth_rho(pts))
@@ -47,7 +47,7 @@ class TestPullBack:
     def test_dilation_composition(self):
         g = grid2d(17, 0.25, 1.25)
         alpha, t = 0.3, 0.5
-        fm = advect_flow_map(MotionField.dilation(alpha, 2), g, t, 1e-2)
+        fm = advect_flow_map(MotionField.dilation(alpha), g, t, 1e-2)
         rho, _ = pull_back_state(smooth_rho, smooth_u, fm, t)
         pts = g.node_coords()
         expect = smooth_rho(np.exp(alpha * t) * pts)
@@ -55,7 +55,7 @@ class TestPullBack:
 
     def test_push_pull_round_trip(self):
         g = grid2d(25, 0.0, 1.0)
-        fm = advect_flow_map(MotionField.dilation(0.2, 2), g, 0.3, 1e-2)
+        fm = advect_flow_map(MotionField.dilation(0.2), g, 0.3, 1e-2)
         ref = Field.from_function(g, lambda p: smooth_rho(p))
         pos = fm.positions(0.3)
         back = push_forward_eval(ref, fm, 0.3, pos)
@@ -65,11 +65,11 @@ class TestPullBack:
 class TestRemainder:
     def test_zero_motion_all_zero(self):
         g = grid2d(17)
-        fm = advect_flow_map(MotionField.zero(2), g, 0.3, 0.05)
+        fm = advect_flow_map(MotionField.zero(), g, 0.3, 0.05)
         rho = Field.from_function(g, smooth_rho)
         u = Field.from_function(g, smooth_u, ncomp=2)
         params = FluidParams(mu=0.4, eta=0.1, bc="slip")
-        out = lagrangian_remainder(rho, u, fm, MotionField.zero(2), 0.3, params)
+        out = lagrangian_remainder(rho, u, fm, MotionField.zero(), 0.3, params)
         assert np.max(np.abs(out.remainder.values)) == 0.0
         assert np.max(np.abs(out.transport.values)) == 0.0
 
@@ -98,7 +98,7 @@ class TestRemainder:
 
     def test_decomposition_bookkeeping(self):
         g = grid2d(17)
-        V = MotionField.dilation(0.3, 2)
+        V = MotionField.dilation(0.3)
         fm = advect_flow_map(V, g, 0.2, 0.02)
         rho = Field.from_function(g, smooth_rho)
         u = Field.from_function(g, smooth_u, ncomp=2)
@@ -116,7 +116,7 @@ class TestRemainder:
         alpha, t, mu, eta = 0.4, 0.35, 0.7, 0.2
         lam = mu / 3 + eta
         g = grid2d(n, 0.0, 1.0)
-        V = MotionField.dilation(alpha, 2)
+        V = MotionField.dilation(alpha)
         fm = advect_flow_map(V, g, t, t / 100)
         rho = Field.from_function(g, smooth_rho)
         u = Field.from_function(g, smooth_u, ncomp=2)
@@ -250,7 +250,7 @@ class TestBoundaryData:
 
     def test_zero_motion_all_times(self):
         g = grid2d(17)
-        V = MotionField.zero(2)
+        V = MotionField.zero()
         fm = advect_flow_map(V, g, 0.4, 0.02)
         u = Field.from_function(g, smooth_u, ncomp=2)
         bd = transformed_boundary_data(u, V, fm, 0.4, self.params())

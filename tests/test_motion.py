@@ -1,10 +1,9 @@
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from nsmove import motion
+from nsmove import motion, transport
 from nsmove.energy import PressureLaw, energy_inequality_residual
 from nsmove.errors import (
     DegenerateMapError,
@@ -79,7 +78,7 @@ def _nonlinear_2d():
 class TestAdvect:
     def test_zero_motion(self):
         g = grid2d()
-        fm = advect_flow_map(MotionField.zero(2), g, 0.5, 0.05, with_hessian=True)
+        fm = advect_flow_map(MotionField.zero(), g, 0.5, 0.05, with_hessian=True)
         nodes = g.node_coords()
         assert np.allclose(fm.positions(0.5), nodes)
         assert np.allclose(fm.jacobians(0.5), np.eye(2))
@@ -117,19 +116,30 @@ class TestAdvect:
     def test_nonintegral_steps_rejected(self):
         g = grid2d()
         with pytest.raises(InvalidArgumentError):
-            advect_flow_map(MotionField.zero(2), g, 1.0, 0.3)
+            advect_flow_map(MotionField.zero(), g, 1.0, 0.3)
 
     @pytest.mark.parametrize("T, dt", [(0.1, 0.0), (0.1, -0.01), (-0.1, 0.01)])
     def test_bad_horizon_or_step_rejected(self, T, dt):
         # checked before T / dt is taken, which dt = 0 would make a ZeroDivisionError
         with pytest.raises(InvalidArgumentError, match=f"T = {T}, dt = {dt}"):
-            advect_flow_map(MotionField.zero(2), grid2d(), T, dt)
+            advect_flow_map(MotionField.zero(), grid2d(), T, dt)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_motion_field_is_2d(self, dim):
+        # refused where it is made, not as a numpy shape error in the first
+        # RK4 stage of a flow map or transport
+        with pytest.raises(InvalidArgumentError, match=f"got dim = {dim}"):
+            MotionField(dim, lambda t, p: p)
+        with pytest.raises(InvalidArgumentError, match=f"got dim = {dim}"):
+            MotionField.expression(lambda t, p: p, dim)
+        with pytest.raises(InvalidArgumentError, match=f"got dim = {dim}"):
+            MotionField.translation(np.ones(dim))
 
 
 class TestInvert:
     def test_identity(self):
         g = grid2d()
-        fm = advect_flow_map(MotionField.zero(2), g, 0.5, 0.05)
+        fm = advect_flow_map(MotionField.zero(), g, 0.5, 0.05)
         x = np.array([[0.3, 0.7], [0.0, 1.0]])
         assert np.array_equal(fm.invert(0.5, x), x)
 
@@ -249,7 +259,7 @@ class TestNearestNode:
 class TestJacobians:
     def test_zero_gap(self):
         g = grid2d()
-        fm = advect_flow_map(MotionField.zero(2), g, 0.3, 0.05)
+        fm = advect_flow_map(MotionField.zero(), g, 0.3, 0.05)
         gap = np.max(np.abs(fm.frame(0.3).inv - np.eye(2)))
         assert gap == 0.0
 
@@ -300,12 +310,11 @@ class TestJacobians:
         assert errs[65] <= 1e-3
         assert errs[33] / errs[65] >= 3.5
 
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_rhs_matches_einsum_reference(self, d):
+    def test_rhs_matches_einsum_reference(self):
         # the written-out contractions against the generic einsum forms;
         # only the summation order differs
         rng = np.random.default_rng(7)
-        N = 50
+        N, d = 50, 2
         g = rng.standard_normal((N, d, d))
         g2 = rng.standard_normal((N, d, d, d))
         V = MotionField.expression(lambda t, p: p, d, grad_fn=lambda t, p: g,
@@ -352,7 +361,7 @@ class TestJacobians:
 class TestBoundaryFrame:
     def test_identity_frames(self):
         g = grid2d()
-        fm = advect_flow_map(MotionField.zero(2), g, 0.2, 0.02)
+        fm = advect_flow_map(MotionField.zero(), g, 0.2, 0.02)
         frames = fm.frame(0.2).faces
         _, n, tau = frames["y0"]
         assert np.allclose(n, [0.0, -1.0])
@@ -370,8 +379,8 @@ class TestBoundaryFrame:
 
     def test_dilation_preserves_normals(self):
         g = grid2d()
-        fm = advect_flow_map(MotionField.dilation(0.4, 2), g, 0.3, 0.01)
-        ref = advect_flow_map(MotionField.zero(2), g, 0.3, 0.01).frame(0.3).faces
+        fm = advect_flow_map(MotionField.dilation(0.4), g, 0.3, 0.01)
+        ref = advect_flow_map(MotionField.zero(), g, 0.3, 0.01).frame(0.3).faces
         cur = fm.frame(0.3).faces
         for face in cur:
             assert np.allclose(cur[face][1], ref[face][1], atol=1e-12)
@@ -519,17 +528,28 @@ class TestRk4Stages:
 
     @pytest.mark.parametrize("with_hessian", [False, True])
     def test_advect_flow_map(self, monkeypatch, with_hessian):
-        calls = _count_calls(monkeypatch, MotionField, ("gradient", "gradient2"))
+        calls = _count_calls(monkeypatch, MotionField,
+                             ("velocity_and_gradient", "gradient", "gradient2"))
         advect_flow_map(_nonlinear_2d(), grid2d(), 0.1, 0.01, with_hessian=with_hessian)
-        assert calls == {"gradient": 4 * 10, "gradient2": 4 * 10 * with_hessian}
+        assert calls == {"velocity_and_gradient": 4 * 10, "gradient": 4 * 10,
+                         "gradient2": 4 * 10 * with_hessian}
 
     def test_solve_transport(self, monkeypatch):
-        # through a namespace of bound methods: MotionField.divergence itself
-        # calls gradient, which a counter on the class would count too
-        names = ("velocity", "gradient", "divergence")
-        V = _nonlinear_2d()
-        source = SimpleNamespace(**{name: getattr(V, name) for name in names})
-        calls = _count_calls(monkeypatch, source, names)
+        # one velocity_and_gradient call per stage gives v, grad v and, as
+        # its trace, div v; a static DiscreteVelocity builds one
+        # interpolation matrix per stage
         g = grid2d()
-        solve_transport(Field(g, np.ones(g.shape)), source, 0.1, 0.01)
+        rho0 = Field(g, np.ones(g.shape))
+        times = 0.01 * np.arange(11)
+        # u . n = 0 on every face: the feet stay in the square
+        dv = DiscreteVelocity(times, [Field.from_function(
+            grid2d(17), lambda p: 0.1 * p * (1 - p), t=t, ncomp=2) for t in times])
+        names = ("velocity_and_gradient", "velocity", "gradient")
+        calls = _count_calls(monkeypatch, MotionField, names)
+        solve_transport(rho0, _nonlinear_2d(), 0.1, 0.01)
         assert calls == dict.fromkeys(names, 4 * 10)
+        calls = _count_calls(monkeypatch, DiscreteVelocity, ("velocity_and_gradient",))
+        matrices = _count_calls(monkeypatch, transport, ("interp_matrix",))
+        solve_transport(rho0, dv, 0.1, 0.01)
+        assert calls == {"velocity_and_gradient": 4 * 10}
+        assert matrices == {"interp_matrix": 4 * 10}

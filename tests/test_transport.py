@@ -31,14 +31,14 @@ def rho_x(x):
 class TestSolveTransport:
     def test_zero_velocity(self):
         rho0 = x_field(thin_grid(65), rho_x)
-        traj = solve_transport(rho0, MotionField.zero(2), 0.5, 0.05)
+        traj = solve_transport(rho0, MotionField.zero(), 0.5, 0.05)
         assert np.allclose(traj.density_field(0.5).values, rho0.values)
         assert np.allclose(traj.flow_map.positions(0.5), rho0.grid.node_coords())
 
     @pytest.mark.parametrize("T, dt", [(0.1, 0.0), (-0.1, 0.01)])
     def test_bad_horizon_or_step_rejected(self, T, dt):
         with pytest.raises(InvalidArgumentError, match=f"T = {T}, dt = {dt}"):
-            solve_transport(x_field(thin_grid(17), rho_x), MotionField.zero(2), T, dt)
+            solve_transport(x_field(thin_grid(17), rho_x), MotionField.zero(), T, dt)
 
     def test_constant_velocity_divergence_free(self):
         rho0 = x_field(thin_grid(65), rho_x)
@@ -71,7 +71,7 @@ class TestSolveTransport:
     def test_positive_initial_density_required(self):
         bad = x_field(thin_grid(9), lambda x: 1.1 * x - 0.1)
         with pytest.raises(PositivityViolationError):
-            solve_transport(bad, MotionField.zero(2), 0.1, 0.01)
+            solve_transport(bad, MotionField.zero(), 0.1, 0.01)
 
     def test_positivity_lower_bound(self):
         # min rho(t) >= min rho0 * exp(-t sup|div v|), slack <= 1e-10
@@ -85,7 +85,7 @@ class TestSolveTransport:
 class TestMass:
     def test_mass_constant_zero_velocity(self):
         rho0 = x_field(thin_grid(65), rho_x)
-        traj = solve_transport(rho0, MotionField.zero(2), 0.25, 0.05)
+        traj = solve_transport(rho0, MotionField.zero(), 0.25, 0.05)
         assert mass_total(traj, 0.25) == pytest.approx(mass_total(traj, 0.0), abs=1e-14)
 
     @pytest.mark.parametrize("V", [MotionField.translation([0.4, 0.0]), x_dilation(0.5)])
@@ -100,7 +100,7 @@ class TestMass:
         g = Grid((33, 33), (0.25, 0.25), (1.25, 1.25))
         rho0 = Field.from_function(
             g, lambda p: 1.0 + 0.3 * np.sin(np.pi * p[:, 0]) * np.cos(np.pi * p[:, 1]))
-        traj = solve_transport(rho0, MotionField.dilation(0.3, 2), 0.2, 2e-3)
+        traj = solve_transport(rho0, MotionField.dilation(0.3), 0.2, 2e-3)
         m0 = mass_total(traj, 0.0)
         assert abs(mass_total(traj, 0.2) - m0) / m0 <= 1e-8
 
@@ -114,7 +114,7 @@ class TestDensityGradient:
 
     def test_zero_velocity_gives_initial_gradient(self):
         rho0 = x_field(thin_grid(65), rho_x)
-        traj = solve_transport(rho0, MotionField.zero(2), 0.3, 0.05)
+        traj = solve_transport(rho0, MotionField.zero(), 0.3, 0.05)
         g = density_gradient(traj, 0.3).values[0]
         g0 = differentiate(rho0, 0, 1).values[0]
         assert np.max(np.abs(g - g0)) < 1e-12
@@ -174,9 +174,9 @@ class TestDiscreteVelocity:
                   for t in times]
         dv = DiscreteVelocity(times, fields)
         pts = x_points(np.linspace(0.1, 0.9, 5))
-        v = dv.velocity(0.25, pts)
+        v, grad = dv.velocity_and_gradient(0.25, pts)
         assert np.max(np.abs(v[:, 0] - 0.3 * np.sin(np.pi * pts[:, 0]))) < 1e-5
-        div = dv.divergence(0.25, pts)
+        div = np.trace(grad, axis1=1, axis2=2)
         exact = 0.3 * np.pi * np.cos(np.pi * pts[:, 0])
         assert np.max(np.abs(div - exact)) < 1e-3
 
@@ -185,9 +185,9 @@ class TestDiscreteVelocity:
         times = np.linspace(0.0, 0.2, 3)
         dv = DiscreteVelocity(times, [Field.zeros(g, ncomp=2, t=t) for t in times])
         pts = x_points([0.5])
-        assert dv.velocity(0.2, pts)[0, 0] == 0.0
+        assert dv.velocity_and_gradient(0.2, pts)[0][0, 0] == 0.0
         with pytest.raises(InvalidArgumentError):
-            dv.velocity(0.25, pts)
+            dv.velocity_and_gradient(0.25, pts)
 
     @staticmethod
     def _dilation_sampled():
@@ -203,11 +203,11 @@ class TestDiscreteVelocity:
         # fields sampled along a dilation flow map evaluate correctly in x
         dv, _ = self._dilation_sampled()
         x = x_points(np.linspace(0.8, 1.4, 5))
-        v = dv.velocity(0.3, x)
+        v = dv.velocity_and_gradient(0.3, x)[0]
         assert np.max(np.abs(v[:, 0] - np.sin(x[:, 0]))) < 1e-4
 
     def test_one_inversion_per_stage(self):
-        # the three protocol methods share one pull-back per (t, points)
+        # u and grad u come from one pull-back per (t, points)
         dv, fm = self._dilation_sampled()
         calls = []
         invert = fm.invert
@@ -218,8 +218,7 @@ class TestDiscreteVelocity:
 
         fm.invert = counting_invert
         x = x_points(np.linspace(0.8, 1.4, 5))
-        for method in (dv.velocity, dv.gradient, dv.divergence):
-            method(0.3, x)
+        dv.velocity_and_gradient(0.3, x)
         assert len(calls) == 1
         # 2 RK4 steps of 4 stages: one inversion per stage, not per sample
         sub = thin_grid(9, 0.9, 1.1)
@@ -235,6 +234,17 @@ class TestDiscreteVelocity:
         fields = [Field(g, np.full((2,) + g.shape, v), t) for v, t in zip((0.0, 2.0, 5.0), times)]
         with pytest.raises(InvalidArgumentError, match="non-empty and increasing"):
             DiscreteVelocity(times, fields)
+
+    @pytest.mark.parametrize("grid, ncomp", [
+        (Grid((9, 9), (0.0, 0.0), (2.0, 2.0)), 2), (Grid((9, 9), (0.0, 0.0), (1.0, 1.0)), 1)],
+        ids=["other-grid", "scalar"])
+    def test_level_fields_checked(self, grid, ncomp):
+        # a level on another grid would be interpolated on the first one's
+        # nodes, and a scalar level has no second component to read
+        g = Grid((9, 9), (0.0, 0.0), (1.0, 1.0))
+        fields = [Field.zeros(g, ncomp=2, t=0.0), Field.zeros(grid, ncomp=ncomp, t=0.1)]
+        with pytest.raises(InvalidArgumentError, match="velocity level 1 has"):
+            DiscreteVelocity([0.0, 0.1], fields)
 
     @staticmethod
     def _static_2d(t_levels):
@@ -265,31 +275,12 @@ class TestDiscreteVelocity:
                     interp_values(g, (grads[0][0] + grads[1][1])[None], pts)[:, 0])
 
         refs = [(1 - w) * a + w * b for a, b in zip(level(fields[1]), level(fields[2]))]
-        got = [dv.velocity(t, pts), dv.gradient(t, pts), dv.divergence(t, pts)]
+        u, grad = dv.velocity_and_gradient(t, pts)
+        # div u is the trace of the interpolated gradient
+        got = [u, grad, np.trace(grad, axis1=1, axis2=2)]
         for a, b in zip(got, refs):
             assert a.shape == b.shape
             assert np.max(np.abs(a - b)) <= 1e-14
-
-    def test_stage_cache_follows_the_points(self):
-        times = np.array([0.0, 0.1, 0.2])
-        g, fields = self._static_2d(times)
-        dv = DiscreteVelocity(times, fields)
-        rng = np.random.default_rng(5)
-        p1, p2 = rng.uniform(0.0, 1.0, size=(2, 50, 2))
-        t = 0.05
-
-        def sample(src, p):
-            return [src.velocity(t, p), src.gradient(t, p), src.divergence(t, p)]
-
-        sample(dv, p1)
-        for a, b in zip(sample(dv, p2), sample(DiscreteVelocity(times, fields), p2)):
-            assert np.array_equal(a, b)
-        # the same array moved in place is a new stage too
-        p = p1.copy()
-        sample(dv, p)
-        p += 0.01 * (0.5 - p)   # inward: the static grid has no clamp
-        for a, b in zip(sample(dv, p), sample(DiscreteVelocity(times, fields), p)):
-            assert np.array_equal(a, b)
 
     def test_one_blend_per_stage_time(self, monkeypatch):
         # RK4 stages 2 and 3 share m dt + dt/2, and a step's last stage is
@@ -320,22 +311,23 @@ class TestDiscreteVelocity:
         assert blended[1::2] == [(m * dt + dt / 2, False) for m in range(S)]
 
     def test_stale_stage_and_blend_freed_before_new_arrays(self, monkeypatch):
-        # a stage at a new t drops the last stage's values and blend before
-        # it builds level data or an interpolation matrix, so no second
-        # (N, 9) array of either is alive then
+        # a stage at a new t drops the last stage's blend before it builds
+        # level data or an interpolation matrix, so no second (N, 6) blend
+        # is alive then; the stage's own values are the caller's
         times = np.array([0.0, 0.1, 0.2])
         g, fields = self._static_2d(times)
         dv = DiscreteVelocity(times, fields)
         p1, p2 = np.random.default_rng(6).uniform(0.0, 1.0, size=(2, 50, 2))
-        stage, blend = weakref.ref(dv._stage(0.05, p1)), weakref.ref(dv._blend[1])
+        dv.velocity_and_gradient(0.05, p1)
+        blend = weakref.ref(dv._blend[1])
         alive = []
         level_data, build = dv._level_data, transport.interp_matrix
         monkeypatch.setattr(dv, "_level_data", lambda m: alive.append(
-            ("level", stage() is not None, blend() is not None)) or level_data(m))
+            ("level", blend() is not None)) or level_data(m))
         monkeypatch.setattr(transport, "interp_matrix", lambda grid, z: alive.append(
-            ("matrix", stage() is not None, blend() is not None)) or build(grid, z))
-        dv.velocity(0.15, p2)
-        assert alive == [("level", False, False), ("matrix", False, False)]
+            ("matrix", blend() is not None)) or build(grid, z))
+        dv.velocity_and_gradient(0.15, p2)
+        assert alive == [("level", False), ("matrix", False)]
 
     def test_transport_peak_memory_bounded(self):
         # a 65^2 static-grid transport over 10 levels peaks at <= 2.4 times
@@ -363,16 +355,6 @@ class TestDiscreteVelocity:
             tracemalloc.stop()
         stored = sum(a.nbytes for a in (traj.flow_map.X, traj.flow_map.J, traj.I))
         assert peak <= 2.4 * stored
-
-    def test_stage_values_are_read_only(self):
-        times = np.array([0.0, 0.1])
-        g, fields = self._static_2d(times)
-        dv = DiscreteVelocity(times, fields)
-        pts = np.array([[0.3, 0.4], [0.6, 0.1]])
-        for out in (dv.velocity(0.05, pts), dv.gradient(0.05, pts),
-                    dv.divergence(0.05, pts)):
-            with pytest.raises(ValueError):
-                out[0] = 1.0
 
     def test_static_feet_leaving_the_grid_raise(self):
         # u = (1, 0) carries the x = 1 nodes out of the square: the first
