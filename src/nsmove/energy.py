@@ -196,13 +196,10 @@ def _boundary_friction_rate(traj, V, params, m):
     level m, with trapezoid weights from the node images' arc lengths."""
     t = traj.times[m]
     frame = traj.frame(m)
-    pos_all = traj.positions(m)
     uvals = traj.u[m].values.reshape(traj.grid.dim, -1).T
-    faces = (frame.faces.values() if frame is not None else
-             [(f.flat, f.normal, f.tangent) for f in traj.grid.faces().values()])
     total = 0.0
-    for flat, _, tau in faces:
-        pos = pos_all[flat]
+    for flat, _, tau in frame.faces.values():
+        pos = frame.X[flat]
         dl = np.linalg.norm(np.diff(pos, axis=0), axis=1)
         wline = np.zeros(len(pos))
         wline[:-1] += 0.5 * dl
@@ -223,16 +220,16 @@ def _cumtrapz(rates, times):
 _ADMISSIBLE_GAP = 1e-6  # largest |U.n - V.n| on the boundary of a reference U
 
 
-def relative_energy_remainder(state, reference, law, params, m, V=None):
+def relative_energy_remainder(state, reference, law, params, m, V):
     """Quadrature of the remainder driving the relative energy inequality.
 
     Terms: rho (dt U + u.grad U).(U - u) + S(grad U):(grad U - grad u)
     + div U (p(r) - p(rho)) + (r - rho) dt H'(r) + (r U - rho u).grad H'(r),
-    over Omega_t at level m. The reference must satisfy U.n = V.n on its own
-    frame's boundary within ``_ADMISSIBLE_GAP`` (test-function admissibility);
-    its time derivatives come from central differences over the stored levels.
-    Both or neither trajectory has a flow map, and V is needed if both do;
-    two flow maps must place the nodes at the same positions at level m.
+    over Omega_t at level m. The two flow maps must place the nodes at the
+    same positions at level m, and the reference must satisfy U.n = V.n on
+    its frame's boundary within ``_ADMISSIBLE_GAP`` (test-function
+    admissibility); its time derivatives come from central differences over
+    the stored levels.
     """
     d = state.grid.dim
     w = state.physical_weights(m).ravel()
@@ -242,26 +239,20 @@ def relative_energy_remainder(state, reference, law, params, m, V=None):
     U = reference.u[m].values.reshape(d, -1).T
     if np.any(r <= 0):
         raise InvalidArgumentError("reference density must be positive")
-    if V is None and (state.flow_map is not None or reference.flow_map is not None):
-        raise InvalidArgumentError("a trajectory on a moving domain needs V")
-    if (state.flow_map is None) != (reference.flow_map is None):
-        raise InvalidArgumentError("state and reference domains differ: one has no flow map")
-    if state.flow_map is not None and reference.flow_map is not None:
-        gap = float(np.max(np.abs(state.positions(m) - reference.positions(m))))
-        if gap > 0.0:
-            raise InvalidArgumentError(
-                f"state and reference domains differ at t={reference.times[m]}: "
-                f"node positions up to {gap:.3e} apart")
-    if reference.flow_map is not None:
-        t = reference.times[m]
-        frame = reference.frame(m)
-        worst = 0.0
-        for flat, n, _ in frame.faces.values():
-            gap = np.einsum("pi,pi->p", U[flat] - V.velocity(t, frame.X[flat]), n)
-            worst = max(worst, float(np.max(np.abs(gap))))
-        if worst > _ADMISSIBLE_GAP:
-            raise InvalidArgumentError(
-                f"reference velocity violates U.n = V.n by {worst:.3e}")
+    t = reference.times[m]
+    frame = reference.frame(m)
+    gap = float(np.max(np.abs(state.positions(m) - frame.X)))
+    if gap > 0.0:
+        raise InvalidArgumentError(
+            f"state and reference domains differ at t={t}: "
+            f"node positions up to {gap:.3e} apart")
+    worst = 0.0
+    for flat, n, _ in frame.faces.values():
+        gap = np.einsum("pi,pi->p", U[flat] - V.velocity(t, frame.X[flat]), n)
+        worst = max(worst, float(np.max(np.abs(gap))))
+    if worst > _ADMISSIBLE_GAP:
+        raise InvalidArgumentError(
+            f"reference velocity violates U.n = V.n by {worst:.3e}")
 
     gU = reference.physical_velocity_gradient(m)
     grad_r = _physical_scalar_gradient(reference, m)
@@ -269,11 +260,9 @@ def relative_energy_remainder(state, reference, law, params, m, V=None):
     # along the map's velocity; convert to the Eulerian time derivative.
     dtU = _time_derivative_fields(reference.u, reference.times, m)
     dtr = _time_derivative_fields(reference.rho, reference.times, m)[:, 0]
-    if reference.flow_map is not None:
-        pos = reference.positions(m)
-        Vv = V.velocity(reference.times[m], pos)
-        dtU = dtU - np.einsum("pj,pij->pi", Vv, gU)
-        dtr = dtr - np.einsum("pi,pi->p", Vv, grad_r)
+    Vv = V.velocity(t, frame.X)
+    dtU = dtU - np.einsum("pj,pij->pi", Vv, gU)
+    dtr = dtr - np.einsum("pi,pi->p", Vv, grad_r)
 
     adv = np.einsum("pj,pij->pi", u, gU)
     term1 = rho * np.einsum("pi,pi->p", dtU + adv, U - u)

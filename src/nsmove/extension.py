@@ -1,16 +1,16 @@
 """Boundary-data extension on the reference rectangle, flat-face case.
 
-Given per-face normal data d and tangential-stress data B (plus optional
-context fields u, V whose frame gaps generated the data: the same
-:class:`~nsmove.lagrangian.FaceGaps` record per face), builds a vector
+Given per-face normal data d and tangential-stress data B and the context
+fields u, V and the flow map of V whose frame gaps generated the data (the
+same :class:`~nsmove.lagrangian.FaceGaps` record per face), builds a vector
 field on the reference domain whose trace reproduces d exactly at the face
 nodes and whose FD tangential-stress trace (``stress_trace_fd``) reproduces
-B. With zero context the stress identity holds to round-off at every face
-node, given three things: no context fields, data that vanish in the
+B. With V = 0 and u_ref = 0 the stress identity holds to round-off at every
+face node, given three things: that context, data that vanish in the
 corner collars, and the first two node layers inside the cutoff plateau
 (2h <= eps; with eps = 1/8 on the unit square, n = 17 gives
 an error of 3.6e-16, while n = 13 gives 1.07 and n = 9 gives 3.4). With
-context fields it holds to stencil accuracy; no order beyond that is
+other context fields it holds to stencil accuracy; no order beyond that is
 proven (the linear-u case measures round-off, <= 5.4e-15 up to n = 129).
 
 Per face, in the local frame (tau along the face, nu = -n inward, distance
@@ -29,9 +29,9 @@ q from the face):
                       face nodes. It is linear in q, so the one-sided FD
                       q-derivative is exact on it while 2h <= eps, and P's
                       tangential derivative of d uses ``fields._diff_axis``,
-                      the stencil ``stress_trace_fd`` applies; the
-                      zero-context identity is exact to round-off only
-                      because both use that one stencil.
+                      the stencil ``stress_trace_fd`` applies; with V = 0
+                      and u_ref = 0 the identity is exact to round-off
+                      only because both use that one stencil.
 
 Everything is multiplied by a C^2 quintic cutoff (1 for q <= eps, 0 beyond
 2 eps) and faces are blended by normalized smoothstep weights near corners.
@@ -48,8 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
-from .fields import Field, _diff_axis, differentiate, gradient_values, interp_values
+from .fields import Field, _diff_axis, differentiate, gradient_values, interpolate
 from .lagrangian import FaceGaps
 
 
@@ -73,32 +72,25 @@ class ExtensionField:
     t: float
 
 
-def extend_boundary_data(bdata, grid, *, u_ref=None, V=None, flow_map=None,
-                         params=None):
+def extend_boundary_data(bdata, grid, *, u_ref, V, flow_map, params):
     """Construct the extension of the boundary data (d, B) on the rectangle
     at the data's time ``bdata.t``.
 
-    ``bdata`` is a :class:`~nsmove.lagrangian.BoundaryData`; context fields
-    are optional (zero context extends raw data), but V and ``flow_map``
-    come together or not at all. The collar half-width eps is one eighth
-    of the shortest extent, so the support, confined to q < 2 eps, never
-    reaches the opposite face's collar.
+    ``bdata`` is a :class:`~nsmove.lagrangian.BoundaryData`; raw data on a
+    fixed domain extend with V = 0, its flow map and u_ref = 0. The collar
+    half-width eps is one eighth of the shortest extent, so the support,
+    confined to q < 2 eps, never reaches the opposite face's collar.
     """
-    if (V is None) != (flow_map is None):
-        raise InvalidArgumentError("the context needs both V and flow_map, or neither")
-    mu = params.mu if params is not None else 1.0
-    kappa = params.kappa if params is not None else 0.0
+    mu, kappa = params.mu, params.kappa
     eps = min(hi - lo for lo, hi in zip(grid.lo, grid.hi)) / 8.0
     t = bdata.t
 
     nodes = grid.node_coords()
     shape = tuple(grid.shape)
     N = grid.num_nodes
-    uvals = (np.zeros((N, 2)) if u_ref is None
-             else u_ref.values.reshape(2, -1).T)
-    G_all = np.zeros((N, 2, 2)) if u_ref is None else gradient_values(u_ref)
-    frame = None if flow_map is None else flow_map.frame(t)
-    du_all = uvals if frame is None else uvals - V.velocity(t, nodes)
+    G_all = gradient_values(u_ref)
+    frame = flow_map.frame(t)
+    du_all = u_ref.values.reshape(2, -1).T - V.velocity(t, nodes)
 
     total = np.zeros((N, 2))
     weight_sum = np.zeros(N)
@@ -137,8 +129,7 @@ def extend_boundary_data(bdata, grid, *, u_ref=None, V=None, flow_map=None,
         G_dir_tau = G_face @ tau                       # (m, a)
         G_dir_nu = G_face @ nu
         dnu_Ttau = np.einsum("pa,pa->p", gaps.dtau, G_dir_nu)
-        if frame is not None:
-            dnu_Ttau -= np.einsum("pa,pa->p", V.gradient(t, gaps.y) @ nu, gaps.dtau)
+        dnu_Ttau -= np.einsum("pa,pa->p", V.gradient(t, gaps.y) @ nu, gaps.dtau)
         samp_nu = (np.einsum("pa,pa->p", C_tau, G_dir_tau)
                    + np.einsum("pa,pa->p", C_nu, G_dir_nu))
         dtau_d = sgn_tau * _diff_axis(d_face, hs, 0, 1)
@@ -150,16 +141,14 @@ def extend_boundary_data(bdata, grid, *, u_ref=None, V=None, flow_map=None,
         ub_n = gaps.normal(du).ravel() + d_rest[s_index]
         T_tau = gaps.tangent(du).ravel()
         samp = np.zeros(len(collar))
-        if u_ref is not None:
-            # u at foot + q e and foot + (q/2) e for e = tau, nu: one call
-            foot_pts = gaps.y[s_index]
-            pts = np.concatenate([foot_pts + f * q[:, None] * e_vec
-                                  for e_vec in (tau, nu) for f in (1.0, 0.5)])
-            u_pts = interp_values(grid, u_ref.values, pts, out_of_bounds="clamp")
-            for C, (u_full, u_half) in zip((C_tau, C_nu),
-                                           u_pts.reshape(2, 2, len(collar), 2)):
-                samp += 2.0 * np.einsum("pa,pa->p", C[s_index],
-                                        u_full - u_half)
+        # u at foot + q e and foot + (q/2) e for e = tau, nu: one call
+        foot_pts = gaps.y[s_index]
+        pts = np.concatenate([foot_pts + f * q[:, None] * e_vec
+                              for e_vec in (tau, nu) for f in (1.0, 0.5)])
+        u_pts = interpolate(u_ref, pts, out_of_bounds="clamp")
+        for C, (u_full, u_half) in zip((C_tau, C_nu),
+                                       u_pts.reshape(2, 2, len(collar), 2)):
+            samp += 2.0 * np.einsum("pa,pa->p", C[s_index], u_full - u_half)
         ub_tau1 = T_tau + samp
         ub_tau2 = q * P[s_index]
 

@@ -410,23 +410,15 @@ def interp_matrix(grid, points, out_of_bounds="raise"):
                       shape=(npts, grid.num_nodes))
 
 
-def interp_values(grid, vals, points, out_of_bounds="raise"):
-    """Interpolate a raw (ncomp,) + grid.shape array; returns (npts, ncomp).
-
-    :func:`interp_matrix` times the node-major data (num_nodes, ncomp), with
-    no Field component-count restriction (used for Jacobian-valued data).
-    """
-    return interp_matrix(grid, points, out_of_bounds) @ vals.reshape(len(vals), -1).T
-
-
 def interpolate(f, points, out_of_bounds="raise"):
-    """Piecewise-cubic (Catmull-Rom style) interpolation at physical points.
+    """Piecewise-cubic (Catmull-Rom style) interpolation at physical points:
+    :func:`interp_matrix` times the node-major values (num_nodes, ncomp).
 
     Returns shape (npts,) for scalar fields, (npts, ncomp) for vector fields.
     Points outside the extent beyond a 1e-12 relative tolerance raise
     :class:`OutOfDomainError` unless ``out_of_bounds='clamp'``.
     """
-    out = interp_values(f.grid, f.values, points, out_of_bounds)
+    out = interp_matrix(f.grid, points, out_of_bounds) @ f.values.reshape(f.ncomp, -1).T
     if f.ncomp == 1:
         out = out[:, 0]
     return out

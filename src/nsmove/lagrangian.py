@@ -186,26 +186,18 @@ class FaceGaps:
     ``n_X``, ``tau_X``: the physical unit normal and tangent at X(t, y);
     ``dn`` = n_ref - n_X, ``dtau`` = tau_ref - tau_X; ``Vy`` = V(t, y),
     ``dV`` = V(t, X) - V(t, y); ``A[:, a, b]`` the coefficient of du_a/dy_b
-    in the tangential stress datum B. ``frame`` (the map's
-    :class:`~nsmove.motion.Frame` at t) None is zero context: the reference
-    normal and tangent, every gap zero. The slip data and their extension
+    in the tangential stress datum B, all from ``frame``, the map's
+    :class:`~nsmove.motion.Frame` at t. The slip data and their extension
     both read these.
     """
 
     def __init__(self, face, nodes, frame, V, t, mu):
         flat = self.flat = face.flat
         self.y = nodes[flat]
-        m = len(flat)
-        if frame is None:
-            n_X = np.broadcast_to(face.normal, (m, 2))
-            tau_X = np.broadcast_to(face.tangent, (m, 2))
-            Jgap = np.zeros((m, 2, 2))
-            self.Vy = VX = np.zeros((m, 2))
-        else:
-            _, n_X, tau_X = frame.faces[face.name]
-            Jgap = np.eye(2) - frame.inv[flat]           # I - gradY
-            self.Vy = V.velocity(t, self.y)
-            VX = V.velocity(t, frame.X[flat])
+        _, n_X, tau_X = frame.faces[face.name]
+        Jgap = np.eye(2) - frame.inv[flat]           # I - gradY
+        self.Vy = V.velocity(t, self.y)
+        VX = V.velocity(t, frame.X[flat])
         self.n_X, self.tau_X = n_X, tau_X
         self.dn = face.normal - n_X
         self.dtau = face.tangent - tau_X

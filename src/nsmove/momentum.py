@@ -35,7 +35,7 @@ from .errors import (
     LinearSolverFailureError,
     PositivityViolationError,
 )
-from .fields import Field, gradient_values
+from .fields import Field, gradient_values, level_fields, level_times
 from .motion import _check_steps
 
 
@@ -511,9 +511,12 @@ def momentum_energy_residual(u_levels, times, rho, rhs, params, bc):
     smooth solutions. Testing is against u (V-terms folded into rhs/bc data).
     ``bc`` is the solve's :class:`MomentumBC`, whose kind must be
     ``params.bc``: a slip boundary adds its stress datum's work and the
-    friction.
+    friction. The levels are 2-component fields on one grid, one per
+    increasing time.
     """
     _check_bc_kind(bc, params)
+    times = level_times(times)
+    u_levels = level_fields(u_levels, times, 2, "u")
     grid = u_levels[0].grid
     d = grid.dim
     w = grid.quadrature_weights().ravel()

@@ -469,11 +469,8 @@ def advect_flow_map(V, grid, T, dt_map, *, with_hessian=False):
 
 def physical_gradient(grad_y, frame):
     """grad_x = grad_y gradY per node, (N, c, d), with gradY from a
-    :class:`Frame`; ``frame=None`` is a static grid, where grad_x = grad_y.
-    On a moving grid the result is a view of component rows (c, d, N), so
+    :class:`Frame`. The result is a view of component rows (c, d, N), so
     it is not C-contiguous."""
-    if frame is None:
-        return grad_y
     out = np.empty(grad_y.shape[1:] + grad_y.shape[:1])
     _contract(out, np.moveaxis(grad_y, 0, -1), np.moveaxis(frame.inv, 0, -1),
               np.empty(len(grad_y)))

@@ -9,13 +9,13 @@ from .motion import physical_gradient
 class StateTrajectory:
     """Time levels of (rho, u) fields sampled on the reference grid.
 
-    When a flow map is attached, the samples live at the moving nodes
-    X(t_m, y) (reference representation of fields on Omega_t); with
-    ``flow_map=None`` the domain is static and samples sit at the nodes.
+    The samples live at the moving nodes X(t_m, y) of ``flow_map``: the
+    reference representation of fields on Omega_t. A fixed domain is the
+    flow map of V = 0, whose frames are the identity exactly.
     Every level is on one grid: rho has 1 component, u has 2.
     """
 
-    def __init__(self, times, rho_fields, u_fields, flow_map=None):
+    def __init__(self, times, rho_fields, u_fields, flow_map):
         self.times = level_times(times)
         self.rho = level_fields(rho_fields, self.times, 1, "rho")
         self.grid = self.rho[0].grid
@@ -26,23 +26,15 @@ class StateTrajectory:
         return len(self.times)
 
     def positions(self, m):
-        if self.flow_map is None:
-            return self.grid.node_coords()
         return self.frame(m).X
 
     def frame(self, m):
-        """The flow map's :class:`~nsmove.motion.Frame` at level m; ``None``
-        on a static domain."""
-        if self.flow_map is None:
-            return None
+        """The flow map's :class:`~nsmove.motion.Frame` at level m."""
         return self.flow_map.frame(self.times[m])
 
     def physical_weights(self, m):
         """Trapezoid weights on the current physical image (w_ref * det)."""
-        w = self.grid.quadrature_weights()
-        if self.flow_map is None:
-            return w
-        return w * self.frame(m).det.reshape(self.grid.shape)
+        return self.grid.quadrature_weights() * self.frame(m).det.reshape(self.grid.shape)
 
     def physical_velocity_gradient(self, m):
         """grad_x u as (N, d, d) via the inverse Jacobian transform."""

@@ -62,9 +62,10 @@ class DiscreteVelocity:
         """Nodal u | grad_x u at level m, stacked node-major into (N, 6),
         reference-sampled."""
         f = self.fields[m]
-        frame = None if self.flow_map is None else self.flow_map.frame(self.times[m])
-        gx = physical_gradient(gradient_values(f), frame)  # du_i/dx_k
-        return np.concatenate([f.values.reshape(2, -1).T, gx.reshape(-1, 4)], axis=1)
+        g = gradient_values(f)  # du_i/dy_k, which is du_i/dx_k on a static grid
+        if self.flow_map is not None:
+            g = physical_gradient(g, self.flow_map.frame(self.times[m]))
+        return np.concatenate([f.values.reshape(2, -1).T, g.reshape(-1, 4)], axis=1)
 
     def _to_ref(self, t, x):
         if self.flow_map is None:

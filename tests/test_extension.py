@@ -1,7 +1,5 @@
 import numpy as np
-import pytest
 
-from nsmove.errors import InvalidArgumentError
 from nsmove.extension import (
     extend_boundary_data,
     extension_norm_report,
@@ -11,6 +9,8 @@ from nsmove.fields import Field, Grid
 from nsmove.lagrangian import BoundaryData, transformed_boundary_data
 from nsmove.momentum import FluidParams
 from nsmove.motion import MotionField, advect_flow_map
+
+from fixed_domain import fixed_map
 
 
 def unit_square(n=33):
@@ -25,6 +25,14 @@ def zero_data(grid, t=0.0):
     return BoundaryData(faces, t)
 
 
+def extend_raw(bdata, grid, params=FluidParams(mu=1.0, bc="slip")):
+    """Extend raw data at t = 0 on the fixed domain: V = 0, its flow map
+    and u_ref = 0."""
+    return extend_boundary_data(bdata, grid, u_ref=Field.zeros(grid, ncomp=2),
+                                V=MotionField.zero(), flow_map=fixed_map(grid, [0.0]),
+                                params=params)
+
+
 def bump(s, lo=0.3, hi=0.7):
     """C^2 bump supported in [lo, hi] along the face coordinate."""
     t = np.clip((s - lo) / (hi - lo), 0.0, 1.0)
@@ -34,7 +42,7 @@ def bump(s, lo=0.3, hi=0.7):
 class TestTraces:
     def test_zero_data_zero_field(self):
         g = unit_square(17)
-        ext = extend_boundary_data(zero_data(g), g)
+        ext = extend_raw(zero_data(g), g)
         assert np.max(np.abs(ext.field.values)) == 0.0
 
     def test_normal_trace_reproduced(self):
@@ -42,7 +50,7 @@ class TestTraces:
         bd = zero_data(g)
         s = g.axis_coords(0)
         bd.faces["y0"]["d"] = bump(s)
-        ext = extend_boundary_data(bd, g)
+        ext = extend_raw(bd, g)
         flat = np.ravel_multi_index(g.face_index("y0", closed=True), g.shape)
         trace = ext.field.values.reshape(2, -1).T[flat] @ np.array([0.0, -1.0])
         assert np.max(np.abs(trace - bump(s))) <= 1e-8
@@ -52,7 +60,7 @@ class TestTraces:
         bd = zero_data(g)
         bd.faces["y0"]["d"] = bump(g.axis_coords(0))
         eps = 1.0 / 8.0  # one eighth of the shortest extent
-        ext = extend_boundary_data(bd, g)
+        ext = extend_raw(bd, g)
         assert ext.eps == eps
         pts = g.node_coords()
         outside = pts[:, 1] >= 2 * eps + 1e-12
@@ -76,9 +84,9 @@ class TestTraces:
             bd_sum.faces[f]["d"] = bd1.faces[f]["d"] + bd2.faces[f]["d"]
             bd_sum.faces[f]["B"] = bd1.faces[f]["B"] + bd2.faces[f]["B"]
         params = FluidParams(mu=0.7, kappa=0.4, bc="slip")
-        e1 = extend_boundary_data(bd1, g, params=params)
-        e2 = extend_boundary_data(bd2, g, params=params)
-        es = extend_boundary_data(bd_sum, g, params=params)
+        e1 = extend_raw(bd1, g, params)
+        e2 = extend_raw(bd2, g, params)
+        es = extend_raw(bd_sum, g, params)
         gap = es.field.values - e1.field.values - e2.field.values
         assert np.max(np.abs(gap)) < 1e-13
 
@@ -88,20 +96,20 @@ class TestTraces:
         bd.faces["y0"]["d"] = bump(g.axis_coords(0))
         bd.faces["y0"]["B"] = 0.4 * bump(g.axis_coords(0))
         params = FluidParams(mu=0.5, bc="slip")
-        e1 = extend_boundary_data(bd, g, params=params)
+        e1 = extend_raw(bd, g, params)
         lam = 3.7
         bd2 = zero_data(g)
         bd2.faces["y0"]["d"] = lam * bd.faces["y0"]["d"]
         bd2.faces["y0"]["B"] = lam * bd.faces["y0"]["B"]
-        e2 = extend_boundary_data(bd2, g, params=params)
+        e2 = extend_raw(bd2, g, params)
         assert np.allclose(e2.field.values, lam * e1.field.values, atol=1e-12)
 
     def test_stress_trace_zero_context(self):
         # u^b built from raw (d, B): the FD stress reproduces B to round-off
         # at every node of the closed face, not only to O(h). Two reasons:
-        # with zero context the tangential component is q * P(s), linear in
-        # q on the first two node layers (2h <= eps, inside the cutoff
-        # plateau), so the one-sided q-stencil is exact; and P's dtau_d uses
+        # with V = 0 and u_ref = 0 the tangential component is q * P(s),
+        # linear in q on the first two node layers (2h <= eps, inside the
+        # cutoff plateau), so the one-sided q-stencil is exact; and P's dtau_d uses
         # fields._diff_axis, the same stencil that stress_trace_fd applies
         # through differentiate. The data vanish in the corner collars, so the
         # face blending does not enter. y1 has tau against increasing s
@@ -114,7 +122,7 @@ class TestTraces:
                 bd.faces[face]["d"] = bump(s)
                 bd.faces[face]["B"] = 0.6 * bump(s, 0.25, 0.75)
                 params = FluidParams(mu=0.8, kappa=kappa, bc="slip")
-                ext = extend_boundary_data(bd, g, params=params)
+                ext = extend_raw(bd, g, params)
                 got = stress_trace_fd(ext, g, params, face)
                 err = np.max(np.abs(got - bd.faces[face]["B"]))
                 assert err <= 1e-12, (face, n, err)
@@ -159,13 +167,13 @@ class TestWithContext:
         g, V, fm, u, params = self.setup_context(n=33)
         bd = transformed_boundary_data(u, V, fm, 0.2, params)
         counts = []
-        interp = ext_mod.interp_values
+        interp = ext_mod.interpolate
 
-        def counting(grid, vals, points, out_of_bounds="raise"):
+        def counting(f, points, out_of_bounds="raise"):
             counts.append(len(points))
-            return interp(grid, vals, points, out_of_bounds)
+            return interp(f, points, out_of_bounds)
 
-        monkeypatch.setattr(ext_mod, "interp_values", counting)
+        monkeypatch.setattr(ext_mod, "interpolate", counting)
         ext = extend_boundary_data(bd, g, u_ref=u, V=V, flow_map=fm, params=params)
         nodes = g.node_coords()
         collars = []
@@ -193,14 +201,3 @@ class TestWithContext:
             monitors.append(rep["trajectory_norm"])
         assert monitors[0] >= monitors[1] >= monitors[2]
 
-
-class TestValidation:
-    @pytest.mark.parametrize("given", ["V", "flow_map"])
-    def test_context_needs_v_and_flow_map(self, given):
-        # one without the other would drop the frame gaps and extend the
-        # data as if there were no context
-        g = unit_square(17)
-        V = MotionField.shear(0.6)
-        context = {"V": V, "flow_map": advect_flow_map(V, g, 0.1, 0.05)}
-        with pytest.raises(InvalidArgumentError, match="both V and flow_map"):
-            extend_boundary_data(zero_data(g, 0.1), g, **{given: context[given]})

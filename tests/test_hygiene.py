@@ -1,5 +1,6 @@
 """Source hygiene: every import in the package is used, and so is every
-top-level definition and method; no einsum in the package takes three or more operands.
+top-level definition and method; no einsum in the package takes three or more operands;
+no module but ``transport.py`` compares a flow map or frame with None.
 
 A name bound by an import counts as used when it is read anywhere in the
 module or listed in ``__all__``; ``from __future__`` imports are exempt.
@@ -238,8 +239,6 @@ _KEPT_UNSET = {
     ("DiscreteVelocity.__init__", "flow_map"),
     # ROADMAP item 5: the coupled driver's body force
     ("lagrangian_remainder", "force"),
-    # ROADMAP item 6: the weak-strong check on a moving domain
-    ("relative_energy_remainder", "V"),
     # the exported Field API (nsmove.__all__)
     ("Field.copy", "values"),
     ("Field.zeros", "ncomp"),
@@ -303,6 +302,46 @@ def test_detects_multi_operand_einsum():
                      "np.einsum('pij,pj,pi->p', D, n,\n          t)\n"
                      "einsum('i,i,i,i->', a, b, c, d)\n")
     assert _multi_operand_einsums(tree) == [(2, 3), (4, 4)]
+
+
+def _none_forks(tree):
+    """(line, name) of each comparison of a name or attribute ``flow_map``
+    or ``frame`` with None.
+
+    A fixed domain is the flow map of V = 0, so the moving-frame layers
+    take a map and have no second path for its absence. Only
+    ``transport.py`` keeps one: ``DiscreteVelocity`` on a static grid,
+    where a stage would otherwise invert an identity map.
+    """
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        if not any(isinstance(o, ast.Constant) and o.value is None for o in operands):
+            continue
+        for o in operands:
+            name = getattr(o, "id", getattr(o, "attr", None))
+            if name in ("flow_map", "frame"):
+                out.append((node.lineno, name))
+    return sorted(out)
+
+
+_FORK_SRC = [p for p in SRC if p.name != "transport.py"]
+
+
+@pytest.mark.parametrize("path", _FORK_SRC, ids=[p.name for p in _FORK_SRC])
+def test_no_fixed_domain_fork(path):
+    forks = _none_forks(ast.parse(path.read_text(), filename=str(path)))
+    assert not forks, f"{path.name}: (line, name) compared with None {forks}"
+
+
+def test_detects_fixed_domain_fork():
+    tree = ast.parse("if flow_map is None:\n    pass\n"
+                     "x = None if self.frame is not None else 1\n"
+                     "y = self._frame is None or frame == 0\n"
+                     "z = None != traj.flow_map\n")
+    assert _none_forks(tree) == [(1, "flow_map"), (3, "frame"), (5, "flow_map")]
 
 
 # quad and what it pulls in, which no pressure law needs any more; and the

@@ -304,6 +304,26 @@ class TestEnergyResidual:
             lambda t: np.zeros((N, 2)), FluidParams(mu=0.4), MomentumBC.no_slip(zero_v))
         assert all(r["imbalance"] == 0.0 for r in recs)
 
+    @pytest.mark.parametrize("times, other_grid, match", [
+        ([0.0, 0.1], False, "one u field per time level"),
+        ([0.0, 0.1, 0.2, 0.3], False, "one u field per time level"),
+        ([0.0, 0.1, 0.1], False, "non-empty and increasing"),
+        ([0.0, 0.1, 0.2], True, "u level 2 has")],
+        ids=["short", "long", "repeated", "other-grid"])
+    def test_levels_checked(self, times, other_grid, match):
+        # unchecked, short times raise a bare IndexError, long ones are cut
+        # short silently, a repeated time gives an inf imbalance, and a
+        # level on another grid of the same shape is read as if on this one
+        g = Grid((9, 9), (0.0, 0.0), (1.0, 1.0))
+        levels = [Field.zeros(g, ncomp=2, t=t) for t in (0.0, 0.1, 0.2)]
+        if other_grid:
+            levels[2] = Field.zeros(Grid((9, 9), (0.0, 0.0), (2.0, 1.0)), ncomp=2, t=0.2)
+        with pytest.raises(InvalidArgumentError, match=match):
+            momentum_energy_residual(
+                levels, np.array(times), lambda t: np.ones(g.num_nodes),
+                lambda t: np.zeros((g.num_nodes, 2)), FluidParams(mu=0.4),
+                MomentumBC.no_slip(zero_v))
+
     def test_manufactured_imbalance_refines(self):
         out = {}
         for n, steps in ((33, 16), (65, 32)):

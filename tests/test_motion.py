@@ -30,6 +30,7 @@ from nsmove.transport import (
     mass_total,
     solve_transport,
 )
+from fixed_domain import fixed_map
 from xonly import thin_grid, x_dilation, x_motion, x_points
 
 
@@ -258,10 +259,22 @@ class TestNearestNode:
 
 class TestJacobians:
     def test_zero_gap(self):
-        g = grid2d()
-        fm = advect_flow_map(MotionField.zero(), g, 0.3, 0.05)
-        gap = np.max(np.abs(fm.frame(0.3).inv - np.eye(2)))
-        assert gap == 0.0
+        # the V = 0 map is the fixed domain exactly: the nodes, identity
+        # Jacobians and the reference face normals and tangents, so every
+        # layer on it reads what a fixed grid would give, bit for bit
+        for g in (grid2d(), Grid((33, 21), (0.0, -0.5), (1.5, 0.5))):
+            fm = fixed_map(g, 0.05 * np.arange(7))
+            for t in fm.times:
+                fr = fm.frame(t)
+                assert np.array_equal(fr.X, g.node_coords())
+                for J in (fr.J, fr.inv):
+                    assert np.array_equal(J, np.broadcast_to(np.eye(2), J.shape))
+                assert np.array_equal(fr.det, np.ones(g.num_nodes))
+                for face in g.faces().values():
+                    flat, n, tau = fr.faces[face.name]
+                    assert np.array_equal(flat, face.flat)
+                    assert np.array_equal(n, np.broadcast_to(face.normal, n.shape))
+                    assert np.array_equal(tau, np.broadcast_to(face.tangent, tau.shape))
 
     def test_dilation_1d(self):
         g = thin_grid(17)

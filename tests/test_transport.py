@@ -10,7 +10,7 @@ from nsmove.fields import (
     Field,
     Grid,
     differentiate,
-    interp_values,
+    interp_matrix,
     interpolate,
     sobolev_norm,
 )
@@ -266,13 +266,14 @@ class TestDiscreteVelocity:
         t = 0.137
         w = (t - times[1]) / (times[2] - times[1])
 
+        M = interp_matrix(g, pts)
+
         def level(f):
             # u, grad u, div u, each interpolated on its own
             grads = [differentiate(f, k).values for k in range(2)]   # (2,) + shape
-            return (interp_values(g, f.values, pts),
-                    np.stack([interp_values(g, grads[k], pts) for k in range(2)],
-                             axis=-1),
-                    interp_values(g, (grads[0][0] + grads[1][1])[None], pts)[:, 0])
+            return (M @ f.values.reshape(2, -1).T,
+                    np.stack([M @ grads[k].reshape(2, -1).T for k in range(2)], axis=-1),
+                    M @ (grads[0][0] + grads[1][1]).ravel())
 
         refs = [(1 - w) * a + w * b for a, b in zip(level(fields[1]), level(fields[2]))]
         u, grad = dv.velocity_and_gradient(t, pts)
