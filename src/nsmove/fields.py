@@ -318,14 +318,20 @@ _INTERP_CHUNK = 4096     # points per component-major block of weights
 
 
 def _catmull_rom_weights(s):
+    """Rows 0.5 (-s^3 + 2 s^2 - s), 0.5 (3 s^3 - 5 s^2 + 2), 0.5 (-3 s^3 +
+    4 s^2 + s) and 0.5 (s^3 - s^2), written in place (row 3 is scratch
+    until last) by the same operations in the same order; x - a is -a + x
+    exactly."""
     s2 = s * s
     s3 = s2 * s
-    w = np.empty((4,) + s.shape)
-    w[0] = 0.5 * (-s3 + 2 * s2 - s)
-    w[1] = 0.5 * (3 * s3 - 5 * s2 + 2)
-    w[2] = 0.5 * (-3 * s3 + 4 * s2 + s)
-    w[3] = 0.5 * (s3 - s2)
-    return w
+    w0, w1, w2, w3 = w = np.empty((4,) + s.shape)
+    np.subtract(np.subtract(np.multiply(s2, 2, out=w0), s3, out=w0), s, out=w0)
+    np.subtract(np.multiply(s3, 3, out=w1), np.multiply(s2, 5, out=w3), out=w1)
+    np.add(w1, 2, out=w1)
+    np.subtract(np.multiply(s2, 4, out=w2), np.multiply(s3, 3, out=w3), out=w2)
+    np.add(w2, s, out=w2)
+    np.subtract(s3, s2, out=w3)
+    return np.multiply(w, 0.5, out=w)
 
 
 def _lagrange_cubic_weights(u):
@@ -348,10 +354,9 @@ def _axis_stencil(xi, n, itype):
     cell = np.minimum(xi.astype(itype), n - 2)
     w = _catmull_rom_weights(xi - cell)
     start = cell - 1
-    for edge, first in ((0, 0), (n - 2, n - 4)):
-        i = np.flatnonzero(cell == edge)
-        w[:, i] = _lagrange_cubic_weights(xi[i] - first)
-        start[i] = first
+    i = np.flatnonzero((cell == 0) | (cell == n - 2))
+    start[i] = first = np.where(cell[i] == 0, 0, n - 4)   # both 0 when n = 4
+    w[:, i] = _lagrange_cubic_weights(xi[i] - first)
     return start, w
 
 

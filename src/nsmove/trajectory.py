@@ -12,13 +12,13 @@ class StateTrajectory:
     The samples live at the moving nodes X(t_m, y) of ``flow_map``: the
     reference representation of fields on Omega_t. A fixed domain is the
     flow map of V = 0, whose frames are the identity exactly.
-    Every level is on one grid: rho has 1 component, u has 2.
+    Every level is on the map's grid: rho has 1 component, u has 2.
     """
 
     def __init__(self, times, rho_fields, u_fields, flow_map):
         self.times = level_times(times)
-        self.rho = level_fields(rho_fields, self.times, 1, "rho")
-        self.grid = self.rho[0].grid
+        self.grid = flow_map.grid
+        self.rho = level_fields(rho_fields, self.times, 1, "rho", self.grid)
         self.u = level_fields(u_fields, self.times, 2, "u", self.grid)
         self.flow_map = flow_map
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,21 @@ class TestStateTrajectory:
         levels[part][1] = level
         with pytest.raises(InvalidArgumentError, match=f"{part} level 1 has"):
             StateTrajectory([0.0, 0.1], levels["rho"], levels["u"], fixed_map(g, [0.0, 0.1]))
+
+    @pytest.mark.parametrize("map_grid", [Grid((9, 9), (0.0, 0.0), (2.0, 2.0)),
+                                          Grid((17, 17), (0.0, 0.0), (1.0, 1.0))],
+                             ids=["other-extent", "other-size"])
+    def test_flow_map_on_the_levels_grid(self, map_grid):
+        # a map on [0, 2]^2 once put the positions up to 2.0 under unit-square
+        # quadrature weights, and a 17 x 17 map failed only at
+        # physical_weights with a bare numpy reshape error
+        g = Grid((9, 9), (0.0, 0.0), (1.0, 1.0))
+        rhos = [Field(g, np.ones(g.shape), t) for t in (0.0, 0.1)]
+        us = [Field.zeros(g, ncomp=2, t=t) for t in (0.0, 0.1)]
+        with pytest.raises(InvalidArgumentError,
+                           match=re.escape(f"level 0 has 1 components on {g}; "
+                                           f"expected 1 on {map_grid}")):
+            StateTrajectory([0.0, 0.1], rhos, us, fixed_map(map_grid, [0.0, 0.1]))
 
 
 class TestEnergyInequality:

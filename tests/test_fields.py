@@ -321,9 +321,12 @@ def _axis_samples(rng, lo, hi, n):
 
 class TestInterpMatrix:
     # 1: a thin grid, whose 5-node y-axis has two one-sided edge cells and
-    # two Catmull-Rom cells
+    # two Catmull-Rom cells; 3, 4: 4- and 6-node axes, where a 4-node axis's
+    # two one-sided cells both start at node 0
     GRIDS = {1: thin_grid(17, 0.25, 1.25),
-             2: Grid((13, 10), (-0.5, 0.0), (0.5, 2.0))}
+             2: Grid((13, 10), (-0.5, 0.0), (0.5, 2.0)),
+             3: Grid((4, 6), (0.0, -1.0), (1.5, 1.0)),
+             4: Grid((6, 4), (-2.0, 0.5), (0.0, 0.8))}
 
     def _points(self, key, rng):
         g = self.GRIDS[key]
@@ -374,7 +377,7 @@ class TestInterpMatrix:
             assert getattr(got, key).dtype == getattr(ref, key).dtype
             assert np.array_equal(getattr(got, key), getattr(ref, key))
 
-    @pytest.mark.parametrize("key", [1, 2])
+    @pytest.mark.parametrize("key", [1, 2, 3, 4])
     def test_csr_arrays_match_reference_on_samples(self, key):
         # weights, columns and row pointers keep their bits, clamped points included
         g = self.GRIDS[key]

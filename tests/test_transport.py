@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import weakref
 
@@ -9,18 +10,21 @@ from nsmove.errors import InvalidArgumentError, OutOfDomainError, PositivityViol
 from nsmove.fields import (
     Field,
     Grid,
+    blend_levels,
     differentiate,
+    gradient_values,
     interp_matrix,
     interpolate,
     sobolev_norm,
 )
-from nsmove.motion import MotionField, advect_flow_map
+from nsmove.motion import MotionField, advect_flow_map, physical_gradient
 from nsmove.transport import (
     DiscreteVelocity,
     density_gradient,
     mass_total,
     solve_transport,
 )
+from fixed_domain import fixed_map
 from xonly import thin_grid, x_dilation, x_field, x_points
 
 
@@ -246,6 +250,19 @@ class TestDiscreteVelocity:
         with pytest.raises(InvalidArgumentError, match="velocity level 1 has"):
             DiscreteVelocity([0.0, 0.1], fields)
 
+    @pytest.mark.parametrize("map_grid", [Grid((9, 9), (0.0, 0.0), (2.0, 2.0)),
+                                          Grid((17, 17), (0.0, 0.0), (1.0, 1.0))],
+                             ids=["other-extent", "other-size"])
+    def test_flow_map_on_the_levels_grid(self, map_grid):
+        # a map on [0, 2]^2 once gave values with no error, and a 17 x 17 map
+        # failed only at the first stage with a bare numpy broadcast error
+        g = Grid((9, 9), (0.0, 0.0), (1.0, 1.0))
+        fields = [Field.zeros(g, ncomp=2, t=t) for t in (0.0, 0.1)]
+        with pytest.raises(InvalidArgumentError,
+                           match=re.escape(f"level 0 has 2 components on {g}; "
+                                           f"expected 2 on {map_grid}")):
+            DiscreteVelocity([0.0, 0.1], fields, flow_map=fixed_map(map_grid, [0.0, 0.1]))
+
     @staticmethod
     def _static_2d(t_levels):
         g = Grid((17, 17), (0.0, 0.0), (1.0, 1.0))
@@ -283,6 +300,39 @@ class TestDiscreteVelocity:
             assert a.shape == b.shape
             assert np.max(np.abs(a - b)) <= 1e-14
 
+    @pytest.mark.parametrize("moving", [False, True], ids=["static", "moving-map"])
+    def test_stage_bit_identical_to_six_column_product(self, moving):
+        # the zero 7th column of the level data changes no bit of u or grad u:
+        # a stage equals the product with the 6-column u | grad_x u data
+        times = np.array([0.0, 0.1, 0.2])
+        g, fields = self._static_2d(times)
+        fm = advect_flow_map(MotionField.shear(0.4), g, 0.2, 0.1) if moving else None
+
+        def six_columns(m):
+            grad = gradient_values(fields[m])
+            if moving:
+                grad = physical_gradient(grad, fm.frame(times[m]))
+            return np.concatenate([fields[m].values.reshape(2, -1).T, grad.reshape(-1, 4)],
+                                  axis=1)
+
+        L6 = [six_columns(m) for m in range(len(times))]
+        z = np.random.default_rng(8).uniform(0.1, 0.9, size=(200, 2))
+        built = []
+        for t in (0.1, 0.137):
+            dv = DiscreteVelocity(times, fields, flow_map=fm)
+            dv._level_data = lambda m, build=dv._level_data: built.append(build(m)) or built[-1]
+            # physical points, pulled back as a stage's first call does
+            pts = fm.eval_forward(t, z) if moving else z
+            ref = fm.invert(t, pts) if moving else pts
+            want = interp_matrix(g, ref) @ blend_levels(L6, times, t)
+            u, grad = dv.velocity_and_gradient(t, pts)
+            assert np.array_equal(u, want[:, :2])
+            assert np.array_equal(grad, want[:, 2:].reshape(-1, 2, 2))
+        assert len(built) == 3   # level 1 at t = 0.1, levels 1 and 2 at t = 0.137
+        for lev in built:
+            assert lev.shape == (g.num_nodes, 7)
+            assert np.array_equal(lev[:, 6], np.zeros(g.num_nodes))
+
     def test_one_blend_per_stage_time(self, monkeypatch):
         # RK4 stages 2 and 3 share m dt + dt/2, and a step's last stage is
         # timed at (m + 1) dt, the next step's first stage time and the next
@@ -313,7 +363,7 @@ class TestDiscreteVelocity:
 
     def test_stale_stage_and_blend_freed_before_new_arrays(self, monkeypatch):
         # a stage at a new t drops the last stage's blend before it builds
-        # level data or an interpolation matrix, so no second (N, 6) blend
+        # level data or an interpolation matrix, so no second (N, 7) blend
         # is alive then; the stage's own values are the caller's
         times = np.array([0.0, 0.1, 0.2])
         g, fields = self._static_2d(times)
