@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, NotSameDataError
-from .fields import gradient_values
+from .fields import _trapezoid_weights, gradient_values
 from .motion import _contract, physical_gradient
 
 
@@ -44,8 +44,9 @@ class PressureLaw:
     """
 
     def __init__(self, *, gamma=2.0, coeff=1.0):
-        if gamma < 1 or coeff <= 0:
-            raise InvalidArgumentError("isentropic law needs gamma >= 1, a > 0")
+        if not (1 <= gamma < np.inf and 0 < coeff < np.inf):   # NaN fails too
+            raise InvalidArgumentError("isentropic law needs finite gamma >= 1, a > 0; "
+                                       f"got gamma={gamma}, a={coeff}")
         self.gamma = float(gamma)
         self.coeff = float(coeff)
         ref = _potential_gauss_legendre(self.p, 2.0)
@@ -200,10 +201,7 @@ def _boundary_friction_rate(traj, V, params, m):
     total = 0.0
     for flat, _, tau in frame.faces.values():
         pos = frame.X[flat]
-        dl = np.linalg.norm(np.diff(pos, axis=0), axis=1)
-        wline = np.zeros(len(pos))
-        wline[:-1] += 0.5 * dl
-        wline[1:] += 0.5 * dl
+        wline = _trapezoid_weights(np.linalg.norm(np.diff(pos, axis=0), axis=1))
         ut = np.sum((uvals[flat] - V.velocity(t, pos)) * tau, axis=1)
         total += float(np.sum(wline * params.kappa * ut**2))
     return total

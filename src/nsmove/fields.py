@@ -37,6 +37,16 @@ def _read_only(a):
     return a
 
 
+def _trapezoid_weights(segments):
+    """Composite-trapezoid node weights from segment lengths: half of each
+    adjacent segment. On a uniform axis 0.5 h + 0.5 h = h exactly, so the
+    weights are h inside and h/2 at the ends, bit for bit."""
+    w = np.zeros(len(segments) + 1)
+    w[:-1] += 0.5 * segments
+    w[1:] += 0.5 * segments
+    return w
+
+
 @dataclass(frozen=True)
 class Face:
     """One closed face of the reference extent.
@@ -129,8 +139,10 @@ class Grid:
             raise InvalidArgumentError("n, lo, hi must have matching lengths")
         if any(m < 4 for m in n):
             raise InvalidArgumentError(f"need at least 4 nodes per axis, got {n}")
-        if any(b <= a for a, b in zip(lo, hi)):
-            raise InvalidArgumentError("extent must have positive length per axis")
+        # b - a is NaN or infinite if either end is, or if the width overflows
+        if not all(0 < b - a < np.inf for a, b in zip(lo, hi)):
+            raise InvalidArgumentError("extent must be finite with positive length per "
+                                       f"axis, got lo={lo}, hi={hi}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
@@ -166,14 +178,10 @@ class Grid:
         return _read_only(np.stack([m.ravel() for m in mesh], axis=-1))
 
     def quadrature_weights(self):
-        """Composite-trapezoid weights per node, shaped like the grid."""
-        w = np.ones(self.n[0])
-        w[0] = w[-1] = 0.5
-        w = w * self.spacing[0]
-        w2 = np.ones(self.n[1])
-        w2[0] = w2[-1] = 0.5
-        w2 = w2 * self.spacing[1]
-        return np.outer(w, w2)
+        """Composite-trapezoid weights per node, shaped like the grid: the
+        outer product of the two axes' weights."""
+        return np.outer(*(_trapezoid_weights(np.full(m - 1, h))
+                          for m, h in zip(self.n, self.spacing)))
 
     @property
     def face_names(self):
@@ -207,19 +215,11 @@ class Grid:
         for face in self.face_names:
             flat = _read_only(np.ravel_multi_index(self.face_index(face, closed=True), self.n))
             axis = 0 if face in ("x0", "x1") else 1
-            h = self.spacing[1 - axis]
-            weights = np.full(len(flat), h)
-            weights[0] = weights[-1] = h / 2
+            weights = _trapezoid_weights(np.full(len(flat) - 1, self.spacing[1 - axis]))
             normal = FACE_NORMALS[face].copy()
             out[face] = Face(face, flat, axis, _read_only(normal),
                              _read_only(rotate90(normal)), _read_only(weights))
         return out
-
-    def boundary_mask(self):
-        mask = np.zeros(self.n, dtype=bool)
-        mask[0, :] = mask[-1, :] = True
-        mask[:, 0] = mask[:, -1] = True
-        return mask
 
 
 class Field:
@@ -364,7 +364,8 @@ def interp_matrix(grid, points, out_of_bounds="raise"):
     """Interpolation weights at ``points``, a CSR matrix (npts, num_nodes).
 
     Row p is the tensor product of the per-axis 4-point stencils of point p:
-    16 stored entries, summing to 1. A non-finite point raises
+    16 stored entries, summing to 1. ``points`` is (npts, 2), or one point
+    (2,); any other shape, or a non-finite point, raises
     :class:`InvalidArgumentError`. Points outside the extent beyond a 1e-12
     relative tolerance raise :class:`OutOfDomainError` unless
     ``out_of_bounds='clamp'``, which moves them onto the nearest face; any
@@ -378,8 +379,9 @@ def interp_matrix(grid, points, out_of_bounds="raise"):
         raise InvalidArgumentError(
             f"out_of_bounds must be 'raise' or 'clamp', got {out_of_bounds!r}")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != grid.dim:
-        raise InvalidArgumentError(f"points must have {grid.dim} coordinates")
+    if pts.shape[1:] != (grid.dim,):
+        raise InvalidArgumentError(
+            f"points have shape {np.shape(points)}; expected (npts, {grid.dim})")
     for a in range(grid.dim):
         lo, hi = grid.lo[a], grid.hi[a]
         tol = 1e-12 * max(1.0, abs(hi - lo))

@@ -7,7 +7,8 @@ construction. The viscosities are constant, so the stiffness is a sum of
 Kronecker products of 1-D P1 stiffness, mass and derivative-value matrices
 and stores only its exact nonzeros. The slip tangential stress datum B and
 the friction term kappa (u - V).tau enter as natural boundary terms, while
-the normal component is enforced strongly. A solve stores one fine-level
+the normal component is enforced strongly. The friction is diagonal: u.tau
+is u_y on an x-face and u_x on a y-face. A solve stores one fine-level
 matrix, H = A/2 with A = K + friction, made from K in place: the explicit
 half step, the dissipation and the reaction use it, and the eliminated
 system applies its finest level through it rather than a masked copy. The
@@ -49,10 +50,13 @@ class FluidParams:
     bc: str = "no-slip"
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise InvalidArgumentError("shear viscosity mu must be positive")
-        if self.eta < 0 or self.kappa < 0:
-            raise InvalidArgumentError("eta and kappa must be nonnegative")
+        # written so that NaN, which fails every comparison, is refused too
+        if not 0 < self.mu < np.inf:
+            raise InvalidArgumentError(
+                f"shear viscosity mu must be positive and finite, got {self.mu}")
+        if not (0 <= self.eta < np.inf and 0 <= self.kappa < np.inf):
+            raise InvalidArgumentError("eta and kappa must be nonnegative and finite, "
+                                       f"got eta={self.eta}, kappa={self.kappa}")
         if self.bc not in ("slip", "no-slip"):
             raise InvalidArgumentError(f"bc must be 'slip' or 'no-slip', got {self.bc!r}")
 
@@ -126,25 +130,6 @@ def assemble_stress_matrix(grid, params):
     return sp.vstack([top, sp.hstack([b10, b11], format="csr")], format="csr")
 
 
-def assemble_friction_matrix(grid, kappa):
-    """kappa * line integral of (u.tau)(w.tau) over the reference boundary.
-
-    The x-faces carry u_y and the y-faces u_x, so the matrix is
-    kappa blockdiag(Wx (x) Ey, Ex (x) Wy), with W the 1-D trapezoid weights
-    and E the selector of the two end nodes (both diagonal).
-    """
-    if kappa == 0.0:
-        return sp.csr_matrix((2 * grid.num_nodes, 2 * grid.num_nodes))
-    w, e = [], []
-    for n, h in zip(grid.shape, grid.spacing):
-        ends = np.zeros(n)
-        ends[[0, -1]] = 1.0
-        w.append(h * (1.0 - 0.5 * ends))
-        e.append(ends)
-    return sp.diags(kappa * np.concatenate([np.kron(w[0], e[1]), np.kron(e[0], w[1])]),
-                    format="csr")
-
-
 # -- boundary conditions -----------------------------------------------------
 
 
@@ -208,8 +193,7 @@ def _dirichlet_data(grid, bc, t):
     pts = grid.node_coords()
     idx, vals = [], []
     if bc.kind == "no-slip":
-        mask = grid.boundary_mask().ravel()
-        flat = np.nonzero(mask)[0]
+        flat = np.unique(np.concatenate([face.flat for face in grid.faces().values()]))
         vb = np.asarray(bc.velocity(t, pts[flat]), dtype=float).reshape(len(flat), d)
         for c in range(d):
             idx.append(c * N + flat)
@@ -230,10 +214,10 @@ def _dirichlet_data(grid, bc, t):
 
 
 def _slip_boundary_load(grid, bc, params, t):
-    """Natural-boundary load: line integral of (B + kappa V.tau) (w.tau)."""
-    d = grid.dim
+    """Natural-boundary load: line integral of (B + kappa V.tau) (w.tau),
+    on the tangential dofs (1 - axis) N + flat, which no two faces share."""
     N = grid.num_nodes
-    load = np.zeros(d * N)
+    load = np.zeros(grid.dim * N)
     if bc.kind != "slip":
         return load
     pts = grid.node_coords()
@@ -242,9 +226,7 @@ def _slip_boundary_load(grid, bc, params, t):
         data = bc.stress_datum(t, face.name, len(flat))
         if params.kappa > 0:
             data = data + params.kappa * (bc.velocity(t, pts[flat]) @ tau)
-        for c in range(d):
-            if tau[c] != 0.0:
-                np.add.at(load, c * N + flat, face.weights * data * tau[c])
+        load[(1 - face.axis) * N + flat] = face.weights * data * tau[1 - face.axis]
     return load
 
 
@@ -436,6 +418,16 @@ def _cg_solve(apply, b, x0, tol, precondition):
     return x, iterations, res
 
 
+def _callback_values(rho, rhs, t, N):
+    """rho(t) as N values and rhs(t) as (N, 2); else InvalidArgumentError."""
+    rho_t, f = np.asarray(rho(t), dtype=float), np.asarray(rhs(t), dtype=float)
+    if rho_t.size != N or f.shape != (N, 2):
+        raise InvalidArgumentError(
+            f"at t={t} rho(t) has shape {rho_t.shape} and rhs(t) {f.shape}; "
+            f"expected {N} values and ({N}, 2)")
+    return rho_t.ravel(), f
+
+
 _RHO_FLOOR = 1e-10  # smallest admissible midpoint density
 _CG_TOL = 1e-10     # relative residual at which each step's CG stops
 
@@ -444,8 +436,9 @@ def solve_linear_momentum(rho, rhs, bc, u0, params, dt, T):
     """Crank-Nicolson time stepping of rho du/dt - div S(grad u) = F on [0, T].
 
     ``rho`` and ``rhs`` are callables of time returning nodal values (density
-    (N,), force (N, d)); ``bc`` is a :class:`MomentumBC` whose kind must be
-    ``params.bc``. The density is frozen per step at the midpoint.
+    N values, force (N, d)); ``bc`` is a :class:`MomentumBC` whose kind must
+    be ``params.bc``. The density is frozen per step at the midpoint. The
+    slip friction is kappa ``face.weights`` on each face's tangential dofs.
     Returns (list of velocity Fields including the initial level, reports).
     """
     _check_bc_kind(bc, params)
@@ -454,9 +447,10 @@ def solve_linear_momentum(rho, rhs, bc, u0, params, dt, T):
     N = grid.num_nodes
     steps = _check_steps(T, dt)
     H = assemble_stress_matrix(grid, params)  # K, then A = K + friction, then H = A/2
-    fric = np.zeros(d * N)  # the friction matrix's diagonal; it has no other entries
+    fric = np.zeros(d * N)  # the friction's diagonal; it has no other entries
     if params.bc == "slip" and params.kappa > 0:
-        fric = assemble_friction_matrix(grid, params.kappa).diagonal()
+        for face in grid.faces().values():
+            fric[(1 - face.axis) * N + face.flat] = params.kappa * face.weights
         H.data[_diagonal_slots(H)] += fric
     H.data *= 0.5
     w = grid.quadrature_weights().ravel()
@@ -469,13 +463,12 @@ def solve_linear_momentum(rho, rhs, bc, u0, params, dt, T):
     for m in range(steps):
         th = (m + 0.5) * dt
         tn = (m + 1) * dt
-        rho_h = np.asarray(rho(th), dtype=float).ravel()
+        rho_h, f = _callback_values(rho, rhs, th, N)
         if np.any(rho_h < _RHO_FLOOR):
             raise PositivityViolationError(
                 f"density {rho_h.min():.3e} below floor {_RHO_FLOOR:.3e} at t={th}")
         Mdiag = wq * np.tile(rho_h, d)
         mass = Mdiag / dt
-        f = np.asarray(rhs(th), dtype=float).reshape(N, d)
         bload = _slip_boundary_load(grid, bc, params, th)
         load = (w[:, None] * f).T.ravel() + bload
         b = mass * u - H @ u + load
@@ -527,7 +520,7 @@ def momentum_energy_residual(u_levels, times, rho, rhs, params, bc):
     for m in range(len(u_levels) - 1):
         dt = times[m + 1] - times[m]
         th = 0.5 * (times[m] + times[m + 1])
-        rho_h = np.asarray(rho(th), dtype=float).ravel()
+        rho_h, f = _callback_values(rho, rhs, th, grid.num_nodes)
         # component rows (d, N): sums over a node's components stay cheap
         u0 = u_levels[m].values.reshape(d, -1)
         u1 = u_levels[m + 1].values.reshape(d, -1)
@@ -535,9 +528,8 @@ def momentum_energy_residual(u_levels, times, rho, rhs, params, bc):
         mid = Field(grid, 0.5 * (u_levels[m].values + u_levels[m + 1].values), th)
         gmid = gradient_values(mid)
         diss = float(np.sum(w * dissipation_density(gmid, params.mu, params.eta)))
-        f = np.asarray(rhs(th), dtype=float).reshape(-1, d).T
         umid = mid.values.reshape(d, -1)
-        work = float(np.sum(w * np.sum(f * umid, axis=0)))
+        work = float(np.sum(w * np.sum(f.T * umid, axis=0)))
         bwork = 0.0
         fric = 0.0
         if slip:

@@ -2,10 +2,12 @@
 
 The flow map X(t, .) solves dX/dt = V(t, X), X(0, z) = z per reference node,
 together with the Jacobian ODE d(gradX)/dt = gradV gradX and, on request, the
-second-Jacobian ODE. Everything is classical RK4 with a fixed step; the
-inverse map is recovered by Newton iteration on the stored forward map,
-seeded from the node with the nearest stored image. That node is found by a
-numpy window search about an affine fit of the inverse map, not a k-d tree.
+second-Jacobian ODE. Everything is classical RK4 with a fixed step, in one
+integrator that transport shares (adding the divergence integral) and that
+checks det gradX at every level. The inverse map is recovered by Newton
+iteration on the stored forward map, seeded from the node with the nearest
+stored image. That node is found by a numpy window search about an affine
+fit of the inverse map, not a k-d tree.
 ``FlowMap.frame(t)`` derives the geometry at one time (gradY, det gradX,
 the physical face normals) once for every layer that reads it.
 """
@@ -198,22 +200,29 @@ def _rhs(source, t, y, out, rows, work):
         out[rows["I"]] = g[0, 0] + g[1, 1]
 
 
-def _rk4_levels(source, levels, dt):
-    """Classical RK4 along characteristics on one packed state, from t = 0.
+def _rk4_levels(source, grid, T, dt, extra=None):
+    """Classical RK4 along characteristics from the grid's nodes over [0, T],
+    for both the flow map and transport.
 
-    ``levels`` maps the parts to integrate, in packing order, to node-major
-    stores (M+1, N, ...) whose level 0 holds the initial values: X and J,
-    then H (flow map) or I (transport). The state is packed into one
-    component-major (C, N) array and the stages run on preallocated
+    Integrates X and J = gradX from the identity and ``extra``, H (second
+    Jacobian) or I (divergence integral), from 0. Returns the level times
+    dt m and {part: read-only node-major store (M+1, N, ...)}. The state is
+    one component-major (C, N) array; the stages run on preallocated
     buffers. Step m times its last stage at (m + 1) dt, as the next step's
-    first (m dt + dt can be an ulp off it), writes level m+1 of every store
-    and yields m+1; after the last step the stores are read-only.
+    first (m dt + dt can be an ulp off it). Raises :class:`DegenerateMapError`
+    at the first level where det gradX <= 0.
     """
+    steps = _check_steps(T, dt)
+    N, d = grid.num_nodes, grid.dim
+    levels = {"X": np.empty((steps + 1, N, d)), "J": np.empty((steps + 1, N, d, d))}
+    levels["X"][0], levels["J"][0] = grid.node_coords(), np.eye(d)
+    if extra is not None:
+        levels[extra] = np.zeros((steps + 1, N) + {"H": (d, d, d), "I": ()}[extra])
+    times = dt * np.arange(steps + 1)
     y, rows = _pack({part: store[0] for part, store in levels.items()})
-    N, d = levels["X"].shape[1:]
     ys, k, acc = np.empty_like(y), np.empty_like(y), np.empty_like(y)
     work = np.empty((1 + (d ** 3 if "H" in rows else 0), N))
-    for m in range(len(levels["X"]) - 1):
+    for m in range(steps):
         t = m * dt
         _rhs(source, t, y, acc, rows, work)             # k1
         np.multiply(acc, dt / 2, out=ys)
@@ -230,14 +239,15 @@ def _rk4_levels(source, levels, dt):
         y += acc
         for part, store in levels.items():
             store[m + 1] = y[rows[part]].T.reshape(store.shape[1:])
-        yield m + 1
+        _checked_det(levels["J"][m + 1], times[m + 1], grid)
     for store in levels.values():
         store.setflags(write=False)
+    return times, levels
 
 
 def _check_steps(T, dt):
-    if not (T >= 0 and dt > 0):
-        raise InvalidArgumentError(f"need T >= 0 and dt > 0, got T = {T}, dt = {dt}")
+    if not (0 <= T < np.inf and dt > 0):
+        raise InvalidArgumentError(f"need finite T >= 0 and dt > 0, got T = {T}, dt = {dt}")
     steps = T / dt
     if abs(steps - round(steps)) > 1e-12 * max(1.0, steps):
         raise InvalidArgumentError(f"T/dt = {steps} is not integral")
@@ -452,19 +462,8 @@ def advect_flow_map(V, grid, T, dt_map, *, with_hessian=False):
     second-Jacobian ODE, all with the same fixed step. Aborts with
     :class:`DegenerateMapError` if det gradX <= 0 at any stored level.
     """
-    steps = _check_steps(T, dt_map)
-    N, d = grid.num_nodes, grid.dim
-    X, J = np.empty((steps + 1, N, d)), np.empty((steps + 1, N, d, d))
-    X[0] = grid.node_coords()
-    J[0] = np.eye(d)
-    levels, H = {"X": X, "J": J}, None
-    if with_hessian:
-        H = levels["H"] = np.empty((steps + 1, N, d, d, d))
-        H[0] = 0.0
-    times = dt_map * np.arange(steps + 1)
-    for m in _rk4_levels(V, levels, dt_map):
-        _checked_det(J[m], times[m], grid)
-    return FlowMap(grid, times, X, J, H)
+    times, levels = _rk4_levels(V, grid, T, dt_map, "H" if with_hessian else None)
+    return FlowMap(grid, times, levels["X"], levels["J"], levels.get("H"))
 
 
 def physical_gradient(grad_y, frame):

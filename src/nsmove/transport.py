@@ -27,7 +27,7 @@ from .fields import (
     level_fields,
     level_times,
 )
-from .motion import FlowMap, _check_steps, _rk4_levels, physical_gradient
+from .motion import FlowMap, _rk4_levels, physical_gradient
 
 
 class DiscreteVelocity:
@@ -133,19 +133,13 @@ def solve_transport(rho0, v, T, dt):
     asked once per RK4 stage for ``v.velocity_and_gradient(t, x)`` at the
     feet; div v is the trace of the gradient.
     Requires rho0 > 0 everywhere; the solution then stays positive by
-    construction of the exponential formula.
+    construction of the exponential formula. Feet that fold (det gradX <= 0)
+    raise :class:`~nsmove.errors.DegenerateMapError` at that level's t.
     """
     if np.any(rho0.values <= 0):
         raise PositivityViolationError("initial density must be positive")
-    steps = _check_steps(T, dt)
-    grid = rho0.grid
-    N, d = grid.num_nodes, grid.dim
-    X, J, I = (np.zeros((steps + 1, N) + shape) for shape in ((d,), (d, d), ()))
-    X[0], J[0] = grid.node_coords(), np.eye(d)
-    times = dt * np.arange(steps + 1)
-    for _ in _rk4_levels(v, {"X": X, "J": J, "I": I}, dt):
-        pass
-    return DensityTrajectory(rho0, times, X, J, I)
+    times, levels = _rk4_levels(v, rho0.grid, T, dt, "I")
+    return DensityTrajectory(rho0, times, levels["X"], levels["J"], levels["I"])
 
 
 def density_gradient(traj, t):

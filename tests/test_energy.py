@@ -81,6 +81,14 @@ class TestPressureLaw:
         with pytest.raises(InvalidArgumentError):
             LAW_G2.potential(-1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name, shown", [("gamma", "gamma"), ("coeff", "a")])
+    def test_non_finite_args_rejected(self, name, shown, bad):
+        # NaN passed the sign checks and the Gauss-Legendre self-check, as it
+        # compares false; each now names the value
+        with pytest.raises(InvalidArgumentError, match=f"{shown}={bad}"):
+            PressureLaw(**{name: bad})
+
     @pytest.mark.parametrize("law", [LAW_G2, LAW_G1])
     @pytest.mark.parametrize("rho", [-1.0, 0.0, np.array([1.0, -0.5])])
     def test_dpotential_needs_positive_density(self, law, rho):

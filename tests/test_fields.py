@@ -112,6 +112,20 @@ class TestGrid:
         with pytest.raises(InvalidArgumentError, match=f"exactly 2 axes, got {axes}"):
             Grid((9,) * axes, (0.0,) * axes, (1.0,) * axes)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["lo", "hi"])
+    def test_non_finite_extent_rejected(self, side, bad):
+        # NaN fails every comparison: (0, 0)-(nan, 1) had spacing (nan, 0.25)
+        ends = {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}
+        ends[side][0] = bad
+        with pytest.raises(InvalidArgumentError, match=f"{side}=\\({bad}, "):
+            Grid((5, 5), ends["lo"], ends["hi"])
+
+    def test_overflowing_width_rejected(self):
+        # finite ends whose width overflows gave spacing (inf, 0.25)
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            Grid((5, 5), (-1e308, 0.0), (1e308, 1.0))
+
     def test_immutable(self):
         g = grid2d()
         with pytest.raises(Exception):
@@ -226,6 +240,17 @@ class TestInterpolate:
         f = x_field(g, lambda x: x)
         out = interpolate(f, x_points([1.2]), out_of_bounds="clamp")
         assert np.allclose(out, 1.0)
+
+    @pytest.mark.parametrize("shape", [(5, 2, 1), (5, 2, 3), (5, 3), (5, 1)])
+    def test_point_shape_checked(self, shape):
+        # (5, 2, 1) was read as 5 points and (5, 2, 3) died in a numpy
+        # broadcast; only (npts, 2) and one point (2,) are points
+        g = grid2d(9)
+        match = re.escape(f"shape {shape}; expected (npts, 2)")
+        with pytest.raises(InvalidArgumentError, match=match):
+            interp_matrix(g, np.full(shape, 0.5))
+        with pytest.raises(InvalidArgumentError, match=match):
+            interpolate(Field.zeros(g), np.full(shape, 0.5))
 
     def test_unknown_bounds_mode_rejected(self):
         # a misspelt mode must not fall through to clamping x = 1.5 onto the face

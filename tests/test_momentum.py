@@ -20,7 +20,6 @@ from nsmove.momentum import (
     _dirichlet_data,
     _p1_matrices_1d,
     _slip_boundary_load,
-    assemble_friction_matrix,
     assemble_stress_matrix,
     momentum_energy_residual,
     solve_linear_momentum,
@@ -114,7 +113,8 @@ def gauss_stiffness_reference(grid, params):
 
 def face_friction_reference(grid, kappa):
     """Friction assembled face by face, kappa tau_c1 tau_c2 times the line
-    weights at each face node: the loop the 1-D factor form replaced."""
+    weights at each face node, for every pair of components: the general
+    form of the diagonal the solver writes on the tangential dofs."""
     d, N = grid.dim, grid.num_nodes
     rows, cols, vals = [], [], []
     for face in grid.faces().values():
@@ -172,12 +172,6 @@ class TestBasics:
             stored = np.diff(K.indptr).reshape(2, *g.shape)
             assert np.all(stored[:, 1:-1, 1:-1] == 13)
 
-    def test_friction_matches_face_loop(self):
-        g = Grid((9, 11), (0.0, 0.0), (1.0, 2.0))
-        F, F_ref = assemble_friction_matrix(g, 0.7), face_friction_reference(g, 0.7)
-        assert abs(F - F_ref).max() == 0.0
-        assert F.nnz == F_ref.nnz == 2 * (9 + 11)  # u_x on the y-faces, u_y on the x-faces
-
     @pytest.mark.parametrize("kind, shape", [
         ("slip", (9, 11)), ("slip", (8, 5)), ("slip", (129, 129)), ("no-slip", (9, 11))])
     def test_dirichlet_dofs_constrained_once(self, kind, shape):
@@ -186,8 +180,10 @@ class TestBasics:
         bc = MomentumBC(kind, dilation, normal_datum=lambda t, face: 0.1)
         idx, vals = _dirichlet_data(g, bc, 0.1)
         assert np.all(np.diff(idx) > 0)
+        boundary = np.ones(shape, dtype=bool)
+        boundary[1:-1, 1:-1] = False
         expect = (sum(len(f.flat) for f in g.faces().values()) if kind == "slip"
-                  else 2 * int(g.boundary_mask().sum()))
+                  else 2 * int(boundary.sum()))
         assert len(idx) == len(vals) == expect
 
     @pytest.mark.parametrize("which, t", [("normal_datum", 0.01), ("stress_datum", 0.005)])
@@ -218,6 +214,21 @@ class TestBasics:
         assert np.array_equal(_slip_boundary_load(g, scalar, params, 0.1),
                               _slip_boundary_load(g, full, params, 0.1))
 
+    def test_slip_load_matches_face_loop(self):
+        # each face's (B + kappa V.tau) tau_c times the line weights, summed
+        # into every component c: the general form of the tangential-dof load
+        g = Grid((9, 11), (0.0, 0.0), (1.0, 2.0))
+        faces, pts = g.faces(), g.node_coords()
+        B = {name: 0.1 * (k + 1) + np.arange(len(f.flat)) for k, (name, f) in
+             enumerate(faces.items())}
+        bc = MomentumBC.slip(dilation, stress_datum=lambda t, face: B[face])
+        params = FluidParams(mu=0.3, kappa=0.7, bc="slip")
+        ref = np.zeros((2, g.num_nodes))
+        for face in faces.values():
+            data = B[face.name] + 0.7 * (dilation(0.1, pts[face.flat]) @ face.tangent)
+            ref[:, face.flat] += np.outer(face.tangent, face.weights * data)
+        assert np.array_equal(_slip_boundary_load(g, bc, params, 0.1), ref.ravel())
+
     def test_positivity_guard(self):
         g = thin_grid(9)
         N = g.num_nodes
@@ -232,6 +243,33 @@ class TestBasics:
             FluidParams(mu=-1.0)
         with pytest.raises(InvalidArgumentError):
             FluidParams(mu=1.0, bc="periodic")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["mu", "eta", "kappa"])
+    def test_non_finite_params_rejected(self, name, bad):
+        # NaN fails every comparison and inf passes the sign checks, so all
+        # but a negative infinity were accepted; each now names the value
+        match = f"mu must be positive and finite, got {bad}" if name == "mu" else f"{name}={bad}"
+        with pytest.raises(InvalidArgumentError, match=match):
+            FluidParams(**{"mu": 0.5, name: bad}, bc="slip")
+
+    @pytest.mark.parametrize("rho_size, rhs_shape", [(82, (81, 2)), (81, (81, 3)),
+                                                     (81, (2, 81))],
+                             ids=["rho-N+1", "rhs-Nx3", "rhs-2xN"])
+    def test_callback_shapes_checked(self, rho_size, rhs_shape):
+        # a wrong size died in numpy's broadcasting or reshape, and a (2, N)
+        # force was read as (N, 2) without complaint
+        g = Grid((9, 9), (0.0, 0.0), (1.0, 1.0))
+        rho, rhs = lambda t: np.ones(rho_size), lambda t: np.zeros(rhs_shape)
+        params, bc = FluidParams(mu=0.5), MomentumBC.no_slip(zero_v)
+        match = re.escape(f"at t=0.005 rho(t) has shape ({rho_size},) and rhs(t) "
+                          f"{rhs_shape}; expected 81 values and (81, 2)")
+        with pytest.raises(InvalidArgumentError, match=match):
+            solve_linear_momentum(rho, rhs, bc, Field.zeros(g, ncomp=2), params, 0.01, 0.02)
+        with pytest.raises(InvalidArgumentError, match=match):
+            momentum_energy_residual(
+                [Field.zeros(g, ncomp=2, t=t) for t in (0.0, 0.01)], np.array([0.0, 0.01]),
+                rho, rhs, params, bc)
 
     @pytest.mark.parametrize("params_bc, bc", [
         ("slip", MomentumBC.no_slip(zero_v)), ("no-slip", MomentumBC.slip(zero_v))])
@@ -269,7 +307,7 @@ class TestBasics:
         N = g.num_nodes
         rng = np.random.default_rng(5)
         vals = rng.standard_normal((2,) + g.shape)
-        vals[:, g.boundary_mask()] = 0.0
+        vals[:, [0, -1], :] = vals[:, :, [0, -1]] = 0.0
         u0 = Field(g, vals)
         params = FluidParams(mu=0.3, bc="no-slip")
         levels, _ = solve_linear_momentum(
@@ -421,7 +459,7 @@ def jacobi_cg_reference(rho, rhs, bc, u0, params, dt, T, cg_tol=1e-10):
     d, N = grid.dim, grid.num_nodes
     A = assemble_stress_matrix(grid, params)
     if params.bc == "slip" and params.kappa > 0:
-        A = A + assemble_friction_matrix(grid, params.kappa)
+        A = A + face_friction_reference(grid, params.kappa)
     w = grid.quadrature_weights().ravel()
     u = u0.values.reshape(d, -1).ravel()
     out = [u]
@@ -473,7 +511,7 @@ def slip_operator(shape):
     the lumped mass of dt = 0.01 and unit density."""
     g = Grid(shape, (0.0, 0.0), (1.0, 1.0))
     params = FluidParams(mu=0.3, eta=0.1, kappa=1.0, bc="slip")
-    A = assemble_stress_matrix(g, params) + assemble_friction_matrix(g, 1.0)
+    A = assemble_stress_matrix(g, params) + face_friction_reference(g, 1.0)
     idx, _ = _dirichlet_data(g, MomentumBC.slip(dilation), 0.01)
     mass = np.tile(g.quadrature_weights().ravel(), g.dim) / 0.01
     return A, idx, mass
@@ -704,7 +742,7 @@ class TestOneCopyOfA:
         # every step of a solve, and after a CG that fails, H is A/2 exactly
         prob = chain_like_problem(33)
         g, params = prob["u0"].grid, prob["params"]
-        A = assemble_stress_matrix(g, params) + assemble_friction_matrix(g, params.kappa)
+        A = assemble_stress_matrix(g, params) + face_friction_reference(g, params.kappa)
         built = []
 
         class Recorded(_CrankNicolsonSystem):
@@ -774,7 +812,7 @@ class TestReactionWork:
         dt = 0.01
         levels, reports = solve_linear_momentum(dt=dt, T=0.05, **prob)
         g = prob["u0"].grid
-        fric = assemble_friction_matrix(g, prob["params"].kappa)
+        fric = face_friction_reference(g, prob["params"].kappa)
         w = g.quadrature_weights().ravel()
         for m, rep in enumerate(reports):
             mid = 0.5 * (levels[m].values + levels[m + 1].values).reshape(2, -1)

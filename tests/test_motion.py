@@ -119,9 +119,11 @@ class TestAdvect:
         with pytest.raises(InvalidArgumentError):
             advect_flow_map(MotionField.zero(), g, 1.0, 0.3)
 
-    @pytest.mark.parametrize("T, dt", [(0.1, 0.0), (0.1, -0.01), (-0.1, 0.01)])
+    @pytest.mark.parametrize("T, dt", [(0.1, 0.0), (0.1, -0.01), (-0.1, 0.01),
+                                       (np.inf, 0.01), (np.nan, 0.01)])
     def test_bad_horizon_or_step_rejected(self, T, dt):
-        # checked before T / dt is taken, which dt = 0 would make a ZeroDivisionError
+        # checked before T / dt is taken, which dt = 0 would make a
+        # ZeroDivisionError and T = inf an OverflowError in round()
         with pytest.raises(InvalidArgumentError, match=f"T = {T}, dt = {dt}"):
             advect_flow_map(MotionField.zero(), grid2d(), T, dt)
 
@@ -407,6 +409,47 @@ def _folded_levels(g, k):
     J = np.broadcast_to(np.eye(2), (2, N, 2, 2)).copy()
     J[1, k] = np.diag([-1.0, 1.0])
     return X, J
+
+
+class _FoldAtDt:
+    """v = 0, with grad v = diag(-100, 0) only at t = DT: the k4 stage of
+    step 0 gives det gradX(DT) = 1 - 100 DT / 6 < 0 at every node."""
+
+    DT = 0.1
+
+    def velocity_and_gradient(self, t, pts):
+        g = np.zeros((len(pts), 2, 2))
+        if t == self.DT:
+            g[:, 0, 0] = -100.0
+        return np.zeros_like(pts), g
+
+
+class TestOneIntegrator:
+    @pytest.mark.parametrize("with_hessian", [False, True])
+    def test_transport_feet_are_the_flow_map(self, with_hessian):
+        # one RK4 integrator: the feet and gradX transport stores are the
+        # flow map's, bit for bit, whatever else rides in the packed state
+        g, V = grid2d(17), _nonlinear_2d()
+        fm = advect_flow_map(V, g, 0.2, 0.02, with_hessian=with_hessian)
+        traj = solve_transport(Field(g, np.ones(g.shape)), V, 0.2, 0.02)
+        assert np.array_equal(fm.times, traj.times)
+        assert np.array_equal(fm.X, traj.flow_map.X)
+        assert np.array_equal(fm.J, traj.flow_map.J)
+        for store in (traj.flow_map.X, traj.flow_map.J, traj.I):
+            assert not store.flags.writeable
+
+    @pytest.mark.parametrize("run", ["advect", "transport"])
+    def test_folding_feet_abort_at_their_level(self, run):
+        # transport checked no det: folded feet surfaced at the first frame,
+        # or never (density_field builds none)
+        g, dt = grid2d(5), _FoldAtDt.DT
+        with pytest.raises(DegenerateMapError) as err:
+            if run == "advect":
+                advect_flow_map(_FoldAtDt(), g, 2 * dt, dt)
+            else:
+                solve_transport(Field(g, np.ones(g.shape)), _FoldAtDt(), 2 * dt, dt)
+        assert err.value.t == dt
+        assert np.any(np.all(g.node_coords() == err.value.z, axis=1))
 
 
 class TestFrame:
