@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, NotSameDataError
-from .fields import _trapezoid_weights, gradient_values
+from .fields import _trapezoid_weights, gradient_values, level_times
 from .motion import _contract, physical_gradient
 
 
@@ -253,7 +253,7 @@ def relative_energy_remainder(state, reference, law, params, m, V):
             f"reference velocity violates U.n = V.n by {worst:.3e}")
 
     gU = reference.physical_velocity_gradient(m)
-    grad_r = _physical_scalar_gradient(reference, m)
+    grad_r = physical_gradient(reference.rho[m], frame)[:, 0]
     # FD in time of reference-sampled fields gives the material derivative
     # along the map's velocity; convert to the Eulerian time derivative.
     dtU = _time_derivative_fields(reference.u, reference.times, m)
@@ -291,10 +291,6 @@ def _time_derivative_fields(fields, times, m):
     return diff.reshape(d, -1).T
 
 
-def _physical_scalar_gradient(traj, m):
-    return physical_gradient(gradient_values(traj.rho[m]), traj.frame(m))[:, 0]
-
-
 def korn_quotient(z_field, params):
     """||z||_{W^{1,2}} / ||S(grad z)||_{L^2} for a zero-normal-trace field on
     the reference grid.
@@ -319,15 +315,20 @@ def gronwall_weak_strong_check(times, e_rel, *, e0_tol, tol_ws):
 
     h on each interval is the log-difference quotient clipped at zero;
     verdict PASS iff the slack is within tolerance and E stays below tol_ws.
-    Requires same-initial-data: E(0) <= e0_tol.
+    The times must increase and E_rel hold one finite value per time, else
+    :class:`InvalidArgumentError`; same-initial-data, E(0) <= e0_tol, is
+    required too.
     """
-    times = np.asarray(times, dtype=float)
+    times = level_times(times)
     e = np.asarray(e_rel, dtype=float)
+    if e.shape != times.shape or not np.all(np.isfinite(e)):
+        raise InvalidArgumentError(
+            f"need one finite E_rel per time: {len(times)} times, E_rel = {e}")
     if e[0] > e0_tol:
         raise NotSameDataError(
             f"E_rel(0) = {e[0]:.3e} exceeds the same-data threshold {e0_tol:.3e}")
     tiny = 1e-300
-    h = np.zeros(max(len(e) - 1, 0))
+    h = np.zeros(len(e) - 1)
     for i in range(len(h)):
         dt = times[i + 1] - times[i]
         if e[i] > tiny and e[i + 1] > tiny:
@@ -336,7 +337,7 @@ def gronwall_weak_strong_check(times, e_rel, *, e0_tol, tol_ws):
     env[0] = e[0]
     for i in range(len(h)):
         env[i + 1] = env[i] * np.exp(h[i] * (times[i + 1] - times[i]))
-    slack = float(np.max(np.maximum(e - env, 0.0))) if len(e) else 0.0
+    slack = float(np.max(np.maximum(e - env, 0.0)))
     verdict = "PASS" if (slack <= tol_ws and float(np.max(e)) <= tol_ws) else "FAIL"
     return {
         "h_max": float(np.max(h)) if len(h) else 0.0,

@@ -130,7 +130,10 @@ class Grid:
     hi: tuple
 
     def __post_init__(self):
-        n = tuple(int(v) for v in np.atleast_1d(self.n))
+        counts = np.atleast_1d(np.asarray(self.n, dtype=float))
+        if not np.all(np.isfinite(counts) & (counts == np.round(counts))):
+            raise InvalidArgumentError(f"node counts must be integers, got n={self.n}")
+        n = tuple(int(v) for v in counts)
         lo = tuple(float(v) for v in np.atleast_1d(self.lo))
         hi = tuple(float(v) for v in np.atleast_1d(self.hi))
         if len(n) != 2:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field, _diff_axis, gradient_values, interpolate
+from .fields import Field, _diff_axis, gradient_values
 from .motion import _contract
 
 
@@ -36,11 +36,6 @@ def pull_back_state(rho, u, flow_map, t):
     rho_vals = np.asarray(rho(pos), dtype=float).reshape(grid.shape)
     u_vals = np.asarray(u(pos), dtype=float).T.reshape((d,) + tuple(grid.shape))
     return Field(grid, rho_vals, t), Field(grid, u_vals, t)
-
-
-def push_forward_eval(field, flow_map, t, x):
-    """Evaluate a reference field at physical points via the inverse map."""
-    return interpolate(field, flow_map.invert(t, x), out_of_bounds="clamp")
 
 
 @dataclass

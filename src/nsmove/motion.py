@@ -24,29 +24,25 @@ from .errors import (
     InvalidArgumentError,
     InversionFailureError,
 )
-from .fields import blend_levels, interp_matrix, rotate90
+from .fields import blend_levels, gradient_values, interp_matrix, rotate90
 
 
 class MotionField:
-    """2-D velocity field V(t, x) with derivative evaluators up to grad^3, d_tt.
+    """2-D velocity field V(t, x) with its derivatives up to grad^3, d_tt.
 
-    The affine constructors (zero, translation, dilation, shear) are
-    analytically exact. An ``expression`` field falls back to finite
-    differences for any derivative not supplied: first gradients are accurate
-    to ~1e-10, second to ~1e-7, third to ~1e-5 on O(1) data; good enough for
-    monitors, not for acceptance-grade oracles.
+    The motion is prescribed, so each derivative is known data: an
+    evaluator returns what its keyword's callable gives, and asking for a
+    derivative that was not supplied raises :class:`InvalidArgumentError`
+    naming the keyword; nothing is estimated. The affine constructors
+    (zero, translation, dilation, shear) supply every derivative exactly.
     """
 
     def __init__(self, dim, fn, *, dt_fn=None, dtt_fn=None, grad_fn=None,
                  grad2_fn=None, grad3_fn=None):
         if dim != 2:
             raise InvalidArgumentError(f"a motion field is 2-D, got dim = {dim}")
-        self._fn = fn
-        self._dt_fn = dt_fn
-        self._dtt_fn = dtt_fn
-        self._grad_fn = grad_fn
-        self._grad2_fn = grad2_fn
-        self._grad3_fn = grad3_fn
+        self._fns = {"fn": fn, "dt_fn": dt_fn, "dtt_fn": dtt_fn, "grad_fn": grad_fn,
+                     "grad2_fn": grad2_fn, "grad3_fn": grad3_fn}
 
     # -- constructors -----------------------------------------------------
 
@@ -84,51 +80,37 @@ class MotionField:
 
     # -- evaluators --------------------------------------------------------
 
+    def _eval(self, key, t, pts):
+        """The callable given as ``key`` at (t, pts), as floats."""
+        fn = self._fns[key]
+        if fn is None:
+            raise InvalidArgumentError(
+                f"motion field built without {key}: its derivatives are data, not estimated")
+        return np.asarray(fn(t, np.asarray(pts, dtype=float)), dtype=float)
+
     def velocity(self, t, pts):
-        return np.asarray(self._fn(t, np.asarray(pts, dtype=float)), dtype=float)
+        return self._eval("fn", t, pts)
 
     def dt_velocity(self, t, pts):
-        if self._dt_fn is not None:
-            return np.asarray(self._dt_fn(t, pts), dtype=float)
-        h = 1e-5
-        return (self.velocity(t + h, pts) - self.velocity(t - h, pts)) / (2 * h)
+        return self._eval("dt_fn", t, pts)
 
     def dtt_velocity(self, t, pts):
-        if self._dtt_fn is not None:
-            return np.asarray(self._dtt_fn(t, pts), dtype=float)
-        h = 1e-4
-        return (self.velocity(t + h, pts) - 2 * self.velocity(t, pts)
-                + self.velocity(t - h, pts)) / h**2
+        return self._eval("dtt_fn", t, pts)
 
     def gradient(self, t, pts):
         """grad[..., i, j] = dV_i/dx_j."""
-        if self._grad_fn is not None:
-            return np.asarray(self._grad_fn(t, pts), dtype=float)
-        return self._fd_jacobian(lambda p: self.velocity(t, p), pts, 1e-5)
+        return self._eval("grad_fn", t, pts)
 
     def gradient2(self, t, pts):
         """grad2[..., i, j, k] = d^2 V_i / dx_j dx_k."""
-        if self._grad2_fn is not None:
-            return np.asarray(self._grad2_fn(t, pts), dtype=float)
-        return self._fd_jacobian(lambda p: self.gradient(t, p), pts, 2e-4)
+        return self._eval("grad2_fn", t, pts)
 
     def gradient3(self, t, pts):
-        if self._grad3_fn is not None:
-            return np.asarray(self._grad3_fn(t, pts), dtype=float)
-        return self._fd_jacobian(lambda p: self.gradient2(t, p), pts, 1e-3)
+        return self._eval("grad3_fn", t, pts)
 
     def velocity_and_gradient(self, t, pts):
         """V (npts, 2) and grad V (npts, 2, 2): one RK4 stage's source call."""
         return self.velocity(t, pts), self.gradient(t, pts)
-
-    def _fd_jacobian(self, fn, pts, h):
-        pts = np.asarray(pts, dtype=float)
-        cols = []
-        for j in range(2):
-            dp = np.zeros_like(pts)
-            dp[..., j] = h
-            cols.append((fn(pts + dp) - fn(pts - dp)) / (2 * h))
-        return np.stack(cols, axis=-1)
 
 
 def _mat_inv(J):
@@ -421,10 +403,6 @@ class FlowMap:
         vals, d = M @ XJ, self.dim
         return vals[:, :d], vals[:, d:].reshape(len(vals), d, d)
 
-    def eval_forward(self, t, z):
-        """X(t, z) at arbitrary reference points by cubic interpolation."""
-        return self._forward_and_jacobian(self._stack(t), z)[0]
-
     def invert(self, t, x, seed=None):
         """Y(t, x): Newton iteration on X(t, z) - x = 0, seeded from the
         reference node whose stored position X(t, z) is nearest to x (found
@@ -466,10 +444,13 @@ def advect_flow_map(V, grid, T, dt_map, *, with_hessian=False):
     return FlowMap(grid, times, levels["X"], levels["J"], levels.get("H"))
 
 
-def physical_gradient(grad_y, frame):
-    """grad_x = grad_y gradY per node, (N, c, d), with gradY from a
+def physical_gradient(f, frame):
+    """grad_x f per node, (N, c, d), of a c-component Field sampled at the
+    nodes' images: the shared stencil of
+    :func:`~nsmove.fields.gradient_values` in y, times gradY from a
     :class:`Frame`. The result is a view of component rows (c, d, N), so
     it is not C-contiguous."""
+    grad_y = gradient_values(f)
     out = np.empty(grad_y.shape[1:] + grad_y.shape[:1])
     _contract(out, np.moveaxis(grad_y, 0, -1), np.moveaxis(frame.inv, 0, -1),
               np.empty(len(grad_y)))

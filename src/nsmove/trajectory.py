@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .fields import gradient_values, level_fields, level_times
+from .fields import level_fields, level_times
 from .motion import physical_gradient
 
 
@@ -38,4 +38,4 @@ class StateTrajectory:
 
     def physical_velocity_gradient(self, m):
         """grad_x u as (N, d, d) via the inverse Jacobian transform."""
-        return physical_gradient(gradient_values(self.u[m]), self.frame(m))
+        return physical_gradient(self.u[m], self.frame(m))

@@ -67,9 +67,9 @@ class DiscreteVelocity:
         """Nodal u | grad_x u | 0 at level m, node-major (N, 7),
         reference-sampled."""
         f = self.fields[m]
-        g = gradient_values(f)  # du_i/dy_k, which is du_i/dx_k on a static grid
-        if self.flow_map is not None:
-            g = physical_gradient(g, self.flow_map.frame(self.times[m]))
+        # du_i/dy_k is du_i/dx_k on a static grid
+        g = (gradient_values(f) if self.flow_map is None
+             else physical_gradient(f, self.flow_map.frame(self.times[m])))
         out = np.zeros((len(g), 7))   # the zero column: see the class docstring
         out[:, :2], out[:, 2:6] = f.values.reshape(2, -1).T, g.reshape(-1, 4)
         return out
@@ -145,14 +145,12 @@ def solve_transport(rho0, v, T, dt):
 def density_gradient(traj, t):
     """Physical-space gradient grad_x rho at the characteristic feet.
 
-    The stencil of :func:`~nsmove.fields.gradient_values` differentiates
-    the density field rho(t, X(t, z)) in z, and gradY carries the result
-    to x, as for grad u; O(h^2). Returned as a d-component Field sampled
-    at the feet X(t, z).
+    :func:`~nsmove.motion.physical_gradient` of the density field
+    rho(t, X(t, z)), as for grad u; O(h^2). Returned as a d-component
+    Field sampled at the feet X(t, z).
     """
     grid = traj.grid
-    gx = physical_gradient(gradient_values(traj.density_field(t)),
-                           traj.flow_map.frame(t))[:, 0]
+    gx = physical_gradient(traj.density_field(t), traj.flow_map.frame(t))[:, 0]
     return Field(grid, gx.T.reshape((grid.dim,) + tuple(grid.shape)), t)
 
 

@@ -336,6 +336,17 @@ class TestGronwall:
                                        np.array([1.0, 1.0]),
                                        e0_tol=1e-6, tol_ws=1.0)
 
+    @pytest.mark.parametrize("times, e", [
+        ([0.0, 0.5, 1.0], [0.0, 1e-6]),           # returned PASS
+        ([0.0, 0.5], [np.nan, 1e-6]),             # NaN passed the same-data check
+        ([0.0, 0.5], [0.0, np.inf]),
+        ([], []),                                 # died with an IndexError
+        ([0.0, 0.5, 0.5], [0.0, 0.0, 0.0]),
+    ], ids=["fewer-energies", "nan-start", "inf", "empty", "repeated-time"])
+    def test_refuses_inputs_it_cannot_judge(self, times, e):
+        with pytest.raises(InvalidArgumentError):
+            gronwall_weak_strong_check(times, e, e0_tol=1e-8, tol_ws=1e-4)
+
     def test_fail_verdict_above_tolerance(self):
         times = np.linspace(0, 1, 5)
         e = np.array([0.0, 1e-3, 2e-3, 5e-3, 1e-2])
@@ -363,8 +374,10 @@ class TestDiagnostics:
 
         rng = np.random.default_rng(41)
         g = Grid((33, 33), (0.0, 0.0), (1.0, 1.0))
+        A = np.array([[0.3, 0.4], [0.0, 0.3]])
         fm = advect_flow_map(MotionField.expression(
-            lambda t, p: p @ np.array([[0.3, 0.4], [0.0, 0.3]]).T, 2), g, 0.1, 0.01)
+            lambda t, p: p @ A.T, 2,
+            grad_fn=lambda t, p: np.broadcast_to(A, p.shape + (2,)).copy()), g, 0.1, 0.01)
         u = Field.from_function(g, lambda p: np.stack(
             [np.sin(np.pi * p[:, 0]) * p[:, 1], np.cos(np.pi * p[:, 1]) * p[:, 0]], axis=1),
             ncomp=2)

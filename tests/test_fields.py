@@ -103,6 +103,17 @@ class TestGrid:
         assert g.spacing[0] == 2.0 / 64
         assert g.spacing[1] == 2.0 / 32
 
+    @pytest.mark.parametrize("bad", [5.7, np.nan, np.inf])
+    def test_non_integer_count_rejected(self, bad):
+        # 5.7 was truncated to 5; NaN and inf died in int() with a bare error
+        with pytest.raises(InvalidArgumentError, match=f"integers, got n=\\({bad}, 5\\)"):
+            Grid((bad, 5), (0.0, 0.0), (1.0, 1.0))
+
+    @pytest.mark.parametrize("count", [5, 5.0, np.int64(5)])
+    def test_integer_valued_counts_accepted(self, count):
+        g = Grid((count, 5), (0.0, 0.0), (1.0, 1.0))
+        assert g.n == (5, 5) and all(type(m) is int for m in g.n)
+
     def test_rejects_small_grids(self):
         with pytest.raises(InvalidArgumentError):
             Grid((3, 9), (0.0, 0.0), (1.0, 1.0))

@@ -9,6 +9,10 @@ class other than a dunder, counts as used when some code in ``src/``,
 ``tests/`` or ``perfbench/`` other than its definition names it (a read,
 an attribute, an import or an ``__all__`` entry). Exception classes are
 exempt: the error vocabulary is declared ahead of the layers that raise it.
+A definition that no code in ``src/`` or ``perfbench/`` outside a
+``tests`` directory names is listed in ``_TEST_ONLY`` with the ROADMAP
+item that will give it a caller; a listed one that gains such a caller
+leaves the list.
 Every defaulted parameter of such a function, method or constructor (a
 dataclass field included) is passed, by keyword or by position, by some
 call in ``src/`` or ``perfbench/`` outside a ``tests`` directory, save a
@@ -101,15 +105,15 @@ def _named(tree):
     return names
 
 
-def _unnamed_definitions(trees):
+def _unnamed_definitions(trees, others=None):
     """(file, line, name) of the definitions in ``trees`` ({path: tree} of the
-    package) that no tree in ``trees`` or in the rest of the code names."""
+    package) that no tree in ``trees`` or in ``others`` ({path: tree},
+    default the rest of the code) names."""
+    if others is None:
+        others = {p: ast.parse(p.read_text(), filename=str(p)) for p in CODE if p not in trees}
     named = set()
-    for tree in trees.values():
+    for tree in [*trees.values(), *others.values()]:
         named |= _named(tree)
-    for path in CODE:
-        if path not in trees:
-            named |= _named(ast.parse(path.read_text(), filename=str(path)))
     return sorted((path.name, line, name) for path, tree in trees.items()
                   for name, line in _definitions(tree).items()
                   if name.split(".")[-1] not in named)
@@ -136,6 +140,62 @@ def test_detects_unnamed_definition():
         "helper(Used)\n")}
     assert _unnamed_definitions(trees) == [
         ("probe.py", 3, "Unused"), ("probe.py", 5, "orphan"), ("probe.py", 14, "Used.stale")]
+
+
+def _test_only(trees, others=None):
+    """Names of the definitions in ``trees`` that only code in a ``tests``
+    directory names: none in ``trees`` or in ``others`` (as for
+    :func:`_unnamed_definitions`) outside one does."""
+    if others is None:
+        others = {p: ast.parse(p.read_text(), filename=str(p)) for p in CODE if p not in trees}
+    others = {p: t for p, t in others.items() if "tests" not in p.relative_to(ROOT).parts}
+    return {name for _, _, name in _unnamed_definitions(trees, others)}
+
+
+# the package's test-only API, each name with the ROADMAP item that gives it
+# a caller in src/ or perfbench/, or deletes it
+_TEST_ONLY = {
+    # item 6: the paper's two theorems as experiments
+    "relative_energy": 6,
+    "relative_energy_remainder": 6,
+    "gronwall_weak_strong_check": 6,
+    "EnergyReport.max_residual": 6,
+    "korn_quotient": 14,
+    "MomentumBC.no_slip": 17,
+    "density_gradient": 5,
+    "extension_norm_report": 18,
+    "stress_trace_fd": 1,
+    # item 4: oracle infrastructure, to tests/ if no layer needs it, and the
+    # flow-map Hessian
+    "MotionField.zero": 4,
+    "MotionField.translation": 4,
+    "MotionField.dilation": 4,
+    "MotionField.shear": 4,
+    "Field.component": 4,
+    "integrate": 4,
+    "FlowMap.hessians": 4,
+    # item 12 drops their keywords from the benchmark's motion
+    "MotionField.dtt_velocity": 12,
+    "MotionField.gradient3": 12,
+}
+
+
+def test_test_only_names_are_listed():
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in SRC}
+    found = _test_only(trees)
+    assert found <= set(_TEST_ONLY), (
+        f"named only by tests, with no ROADMAP item in _TEST_ONLY: {found - set(_TEST_ONLY)}")
+    assert found == set(_TEST_ONLY), (
+        f"listed as test-only but named by src/ or perfbench/: {set(_TEST_ONLY) - found}")
+
+
+def test_detects_test_only_name():
+    trees = {ROOT / "src" / "nsmove" / "probe.py": ast.parse(
+        "def used():\n    pass\ndef tested():\n    return inner()\n"
+        "def inner():\n    pass\nclass Box:\n    def get(self):\n        pass\n")}
+    others = {ROOT / "perfbench" / "probe.py": ast.parse("used()\nBox()\n"),
+              ROOT / "tests" / "test_probe.py": ast.parse("tested()\nBox().get()\n")}
+    assert _test_only(trees, others) == {"tested", "Box.get"}
 
 
 def _is_dataclass(node):

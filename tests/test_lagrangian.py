@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from nsmove.fields import Field, Grid, differentiate
+from nsmove.fields import Field, Grid, differentiate, interpolate
 from nsmove.lagrangian import (
     lagrangian_remainder,
     pull_back_state,
-    push_forward_eval,
     transformed_boundary_data,
 )
 from nsmove.momentum import FluidParams
@@ -58,8 +57,24 @@ class TestPullBack:
         fm = advect_flow_map(MotionField.dilation(0.2), g, 0.3, 1e-2)
         ref = Field.from_function(g, lambda p: smooth_rho(p))
         pos = fm.positions(0.3)
-        back = push_forward_eval(ref, fm, 0.3, pos)
+        back = interpolate(ref, fm.invert(0.3, pos), out_of_bounds="clamp")
         assert np.max(np.abs(back - ref.values[0].ravel())) < 1e-9
+
+
+# V = (v(x), 0) on the x-only embedding, each with its closed forms along x:
+# (v, v', v'', X(z, t), gradY(z, t), Y(x, t), Y''(x, t))
+_CURVED_X_FLOWS = {
+    # X = z/(1 - zt): gradY = (1 - zt)^2 is quadratic in z, so the FD
+    # stencils on it are exact
+    "x2": (lambda x: x**2, lambda x: 2 * x, lambda x: np.full_like(x, 2.0),
+           lambda z, t: z / (1 - z * t), lambda z, t: (1 - z * t)**2,
+           lambda x, t: x / (1 + x * t), lambda x, t: -2 * t * (1 + x * t)**-3),
+    # X = z/sqrt(1 - 2tz^2): gradY = (1 - 2tz^2)^(3/2) is not a polynomial
+    "x3": (lambda x: x**3, lambda x: 3 * x**2, lambda x: 6 * x,
+           lambda z, t: z / np.sqrt(1 - 2 * t * z**2), lambda z, t: (1 - 2 * t * z**2)**1.5,
+           lambda x, t: x / np.sqrt(1 + 2 * t * x**2),
+           lambda x, t: -6 * t * x * (1 + 2 * t * x**2)**-2.5),
+}
 
 
 class TestRemainder:
@@ -193,19 +208,20 @@ class TestRemainder:
         got = out.remainder.values.reshape(2, -1).T
         assert np.max(np.abs(got - expect)) < 1e-10
 
-    def test_1d_curved_flow_fd_oracle(self):
-        # non-affine flow with closed-form map, on the x-only embedding:
-        # V = (x^2, 0) gives X = z/(1 - z t), Y = x/(1 + x t) along x, so the
-        # inverse-map curvature terms are exercised against an oracle
+    @pytest.mark.parametrize("flow", sorted(_CURVED_X_FLOWS))
+    def test_1d_curved_flow_fd_oracle(self, flow):
+        # non-affine flow with closed-form map, on the x-only embedding, so
+        # the inverse-map curvature terms are exercised against an oracle
         # assembled by analytic composition on an independent uniform
         # physical grid
-        from nsmove.fields import interpolate
+        from nsmove.lagrangian import inverse_map_second_derivatives
 
+        v, dv, d2v, X, gradY, Y, Y2 = _CURVED_X_FLOWS[flow]
         mu, eta, t = 0.7, 0.2, 0.3
         lam = mu / 3 + eta
-        V = x_motion(lambda x: x**2, lambda x: 2 * x, lambda x: np.full_like(x, 2.0))
+        V = x_motion(v, dv, d2v)
         u_fn = lambda x: np.sin(2 * x) + 0.3 * x**2
-        errs = {}
+        errs, y2_errs = {}, {}
         for n in (65, 129):
             g = thin_grid(n)
             fm = advect_flow_map(V, g, t, t / 300)
@@ -215,23 +231,28 @@ class TestRemainder:
             out = lagrangian_remainder(rho, u, fm, V, t, params)
 
             z = g.node_coords()[:, 0]
-            pos = z / (1 - z * t)
-            gy_exact = (1 - z * t)**2
+            pos = X(z, t)
             du = differentiate(u, 0, 1).values[0].ravel()
-            term1 = rho.values[0].ravel() * du * pos**2 * (gy_exact - 1.0)
+            term1 = rho.values[0].ravel() * du * v(pos) * (gradY(z, t) - 1.0)
             spatial_mod = out.remainder.values[0].ravel() - term1
+            y2 = inverse_map_second_derivatives(fm, t)[:, 0, 0, 0]
+            y2_errs[n] = float(np.max(np.abs(y2 - Y2(pos, t))))
 
             pg = thin_grid(2 * n, 0.0, float(pos[-1]))
-            u_phys = x_field(pg, lambda x: u_fn(x / (1 + x * t)))
+            u_phys = x_field(pg, lambda x: u_fn(Y(x, t)))
             Ax = Field(pg, -(mu + lam) * differentiate(u_phys, 0, 2).values[0])
             Ax_at_feet = interpolate(Ax, x_points(pos), out_of_bounds="clamp")
             Ay = -(mu + lam) * differentiate(u, 0, 2).values[0].ravel()
             oracle = Ay - Ax_at_feet
             # the x-ends' three node lines are left out, as on the interval
             errs[n] = float(np.max(np.abs((spatial_mod - oracle).reshape(g.shape)[3:-3])))
-        # O(h^2), C frozen after the first verified run (measured 0.73)
+        # O(h^2), C frozen after the first verified run (measured 0.73 on
+        # x^2, 1.09 on x^3)
         assert errs[65] <= 2.0 * (1 / 64)**2
         assert errs[129] <= 2.0 * (1 / 128)**2
+        # the FD d^2 Y: exact on x^2, second order on x^3
+        assert y2_errs[65] <= 1.0 * (1 / 64)**2
+        assert y2_errs[129] <= 1.0 * (1 / 128)**2
 
 
 class TestBoundaryData:
@@ -390,9 +411,17 @@ def _chain_like(n=33, t=0.1):
 def _curved(n=33, t=0.2):
     """A nonlinear motion, so gradY varies and d^2 Y does not vanish."""
     g = grid2d(n)
+    def grad(tt, p):
+        x, y = p[:, 0], p[:, 1]
+        s, c = np.sin(np.pi * y), np.cos(np.pi * x)
+        return 0.3 * np.stack([np.stack([s, np.pi * np.cos(np.pi * y) * x], axis=-1),
+                               np.stack([-np.pi * np.sin(np.pi * x) * y, c], axis=-1)],
+                              axis=1)
+
     V = MotionField.expression(
         lambda tt, p: 0.3 * np.stack([np.sin(np.pi * p[:, 1]) * p[:, 0],
-                                      np.cos(np.pi * p[:, 0]) * p[:, 1]], axis=1), 2)
+                                      np.cos(np.pi * p[:, 0]) * p[:, 1]], axis=1), 2,
+        grad_fn=grad)
     return g, V, advect_flow_map(V, g, t, t / 20), t
 
 

@@ -11,7 +11,7 @@ from nsmove.errors import (
     InversionFailureError,
 )
 from nsmove.extension import extend_boundary_data
-from nsmove.fields import Field, Grid, differentiate
+from nsmove.fields import Field, Grid, differentiate, interp_matrix
 from nsmove.lagrangian import (
     lagrangian_remainder,
     pull_back_state,
@@ -138,6 +138,32 @@ class TestAdvect:
         with pytest.raises(InvalidArgumentError, match=f"got dim = {dim}"):
             MotionField.translation(np.ones(dim))
 
+    def test_missing_derivative_is_refused_not_estimated(self):
+        # the motion is prescribed, so each derivative a layer reads is data:
+        # one that was not supplied names its keyword, never a FD guess
+        A = np.array([[0.3, 0.4], [0.0, 0.3]])
+        vel = lambda t, p: p @ A.T
+        grad = lambda t, p: np.broadcast_to(A, p.shape + (2,)).copy()
+        g = grid2d()
+        with pytest.raises(InvalidArgumentError, match="without grad_fn"):
+            advect_flow_map(MotionField.expression(vel, 2), g, 0.1, 0.05)
+        V = MotionField.expression(vel, 2, grad_fn=grad)
+        with pytest.raises(InvalidArgumentError, match="without grad2_fn"):
+            advect_flow_map(V, g, 0.1, 0.05, with_hessian=True)
+        fm = advect_flow_map(V, g, 0.1, 0.05)
+        traj = StateTrajectory(
+            fm.times, [Field(g, np.ones(g.shape), t) for t in fm.times],
+            [Field.from_function(g, lambda x, t=t: vel(t, x), t=t, ncomp=2) for t in fm.times],
+            flow_map=fm)
+        with pytest.raises(InvalidArgumentError, match="without dt_fn"):
+            energy_inequality_residual(traj, V, PressureLaw(gamma=1.4),
+                                       FluidParams(mu=0.3, eta=0.1, kappa=0.5, bc="slip"))
+
+
+def _forward(fm, t, z):
+    """X(t, z) at reference points z, interpolated from the node positions."""
+    return interp_matrix(fm.grid, z, out_of_bounds="clamp") @ fm.positions(t)
+
 
 class TestInvert:
     def test_identity(self):
@@ -173,16 +199,16 @@ class TestInvert:
         x = x_points(np.linspace(0.4, 1.5, 7))
         z = fm.invert(0.5, x)
         assert np.max(np.abs(z - x * [np.exp(-alpha * 0.5), 1.0])) < 1e-9
-        back = fm.eval_forward(0.5, z)
+        back = _forward(fm, 0.5, z)
         assert np.max(np.abs(back - x)) < 1e-9
 
     def test_round_trip_nonlinear(self):
         g = grid2d(65)
         fm = advect_flow_map(_nonlinear_2d(), g, 0.2, 0.01)
         z0 = np.random.default_rng(3).uniform(0.05, 0.95, size=(500, 2))
-        x = fm.eval_forward(0.2, z0)
+        x = _forward(fm, 0.2, z0)
         z = fm.invert(0.2, x)
-        assert np.max(np.abs(fm.eval_forward(0.2, z) - x)) <= 1e-10
+        assert np.max(np.abs(_forward(fm, 0.2, z) - x)) <= 1e-10
 
     def test_node_images_return_nodes(self):
         g = grid2d(65)
@@ -347,9 +373,16 @@ class TestJacobians:
     def test_jacobian_matches_fd_of_trajectories(self):
         # gradX from the Jacobian ODE vs differentiate() of the node positions
         g = Grid((33, 33), (0.0, 0.0), (1.0, 1.0))
+
+        def grad(t, p):
+            out = np.zeros(p.shape + (2,))
+            out[:, 0, 0] = 0.2 * np.pi * np.cos(np.pi * p[:, 0])
+            out[:, 1, 1] = 0.2 * p[:, 1]
+            return out
+
         V = MotionField.expression(
             lambda t, p: np.stack([0.2 * np.sin(np.pi * p[:, 0]),
-                                   0.1 * p[:, 1] ** 2], axis=-1), 2)
+                                   0.1 * p[:, 1] ** 2], axis=-1), 2, grad_fn=grad)
         fm = advect_flow_map(V, g, 0.2, 0.01)
         pos = fm.positions(0.2).T.reshape((2,) + tuple(g.shape))
         ode = fm.jacobians(0.2)  # (N, 2, 2)
@@ -523,7 +556,8 @@ class TestFrameReuse:
     V = MotionField.expression(
         lambda t, p: np.stack([0.3 * p[:, 0] + 0.4 * p[:, 1], 0.3 * p[:, 1]], axis=1), 2,
         grad_fn=lambda t, p: np.broadcast_to(
-            np.array([[0.3, 0.4], [0.0, 0.3]]), p.shape + (2,)).copy())
+            np.array([[0.3, 0.4], [0.0, 0.3]]), p.shape + (2,)).copy(),
+        dt_fn=lambda t, p: np.zeros_like(p))
     params = FluidParams(mu=0.3, eta=0.1, kappa=0.5, bc="slip")
 
     def test_remainder_boundary_data_extension(self, monkeypatch):

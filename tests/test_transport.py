@@ -309,9 +309,8 @@ class TestDiscreteVelocity:
         fm = advect_flow_map(MotionField.shear(0.4), g, 0.2, 0.1) if moving else None
 
         def six_columns(m):
-            grad = gradient_values(fields[m])
-            if moving:
-                grad = physical_gradient(grad, fm.frame(times[m]))
+            grad = (physical_gradient(fields[m], fm.frame(times[m])) if moving
+                    else gradient_values(fields[m]))
             return np.concatenate([fields[m].values.reshape(2, -1).T, grad.reshape(-1, 4)],
                                   axis=1)
 
@@ -322,7 +321,7 @@ class TestDiscreteVelocity:
             dv = DiscreteVelocity(times, fields, flow_map=fm)
             dv._level_data = lambda m, build=dv._level_data: built.append(build(m)) or built[-1]
             # physical points, pulled back as a stage's first call does
-            pts = fm.eval_forward(t, z) if moving else z
+            pts = interp_matrix(g, z, out_of_bounds="clamp") @ fm.positions(t) if moving else z
             ref = fm.invert(t, pts) if moving else pts
             want = interp_matrix(g, ref) @ blend_levels(L6, times, t)
             u, grad = dv.velocity_and_gradient(t, pts)
