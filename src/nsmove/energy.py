@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NotSameDataError
 from .fields import _trapezoid_weights, gradient_values, level_times
-from .motion import _contract, physical_gradient
+from .motion import physical_gradient
 
 
 def _potential_gauss_legendre(p, rho):
@@ -85,33 +85,29 @@ def _dot(a, b):
     return sum(a[idx] * b[idx] for idx in np.ndindex(a.shape[:-1]))
 
 
-def _stress(g, mu, eta):
-    """Newtonian stress rows S[i, j] from the rows g[i, j] = du_i/dx_j."""
-    out = np.add(g, g.transpose(1, 0, 2), out=np.empty(g.shape))
+def _matvec(a, v):
+    """Rows sum_j a[i, j] v[j] of a (d, d, N) tensor and (d, N) vector."""
+    return sum(a[:, j] * v[j] for j in range(len(v)))
+
+
+def stress_tensor(grad_u, mu, eta=0.0):
+    """Newtonian stress rows S[i, j] from the rows grad_u[i, j] = du_i/dx_j."""
+    out = np.add(grad_u, grad_u.transpose(1, 0, 2), out=np.empty(grad_u.shape))
     out *= mu
-    bulk = (eta - (2.0 / 3.0) * mu) * _trace(g)
-    for i in range(len(g)):
+    bulk = (eta - (2.0 / 3.0) * mu) * _trace(grad_u)
+    for i in range(len(grad_u)):
         out[i, i] += bulk
     return out
 
 
-def stress_tensor(grad_u, mu, eta=0.0):
-    """Newtonian stress from grad u of shape (N, d, d).
-
-    A view of component rows (d, d, N), so it is not C-contiguous.
-    """
-    return np.moveaxis(_stress(np.moveaxis(grad_u, 0, -1), mu, eta), -1, 0)
-
-
 def dissipation_density(grad_u, mu, eta=0.0):
-    """S(grad u) : grad u, pointwise.
+    """S(grad u) : grad u per node, from the rows grad u (d, d, N).
 
     Equals mu/2 |grad u + grad^T u - 2/3 div I|^2 + eta div^2 only in 3D; in
     the 2D reduction used here the deviator has nonzero trace, so the
     contraction is evaluated directly. Nonnegative in d <= 3.
     """
-    g = np.moveaxis(grad_u, 0, -1)
-    return _dot(_stress(g, mu, eta), g)
+    return _dot(stress_tensor(grad_u, mu, eta), grad_u)
 
 
 def relative_energy_values(law, rho, u, r, U):
@@ -164,21 +160,19 @@ def energy_inequality_residual(traj, V, law, params):
         w = traj.physical_weights(m).ravel()
         rho = traj.rho[m].values[0].ravel()
         u = traj.u[m].values.reshape(d, -1)
-        gu = np.moveaxis(traj.physical_velocity_gradient(m), 0, -1)
+        gu = traj.physical_velocity_gradient(m)
         E[m] = float(np.sum(w * (0.5 * rho * _dot(u, u) + law.potential(rho))))
-        S = _stress(gu, mu, eta)
+        S = stress_tensor(gu, mu, eta)
         diss_rate[m] = float(np.sum(w * _dot(S, gu)))
         pos = traj.positions(m)
         Vv = V.velocity(t, pos).T
         dtV = V.dt_velocity(t, pos).T
         gV = np.moveaxis(V.gradient(t, pos), 0, -1)
         rho_u = rho * u
-        gV_u = np.empty((d, 1, len(rho)))
-        _contract(gV_u, gV, u[:, None], np.empty(len(rho)))
         rhs_rate[m] = float(np.sum(w * (
             _dot(S, gV)
             - _dot(rho_u, dtV)
-            - _dot(rho_u, gV_u[:, 0])         # convection
+            - _dot(rho_u, _matvec(gV, u))     # convection
             - law.p(rho) * _trace(gV)
         )))
         pV[m] = float(np.sum(w * _dot(rho_u, Vv)))
@@ -223,21 +217,33 @@ def relative_energy_remainder(state, reference, law, params, m, V):
 
     Terms: rho (dt U + u.grad U).(U - u) + S(grad U):(grad U - grad u)
     + div U (p(r) - p(rho)) + (r - rho) dt H'(r) + (r U - rho u).grad H'(r),
-    over Omega_t at level m. The two flow maps must place the nodes at the
-    same positions at level m, and the reference must satisfy U.n = V.n on
-    its frame's boundary within ``_ADMISSIBLE_GAP`` (test-function
-    admissibility); its time derivatives come from central differences over
-    the stored levels.
+    over Omega_t at level m. Level m must be stored in both trajectories, at
+    one time on one grid, and the two flow maps must place the nodes at the
+    same positions there; the reference must satisfy U.n = V.n on its
+    frame's boundary within ``_ADMISSIBLE_GAP`` (test-function
+    admissibility). Anything else raises :class:`InvalidArgumentError`. The
+    reference's time derivatives are differences over its stored levels:
+    central inside, one-sided and first order at the first and last level.
     """
+    if not 0 <= m < min(len(state), len(reference)):
+        raise InvalidArgumentError(
+            f"level m={m} is not stored: the state has {len(state)} levels, "
+            f"the reference {len(reference)}")
+    if state.grid != reference.grid:
+        raise InvalidArgumentError(
+            f"state on {state.grid} but reference on {reference.grid}")
+    t = reference.times[m]
+    if abs(state.times[m] - t) > 1e-12 * max(1.0, abs(t)):
+        raise InvalidArgumentError(
+            f"level {m} is at t={state.times[m]} in the state but t={t} in the reference")
     d = state.grid.dim
     w = state.physical_weights(m).ravel()
     rho = state.rho[m].values[0].ravel()
-    u = state.u[m].values.reshape(d, -1).T
+    u = state.u[m].values.reshape(d, -1)
     r = reference.rho[m].values[0].ravel()
-    U = reference.u[m].values.reshape(d, -1).T
+    U = reference.u[m].values.reshape(d, -1)
     if np.any(r <= 0):
         raise InvalidArgumentError("reference density must be positive")
-    t = reference.times[m]
     frame = reference.frame(m)
     gap = float(np.max(np.abs(state.positions(m) - frame.X)))
     if gap > 0.0:
@@ -246,49 +252,39 @@ def relative_energy_remainder(state, reference, law, params, m, V):
             f"node positions up to {gap:.3e} apart")
     worst = 0.0
     for flat, n, _ in frame.faces.values():
-        gap = np.einsum("pi,pi->p", U[flat] - V.velocity(t, frame.X[flat]), n)
+        gap = _dot(U[:, flat] - V.velocity(t, frame.X[flat]).T, n.T)
         worst = max(worst, float(np.max(np.abs(gap))))
     if worst > _ADMISSIBLE_GAP:
         raise InvalidArgumentError(
             f"reference velocity violates U.n = V.n by {worst:.3e}")
 
     gU = reference.physical_velocity_gradient(m)
-    grad_r = physical_gradient(reference.rho[m], frame)[:, 0]
+    grad_r = physical_gradient(reference.rho[m], frame)[0]
     # FD in time of reference-sampled fields gives the material derivative
     # along the map's velocity; convert to the Eulerian time derivative.
-    dtU = _time_derivative_fields(reference.u, reference.times, m)
-    dtr = _time_derivative_fields(reference.rho, reference.times, m)[:, 0]
-    Vv = V.velocity(t, frame.X)
-    dtU = dtU - np.einsum("pj,pij->pi", Vv, gU)
-    dtr = dtr - np.einsum("pi,pi->p", Vv, grad_r)
+    Vv = V.velocity(t, frame.X).T
+    dtU = _time_derivative_fields(reference.u, reference.times, m) - _matvec(gU, Vv)
+    dtr = _time_derivative_fields(reference.rho, reference.times, m)[0] - _dot(Vv, grad_r)
 
-    adv = np.einsum("pj,pij->pi", u, gU)
-    term1 = rho * np.einsum("pi,pi->p", dtU + adv, U - u)
+    term1 = rho * _dot(dtU + _matvec(gU, u), U - u)
     gu = state.physical_velocity_gradient(m)
-    SU = stress_tensor(gU, params.mu, params.eta)
-    term2 = np.einsum("pij,pij->p", SU, gU - gu)
-    divU = _trace(np.moveaxis(gU, 0, -1))
-    term3 = divU * (law.p(r) - law.p(rho))
+    term2 = _dot(stress_tensor(gU, params.mu, params.eta), gU - gu)
+    term3 = _trace(gU) * (law.p(r) - law.p(rho))
     # dt H'(r) and grad H'(r) via the chain rule, H''(r) = p'(r)/r
     H2 = law.dp(r) / r
     term4 = (r - rho) * H2 * dtr
-    gradHp = H2[:, None] * grad_r
-    term5 = np.einsum("pi,pi->p", r[:, None] * U - rho[:, None] * u, gradHp)
+    term5 = _dot(r * U - rho * u, H2 * grad_r)
     return float(np.sum(w * (term1 + term2 + term3 + term4 + term5)))
 
 
 def _time_derivative_fields(fields, times, m):
-    d = fields[0].values.shape[0]
+    """d/dt of the level fields at level m, rows (ncomp, N): central inside,
+    one-sided at the first and last level, zero for a single level."""
+    c = fields[0].ncomp
     if len(fields) == 1:
-        return np.zeros((fields[0].grid.num_nodes, d))
-    if m == 0:
-        lo, hi, dt = 0, 1, times[1] - times[0]
-    elif m == len(fields) - 1:
-        lo, hi, dt = m - 1, m, times[m] - times[m - 1]
-    else:
-        lo, hi, dt = m - 1, m + 1, times[m + 1] - times[m - 1]
-    diff = (fields[hi].values - fields[lo].values) / dt
-    return diff.reshape(d, -1).T
+        return np.zeros((c, fields[0].grid.num_nodes))
+    lo, hi = max(m - 1, 0), min(m + 1, len(fields) - 1)
+    return ((fields[hi].values - fields[lo].values) / (times[hi] - times[lo])).reshape(c, -1)
 
 
 def korn_quotient(z_field, params):
@@ -303,10 +299,9 @@ def korn_quotient(z_field, params):
     gu = gradient_values(z_field)
     w = z_field.grid.quadrature_weights().ravel()
     S = stress_tensor(gu, params.mu, params.eta)
-    s_norm = np.sqrt(np.sum(w * np.einsum("pij,pij->p", S, S)))
-    z = z_field.values.reshape(d, -1).T
-    w12 = np.sqrt(np.sum(w * (np.sum(z**2, axis=1)
-                              + np.einsum("pij,pij->p", gu, gu))))
+    s_norm = np.sqrt(np.sum(w * _dot(S, S)))
+    z = z_field.values.reshape(d, -1)
+    w12 = np.sqrt(np.sum(w * (_dot(z, z) + _dot(gu, gu))))
     return float(w12 / s_norm) if s_norm > 0 else np.inf
 
 

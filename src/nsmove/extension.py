@@ -116,7 +116,7 @@ def extend_boundary_data(bdata, grid, *, u_ref, V, flow_map, params):
         sgn_tau = tau[s_axis]  # tau versus increasing s coordinate
 
         # face-node quantities (arrays over the s index)
-        G_face = G_all[gaps.flat]                      # (m, a, c)
+        G_face = G_all[..., gaps.flat].transpose(2, 0, 1)   # (m, a, c)
         du_face = du_all[gaps.flat]
         g_tau = gaps.tangent(du_face)
         d_rest = d_face - gaps.normal(du_face)

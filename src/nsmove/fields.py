@@ -3,6 +3,16 @@
 Everything in here lives on the fixed reference domain: a uniform tensor
 grid on an axis-aligned rectangle. Curved physical domains only ever arise
 downstream through composition with a flow map.
+
+One layout rule holds in every module. Points, and whatever a point
+callable returns (V and its derivatives, the pull-back callbacks), are
+node-major (npts, ...), as are face-node arrays, a flow map's stored
+levels and the two operands of interpolation-matrix products
+(``FlowMap._stack``, a ``DiscreteVelocity`` level). Every other per-node
+tensor computed from a :class:`Field` or a flow-map frame (grad u, gradY,
+second derivatives, the stress) is contiguous component rows (..., N), N
+the node count, so a product over components is a product of whole rows;
+the frame's gradX is such rows as a view of its node-major X | gradX.
 """
 
 from __future__ import annotations
@@ -308,13 +318,11 @@ def differentiate(f, axis, order=1):
 
 
 def gradient_values(f):
-    """Node-major gradient (num_nodes, ncomp, dim): [p, i, j] = df_i/dy_j.
-
-    A view of a component-major array, so it is not C-contiguous.
-    """
-    g = np.stack([_diff_axis(f.values, h, a + 1, 1) for a, h in enumerate(f.grid.spacing)],
-                 axis=1)
-    return np.moveaxis(g.reshape(f.ncomp, f.grid.dim, -1), -1, 0)
+    """Gradient as component rows (ncomp, dim, num_nodes): [i, j] = df_i/dy_j."""
+    g = np.empty((f.ncomp, f.grid.dim) + f.values.shape[1:])
+    for a, h in enumerate(f.grid.spacing):
+        g[:, a] = _diff_axis(f.values, h, a + 1, 1)
+    return g.reshape(f.ncomp, f.grid.dim, -1)
 
 
 _INTERP_CHUNK = 4096     # points per component-major block of weights

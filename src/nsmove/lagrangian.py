@@ -55,11 +55,7 @@ class TransformedRHS:
 
 
 def _hessian_fields(f):
-    """d^2 u_i/dy_k dy_l as (N, i, k, l), symmetrized in (k, l).
-
-    A view of a component-major (i, k, l, N) array, so it is not
-    C-contiguous.
-    """
+    """d^2 u_i/dy_k dy_l as rows (i, k, l, N), symmetrized in (k, l)."""
     d, h = f.grid.dim, f.grid.spacing
     out = np.empty((f.ncomp, d, d) + tuple(f.grid.shape))
     firsts = [_diff_axis(f.values, h[k], k + 1, 1) for k in range(d)]
@@ -68,21 +64,20 @@ def _hessian_fields(f):
         for l in range(k + 1, d):
             out[:, k, l] = out[:, l, k] = 0.5 * (_diff_axis(firsts[k], h[l], l + 1, 1)
                                                  + _diff_axis(firsts[l], h[k], k + 1, 1))
-    return np.moveaxis(out.reshape(f.ncomp, d, d, -1), -1, 0)
+    return out.reshape(f.ncomp, d, d, -1)
 
 
 def inverse_map_second_derivatives(flow_map, t):
-    """d^2 Y_j / dx_k dx_p at the feet, (N, j, k, p).
+    """d^2 Y_j / dx_k dx_p at the feet, as rows (j, k, p, N).
 
     Finite differences, in reference coordinates, of the inverse-map Jacobian
     field gradY(X(t, y)) followed by the chain factor gradY (the image nodes
     form a curvilinear grid, so differentiating in x directly is not
-    available); symmetrized in (k, p). A view of a component-major
-    (j, k, p, N) array, so it is not C-contiguous.
+    available); symmetrized in (k, p).
     """
     grid = flow_map.grid
     d, N = grid.dim, grid.num_nodes
-    gy = np.moveaxis(flow_map.frame(t).inv, 0, -1)          # gradY_{mq}, rows
+    gy = flow_map.frame(t).inv          # gradY_{mq}
     gy_nodes = gy.reshape((d, d) + tuple(grid.shape))
     out = np.empty((d, d, d, N))
     scratch = np.empty(N)
@@ -90,7 +85,7 @@ def inverse_map_second_derivatives(flow_map, t):
         # out[j, k, q] += d_m (gradY_{jk}) gradY_{mq}
         dgy = _diff_axis(gy_nodes, h, m + 2, 1).reshape(d * d, 1, N)
         _contract(out.reshape(d * d, d, N), dgy, gy[m][None], scratch, add=m > 0)
-    return np.moveaxis(0.5 * (out + out.transpose(0, 2, 1, 3)), -1, 0)
+    return 0.5 * (out + out.transpose(0, 2, 1, 3))
 
 
 def lagrangian_remainder(rho_ref, u_ref, flow_map, V, t, params, force=None):
@@ -108,16 +103,15 @@ def lagrangian_remainder(rho_ref, u_ref, flow_map, V, t, params, force=None):
     mu = params.mu
     lam = params.mu / 3.0 + params.eta
 
-    # every tensor as component rows over the nodes: gradY at the feet
-    # [j, k], V(t, X(t, y)) as a column, du_i/dy_j, d^2 u_i/dy_k dy_l and
-    # d^2 Y_j/dx_k dx_p
+    # gradY at the feet [j, k], V(t, X(t, y)) as a column, du_i/dy_j,
+    # d^2 u_i/dy_k dy_l and d^2 Y_j/dx_k dx_p
     frame = flow_map.frame(t)
-    gy = np.moveaxis(frame.inv, 0, -1)
+    gy = frame.inv
     Vx = V.velocity(t, frame.X).T[:, None]
     rho = rho_ref.values[0].ravel()
-    G1 = np.moveaxis(gradient_values(u_ref), 0, -1)
-    G2 = np.moveaxis(_hessian_fields(u_ref), 0, -1)
-    dY2 = np.moveaxis(inverse_map_second_derivatives(flow_map, t), 0, -1)
+    G1 = gradient_values(u_ref)
+    G2 = _hessian_fields(u_ref)
+    dY2 = inverse_map_second_derivatives(flow_map, t)
     scratch = np.empty(N)
 
     def contract(A, B):
@@ -190,7 +184,7 @@ class FaceGaps:
         flat = self.flat = face.flat
         self.y = nodes[flat]
         _, n_X, tau_X = frame.faces[face.name]
-        Jgap = np.eye(2) - frame.inv[flat]           # I - gradY
+        Jgap = np.eye(2) - frame.inv[..., flat].transpose(2, 0, 1)   # I - gradY
         self.Vy = V.velocity(t, self.y)
         VX = V.velocity(t, frame.X[flat])
         self.n_X, self.tau_X = n_X, tau_X
@@ -233,7 +227,7 @@ def transformed_boundary_data(u_ref, V, flow_map, t, params):
     for face in grid.faces().values():
         gaps = FaceGaps(face, nodes, frame, V, t, params.mu)
         du = uvals[gaps.flat] - gaps.Vy
-        B = (np.einsum("pab,pab->p", gaps.A, G1[gaps.flat])
+        B = (np.einsum("pab,abp->p", gaps.A, G1[..., gaps.flat])
              + params.kappa * gaps.tangent(du))
         faces[face.name] = {"d": gaps.normal(du), "B": B}
     return BoundaryData(faces, t)

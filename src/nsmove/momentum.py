@@ -439,9 +439,12 @@ def solve_linear_momentum(rho, rhs, bc, u0, params, dt, T):
     N values, force (N, d)); ``bc`` is a :class:`MomentumBC` whose kind must
     be ``params.bc``. The density is frozen per step at the midpoint. The
     slip friction is kappa ``face.weights`` on each face's tangential dofs.
-    Returns (list of velocity Fields including the initial level, reports).
+    ``u0`` must be a 2-component Field. Returns (list of velocity Fields
+    including the initial level, reports).
     """
     _check_bc_kind(bc, params)
+    if u0.ncomp != 2:
+        raise InvalidArgumentError(f"u0 must have 2 components, got {u0.ncomp}")
     grid = u0.grid
     d = grid.dim
     N = grid.num_nodes

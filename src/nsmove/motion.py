@@ -114,16 +114,10 @@ class MotionField:
 
 
 def _mat_inv(J):
-    """Vectorized inverse of (..., 2, 2)."""
-    a, b = J[..., 0, 0], J[..., 0, 1]
-    c, e = J[..., 1, 0], J[..., 1, 1]
+    """Per-node inverse of the rows J (2, 2, N), as rows."""
+    (a, b), (c, e) = J
     det = a * e - b * c
-    out = np.empty_like(J)
-    out[..., 0, 0] = e / det
-    out[..., 0, 1] = -b / det
-    out[..., 1, 0] = -c / det
-    out[..., 1, 1] = a / det
-    return out
+    return np.array([[e / det, -b / det], [-c / det, a / det]])
 
 
 def _pack(parts):
@@ -221,7 +215,7 @@ def _rk4_levels(source, grid, T, dt, extra=None):
         y += acc
         for part, store in levels.items():
             store[m + 1] = y[rows[part]].T.reshape(store.shape[1:])
-        _checked_det(levels["J"][m + 1], times[m + 1], grid)
+        _checked_det(y[rows["J"]].reshape(d, d, N), times[m + 1], grid)
     for store in levels.values():
         store.setflags(write=False)
     return times, levels
@@ -240,11 +234,11 @@ def _check_steps(T, dt):
 class Frame:
     """The flow map's geometry at one time t, shared read-only by its users.
 
-    ``XJ`` stacks X | gradX node-major into (N, d + d^2), and ``X`` and ``J``
-    are views of it; ``inv`` is gradY at the feet, the per-node inverse of
-    gradX; ``det`` is det gradX > 0. ``faces`` is {name: (flat, n, tau)}:
-    the physical unit normal at the image of each face node (gradY^T n_ref,
-    renormalized) and its quarter turn.
+    ``XJ`` stacks X | gradX node-major into (N, d + d^2); ``X`` and the rows
+    ``J`` (d, d, N) are views of it. ``inv`` is gradY at the feet, the rows
+    of the per-node inverse of gradX; ``det`` is det gradX > 0. ``faces`` is
+    {name: (flat, n, tau)}: the physical unit normal at the image of each
+    face node (gradY^T n_ref, renormalized) and its quarter turn.
     """
 
     t: float
@@ -257,9 +251,9 @@ class Frame:
 
 
 def _checked_det(J, t, grid):
-    """det gradX per node; raises :class:`DegenerateMapError` with the node
-    where it is smallest if it is <= 0 anywhere."""
-    det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+    """det gradX per node of the rows J; raises :class:`DegenerateMapError`
+    with the node where it is smallest if it is <= 0 anywhere."""
+    det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
     if np.any(det <= 0):
         bad = int(np.argmin(det))
         raise DegenerateMapError(
@@ -372,15 +366,15 @@ class FlowMap:
         """
         if self._frame is not None and self._frame.t == t:
             return self._frame
-        N, d = self.grid.num_nodes, self.dim
+        d = self.dim
         XJ = self._stack(t)
-        X, J = XJ[:, :d], XJ[:, d:].reshape(N, d, d)
+        X, J = XJ[:, :d], XJ[:, d:].T.reshape(d, d, -1)
         det = _checked_det(J, t, self.grid)
         inv = _mat_inv(J)
         faces = {}
         for face in self.grid.faces().values():
             # inverse-transpose: n_phys ~ gradY^T n_ref
-            n = np.einsum("pji,j->pi", inv[face.flat], face.normal)
+            n = np.einsum("jip,j->pi", inv[..., face.flat], face.normal)
             n /= np.linalg.norm(n, axis=1, keepdims=True)
             faces[face.name] = (face.flat, n, rotate90(n))
         for a in chain((XJ, X, J, inv, det), *faces.values()):
@@ -398,10 +392,10 @@ class FlowMap:
                               axis=1)
 
     def _forward_and_jacobian(self, XJ, z):
-        """X and gradX at z from one interpolation matrix applied to ``XJ``."""
+        """X and the rows gradX at z from one interpolation matrix on ``XJ``."""
         M = interp_matrix(self.grid, z, out_of_bounds="clamp")
         vals, d = M @ XJ, self.dim
-        return vals[:, :d], vals[:, d:].reshape(len(vals), d, d)
+        return vals[:, :d], vals[:, d:].T.reshape(d, d, -1)
 
     def invert(self, t, x, seed=None):
         """Y(t, x): Newton iteration on X(t, z) - x = 0, seeded from the
@@ -424,7 +418,7 @@ class FlowMap:
             res = X - x
             if np.max(np.abs(res)) <= _NEWTON_TOL:
                 return z
-            step = np.einsum("pij,pj->pi", _mat_inv(J), res)
+            step = np.einsum("ijp,pj->pi", _mat_inv(J), res)
             z = np.clip(z - step, lo, hi)
         res = np.max(np.abs(self._forward_and_jacobian(XJ, z)[0] - x), axis=1)
         worst = int(np.argmax(res))
@@ -445,13 +439,11 @@ def advect_flow_map(V, grid, T, dt_map, *, with_hessian=False):
 
 
 def physical_gradient(f, frame):
-    """grad_x f per node, (N, c, d), of a c-component Field sampled at the
+    """grad_x f as rows (c, d, N) of a c-component Field sampled at the
     nodes' images: the shared stencil of
     :func:`~nsmove.fields.gradient_values` in y, times gradY from a
-    :class:`Frame`. The result is a view of component rows (c, d, N), so
-    it is not C-contiguous."""
+    :class:`Frame`."""
     grad_y = gradient_values(f)
-    out = np.empty(grad_y.shape[1:] + grad_y.shape[:1])
-    _contract(out, np.moveaxis(grad_y, 0, -1), np.moveaxis(frame.inv, 0, -1),
-              np.empty(len(grad_y)))
-    return np.moveaxis(out, -1, 0)
+    out = np.empty(grad_y.shape)
+    _contract(out, grad_y, frame.inv, np.empty(grad_y.shape[-1]))
+    return out

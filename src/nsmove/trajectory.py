@@ -37,5 +37,5 @@ class StateTrajectory:
         return self.grid.quadrature_weights() * self.frame(m).det.reshape(self.grid.shape)
 
     def physical_velocity_gradient(self, m):
-        """grad_x u as (N, d, d) via the inverse Jacobian transform."""
+        """grad_x u as rows (d, d, N) via the inverse Jacobian transform."""
         return physical_gradient(self.u[m], self.frame(m))

@@ -70,8 +70,8 @@ class DiscreteVelocity:
         # du_i/dy_k is du_i/dx_k on a static grid
         g = (gradient_values(f) if self.flow_map is None
              else physical_gradient(f, self.flow_map.frame(self.times[m])))
-        out = np.zeros((len(g), 7))   # the zero column: see the class docstring
-        out[:, :2], out[:, 2:6] = f.values.reshape(2, -1).T, g.reshape(-1, 4)
+        out = np.zeros((g.shape[-1], 7))   # the zero column: see the class docstring
+        out[:, :2], out[:, 2:6] = f.values.reshape(2, -1).T, g.reshape(4, -1).T
         return out
 
     def _to_ref(self, t, x):
@@ -149,9 +149,8 @@ def density_gradient(traj, t):
     rho(t, X(t, z)), as for grad u; O(h^2). Returned as a d-component
     Field sampled at the feet X(t, z).
     """
-    grid = traj.grid
-    gx = physical_gradient(traj.density_field(t), traj.flow_map.frame(t))[:, 0]
-    return Field(grid, gx.T.reshape((grid.dim,) + tuple(grid.shape)), t)
+    gx = physical_gradient(traj.density_field(t), traj.flow_map.frame(t))[0]
+    return Field(traj.grid, gx.reshape(-1, *traj.grid.shape), t)
 
 
 def mass_total(traj, t):

@@ -313,6 +313,36 @@ class TestRemainderTerm:
             relative_energy_remainder(state, ref, LAW_G2, FluidParams(mu=0.3, bc="slip"),
                                       1, V=V)
 
+    @pytest.mark.parametrize("case", ["times", "grid", "m-beyond-both", "m-beyond-reference",
+                                      "m-negative"])
+    def test_pairs_it_cannot_compare_refused(self, case):
+        # on V = 0 maps the time mismatch came back as a silent -0.0010 (the
+        # state at t = 0.1 against the reference at t = 0.05), a 17 x 17
+        # reference died in numpy's broadcasting and m = 3 in an IndexError
+        g = Grid((9, 9), (0.0, 0.0), (1.0, 1.0))
+        rho = lambda t, p: 1.0 + 0.1 * np.sin(p[:, 0] + t)
+        u = lambda t, p: np.stack([np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1]) * (1 + t),
+                                   np.zeros(len(p))], axis=1)
+        state_times, ref_times, ref_grid, m = [0.0, 0.05, 0.1], [0.0, 0.05, 0.1], g, 1
+        if case == "times":
+            state_times, ref_times = [0.0, 0.1, 0.2], [0.0, 0.05, 0.1]
+            match = re.escape("level 1 is at t=0.1 in the state but t=0.05 in the reference")
+        elif case == "grid":
+            ref_grid = Grid((17, 17), (0.0, 0.0), (1.0, 1.0))
+            match = re.escape(f"state on {g} but reference on {ref_grid}")
+        else:
+            m = -1 if case == "m-negative" else 3
+            if case == "m-beyond-reference":
+                state_times = [0.0, 0.05, 0.1, 0.15]
+            match = re.escape(f"level m={m} is not stored: the state has {len(state_times)} "
+                              "levels, the reference 3")
+        state = _static_trajectory(g, np.array(state_times), rho, u)
+        ref = _static_trajectory(ref_grid, np.array(ref_times), rho, u)
+        with pytest.raises(InvalidArgumentError, match=match):
+            relative_energy_remainder(state, ref, LAW_G2, FluidParams(mu=0.3, bc="slip"), m,
+                                      V=MotionField.zero())
+
+
 class TestGronwall:
     def test_identical_trajectories_pass(self):
         times = np.linspace(0, 1, 11)
@@ -359,7 +389,7 @@ class TestDiagnostics:
         rng = np.random.default_rng(13)
         for _ in range(50):
             gu = rng.standard_normal((10, 2, 2))
-            vals = dissipation_density(gu, mu=0.7, eta=0.2)
+            vals = dissipation_density(np.moveaxis(gu, 0, -1), mu=0.7, eta=0.2)
             assert np.min(vals) >= -1e-13
 
     def test_stress_and_dissipation_match_einsum(self):
@@ -384,13 +414,13 @@ class TestDiagnostics:
         traj = StateTrajectory([0.0, 0.1], [Field(g, np.ones(g.shape))] * 2, [u, u],
                                flow_map=fm)
         grads = [rng.standard_normal((50, d, d)) for d in (1, 2)]
-        grads.append(traj.physical_velocity_gradient(1))
+        grads.append(np.moveaxis(traj.physical_velocity_gradient(1), -1, 0))
         for gu in grads:
             S_ref = stress_reference(gu, 0.7, 0.2)
-            S = stress_tensor(gu, 0.7, 0.2)
+            S = np.moveaxis(stress_tensor(np.moveaxis(gu, 0, -1), 0.7, 0.2), -1, 0)
             assert np.max(np.abs(S - S_ref)) <= 1e-12 * np.max(np.abs(S_ref))
             D_ref = np.einsum("pij,pij->p", S_ref, gu)
-            D = dissipation_density(gu, 0.7, 0.2)
+            D = dissipation_density(np.moveaxis(gu, 0, -1), 0.7, 0.2)
             assert np.max(np.abs(D - D_ref)) <= 1e-12 * np.max(np.abs(D_ref))
 
     def test_korn_quotient_finite(self):

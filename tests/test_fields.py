@@ -12,6 +12,7 @@ from nsmove.fields import (
     Grid,
     blend_levels,
     differentiate,
+    gradient_values,
     integrate,
     interp_matrix,
     interpolate,
@@ -492,3 +493,48 @@ class TestIntegrate:
         g = thin_grid(129)
         f = x_field(g, lambda x: x)
         assert abs(integrate(f) - 0.5) < 1e-12
+
+
+
+def _layout_cases():
+    """The frame and {name: (tensor, documented shape)} on a 9 x 7 grid
+    (N = 63) moved by a shear, so that N is unlike any component count."""
+    from nsmove.energy import stress_tensor
+    from nsmove.lagrangian import _hessian_fields, inverse_map_second_derivatives
+    from nsmove.motion import MotionField, advect_flow_map, physical_gradient
+    from nsmove.trajectory import StateTrajectory
+
+    g = Grid((9, 7), (0.0, 0.0), (1.0, 0.8))
+    N = g.num_nodes
+    fm = advect_flow_map(MotionField.shear(0.4), g, 0.1, 0.05)
+    frame = fm.frame(0.1)
+    rho = Field.from_function(g, lambda p: 1.0 + p[:, 0] * p[:, 1])
+    u = Field.from_function(g, lambda p: np.sin(p), ncomp=2)
+    traj = StateTrajectory([0.0, 0.1], [rho, rho], [u, u], fm)
+    return frame, {
+        "gradient_values": (gradient_values(u), (2, 2, N)),
+        "physical_gradient": (physical_gradient(rho, frame), (1, 2, N)),
+        "physical_velocity_gradient": (traj.physical_velocity_gradient(1), (2, 2, N)),
+        "_hessian_fields": (_hessian_fields(u), (2, 2, 2, N)),
+        "inverse_map_second_derivatives": (inverse_map_second_derivatives(fm, 0.1),
+                                           (2, 2, 2, N)),
+        "Frame.J": (frame.J, (2, 2, N)),
+        "Frame.inv": (frame.inv, (2, 2, N)),
+        "stress_tensor": (stress_tensor(gradient_values(u), 0.3, 0.1), (2, 2, N)),
+    }
+
+
+@pytest.mark.parametrize("name", ["gradient_values", "physical_gradient",
+                                  "physical_velocity_gradient", "_hessian_fields",
+                                  "inverse_map_second_derivatives", "Frame.J", "Frame.inv",
+                                  "stress_tensor"])
+def test_per_node_tensors_are_component_rows(name):
+    # the layout rule of the fields module: component rows with the nodes
+    # last, contiguous save the frame's J, a view of its node-major X | gradX
+    frame, cases = _layout_cases()
+    a, shape = cases[name]
+    assert a.shape == shape
+    if name == "Frame.J":
+        assert np.shares_memory(a, frame.XJ)
+    else:
+        assert a.flags.c_contiguous

@@ -123,10 +123,28 @@ def _unnamed_definitions(trees, others=None):
 _KEPT_UNNAMED = {"MotionField.gradient3", "MotionField.dtt_velocity"}
 
 
+def _unnamed_against(trees, kept, others=None):
+    """(orphans, exempt but named): the definitions named nowhere that ``kept`` does not
+    list, and the names in ``kept`` that some code names after all."""
+    found = _unnamed_definitions(trees, others)
+    return [o for o in found if o[2] not in kept], kept - {name for _, _, name in found}
+
+
 def test_no_unnamed_definitions():
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in SRC}
-    orphans = [o for o in _unnamed_definitions(trees) if o[2] not in _KEPT_UNNAMED]
+    orphans, named = _unnamed_against(trees, _KEPT_UNNAMED)
     assert not orphans, f"defined but named nowhere: {orphans}"
+    assert not named, f"exempt but named, so no longer exempt: {named}"
+
+
+def test_detects_exemption_that_is_named():
+    # an exempt method that gains a reader, even a test, leaves the list
+    trees = {ROOT / "src" / "nsmove" / "probe.py": ast.parse(
+        "class Box:\n    def read(self):\n        pass\n"
+        "    def idle(self):\n        pass\n")}
+    others = {ROOT / "tests" / "test_probe.py": ast.parse("Box().read()\n")}
+    assert _unnamed_against(trees, {"Box.read", "Box.idle"}, others) == ([], {"Box.read"})
+    assert _unnamed_against(trees, set(), others) == ([("probe.py", 4, "Box.idle")], set())
 
 
 def test_detects_unnamed_definition():

@@ -155,9 +155,9 @@ class TestRemainder:
         from nsmove.lagrangian import _hessian_fields
 
         def lame(field):
-            H = _hessian_fields(field)  # (N, i, k, l)
-            lap = np.einsum("pikk->pi", H)
-            graddiv = np.einsum("pqiq->pi", H)
+            H = _hessian_fields(field)  # (i, k, l, N)
+            lap = np.einsum("ikkp->pi", H)
+            graddiv = np.einsum("qiqp->pi", H)
             return -mu * lap - lam * graddiv
 
         phys_grid = Grid(g.n, tuple(s * v for v in g.lo), tuple(s * v for v in g.hi))
@@ -200,10 +200,10 @@ class TestRemainder:
         pts = g.node_coords()
         Vx = np.exp(rates * t) * rates * pts       # V(t, X(t, y))
         term1 = smooth_rho(pts)[:, None] * np.einsum(
-            "pij,pj,j->pi", G1, Vx, b - 1.0)
-        lap_w = np.einsum("pikk,k->pi", G2, b**2 - 1.0)
-        graddiv_w = (np.einsum("pqqi,q->pi", G2, b) * b[None, :]
-                     - np.einsum("pqqi->pi", G2))
+            "ijp,pj,j->pi", G1, Vx, b - 1.0)
+        lap_w = np.einsum("ikkp,k->pi", G2, b**2 - 1.0)
+        graddiv_w = (np.einsum("qqip,q->pi", G2, b) * b[None, :]
+                     - np.einsum("qqip->pi", G2))
         expect = term1 + mu * lap_w + lam * graddiv_w
         got = out.remainder.values.reshape(2, -1).T
         assert np.max(np.abs(got - expect)) < 1e-10
@@ -235,7 +235,7 @@ class TestRemainder:
             du = differentiate(u, 0, 1).values[0].ravel()
             term1 = rho.values[0].ravel() * du * v(pos) * (gradY(z, t) - 1.0)
             spatial_mod = out.remainder.values[0].ravel() - term1
-            y2 = inverse_map_second_derivatives(fm, t)[:, 0, 0, 0]
+            y2 = inverse_map_second_derivatives(fm, t)[0, 0, 0]
             y2_errs[n] = float(np.max(np.abs(y2 - Y2(pos, t))))
 
             pg = thin_grid(2 * n, 0.0, float(pos[-1]))
@@ -337,8 +337,14 @@ class TestBoundaryData:
 # -- the row-product kernels against the generic einsum forms -------------
 
 
+def _nm(a):
+    """Component rows (..., N) as node-major (N, ...), the einsum forms' layout."""
+    return np.moveaxis(a, -1, 0)
+
+
 def _remainder_terms_reference(rho, G1, G2, gy, dY2, Vx, mu, lam):
-    """The five remainder terms and the transport term, as einsums."""
+    """The five remainder terms and the transport term, as einsums on
+    node-major tensors."""
     eye = np.eye(gy.shape[-1])
     gap = gy - eye
     lapY = np.einsum("pjii->pj", dY2)
@@ -355,7 +361,7 @@ def _remainder_terms_reference(rho, G1, G2, gy, dY2, Vx, mu, lam):
 def _inverse_map_second_derivatives_reference(fm, t):
     from nsmove.fields import _diff_axis
     g, d = fm.grid, fm.grid.dim
-    gy = fm.frame(t).inv
+    gy = _nm(fm.frame(t).inv)
     gy_nodes = gy.reshape(tuple(g.shape) + (d, d))
     dgy = np.stack([_diff_axis(gy_nodes, h, a, 1) for a, h in enumerate(g.spacing)],
                    axis=-1).reshape(g.num_nodes, d, d, d)
@@ -369,7 +375,7 @@ def _boundary_data_reference(u_ref, V, fm, t, params):
     frame = fm.frame(t)
     nodes = g.node_coords()
     uvals = u_ref.values.reshape(2, -1).T
-    G1 = gradient_values(u_ref)
+    G1 = _nm(gradient_values(u_ref))
     out = {}
     for face in g.faces().values():
         flat, n_X, tau_X = frame.faces[face.name]
@@ -381,7 +387,7 @@ def _boundary_data_reference(u_ref, V, fm, t, params):
         dval = (np.einsum("pi,pi->p", u_b - Vy, dn)
                 + np.einsum("pi,pi->p", VX - Vy, n_X))
         G = G1[flat]
-        K = params.mu * np.einsum("pim,pmj->pij", G, np.eye(2) - frame.inv[flat])
+        K = params.mu * np.einsum("pim,pmj->pij", G, np.eye(2) - _nm(frame.inv)[flat])
         D = K + np.swapaxes(K, 1, 2)
         M = params.mu * (G + np.swapaxes(G, 1, 2))
         Bval = (np.einsum("pij,pj,pi->p", D, n_X, tau_X)
@@ -452,13 +458,14 @@ class TestRowKernelsMatchEinsum:
         G2 = rng.standard_normal((N, 2, 2, 2))
         dY2 = rng.standard_normal((N, 2, 2, 2))
         rho = Field(g, 1.0 + rng.uniform(size=g.shape))
-        fm = SimpleNamespace(frame=lambda t: SimpleNamespace(inv=gy, X=np.zeros((N, 2))))
+        fm = SimpleNamespace(frame=lambda t: SimpleNamespace(inv=np.moveaxis(gy, 0, -1),
+                                                             X=np.zeros((N, 2))))
         V = SimpleNamespace(velocity=lambda t, x: Vx)
         hooks = {"G2": G2, "dY2": dY2}
-        monkeypatch.setattr(lag, "_hessian_fields", lambda f: hooks["G2"])
+        monkeypatch.setattr(lag, "_hessian_fields", lambda f: np.moveaxis(hooks["G2"], 0, -1))
         monkeypatch.setattr(lag, "inverse_map_second_derivatives",
-                            lambda fm, t: hooks["dY2"])
-        G1 = gradient_values(u)
+                            lambda fm, t: np.moveaxis(hooks["dY2"], 0, -1))
+        G1 = _nm(gradient_values(u))
         return g, u, rho, fm, V, hooks, lambda r, mu, lam: _remainder_terms_reference(
             r, G1, hooks["G2"], gy, hooks["dY2"], Vx, mu, lam)
 
@@ -495,8 +502,8 @@ class TestRowKernelsMatchEinsum:
         out = lagrangian_remainder(rho, u, fm, V, t, params)
         frame = fm.frame(t)
         terms, transport = _remainder_terms_reference(
-            rho.values[0].ravel(), gradient_values(u), _hessian_fields(u), frame.inv,
-            inverse_map_second_derivatives(fm, t), V.velocity(t, frame.X),
+            rho.values[0].ravel(), _nm(gradient_values(u)), _nm(_hessian_fields(u)),
+            _nm(frame.inv), _nm(inverse_map_second_derivatives(fm, t)), V.velocity(t, frame.X),
             params.mu, params.mu / 3 + params.eta)
         scale = max(np.max(np.abs(term)) for term in terms)
         got = out.remainder.values.reshape(2, -1).T
@@ -509,10 +516,11 @@ class TestRowKernelsMatchEinsum:
         rng = np.random.default_rng(31)
         g = grid2d(17)
         inv = rng.standard_normal((g.num_nodes, 2, 2))
-        fake = SimpleNamespace(grid=g, frame=lambda t: SimpleNamespace(inv=inv))
+        fake = SimpleNamespace(grid=g,
+                               frame=lambda t: SimpleNamespace(inv=np.moveaxis(inv, 0, -1)))
         maps = [(fake, 0.0), _chain_like()[2:3] + (0.1,), _curved()[2:]]
         for fm, t in maps:
-            got = inverse_map_second_derivatives(fm, t)
+            got = _nm(inverse_map_second_derivatives(fm, t))
             ref = _inverse_map_second_derivatives_reference(fm, t)
             assert got.shape == ref.shape
             assert _close(got, ref)

@@ -271,6 +271,14 @@ class TestBasics:
                 [Field.zeros(g, ncomp=2, t=t) for t in (0.0, 0.01)], np.array([0.0, 0.01]),
                 rho, rhs, params, bc)
 
+    def test_u0_must_have_two_components(self):
+        # a scalar u0 died in numpy's broadcasting: shapes (128,) and (64,)
+        g = Grid((8, 8), (0.0, 0.0), (1.0, 1.0))
+        with pytest.raises(InvalidArgumentError, match="u0 must have 2 components, got 1"):
+            solve_linear_momentum(
+                lambda t: np.ones(g.num_nodes), lambda t: np.zeros((g.num_nodes, 2)),
+                MomentumBC.no_slip(zero_v), Field.zeros(g), FluidParams(mu=0.5), 0.01, 0.02)
+
     @pytest.mark.parametrize("params_bc, bc", [
         ("slip", MomentumBC.no_slip(zero_v)), ("no-slip", MomentumBC.slip(zero_v))])
     def test_bc_kind_must_match_params(self, params_bc, bc):

@@ -296,7 +296,7 @@ class TestJacobians:
                 fr = fm.frame(t)
                 assert np.array_equal(fr.X, g.node_coords())
                 for J in (fr.J, fr.inv):
-                    assert np.array_equal(J, np.broadcast_to(np.eye(2), J.shape))
+                    assert np.array_equal(J, np.broadcast_to(np.eye(2)[..., None], J.shape))
                 assert np.array_equal(fr.det, np.ones(g.num_nodes))
                 for face in g.faces().values():
                     flat, n, tau = fr.faces[face.name]
@@ -309,9 +309,9 @@ class TestJacobians:
         alpha, t = 0.3, 0.5
         fm = advect_flow_map(x_dilation(alpha), g, t, 1e-3)
         fr = fm.frame(t)
-        gx, gy, gap = fr.J, fr.inv, np.max(np.abs(fr.inv - np.eye(2)))
-        assert np.allclose(gx[:, 0, 0], np.exp(alpha * t), atol=1e-9)
-        assert np.allclose(gy[:, 0, 0], np.exp(-alpha * t), atol=1e-9)
+        gx, gy, gap = fr.J, fr.inv, np.max(np.abs(fr.inv - np.eye(2)[..., None]))
+        assert np.allclose(gx[0, 0], np.exp(alpha * t), atol=1e-9)
+        assert np.allclose(gy[0, 0], np.exp(-alpha * t), atol=1e-9)
         assert abs(gap - abs(np.exp(-alpha * t) - 1)) < 1e-9
 
     def test_linear_motion_zero_hessian(self):
@@ -399,7 +399,7 @@ class TestJacobians:
         gaps = []
         for T in (0.05, 0.1, 0.2):
             fm = advect_flow_map(V, g, T, 0.005)
-            gaps.append(np.max(np.abs(fm.frame(T).inv - np.eye(2))))
+            gaps.append(np.max(np.abs(fm.frame(T).inv - np.eye(2)[..., None])))
         assert gaps[0] <= gaps[1] <= gaps[2]
         # sup-norm gap bounded by C sqrt(t) ||V|| trend
         assert all(gap <= 2.0 * np.sqrt(T) * 0.8
@@ -531,10 +531,10 @@ class TestFrame:
         other = fm.frame(0.1)
         assert fr == fr and fr != other and len({fr, other}) == 2
         assert np.array_equal(fr.X, fm.positions(0.15))
-        assert np.array_equal(fr.J, fm.jacobians(0.15))
-        eye = np.einsum("pij,pjk->pik", fr.J, fr.inv)
+        assert np.array_equal(fr.J, np.moveaxis(fm.jacobians(0.15), 0, -1))
+        eye = np.einsum("ijp,jkp->pik", fr.J, fr.inv)
         assert np.max(np.abs(eye - np.eye(2))) < 1e-14
-        assert np.allclose(fr.det, np.linalg.det(fr.J), rtol=1e-14, atol=0)
+        assert np.allclose(fr.det, np.linalg.det(np.moveaxis(fr.J, -1, 0)), rtol=1e-14, atol=0)
 
 
 def _count_full_grid_inversions(monkeypatch, num_nodes):
@@ -542,7 +542,7 @@ def _count_full_grid_inversions(monkeypatch, num_nodes):
     inverse = motion._mat_inv
 
     def counted(J):
-        if len(J) == num_nodes:
+        if J.shape[-1] == num_nodes:
             calls.append(J.shape)
         return inverse(J)
 

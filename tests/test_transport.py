@@ -311,7 +311,7 @@ class TestDiscreteVelocity:
         def six_columns(m):
             grad = (physical_gradient(fields[m], fm.frame(times[m])) if moving
                     else gradient_values(fields[m]))
-            return np.concatenate([fields[m].values.reshape(2, -1).T, grad.reshape(-1, 4)],
+            return np.concatenate([fields[m].values.reshape(2, -1).T, grad.reshape(4, -1).T],
                                   axis=1)
 
         L6 = [six_columns(m) for m in range(len(times))]
