@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, NotSameDataError
-from .fields import _trapezoid_weights, gradient_values, level_times
+from .fields import _contract, _dot, _trace, _trapezoid_weights, gradient_values, level_times
 from .motion import physical_gradient
 
 
@@ -74,40 +74,18 @@ class PressureLaw:
         return a * (g * rho**(g - 1.0) - 1.0) / (g - 1.0)
 
 
-def _trace(a):
-    """Trace of a (d, d, ...) tensor of component rows: sum of a[i, i]."""
-    return sum(a[i, i] for i in range(len(a)))
-
-
-def _dot(a, b):
-    """Full contraction over the leading axes of two tensors of component
-    rows: sum over i (, j) of a[i (, j)] b[i (, j)], one value per node."""
-    return sum(a[idx] * b[idx] for idx in np.ndindex(a.shape[:-1]))
-
-
-def _matvec(a, v):
-    """Rows sum_j a[i, j] v[j] of a (d, d, N) tensor and (d, N) vector."""
-    return sum(a[:, j] * v[j] for j in range(len(v)))
-
-
 def stress_tensor(grad_u, mu, eta=0.0):
-    """Newtonian stress rows S[i, j] from the rows grad_u[i, j] = du_i/dx_j."""
+    """Newtonian stress rows S[i, j] from the rows grad_u[i, j] = du_i/dx_j.
+
+    S : grad u is mu/2 |grad u + grad^T u - 2/3 div I|^2 + eta div^2 only in
+    3D; in 2D the deviator has nonzero trace, so the dissipation is the
+    contraction ``_dot(S, grad_u)`` directly. Nonnegative in d <= 3."""
     out = np.add(grad_u, grad_u.transpose(1, 0, 2), out=np.empty(grad_u.shape))
     out *= mu
     bulk = (eta - (2.0 / 3.0) * mu) * _trace(grad_u)
     for i in range(len(grad_u)):
         out[i, i] += bulk
     return out
-
-
-def dissipation_density(grad_u, mu, eta=0.0):
-    """S(grad u) : grad u per node, from the rows grad u (d, d, N).
-
-    Equals mu/2 |grad u + grad^T u - 2/3 div I|^2 + eta div^2 only in 3D; in
-    the 2D reduction used here the deviator has nonzero trace, so the
-    contraction is evaluated directly. Nonnegative in d <= 3.
-    """
-    return _dot(stress_tensor(grad_u, mu, eta), grad_u)
 
 
 def relative_energy_values(law, rho, u, r, U):
@@ -160,7 +138,7 @@ def energy_inequality_residual(traj, V, law, params):
         w = traj.physical_weights(m).ravel()
         rho = traj.rho[m].values[0].ravel()
         u = traj.u[m].values.reshape(d, -1)
-        gu = traj.physical_velocity_gradient(m)
+        gu = physical_gradient(traj.u[m], traj.frame(m))
         E[m] = float(np.sum(w * (0.5 * rho * _dot(u, u) + law.potential(rho))))
         S = stress_tensor(gu, mu, eta)
         diss_rate[m] = float(np.sum(w * _dot(S, gu)))
@@ -172,7 +150,7 @@ def energy_inequality_residual(traj, V, law, params):
         rhs_rate[m] = float(np.sum(w * (
             _dot(S, gV)
             - _dot(rho_u, dtV)
-            - _dot(rho_u, _matvec(gV, u))     # convection
+            - _dot(rho_u, _contract(gV, u[:, None])[:, 0])     # convection
             - law.p(rho) * _trace(gV)
         )))
         pV[m] = float(np.sum(w * _dot(rho_u, Vv)))
@@ -258,16 +236,17 @@ def relative_energy_remainder(state, reference, law, params, m, V):
         raise InvalidArgumentError(
             f"reference velocity violates U.n = V.n by {worst:.3e}")
 
-    gU = reference.physical_velocity_gradient(m)
+    gU = physical_gradient(reference.u[m], frame)
     grad_r = physical_gradient(reference.rho[m], frame)[0]
     # FD in time of reference-sampled fields gives the material derivative
     # along the map's velocity; convert to the Eulerian time derivative.
     Vv = V.velocity(t, frame.X).T
-    dtU = _time_derivative_fields(reference.u, reference.times, m) - _matvec(gU, Vv)
+    dtU = (_time_derivative_fields(reference.u, reference.times, m)
+           - _contract(gU, Vv[:, None])[:, 0])
     dtr = _time_derivative_fields(reference.rho, reference.times, m)[0] - _dot(Vv, grad_r)
 
-    term1 = rho * _dot(dtU + _matvec(gU, u), U - u)
-    gu = state.physical_velocity_gradient(m)
+    term1 = rho * _dot(dtU + _contract(gU, u[:, None])[:, 0], U - u)
+    gu = physical_gradient(state.u[m], state.frame(m))
     term2 = _dot(stress_tensor(gU, params.mu, params.eta), gU - gu)
     term3 = _trace(gU) * (law.p(r) - law.p(rho))
     # dt H'(r) and grad H'(r) via the chain rule, H''(r) = p'(r)/r

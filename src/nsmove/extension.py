@@ -48,7 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field, _diff_axis, differentiate, gradient_values, interpolate
+from .energy import stress_tensor
+from .fields import Field, _diff_axis, _dot, gradient_values, interpolate
 from .lagrangian import FaceGaps
 
 
@@ -163,20 +164,14 @@ def extend_boundary_data(bdata, grid, *, u_ref, V, flow_map, params):
 
 
 def stress_trace_fd(ext_field, grid, params, face):
-    """FD evaluation of mu (d_n u.tau + d_tau u.n) + kappa u.tau on a face."""
-    mu = params.mu
-    kappa = params.kappa
+    """FD evaluation of tau.S(grad u) n + kappa u.tau on a face, that is
+    mu (d_n u.tau + d_tau u.n) + kappa u.tau, with the stress of the shared
+    stencil's gradient read at the face nodes."""
     f = grid.faces()[face]
-    n, tau, flat, axis = f.normal, f.tangent, f.flat, f.axis
-    s_axis = 1 - axis
     u = ext_field if isinstance(ext_field, Field) else ext_field.field
-    u_tau = Field(u.grid, (u.values.reshape(2, -1).T @ tau).reshape(grid.shape))
-    u_n = Field(u.grid, (u.values.reshape(2, -1).T @ n).reshape(grid.shape))
-    # d/dn = n_axis-component times the axis derivative (n is +-unit vector)
-    dn_utau = differentiate(u_tau, axis, 1).values[0].ravel()[flat] * n[axis]
-    dtau_un = differentiate(u_n, s_axis, 1).values[0].ravel()[flat] * tau[s_axis]
-    return (mu * (dn_utau + dtau_un)
-            + kappa * u_tau.values[0].ravel()[flat])
+    S = stress_tensor(gradient_values(u), params.mu, params.eta)[..., f.flat]
+    u_tau = f.tangent @ u.values.reshape(2, -1)[:, f.flat]
+    return _dot(S, np.outer(f.tangent, f.normal)[..., None]) + params.kappa * u_tau
 
 
 def extension_norm_report(ext_levels, times):

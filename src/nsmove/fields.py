@@ -13,6 +13,8 @@ tensor computed from a :class:`Field` or a flow-map frame (grad u, gradY,
 second derivatives, the stress) is contiguous component rows (..., N), N
 the node count, so a product over components is a product of whole rows;
 the frame's gradX is such rows as a view of its node-major X | gradX.
+The row kernels are :func:`_contract` (the matrix product of two row
+tensors), :func:`_dot` (the full contraction) and :func:`_trace`.
 """
 
 from __future__ import annotations
@@ -323,6 +325,34 @@ def gradient_values(f):
     for a, h in enumerate(f.grid.spacing):
         g[:, a] = _diff_axis(f.values, h, a + 1, 1)
     return g.reshape(f.ncomp, f.grid.dim, -1)
+
+
+def _contract(A, B, out=None, add=False):
+    """out[i, j] (+)= sum_p A[i, p] B[p, j], each entry a row over the nodes,
+    as products of whole rows (several times faster than einsum for d <= 2);
+    ``out`` is allocated when none is given. a v is ``_contract(a, v[:, None])[:, 0]``."""
+    if out is None:
+        out = np.empty((len(A), B.shape[1], A.shape[-1]))
+    row = np.empty(out.shape[-1])   # the one scratch row
+    for i, j in np.ndindex(*out.shape[:2]):
+        for p in range(len(B)):
+            if p == 0 and not add:
+                np.multiply(A[i, 0], B[0, j], out=out[i, j])
+            else:
+                np.multiply(A[i, p], B[p, j], out=row)
+                out[i, j] += row
+    return out
+
+
+def _dot(a, b):
+    """Full contraction over the leading axes of two tensors of component
+    rows: sum over i (, j) of a[i (, j)] b[i (, j)], one value per node."""
+    return sum(a[idx] * b[idx] for idx in np.ndindex(a.shape[:-1]))
+
+
+def _trace(a):
+    """Trace of a (d, d, ...) tensor of component rows: sum of a[i, i]."""
+    return sum(a[i, i] for i in range(len(a)))
 
 
 _INTERP_CHUNK = 4096     # points per component-major block of weights

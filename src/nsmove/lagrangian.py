@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field, _diff_axis, gradient_values
-from .motion import _contract
+from .fields import Field, _contract, _diff_axis, gradient_values
 
 
 def pull_back_state(rho, u, flow_map, t):
@@ -80,11 +79,10 @@ def inverse_map_second_derivatives(flow_map, t):
     gy = flow_map.frame(t).inv          # gradY_{mq}
     gy_nodes = gy.reshape((d, d) + tuple(grid.shape))
     out = np.empty((d, d, d, N))
-    scratch = np.empty(N)
     for m, h in enumerate(grid.spacing):
         # out[j, k, q] += d_m (gradY_{jk}) gradY_{mq}
         dgy = _diff_axis(gy_nodes, h, m + 2, 1).reshape(d * d, 1, N)
-        _contract(out.reshape(d * d, d, N), dgy, gy[m][None], scratch, add=m > 0)
+        _contract(dgy, gy[m][None], out.reshape(d * d, d, N), add=m > 0)
     return 0.5 * (out + out.transpose(0, 2, 1, 3))
 
 
@@ -112,37 +110,31 @@ def lagrangian_remainder(rho_ref, u_ref, flow_map, V, t, params, force=None):
     G1 = gradient_values(u_ref)
     G2 = _hessian_fields(u_ref)
     dY2 = inverse_map_second_derivatives(flow_map, t)
-    scratch = np.empty(N)
-
-    def contract(A, B):
-        out = np.empty((len(A), B.shape[1], N))
-        _contract(out, A, B, scratch)
-        return out
 
     # transport correction: rho~ du_i/dy_j (dY_j/dx_k - delta_jk) V_k
-    term1 = rho * contract(G1, contract(gy, Vx) - Vx)[:, 0]
+    term1 = rho * _contract(G1, _contract(gy, Vx) - Vx)[:, 0]
     # viscous Jacobian-gap corrections: c = gradY gradY^T - I
-    c = contract(gy, gy.transpose(1, 0, 2))
+    c = _contract(gy, gy.transpose(1, 0, 2))
     for k in range(d):
         c[k, k] -= 1.0
-    term2 = mu * contract(G2.reshape(d, d * d, N), c.reshape(d * d, 1, N))[:, 0]
+    term2 = mu * _contract(G2.reshape(d, d * d, N), c.reshape(d * d, 1, N))[:, 0]
     # z_l = sum_qk dY_k/dx_q d^2 u_q/dy_k dy_l: d/dy_l of div_x u, gradY frozen
     z = np.empty((1, d, N))
     for q in range(d):
-        _contract(z, gy[:, q][None], G2[q], scratch, add=q > 0)
-    term3 = lam * (contract(gy.transpose(1, 0, 2), z.reshape(d, 1, N))[:, 0]
+        _contract(gy[:, q][None], G2[q], z, add=q > 0)
+    term3 = lam * (_contract(gy.transpose(1, 0, 2), z.reshape(d, 1, N))[:, 0]
                    - sum(G2[q, :, q] for q in range(d)))
     # first-derivative corrections
     lapY = sum(dY2[:, i, i] for i in range(d))[:, None]
-    term4 = mu * contract(G1, lapY)[:, 0]
+    term4 = mu * _contract(G1, lapY)[:, 0]
     # term5_i = lam sum_qk du_q/dy_k d^2 Y_k/dx_i dx_q
     t5 = np.empty((1, d, N))
     for q in range(d):
-        _contract(t5, G1[q][None], dY2[:, :, q], scratch, add=q > 0)
+        _contract(G1[q][None], dY2[:, :, q], t5, add=q > 0)
     term5 = lam * t5[0]
 
     remainder = (term1 + term2 + term3 + term4 + term5).reshape(shape)
-    transport = (rho * contract(G1, Vx)[:, 0]).reshape(shape)
+    transport = (rho * _contract(G1, Vx)[:, 0]).reshape(shape)
     fvals = (np.zeros(shape) if force is None
              else np.asarray(force.values, dtype=float))
     return TransformedRHS(Field(grid, fvals, t), Field(grid, transport, t),

@@ -30,13 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .energy import dissipation_density
+from .energy import stress_tensor
 from .errors import (
     InvalidArgumentError,
     LinearSolverFailureError,
     PositivityViolationError,
 )
-from .fields import Field, gradient_values, level_fields, level_times
+from .fields import Field, _dot, gradient_values, level_fields, level_times
 from .motion import _check_steps
 
 
@@ -530,7 +530,8 @@ def momentum_energy_residual(u_levels, times, rho, rhs, params, bc):
         kin = float(np.sum(w * rho_h * (np.sum(u1**2, 0) - np.sum(u0**2, 0))) / (2 * dt))
         mid = Field(grid, 0.5 * (u_levels[m].values + u_levels[m + 1].values), th)
         gmid = gradient_values(mid)
-        diss = float(np.sum(w * dissipation_density(gmid, params.mu, params.eta)))
+        S = stress_tensor(gmid, params.mu, params.eta)
+        diss = float(np.sum(w * _dot(S, gmid)))
         umid = mid.values.reshape(d, -1)
         work = float(np.sum(w * np.sum(f.T * umid, axis=0)))
         bwork = 0.0

@@ -24,7 +24,7 @@ from .errors import (
     InvalidArgumentError,
     InversionFailureError,
 )
-from .fields import blend_levels, gradient_values, interp_matrix, rotate90
+from .fields import _contract, blend_levels, gradient_values, interp_matrix, rotate90
 
 
 class MotionField:
@@ -134,28 +134,13 @@ def _component_major(a):
     return np.ascontiguousarray(np.moveaxis(a, 0, -1))
 
 
-def _contract(out, A, B, scratch, add=False):
-    """out[i, j] (+)= sum_p A[i, p] B[p, j], each entry a row over the nodes.
-
-    Written out as products of rows: for d <= 2 that is several times faster
-    than a generic einsum. ``scratch`` is one spare row.
-    """
-    for i, j in np.ndindex(*out.shape[:2]):
-        for p in range(len(B)):
-            if p == 0 and not add:
-                np.multiply(A[i, 0], B[0, j], out=out[i, j])
-            else:
-                np.multiply(A[i, p], B[p, j], out=scratch)
-                out[i, j] += scratch
-
-
 def _rhs(source, t, y, out, rows, work):
     """out = f(t, y) for the packed (C, N) state y with row slices ``rows``.
 
     J' = g J, H'[i, j, k] = sum_p W[i, p, k] J[p, j] + sum_p g[i, p] H[p, j, k]
     with W[i, p, k] = sum_q grad2V[i, p, q] J[q, k], and I' = div V = tr g.
     V and g = grad V come from one ``source.velocity_and_gradient`` call.
-    ``work`` is a spare row, then W's d^3 rows.
+    ``work`` holds W's d^3 rows.
     """
     N, d = y.shape[1], rows["X"].stop
     x = y[rows["X"]].T
@@ -163,15 +148,15 @@ def _rhs(source, t, y, out, rows, work):
     out[rows["X"]] = v.T
     J = y[rows["J"]].reshape(d, d, N)
     g = _component_major(g)
-    _contract(out[rows["J"]].reshape(d, d, N), g, J, work[0])
+    _contract(g, J, out[rows["J"]].reshape(d, d, N))
     if "H" in rows:
-        W = work[1:].reshape(d * d, d, N)
+        W = work.reshape(d * d, d, N)
         g2 = _component_major(source.gradient2(t, x)).reshape(d * d, d, N)
-        _contract(W, g2, J, work[0])
+        _contract(g2, J, W)
         H = out[rows["H"]].reshape(d, d * d, N)
-        _contract(H, g, y[rows["H"]].reshape(d, d * d, N), work[0])
+        _contract(g, y[rows["H"]].reshape(d, d * d, N), H)
         for i, Wi in enumerate(W.reshape(d, d, d, N)):
-            _contract(H[i].reshape(d, d, N), J.transpose(1, 0, 2), Wi, work[0], add=True)
+            _contract(J.transpose(1, 0, 2), Wi, H[i].reshape(d, d, N), add=True)
     if "I" in rows:
         out[rows["I"]] = g[0, 0] + g[1, 1]
 
@@ -197,7 +182,7 @@ def _rk4_levels(source, grid, T, dt, extra=None):
     times = dt * np.arange(steps + 1)
     y, rows = _pack({part: store[0] for part, store in levels.items()})
     ys, k, acc = np.empty_like(y), np.empty_like(y), np.empty_like(y)
-    work = np.empty((1 + (d ** 3 if "H" in rows else 0), N))
+    work = np.empty((d ** 3 if "H" in rows else 0, N))
     for m in range(steps):
         t = m * dt
         _rhs(source, t, y, acc, rows, work)             # k1
@@ -443,7 +428,4 @@ def physical_gradient(f, frame):
     nodes' images: the shared stencil of
     :func:`~nsmove.fields.gradient_values` in y, times gradY from a
     :class:`Frame`."""
-    grad_y = gradient_values(f)
-    out = np.empty(grad_y.shape)
-    _contract(out, grad_y, frame.inv, np.empty(grad_y.shape[-1]))
-    return out
+    return _contract(gradient_values(f), frame.inv)

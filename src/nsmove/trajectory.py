@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from .fields import level_fields, level_times
-from .motion import physical_gradient
 
 
 class StateTrajectory:
@@ -35,7 +34,3 @@ class StateTrajectory:
     def physical_weights(self, m):
         """Trapezoid weights on the current physical image (w_ref * det)."""
         return self.grid.quadrature_weights() * self.frame(m).det.reshape(self.grid.shape)
-
-    def physical_velocity_gradient(self, m):
-        """grad_x u as rows (d, d, N) via the inverse Jacobian transform."""
-        return physical_gradient(self.u[m], self.frame(m))

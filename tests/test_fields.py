@@ -514,7 +514,8 @@ def _layout_cases():
     return frame, {
         "gradient_values": (gradient_values(u), (2, 2, N)),
         "physical_gradient": (physical_gradient(rho, frame), (1, 2, N)),
-        "physical_velocity_gradient": (traj.physical_velocity_gradient(1), (2, 2, N)),
+        "physical_velocity_gradient": (physical_gradient(traj.u[1], traj.frame(1)),
+                                       (2, 2, N)),
         "_hessian_fields": (_hessian_fields(u), (2, 2, 2, N)),
         "inverse_map_second_derivatives": (inverse_map_second_derivatives(fm, 0.1),
                                            (2, 2, 2, N)),

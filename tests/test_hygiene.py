@@ -182,7 +182,7 @@ _TEST_ONLY = {
     "MomentumBC.no_slip": 17,
     "density_gradient": 5,
     "extension_norm_report": 18,
-    "stress_trace_fd": 1,
+    "stress_trace_fd": 18,
     # item 4: oracle infrastructure, to tests/ if no layer needs it, and the
     # flow-map Hessian
     "MotionField.zero": 4,

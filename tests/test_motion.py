@@ -40,7 +40,7 @@ def _packed_rhs(V, t, **parts):
     N, d = parts["X"].shape
     y, rows = motion._pack(parts)
     out = np.empty_like(y)
-    motion._rhs(V, t, y, out, rows, np.empty((1 + d ** 3, N)))
+    motion._rhs(V, t, y, out, rows, np.empty((d ** 3, N)))
     return {part: out[s].T.reshape(parts[part].shape) for part, s in rows.items()}
 
 
