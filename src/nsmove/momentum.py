@@ -36,7 +36,7 @@ from .errors import (
     LinearSolverFailureError,
     PositivityViolationError,
 )
-from .fields import Field, _dot, gradient_values, level_fields, level_times
+from .fields import Field, _contract, _dot, gradient_values, level_fields, level_times
 from .motion import _check_steps
 
 
@@ -167,16 +167,27 @@ class MomentumBC:
 
 def _face_datum(name, fn, t, face, npts):
     """fn(t, face) as npts values: a scalar is broadcast over the face, and
-    any shape but () or (npts,) is rejected."""
+    any shape but () or (npts,), or a non-finite value, is rejected."""
     if fn is None:
         return np.zeros(npts)
     vals = np.asarray(fn(t, face), dtype=float)
-    if vals.shape == ():
-        return np.full(npts, vals)
-    if vals.shape != (npts,):
+    if vals.shape not in ((), (npts,)):
         raise InvalidArgumentError(
             f"{name} at t={t} on face {face!r} has shape {vals.shape}; "
             f"expected a scalar or shape ({npts},)")
+    if not np.all(np.isfinite(vals)):
+        raise InvalidArgumentError(f"{name} at t={t} on face {face!r} is not finite")
+    return np.broadcast_to(vals, (npts,))
+
+
+def _boundary_velocity(bc, t, pts, face=None):
+    """bc.velocity(t, pts) as finite (npts, 2) values, else
+    :class:`InvalidArgumentError` naming t and the face, if there is one."""
+    vals = np.asarray(bc.velocity(t, pts), dtype=float)
+    if vals.shape != pts.shape or not np.all(np.isfinite(vals)):
+        where = "" if face is None else f" on face {face!r}"
+        raise InvalidArgumentError(f"boundary velocity at t={t}{where} has shape {vals.shape} "
+                                   f"or a non-finite value; expected finite {pts.shape}")
     return vals
 
 
@@ -194,14 +205,14 @@ def _dirichlet_data(grid, bc, t):
     idx, vals = [], []
     if bc.kind == "no-slip":
         flat = np.unique(np.concatenate([face.flat for face in grid.faces().values()]))
-        vb = np.asarray(bc.velocity(t, pts[flat]), dtype=float).reshape(len(flat), d)
+        vb = _boundary_velocity(bc, t, pts[flat])
         for c in range(d):
             idx.append(c * N + flat)
             vals.append(vb[:, c])
     else:
         for face in grid.faces().values():
             flat, axis = face.flat, face.axis
-            vb = np.asarray(bc.velocity(t, pts[flat]), dtype=float).reshape(len(flat), d)
+            vb = _boundary_velocity(bc, t, pts[flat], face.name)
             dat = bc.normal_datum(t, face.name, len(flat))
             # u.n = V.n + d on an axis-aligned face: u_axis = V_axis + n_axis d
             idx.append(axis * N + flat)
@@ -225,7 +236,7 @@ def _slip_boundary_load(grid, bc, params, t):
         flat, tau = face.flat, face.tangent
         data = bc.stress_datum(t, face.name, len(flat))
         if params.kappa > 0:
-            data = data + params.kappa * (bc.velocity(t, pts[flat]) @ tau)
+            data = data + params.kappa * (_boundary_velocity(bc, t, pts[flat], face.name) @ tau)
         load[(1 - face.axis) * N + flat] = face.weights * data * tau[1 - face.axis]
     return load
 
@@ -383,8 +394,8 @@ def _cg_solve(apply, b, x0, tol, precondition):
     iterations, ``info`` 0 on convergence and the iteration limit otherwise.
 
     Returns (x, iterations, relative residual ||apply(x) - b|| / ||b||);
-    raises :class:`LinearSolverFailureError` if CG stopped short of tol or
-    the true residual is not within 10 tol.
+    raises :class:`LinearSolverFailureError` as soon as ||r|| is not finite,
+    or if CG stopped short of tol or the true residual is not within 10 tol.
     """
     x = np.array(x0, dtype=float)
     bnorm = np.linalg.norm(b)
@@ -395,8 +406,12 @@ def _cg_solve(apply, b, x0, tol, precondition):
         r = b - apply(x) if x.any() else b.copy()
         maxiter = 10 * len(b)
         for iterations in range(maxiter):
-            if np.linalg.norm(r) < tol * bnorm:
+            rnorm = np.linalg.norm(r)
+            if rnorm < tol * bnorm:
                 break
+            if not np.isfinite(rnorm):
+                raise LinearSolverFailureError(
+                    f"CG residual norm {rnorm} after {iterations} iterations", residual=rnorm)
             z = precondition(r)
             rho = np.dot(r, z)
             if iterations:
@@ -419,12 +434,15 @@ def _cg_solve(apply, b, x0, tol, precondition):
 
 
 def _callback_values(rho, rhs, t, N):
-    """rho(t) as N values and rhs(t) as (N, 2); else InvalidArgumentError."""
+    """rho(t) as N finite values and rhs(t) as finite (N, 2); else
+    :class:`InvalidArgumentError` naming t."""
     rho_t, f = np.asarray(rho(t), dtype=float), np.asarray(rhs(t), dtype=float)
     if rho_t.size != N or f.shape != (N, 2):
         raise InvalidArgumentError(
             f"at t={t} rho(t) has shape {rho_t.shape} and rhs(t) {f.shape}; "
             f"expected {N} values and ({N}, 2)")
+    if not (np.all(np.isfinite(rho_t)) and np.all(np.isfinite(f))):
+        raise InvalidArgumentError(f"at t={t} rho(t) or rhs(t) has a non-finite value")
     return rho_t.ravel(), f
 
 
@@ -501,14 +519,16 @@ def solve_linear_momentum(rho, rhs, bc, u0, params, dt, T):
 def momentum_energy_residual(u_levels, times, rho, rhs, params, bc):
     """Discrete energy-identity imbalance per step, by independent quadrature.
 
-    Evaluates d/dt int rho |u|^2/2 + int S(grad u):grad u - int F.u
-    - boundary work (slip), with trapezoid quadrature and FD gradients that
-    do not reuse the assembled operator; the imbalance is O(dt^2 + h^2) on
-    smooth solutions. Testing is against u (V-terms folded into rhs/bc data).
-    ``bc`` is the solve's :class:`MomentumBC`, whose kind must be
-    ``params.bc``: a slip boundary adds its stress datum's work and the
-    friction. The levels are 2-component fields on one grid, one per
-    increasing time.
+    Evaluates d/dt int rho |u|^2/2 + int S(grad u):grad u + friction - int F.u
+    - boundary work, with trapezoid quadrature and FD gradients that do not
+    reuse the assembled operator; the imbalance is O(dt^2 + h^2) on smooth
+    solutions. The boundary work is that of the traction S n of the
+    dissipation's S at the face nodes, on the constrained components (the
+    consistent boundary flux of Hughes, Engel, Mazzei & Larson, J. Comput.
+    Phys. 163, 2000): int (S n).u ds for no-slip, int (S n.n)(u.n) ds for
+    slip, which adds int B u.tau ds and the friction. ``bc`` is the solve's
+    :class:`MomentumBC`, of kind ``params.bc``; the levels are 2-component
+    fields on one grid, one per increasing time.
     """
     _check_bc_kind(bc, params)
     times = level_times(times)
@@ -517,8 +537,7 @@ def momentum_energy_residual(u_levels, times, rho, rhs, params, bc):
     d = grid.dim
     w = grid.quadrature_weights().ravel()
     slip = bc.kind == "slip"
-    if slip:
-        pts, faces = grid.node_coords(), grid.faces().values()
+    pts, faces = grid.node_coords(), grid.faces().values()
     records = []
     for m in range(len(u_levels) - 1):
         dt = times[m + 1] - times[m]
@@ -536,15 +555,20 @@ def momentum_energy_residual(u_levels, times, rho, rhs, params, bc):
         work = float(np.sum(w * np.sum(f.T * umid, axis=0)))
         bwork = 0.0
         fric = 0.0
-        if slip:
-            for face in faces:
-                flat, tau, wline = face.flat, face.tangent, face.weights
-                ut = umid[:, flat].T @ tau
-                B = bc.stress_datum(th, face.name, len(flat))
-                vt = bc.velocity(th, pts[flat]) @ tau
-                bwork += float(np.sum(wline * B * ut))
-                if params.kappa > 0:
-                    fric += float(np.sum(wline * params.kappa * (ut - vt) * ut))
+        for face in faces:
+            flat, n, tau, wline = face.flat, face.normal, face.tangent, face.weights
+            um = umid[:, flat]
+            # the traction S n works on the constrained components
+            Sn = _contract(S[..., flat], n[:, None, None])[:, 0]
+            if not slip:
+                bwork += float(np.sum(wline * _dot(Sn, um)))
+                continue
+            ut = tau @ um
+            B = bc.stress_datum(th, face.name, len(flat))
+            bwork += float(np.sum(wline * ((n @ Sn) * (n @ um) + B * ut)))
+            if params.kappa > 0:
+                vt = _boundary_velocity(bc, th, pts[flat], face.name) @ tau
+                fric += float(np.sum(wline * params.kappa * (ut - vt) * ut))
         records.append({
             "t": th,
             "kinetic_rate": kin,

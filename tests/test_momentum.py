@@ -130,6 +130,18 @@ def face_friction_reference(grid, kappa):
         shape=(d * N, d * N)).tocsr()
 
 
+# each case of non-finite or misshapen momentum data, with what its error says
+NON_FINITE_DATA = {
+    "rho-nan": r"at t=0.005 rho\(t\) or rhs\(t\) has a non-finite value",
+    "force-inf": r"at t=0.005 rho\(t\) or rhs\(t\) has a non-finite value",
+    "no-slip-velocity-nan": (r"boundary velocity at t=0.01 has shape \(32, 2\) or a "
+                             r"non-finite value; expected finite \(32, 2\)"),
+    "velocity-3-columns": r"boundary velocity at t=0.01 on face 'x0' has shape \(9, 3\)",
+    "normal-datum-nan": r"normal datum at t=0.01 on face 'x0' is not finite",
+    "stress-datum-nan": r"stress datum at t=0.005 on face 'x0' is not finite",
+}
+
+
 class TestBasics:
     def test_zero_everything_stays_zero(self):
         g = thin_grid(17)
@@ -271,6 +283,57 @@ class TestBasics:
                 [Field.zeros(g, ncomp=2, t=t) for t in (0.0, 0.01)], np.array([0.0, 0.01]),
                 rho, rhs, params, bc)
 
+    @pytest.mark.parametrize("case", list(NON_FINITE_DATA))
+    def test_non_finite_data_refused_at_the_call(self, case, monkeypatch):
+        # each of these ran the full 10 n CG iterations and ended as "CG
+        # stagnated (residual=nan)": NaN fails rho < floor, so a NaN density
+        # passed the floor check. A (npts, 3) velocity died in numpy
+        g = Grid((9, 9), (0.0, 0.0), (1.0, 1.0))
+        N = g.num_nodes
+        rho, force = np.ones(N), np.zeros((N, 2))
+        bc = MomentumBC.slip(dilation)
+        if case == "rho-nan":
+            rho[40] = np.nan
+        elif case == "force-inf":
+            force[3, 0] = np.inf
+        elif case == "no-slip-velocity-nan":
+            bc = MomentumBC.no_slip(lambda t, p: np.full(p.shape, np.nan))
+        elif case == "velocity-3-columns":
+            bc = MomentumBC.slip(lambda t, p: np.zeros((len(p), 3)))
+        else:
+            which = case.replace("-nan", "").replace("-", "_")
+            bc = MomentumBC.slip(dilation, **{which: lambda t, face: np.nan})
+        monkeypatch.setattr(momentum, "_cg_solve", None)   # refused before any solve
+        with pytest.raises(InvalidArgumentError, match=NON_FINITE_DATA[case]):
+            solve_linear_momentum(lambda t: rho, lambda t: force, bc, Field.zeros(g, ncomp=2),
+                                  FluidParams(mu=0.5, bc=bc.kind), 0.01, 0.02)
+
+    @pytest.mark.parametrize("case", ["rho-nan", "velocity-nan"])
+    def test_energy_residual_refuses_non_finite_data(self, case):
+        g = Grid((9, 9), (0.0, 0.0), (1.0, 1.0))
+        N = g.num_nodes
+        rho = np.full(N, np.nan if case == "rho-nan" else 1.0)
+        velocity = dilation if case == "rho-nan" else (lambda t, p: np.full(p.shape, np.nan))
+        match = ("at t=0.005 rho" if case == "rho-nan"
+                 else "boundary velocity at t=0.005 on face 'x0'")
+        with pytest.raises(InvalidArgumentError, match=match):
+            momentum_energy_residual(
+                [Field.zeros(g, ncomp=2, t=t) for t in (0.0, 0.01)], np.array([0.0, 0.01]),
+                lambda t: rho, lambda t: np.zeros((N, 2)),
+                FluidParams(mu=0.5, kappa=1.0, bc="slip"), MomentumBC.slip(velocity))
+
+    def test_cg_stops_once_the_residual_is_not_finite(self):
+        # a non-finite residual ran all 10 n iterations before the final check
+        calls = []
+
+        def apply(x):
+            calls.append(1)
+            return np.full_like(x, np.nan)
+
+        with pytest.raises(LinearSolverFailureError, match="CG residual norm nan after 1 "):
+            momentum._cg_solve(apply, np.ones(50), np.zeros(50), 1e-10, lambda r: r)
+        assert len(calls) == 1
+
     def test_u0_must_have_two_components(self):
         # a scalar u0 died in numpy's broadcasting: shapes (128,) and (64,)
         g = Grid((8, 8), (0.0, 0.0), (1.0, 1.0))
@@ -381,6 +444,20 @@ class TestEnergyResidual:
             out[n] = max(abs(r["imbalance"]) for r in recs)
         assert out[65] < out[33]
         assert out[65] <= 0.5 * out[33] * 1.2  # ~second order
+
+    def test_independent_imbalance_refines_on_chain_data(self):
+        # the traction S n works on the constrained normal dofs; without that
+        # term the imbalance is their reaction work and does not refine
+        # (7.30e-2 / 7.27e-2 / 7.25e-2; with it 1.50e-3 / 5.23e-4 / 1.61e-4)
+        imbalance = {}
+        for n in (33, 65, 129):
+            prob = chain_like_problem(n, kappa=0.5)
+            levels, _ = solve_linear_momentum(dt=0.01, T=0.1, **prob)
+            recs = momentum_energy_residual(levels, np.linspace(0.0, 0.1, 11), prob["rho"],
+                                            prob["rhs"], prob["params"], prob["bc"])
+            imbalance[n] = max(abs(r["imbalance"]) for r in recs)
+        assert imbalance[33] >= 1.8 * imbalance[65]
+        assert imbalance[65] >= 1.8 * imbalance[129]
 
     def test_friction_term_nonnegative(self):
         g = Grid((17, 17), (0.0, 0.0), (1.0, 1.0))
