@@ -489,8 +489,10 @@ def sobolev_norm(f, k, p=2):
 
     p=2: trapezoid quadrature of sum_{|alpha|<=k} |d^alpha f|^2, square-rooted.
     p=inf: max over nodes, components and derivatives up to order k.
-    Derivatives of order >= 2 are composed first-order stencils, matching the
-    solver's own operators (monitored norms, not proven ones).
+    Derivatives of order >= 2 compose the first-order stencil (d_xx applies
+    it twice); the remainder's ``_hessian_fields`` takes the 3-point second
+    difference on the diagonal and the symmetrized composed ones off it.
+    Monitored norms, not proven ones.
     """
     if k < 0 or k > 3:
         raise InvalidArgumentError(f"k must be in 0..3, got {k}")
