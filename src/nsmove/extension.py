@@ -164,9 +164,8 @@ def extend_boundary_data(bdata, grid, *, u_ref, V, flow_map, params):
 
 
 def stress_trace_fd(ext_field, grid, params, face):
-    """FD evaluation of tau.S(grad u) n + kappa u.tau on a face, that is
-    mu (d_n u.tau + d_tau u.n) + kappa u.tau, with the stress of the shared
-    stencil's gradient read at the face nodes."""
+    """tau.S(grad u) n + kappa u.tau = mu (d_n u.tau + d_tau u.n) + kappa u.tau
+    on a face: the stress of the shared stencil's gradient at its nodes."""
     f = grid.faces()[face]
     u = ext_field if isinstance(ext_field, Field) else ext_field.field
     S = stress_tensor(gradient_values(u), params.mu, params.eta)[..., f.flat]

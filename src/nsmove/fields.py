@@ -330,7 +330,8 @@ def gradient_values(f):
 def _contract(A, B, out=None, add=False):
     """out[i, j] (+)= sum_p A[i, p] B[p, j], each entry a row over the nodes,
     as products of whole rows (several times faster than einsum for d <= 2);
-    ``out`` is allocated when none is given. a v is ``_contract(a, v[:, None])[:, 0]``."""
+    ``out`` is allocated when none is given. A matrix a times a vector of
+    rows v is ``_contract(a, v[:, None])[:, 0]``."""
     if out is None:
         out = np.empty((len(A), B.shape[1], A.shape[-1]))
     row = np.empty(out.shape[-1])   # the one scratch row

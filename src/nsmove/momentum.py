@@ -180,9 +180,9 @@ def _face_datum(name, fn, t, face, npts):
     return np.broadcast_to(vals, (npts,))
 
 
-def _boundary_velocity(bc, t, pts, face=None):
+def _boundary_velocity(bc, t, pts, face):
     """bc.velocity(t, pts) as finite (npts, 2) values, else
-    :class:`InvalidArgumentError` naming t and the face, if there is one."""
+    :class:`InvalidArgumentError` naming t and the face (None: all faces)."""
     vals = np.asarray(bc.velocity(t, pts), dtype=float)
     if vals.shape != pts.shape or not np.all(np.isfinite(vals)):
         where = "" if face is None else f" on face {face!r}"
@@ -205,7 +205,7 @@ def _dirichlet_data(grid, bc, t):
     idx, vals = [], []
     if bc.kind == "no-slip":
         flat = np.unique(np.concatenate([face.flat for face in grid.faces().values()]))
-        vb = _boundary_velocity(bc, t, pts[flat])
+        vb = _boundary_velocity(bc, t, pts[flat], None)
         for c in range(d):
             idx.append(c * N + flat)
             vals.append(vb[:, c])
