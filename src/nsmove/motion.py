@@ -4,10 +4,10 @@ The flow map X(t, .) solves dX/dt = V(t, X), X(0, z) = z per reference node,
 together with the Jacobian ODE d(gradX)/dt = gradV gradX and, on request, the
 second-Jacobian ODE. Everything is classical RK4 with a fixed step, in one
 integrator that transport shares (adding the divergence integral) and that
-checks det gradX at every level. The inverse map is recovered by Newton
-iteration on the stored forward map, seeded from the node with the nearest
-stored image. That node is found by a numpy window search about an affine
-fit of the inverse map, not a k-d tree.
+checks the state is finite and det gradX > 0 at every level. The inverse map
+is Newton iteration on the stored forward map from one seed, the node of a
+numpy window search about an affine fit of the inverse map: for every point
+Newton can invert, the node a k-d tree over the stored images returns.
 ``FlowMap.frame(t)`` derives the geometry at one time (gradY, det gradX,
 the physical face normals) once for every layer that reads it.
 """
@@ -170,8 +170,9 @@ def _rk4_levels(source, grid, T, dt, extra=None):
     dt m and {part: read-only node-major store (M+1, N, ...)}. The state is
     one component-major (C, N) array; the stages run on preallocated
     buffers. Step m times its last stage at (m + 1) dt, as the next step's
-    first (m dt + dt can be an ulp off it). Raises :class:`DegenerateMapError`
-    at the first level where det gradX <= 0.
+    first (m dt + dt can be an ulp off it). Raises, at the first level where
+    it happens, :class:`InvalidArgumentError` naming the launch node of a
+    non-finite state and :class:`DegenerateMapError` if det gradX <= 0.
     """
     steps = _check_steps(T, dt)
     N, d = grid.num_nodes, grid.dim
@@ -198,6 +199,10 @@ def _rk4_levels(source, grid, T, dt, extra=None):
         acc += k
         acc *= dt / 6
         y += acc
+        finite = np.all(np.isfinite(y), axis=0)
+        if not np.all(finite):
+            raise InvalidArgumentError(f"non-finite flow state at t={times[m + 1]} from "
+                                       f"node {grid.node_coords()[np.argmin(finite)]}")
         for part, store in levels.items():
             store[m + 1] = y[rows[part]].T.reshape(store.shape[1:])
         _checked_det(y[rows["J"]].reshape(d, d, N), times[m + 1], grid)
@@ -237,9 +242,9 @@ class Frame:
 
 def _checked_det(J, t, grid):
     """det gradX per node of the rows J; raises :class:`DegenerateMapError`
-    with the node where it is smallest if it is <= 0 anywhere."""
+    with the node where it is smallest if it is <= 0 or NaN anywhere."""
     det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-    if np.any(det <= 0):
+    if not np.all(det > 0):
         bad = int(np.argmin(det))
         raise DegenerateMapError(
             f"det gradX <= 0 at t={t}", t=t, z=grid.node_coords()[bad])
@@ -264,15 +269,14 @@ def _checked_points(grid, x, t):
 
 def _nearest_node(grid, images, x):
     """Flat index of the node whose image (a row of ``images``, (N, d)) is
-    nearest to each row of x: the node a k-d tree over ``images`` returns.
+    nearest to each row of x among the nodes of a window: Newton's one seed.
 
     A least-squares affine fit z ~ [x, 1] C of the inverse map predicts each
     point's node; every node within the fit's largest miss at the nodes,
     rounded up, plus one, of it on each axis is searched, one window offset
-    at a time, so temporaries stay O(npts). The fit also bounds where any
-    image closer than the best one found can lie: a point whose bound leaves
-    the window (one far outside the image, say) is searched over every node
-    inside that bound.
+    at a time, so temporaries stay O(npts). For every point Newton can
+    invert this is the node a k-d tree over ``images`` returns; a point
+    outside the image may get another, which Newton rejects all the same.
     """
     shape = np.array(grid.shape)
     h = np.array(grid.spacing)
@@ -297,19 +301,6 @@ def _nearest_node(grid, images, x):
         closer = dist < best
         best[closer] = dist[closer]
         nearest[closer] = flat[closer]
-    # |z_k - zhat(x)| <= miss h + |C_a| |X_k - x| on axis a for every node
-    # k; the slack covers rounding in the fit
-    reach = (miss + np.sqrt(best)[:, None] * np.linalg.norm(lin, axis=0) / h) \
-        * (1 + 1e-9) + 1e-9
-    first = np.maximum(np.ceil(centre - reach).astype(int), 0)
-    last = np.minimum(np.floor(centre + reach).astype(int), shape - 1)
-    outside = np.any((first < base - width) | (last > base + width), axis=1)
-    block = images.reshape(*grid.shape, grid.dim)
-    for p in np.flatnonzero(outside):
-        box = tuple(slice(a, b + 1) for a, b in zip(first[p], last[p]))
-        dist = np.sum((block[box] - x[p]) ** 2, axis=-1)
-        local = np.unravel_index(np.argmin(dist), dist.shape)
-        nearest[p] = (np.array(local) + first[p]) @ strides
     return nearest
 
 
@@ -378,30 +369,27 @@ class FlowMap:
 
     def _forward_and_jacobian(self, XJ, z):
         """X and the rows gradX at z from one interpolation matrix on ``XJ``."""
-        M = interp_matrix(self.grid, z, out_of_bounds="clamp")
+        M = interp_matrix(self.grid, z)
         vals, d = M @ XJ, self.dim
         return vals[:, :d], vals[:, d:].T.reshape(d, d, -1)
 
-    def invert(self, t, x, seed=None):
+    def invert(self, t, x):
         """Y(t, x): Newton iteration on X(t, z) - x = 0, seeded from the
-        reference node whose stored position X(t, z) is nearest to x (found
-        by :func:`_nearest_node`), or from a caller-provided seed.
+        reference node that :func:`_nearest_node` finds, the one whose stored
+        position X(t, z) is nearest to x for every point that can be inverted.
 
         x has shape (npts, 2); any other shape, or a non-finite coordinate,
         raises :class:`InvalidArgumentError`. Raises
         :class:`InversionFailureError` if Newton has not converged."""
         x = _checked_points(self.grid, x, t)
         XJ = self._stack(t)
-        if seed is None:
-            z = self.grid.node_coords()[_nearest_node(self.grid, XJ[:, :self.dim], x)]
-        else:
-            z = np.array(seed, dtype=float, copy=True)
+        z = self.grid.node_coords()[_nearest_node(self.grid, XJ[:, :self.dim], x)]
         lo = np.array(self.grid.lo)
         hi = np.array(self.grid.hi)
         for _ in range(_NEWTON_ITERATIONS):
             X, J = self._forward_and_jacobian(XJ, z)
             res = X - x
-            if np.max(np.abs(res)) <= _NEWTON_TOL:
+            if np.max(np.abs(res), initial=0.0) <= _NEWTON_TOL:
                 return z
             step = np.einsum("ijp,pj->pi", _mat_inv(J), res)
             z = np.clip(z - step, lo, hi)

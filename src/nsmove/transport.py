@@ -61,7 +61,6 @@ class DiscreteVelocity:
         self.grid = self.fields[0].grid
         self._level_cache = {}
         self._blend = None
-        self._seed = None
 
     def _level_data(self, m):
         """Nodal u | grad_x u | 0 at level m, node-major (N, 7),
@@ -74,16 +73,9 @@ class DiscreteVelocity:
         out[:, :2], out[:, 2:6] = f.values.reshape(2, -1).T, g.reshape(4, -1).T
         return out
 
-    def _to_ref(self, t, x):
-        if self.flow_map is None:
-            return x   # interp_matrix reads the points as they are
-        seed = self._seed if np.shape(self._seed) == np.shape(x) else None
-        self._seed = self.flow_map.invert(t, x, seed=seed)
-        return self._seed
-
     def velocity_and_gradient(self, t, pts):
         """u and grad_x u at (t, pts), (npts, 2) and (npts, 2, 2)."""
-        z = self._to_ref(t, pts)
+        z = pts if self.flow_map is None else self.flow_map.invert(t, pts)
         if self._blend is None or self._blend[0] != t:
             # the stale blend is freed before new arrays are built
             self._blend = None
@@ -120,7 +112,7 @@ class DensityTrajectory:
     def eval_physical(self, t, x):
         """rho(t, x) and Y(t, x) at physical points x of the current image."""
         z = self.flow_map.invert(t, x)
-        return interpolate(self.density_field(t), z, out_of_bounds="clamp"), z
+        return interpolate(self.density_field(t), z), z
 
     def min_density(self, t):
         return float(np.min(self.density_field(t).values))

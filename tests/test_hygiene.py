@@ -482,7 +482,7 @@ def test_moving_chain_loads_no_heavy_scipy():
         V = MotionField.shear(0.4)
         fm = advect_flow_map(V, g, 0.1, 0.05)
         traj = solve_transport(Field(g, np.ones(g.shape)), V, 0.1, 0.05)
-        rho, _ = traj.eval_physical(0.1, fm.positions(0.1))  # a seedless invert
+        rho, _ = traj.eval_physical(0.1, fm.positions(0.1))  # Newton's pull-back
         assert np.allclose(rho, 1.0)
         params = FluidParams(mu=0.3, eta=0.1, kappa=0.5, bc="slip")
         levels, _ = solve_linear_momentum(

@@ -240,6 +240,15 @@ class TestInvert:
         with pytest.raises(InvalidArgumentError, match=r"t=0\.5: \[0\.3 +nan\]"):
             fm.invert(0.5, [[0.3, 0.5], [0.3, np.nan]])
 
+    def test_no_points(self):
+        # as interp_matrix gives a (0, N) matrix, no points invert to none
+        g = grid2d()
+        fm = advect_flow_map(MotionField.shear(0.4), g, 0.5, 0.05)
+        assert fm.invert(0.5, np.zeros((0, 2))).shape == (0, 2)
+        traj = solve_transport(Field(g, np.ones(g.shape)), MotionField.shear(0.4), 0.5, 0.05)
+        rho, z = traj.eval_physical(0.5, np.zeros((0, 2)))
+        assert rho.shape == (0,) and z.shape == (0, 2)
+
 
 def _chain_map():
     """The affine flow map of the moving-domain benchmark chain at 129^2:
@@ -265,24 +274,32 @@ _SEED_MAPS = {
 class TestNearestNode:
     @pytest.mark.parametrize("name", sorted(_SEED_MAPS))
     def test_matches_kd_tree(self, name):
-        # the seed is the k-d tree's nearest node image, so Newton starts
-        # from the same node it always has
+        # the one seed is the k-d tree's nearest node image for every point
+        # of the image, so Newton starts from the node it always has; a
+        # point outside the image may get another node, and Newton rejects
+        # it whichever it gets
         from scipy.spatial import cKDTree
 
         fm, t = _SEED_MAPS[name]()
-        images = fm.positions(t)
-        d = images.shape[1]
-        rng = np.random.default_rng(5)
-        queries = {
-            "node images": images,
-            "uniform": rng.uniform(images.min(axis=0), images.max(axis=0), (2000, d)),
-            "outside": np.full((1, d), 5.0),
-            "around": rng.uniform(images.min(axis=0) - 3, images.max(axis=0) + 3, (300, d)),
-        }
-        tree = cKDTree(images)
-        for kind, x in queries.items():
-            found = motion._nearest_node(fm.grid, images, x)
-            assert np.array_equal(found, tree.query(x)[1]), kind
+        g, images = fm.grid, fm.positions(t)
+        found = motion._nearest_node(g, images, images)
+        assert np.array_equal(found, np.arange(g.num_nodes))
+        z0 = np.random.default_rng(5).uniform(g.lo, g.hi, (2000, g.dim))
+        x = interp_matrix(g, z0) @ images
+        found = motion._nearest_node(g, images, x)
+        assert np.array_equal(found, cKDTree(images).query(x)[1])
+        with pytest.raises(InversionFailureError):
+            fm.invert(t, np.full((1, g.dim), 5.0))
+
+    def test_node_images_take_no_newton_step(self, monkeypatch):
+        # the benchmark's pull-back inverts every node image of the chain
+        # map: the seed is exact, so the one interpolation is the residual
+        # check, and the nodes come back bit for bit
+        fm, t = _chain_map()
+        calls = _count_calls(monkeypatch, FlowMap, ("_forward_and_jacobian",))
+        z = fm.invert(t, fm.positions(t))
+        assert calls == {"_forward_and_jacobian": 1}
+        assert np.array_equal(z, fm.grid.node_coords())
 
 
 class TestJacobians:
@@ -483,6 +500,47 @@ class TestOneIntegrator:
                 solve_transport(Field(g, np.ones(g.shape)), _FoldAtDt(), 2 * dt, dt)
         assert err.value.t == dt
         assert np.any(np.all(g.node_coords() == err.value.z, axis=1))
+
+
+def _nan_beyond(x0, part):
+    """V = 0.1 x, with ``part`` ("velocity" or "gradient") NaN where x > x0."""
+    def masked(key, values):
+        def fn(t, p):
+            v = values(p)
+            if key == part:
+                v[p[:, 0] > x0] = np.nan
+            return v
+        return fn
+
+    return MotionField.expression(
+        masked("velocity", lambda p: 0.1 * p), 2,
+        grad_fn=masked("gradient", lambda p: np.broadcast_to(0.1 * np.eye(2),
+                                                              p.shape + (2,)).copy()))
+
+
+class TestNonFinite:
+    """NaN data stop the integrator at the first level they reach, naming
+    the launch node, instead of passing into X, gradX or det gradX."""
+
+    @pytest.mark.parametrize("part", ["velocity", "gradient"])
+    @pytest.mark.parametrize("run", ["advect", "transport"])
+    def test_nan_source_raises(self, part, run):
+        g, V = grid2d(), _nan_beyond(0.9, part)
+        with pytest.raises(InvalidArgumentError, match=r"t=0\.05 from node \[1\. 0\.\]"):
+            if run == "advect":
+                advect_flow_map(V, g, 0.1, 0.05)
+            else:
+                solve_transport(Field(g, np.ones(g.shape)), V, 0.1, 0.05)
+
+    def test_frame_refuses_nan_jacobian(self):
+        g, k = grid2d(5), 7
+        X, J = _folded_levels(g, k)
+        J[1, k] = np.nan
+        fm = FlowMap(g, [0.0, 1.0], X, J)
+        with pytest.raises(DegenerateMapError) as err:
+            fm.frame(1.0)
+        assert err.value.t == 1.0
+        assert np.array_equal(err.value.z, g.node_coords()[k])
 
 
 class TestFrame:
