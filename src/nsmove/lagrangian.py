@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidArgumentError
 from .fields import Field, _contract, _diff_axis, gradient_values
 
 
@@ -27,14 +28,16 @@ def pull_back_state(rho, u, flow_map, t):
     """(rho~, u~) on the reference grid: composition with X(t, .).
 
     ``rho`` and ``u`` are callables on physical points (N, d), returning
-    the density (N,) and the velocity (N, d).
+    the density, N values, and the velocity (N, d); anything else raises
+    :class:`~nsmove.errors.InvalidArgumentError` naming t.
     """
-    grid = flow_map.grid
-    d = grid.dim
-    pos = flow_map.positions(t)
-    rho_vals = np.asarray(rho(pos), dtype=float).reshape(grid.shape)
-    u_vals = np.asarray(u(pos), dtype=float).T.reshape((d,) + tuple(grid.shape))
-    return Field(grid, rho_vals, t), Field(grid, u_vals, t)
+    grid, pos = flow_map.grid, flow_map.positions(t)
+    rho_vals, u_vals = np.asarray(rho(pos), dtype=float), np.asarray(u(pos), dtype=float)
+    if rho_vals.size != len(pos) or u_vals.shape != pos.shape:
+        raise InvalidArgumentError(f"at t={t} rho(x) has shape {rho_vals.shape} and u(x) "
+                                   f"{u_vals.shape}; expected {len(pos)} values and {pos.shape}")
+    return (Field(grid, rho_vals.reshape(grid.shape), t),
+            Field(grid, u_vals.T.reshape((grid.dim,) + tuple(grid.shape)), t))
 
 
 @dataclass

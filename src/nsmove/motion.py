@@ -212,11 +212,11 @@ def _rk4_levels(source, grid, T, dt, extra=None):
 
 
 def _check_steps(T, dt):
-    if not (0 <= T < np.inf and dt > 0):
-        raise InvalidArgumentError(f"need finite T >= 0 and dt > 0, got T = {T}, dt = {dt}")
+    if not (0 <= T < np.inf and 0 < dt < np.inf):
+        raise InvalidArgumentError(f"need 0 <= T < inf and 0 < dt < inf, got T = {T}, dt = {dt}")
     steps = T / dt
-    if abs(steps - round(steps)) > 1e-12 * max(1.0, steps):
-        raise InvalidArgumentError(f"T/dt = {steps} is not integral")
+    if abs(steps - round(steps)) > 1e-12 * max(1.0, steps) or (T > 0 and round(steps) == 0):
+        raise InvalidArgumentError(f"need a whole number of steps, got T = {T}, dt = {dt}")
     return int(round(steps))
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import PositivityViolationError
+from .errors import InvalidArgumentError, PositivityViolationError
 from .fields import (
     Field,
     blend_levels,
@@ -31,51 +31,43 @@ from .motion import FlowMap, _rk4_levels, physical_gradient
 
 
 class DiscreteVelocity:
-    """Velocity known as per-level reference-sampled fields u(t_m, X(t_m, y)).
+    """Velocity known as per-level fields u(t_m, y) on one static grid.
 
-    ``flow_map`` is the flow map X of the velocity that moves the domain: the
-    level fields hold u at the images X(t_m, y) of the reference nodes y.
-    ``None`` means the fields live on a static grid, where a point outside
-    the rectangle raises :class:`~nsmove.errors.OutOfDomainError`.
-    Physical-point evaluation inverts the map, then interpolates (the
-    inverse lies in the rectangle); spatial derivatives go through the
-    Jacobian transforms. The levels are 2-component fields on one grid (the
-    map's, if there is one), linearly interpolated in time.
+    The levels are 2-component fields, linearly interpolated in time; a point
+    outside the rectangle raises :class:`~nsmove.errors.OutOfDomainError`.
+    On a moving domain, transport runs in the reference frame: the levels are
+    the ALE relative velocity w = gradY (u~ - V o X) at the nodes and the
+    transported density is q = det gradX rho~ (dq/dt + div_y(q w) = 0). The
+    physical foot is X(t, Z) and rho~ = q / det gradX(t, Z); (u~ - V).n = 0
+    on the boundary gives w.n_ref = 0, which keeps Z in the rectangle.
 
     :meth:`velocity_and_gradient` is the one call an RK4 stage makes: the
     bracketing levels blended, then interpolated with one sparse matrix. The
     blend of the last stage time is kept, so the two RK4 stages at t + dt/2,
     and a step's last stage and the next step's first, both at (m + 1) dt,
     blend once; at a stored level's time the level is read unblended. A
-    level's data are u | grad_x u | 0, (N, 7): nothing reads the zero column,
+    level's data are u | grad u | 0, (N, 7): nothing reads the zero column,
     but scipy 1.17's CSR x dense product takes 0.84 ms at 7 columns against
     1.27 ms at 6 (129^2 points, 16 entries per row, one thread of a 2-core
     VM), and the first six keep their bits.
     """
 
-    def __init__(self, times, fields, flow_map=None):
+    def __init__(self, times, fields):
         self.times = level_times(times)
-        self.fields = level_fields(fields, self.times, 2, "velocity",
-                                   None if flow_map is None else flow_map.grid)
-        self.flow_map = flow_map
+        self.fields = level_fields(fields, self.times, 2, "velocity")
         self.grid = self.fields[0].grid
         self._level_cache = {}
         self._blend = None
 
     def _level_data(self, m):
-        """Nodal u | grad_x u | 0 at level m, node-major (N, 7),
-        reference-sampled."""
+        """Nodal u | grad u | 0 at level m, node-major (N, 7)."""
         f = self.fields[m]
-        # du_i/dy_k is du_i/dx_k on a static grid
-        g = (gradient_values(f) if self.flow_map is None
-             else physical_gradient(f, self.flow_map.frame(self.times[m])))
-        out = np.zeros((g.shape[-1], 7))   # the zero column: see the class docstring
-        out[:, :2], out[:, 2:6] = f.values.reshape(2, -1).T, g.reshape(4, -1).T
+        out = np.zeros((self.grid.num_nodes, 7))   # the zero column: see the class docstring
+        out[:, :2], out[:, 2:6] = f.values.reshape(2, -1).T, gradient_values(f).reshape(4, -1).T
         return out
 
     def velocity_and_gradient(self, t, pts):
-        """u and grad_x u at (t, pts), (npts, 2) and (npts, 2, 2)."""
-        z = pts if self.flow_map is None else self.flow_map.invert(t, pts)
+        """u and grad u at (t, pts), (npts, 2) and (npts, 2, 2)."""
         if self._blend is None or self._blend[0] != t:
             # the stale blend is freed before new arrays are built
             self._blend = None
@@ -85,7 +77,7 @@ class DiscreteVelocity:
                                  else self._level_data(k)
                                  for k in ((m,) if w == 0.0 else (m, m + 1))}
             self._blend = (t, blend_levels(self._level_cache, self.times, t))
-        vals = interp_matrix(self.grid, z) @ self._blend[1]
+        vals = interp_matrix(self.grid, pts) @ self._blend[1]
         return vals[:, :2], vals[:, 2:6].reshape(-1, 2, 2)
 
 
@@ -128,6 +120,8 @@ def solve_transport(rho0, v, T, dt):
     construction of the exponential formula. Feet that fold (det gradX <= 0)
     raise :class:`~nsmove.errors.DegenerateMapError` at that level's t.
     """
+    if rho0.ncomp != 1:
+        raise InvalidArgumentError(f"rho0 has {rho0.ncomp} components; expected 1")
     if np.any(rho0.values <= 0):
         raise PositivityViolationError("initial density must be positive")
     times, levels = _rk4_levels(v, rho0.grid, T, dt, "I")

@@ -1,6 +1,6 @@
 """Source hygiene: every import in the package is used, and so is every
 top-level definition and method; no einsum in the package takes three or more operands;
-no module but ``transport.py`` compares a flow map or frame with None.
+no module compares a flow map or frame with None.
 
 A name bound by an import counts as used when it is read anywhere in the
 module or listed in ``__all__``; ``from __future__`` imports are exempt.
@@ -313,8 +313,6 @@ def _unset_parameters(trees, others=None):
 
 # (label, parameter) set by tests only, each kept for a named reason
 _KEPT_UNSET = {
-    # ROADMAP item 2: transport on a moving map's discrete velocity
-    ("DiscreteVelocity.__init__", "flow_map"),
     # ROADMAP item 5: the coupled driver's body force
     ("lagrangian_remainder", "force"),
     # the exported Field API (nsmove.__all__)
@@ -387,9 +385,9 @@ def _none_forks(tree):
     or ``frame`` with None.
 
     A fixed domain is the flow map of V = 0, so the moving-frame layers
-    take a map and have no second path for its absence. Only
-    ``transport.py`` keeps one: ``DiscreteVelocity`` on a static grid,
-    where a stage would otherwise invert an identity map.
+    take a map and have no second path for its absence; transport on a
+    moving domain is static-grid transport in the reference frame, so
+    ``DiscreteVelocity`` takes no map at all. No module has such a fork.
     """
     out = []
     for node in ast.walk(tree):
@@ -405,10 +403,7 @@ def _none_forks(tree):
     return sorted(out)
 
 
-_FORK_SRC = [p for p in SRC if p.name != "transport.py"]
-
-
-@pytest.mark.parametrize("path", _FORK_SRC, ids=[p.name for p in _FORK_SRC])
+@pytest.mark.parametrize("path", SRC, ids=[p.name for p in SRC])
 def test_no_fixed_domain_fork(path):
     forks = _none_forks(ast.parse(path.read_text(), filename=str(path)))
     assert not forks, f"{path.name}: (line, name) compared with None {forks}"

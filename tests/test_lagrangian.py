@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nsmove.errors import InvalidArgumentError
 from nsmove.fields import Field, Grid, differentiate, interpolate
 from nsmove.lagrangian import (
     lagrangian_remainder,
@@ -51,6 +52,17 @@ class TestPullBack:
         pts = g.node_coords()
         expect = smooth_rho(np.exp(alpha * t) * pts)
         assert np.max(np.abs(rho.values[0].ravel() - expect)) < 1e-8
+
+    @pytest.mark.parametrize("rho, u", [(smooth_rho, lambda x: smooth_u(x).T),
+                                        (lambda x: np.tile(smooth_rho(x), 2), smooth_u)],
+                             ids=["velocity-rows", "density-2N"])
+    def test_callback_shapes_checked(self, rho, u):
+        # velocity rows (2, N) were reshaped into a u~ off by up to 1.94 here
+        # without an error, and 2N density values died with a bare numpy
+        # ValueError
+        fm = advect_flow_map(MotionField.dilation(0.3), grid2d(9), 0.2, 0.1)
+        with pytest.raises(InvalidArgumentError, match="at t=0.2 "):
+            pull_back_state(rho, u, fm, 0.2)
 
     def test_push_pull_round_trip(self):
         g = grid2d(25, 0.0, 1.0)

@@ -154,9 +154,11 @@ class TestBasics:
         assert all(np.max(np.abs(l.values)) == 0.0 for l in levels)
         assert all(r.residual <= 1e-10 for r in reports)
 
-    @pytest.mark.parametrize("T, dt", [(0.1, 0.0), (-0.1, 0.01)])
+    @pytest.mark.parametrize("T, dt", [(0.1, 0.0), (-0.1, 0.01), (0.1, np.inf), (0.1, 1e12)])
     def test_bad_horizon_or_step_rejected(self, T, dt):
-        # a negative T would make a negative step count, and no step run
+        # a negative T would make a negative step count, and no step run;
+        # dt = inf, and dt = 1e12 (T / dt = 1e-13 is within the integrality
+        # tolerance of 0 steps), returned u0 alone for T = 0.1
         g = thin_grid(17)
         N = g.num_nodes
         with pytest.raises(InvalidArgumentError, match=f"T = {T}, dt = {dt}"):
