@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NotSameDataError
+from .errors import InvalidArgumentError, NotSameDataError, PositivityViolationError
 from .fields import _contract, _dot, _trace, _trapezoid_weights, gradient_values, level_times
 from .motion import physical_gradient
 
@@ -199,7 +199,8 @@ def relative_energy_remainder(state, reference, law, params, m, V):
     one time on one grid, and the two flow maps must place the nodes at the
     same positions there; the reference must satisfy U.n = V.n on its
     frame's boundary within ``_ADMISSIBLE_GAP`` (test-function
-    admissibility). Anything else raises :class:`InvalidArgumentError`. The
+    admissibility). Anything else raises :class:`InvalidArgumentError`; a
+    state density below 0 raises :class:`PositivityViolationError`. The
     reference's time derivatives are differences over its stored levels:
     central inside, one-sided and first order at the first and last level.
     """
@@ -220,6 +221,11 @@ def relative_energy_remainder(state, reference, law, params, m, V):
     u = state.u[m].values.reshape(d, -1)
     r = reference.rho[m].values[0].ravel()
     U = reference.u[m].values.reshape(d, -1)
+    low = int(np.argmin(rho))
+    if not rho[low] >= 0:   # vacuum, rho = 0, is admissible on the weak side
+        z = state.grid.node_coords()[low]
+        raise PositivityViolationError(
+            f"state density {rho[low]:.3e} is not >= 0 at t={t}, z={z}", t=t, z=z)
     if np.any(r <= 0):
         raise InvalidArgumentError("reference density must be positive")
     frame = reference.frame(m)

@@ -29,19 +29,14 @@ class DegenerateMapError(NsmoveError):
         self.z = z
 
 
-class InversionFailureError(NsmoveError):
-    """Newton iteration for the inverse flow map did not converge at time t:
-    ``x`` is the physical point with the largest final residual."""
+class PositivityViolationError(NsmoveError):
+    """A density dropped below its admissible floor at time t, at the
+    reference node z where it is smallest."""
 
-    def __init__(self, message, t=None, x=None, residual=None):
+    def __init__(self, message, t=None, z=None):
         super().__init__(message)
         self.t = t
-        self.x = x
-        self.residual = residual
-
-
-class PositivityViolationError(NsmoveError):
-    """A density dropped below its admissible floor."""
+        self.z = z
 
 
 class LinearSolverFailureError(NsmoveError):

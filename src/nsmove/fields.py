@@ -7,12 +7,11 @@ downstream through composition with a flow map.
 One layout rule holds in every module. Points, and whatever a point
 callable returns (V and its derivatives, the pull-back callbacks), are
 node-major (npts, ...), as are face-node arrays, a flow map's stored
-levels and the two operands of interpolation-matrix products
-(``FlowMap._stack``, a ``DiscreteVelocity`` level). Every other per-node
-tensor computed from a :class:`Field` or a flow-map frame (grad u, gradY,
-second derivatives, the stress) is contiguous component rows (..., N), N
-the node count, so a product over components is a product of whole rows;
-the frame's gradX is such rows as a view of its node-major X | gradX.
+levels and the two operands of interpolation-matrix products (a
+``DiscreteVelocity`` level). Every other per-node tensor computed from a
+:class:`Field` or a flow-map frame (gradX, grad u, gradY, second
+derivatives, the stress) is contiguous component rows (..., N), N the node
+count, so a product over components is a product of whole rows.
 The row kernels are :func:`_contract` (the matrix product of two row
 tensors), :func:`_dot` (the full contraction) and :func:`_trace`.
 """
@@ -495,8 +494,9 @@ def sobolev_norm(f, k, p=2):
     difference on the diagonal and the symmetrized composed ones off it.
     Monitored norms, not proven ones.
     """
-    if k < 0 or k > 3:
-        raise InvalidArgumentError(f"k must be in 0..3, got {k}")
+    if k not in (0, 1, 2, 3):
+        raise InvalidArgumentError(f"k must be an integer in 0..3, got {k}")
+    k = int(k)
     if k >= 2 and any(m < 5 for m in f.grid.n):
         raise InvalidArgumentError("k >= 2 requires at least 5 nodes per axis")
     derivs = [_alpha_derivative(f, a) for a in _multi_indices(k)]

@@ -485,9 +485,12 @@ def solve_linear_momentum(rho, rhs, bc, u0, params, dt, T):
         th = (m + 0.5) * dt
         tn = (m + 1) * dt
         rho_h, f = _callback_values(rho, rhs, th, N)
-        if np.any(rho_h < _RHO_FLOOR):
+        low = int(np.argmin(rho_h))
+        if rho_h[low] < _RHO_FLOOR:
+            z = grid.node_coords()[low]
             raise PositivityViolationError(
-                f"density {rho_h.min():.3e} below floor {_RHO_FLOOR:.3e} at t={th}")
+                f"density {rho_h[low]:.3e} below floor {_RHO_FLOOR:.3e} at t={th}, z={z}",
+                t=th, z=z)
         Mdiag = wq * np.tile(rho_h, d)
         mass = Mdiag / dt
         bload = _slip_boundary_load(grid, bc, params, th)

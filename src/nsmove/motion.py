@@ -4,12 +4,11 @@ The flow map X(t, .) solves dX/dt = V(t, X), X(0, z) = z per reference node,
 together with the Jacobian ODE d(gradX)/dt = gradV gradX and, on request, the
 second-Jacobian ODE. Everything is classical RK4 with a fixed step, in one
 integrator that transport shares (adding the divergence integral) and that
-checks the state is finite and det gradX > 0 at every level. The inverse map
-is Newton iteration on the stored forward map from one seed, the node of a
-numpy window search about an affine fit of the inverse map: for every point
-Newton can invert, the node a k-d tree over the stored images returns.
-``FlowMap.frame(t)`` derives the geometry at one time (gradY, det gradX,
-the physical face normals) once for every layer that reads it.
+checks the state is finite and det gradX > 0 at every level. Only the
+forward map is stored: the transformed equations read gradY = (gradX)^-1
+node by node, never Y at a physical point. ``FlowMap.frame(t)`` derives the
+geometry at one time (gradY, det gradX, the physical face normals) once for
+every layer that reads it.
 """
 
 from __future__ import annotations
@@ -19,12 +18,8 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import (
-    DegenerateMapError,
-    InvalidArgumentError,
-    InversionFailureError,
-)
-from .fields import _contract, blend_levels, gradient_values, interp_matrix, rotate90
+from .errors import DegenerateMapError, InvalidArgumentError
+from .fields import _contract, blend_levels, gradient_values, rotate90
 
 
 class MotionField:
@@ -224,15 +219,14 @@ def _check_steps(T, dt):
 class Frame:
     """The flow map's geometry at one time t, shared read-only by its users.
 
-    ``XJ`` stacks X | gradX node-major into (N, d + d^2); ``X`` and the rows
-    ``J`` (d, d, N) are views of it. ``inv`` is gradY at the feet, the rows
-    of the per-node inverse of gradX; ``det`` is det gradX > 0. ``faces`` is
-    {name: (flat, n, tau)}: the physical unit normal at the image of each
-    face node (gradY^T n_ref, renormalized) and its quarter turn.
+    ``X`` is the node images (N, d) and ``J`` the rows (d, d, N) of gradX.
+    ``inv`` is gradY at the feet, the rows of the per-node inverse of gradX;
+    ``det`` is det gradX > 0. ``faces`` is {name: (flat, n, tau)}: the
+    physical unit normal at the image of each face node (gradY^T n_ref,
+    renormalized) and its quarter turn.
     """
 
     t: float
-    XJ: np.ndarray
     X: np.ndarray
     J: np.ndarray
     inv: np.ndarray
@@ -251,63 +245,6 @@ def _checked_det(J, t, grid):
     return det
 
 
-def _checked_points(grid, x, t):
-    """x as (npts, 2) floats, as :func:`~nsmove.fields.interp_matrix` reads
-    points. Any other shape, or a non-finite coordinate, raises
-    :class:`InvalidArgumentError`."""
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    if pts.shape[1:] != (grid.dim,):
-        raise InvalidArgumentError(
-            f"points to invert at t={t} have shape {np.shape(x)}; "
-            f"expected (npts, {grid.dim})")
-    finite = np.all(np.isfinite(pts), axis=1)
-    if not np.all(finite):
-        raise InvalidArgumentError(
-            f"non-finite point to invert at t={t}: {pts[np.argmin(finite)]}")
-    return pts
-
-
-def _nearest_node(grid, images, x):
-    """Flat index of the node whose image (a row of ``images``, (N, d)) is
-    nearest to each row of x among the nodes of a window: Newton's one seed.
-
-    A least-squares affine fit z ~ [x, 1] C of the inverse map predicts each
-    point's node; every node within the fit's largest miss at the nodes,
-    rounded up, plus one, of it on each axis is searched, one window offset
-    at a time, so temporaries stay O(npts). For every point Newton can
-    invert this is the node a k-d tree over ``images`` returns; a point
-    outside the image may get another, which Newton rejects all the same.
-    """
-    shape = np.array(grid.shape)
-    h = np.array(grid.spacing)
-    nodes = grid.node_coords()
-    C = np.linalg.lstsq(np.column_stack([images, np.ones(len(images))]), nodes,
-                        rcond=None)[0]
-    lin, shift = C[:-1], C[-1]
-    miss = np.max(np.abs(images @ lin + shift - nodes), axis=0) / h  # in cells
-    centre = (x @ lin + shift - np.array(grid.lo)) / h
-    width = np.ceil(miss).astype(int) + 1
-    base = np.clip(np.rint(centre).astype(int), 0, shape - 1)
-    strides = np.array([int(np.prod(shape[a + 1:])) for a in range(grid.dim)])
-    # per axis and window offset, the clipped node index times its stride
-    steps = [np.clip(base[:, a] + np.arange(-w, w + 1)[:, None], 0, m - 1) * stride
-             for a, (w, m, stride) in enumerate(zip(width, shape, strides))]
-    coords = [np.ascontiguousarray(images[:, a]) for a in range(grid.dim)]
-    best = np.full(len(x), np.inf)
-    nearest = np.zeros(len(x), dtype=np.intp)
-    for offset in np.ndindex(*(2 * width + 1)):
-        flat = sum(step[o] for step, o in zip(steps, offset))
-        dist = sum((c[flat] - x[:, a]) ** 2 for a, c in enumerate(coords))
-        closer = dist < best
-        best[closer] = dist[closer]
-        nearest[closer] = flat[closer]
-    return nearest
-
-
-_NEWTON_TOL = 1e-10      # max |X(t, z) - x| at which the inverse is accepted
-_NEWTON_ITERATIONS = 50
-
-
 class FlowMap:
     """Stored forward map levels: times, positions, Jacobians, optional Hessians."""
 
@@ -318,10 +255,6 @@ class FlowMap:
         self.J = J          # (M+1, N, d, d)
         self.H = H          # (M+1, N, d, d, d) or None
         self._frame = None
-
-    @property
-    def dim(self):
-        return self.grid.dim
 
     def positions(self, t):
         """X(t, z) at every reference node, (N, d)."""
@@ -342,9 +275,7 @@ class FlowMap:
         """
         if self._frame is not None and self._frame.t == t:
             return self._frame
-        d = self.dim
-        XJ = self._stack(t)
-        X, J = XJ[:, :d], XJ[:, d:].T.reshape(d, d, -1)
+        X, J = self.positions(t), _component_major(self.jacobians(t))
         det = _checked_det(J, t, self.grid)
         inv = _mat_inv(J)
         faces = {}
@@ -353,51 +284,10 @@ class FlowMap:
             n = np.einsum("jip,j->pi", inv[..., face.flat], face.normal)
             n /= np.linalg.norm(n, axis=1, keepdims=True)
             faces[face.name] = (face.flat, n, rotate90(n))
-        for a in chain((XJ, X, J, inv, det), *faces.values()):
+        for a in chain((X, J, inv, det), *faces.values()):
             a.setflags(write=False)
-        self._frame = Frame(float(t), XJ, X, J, inv, det, faces)
+        self._frame = Frame(float(t), X, J, inv, det, faces)
         return self._frame
-
-    def _stack(self, t):
-        """X | gradX at every node, node-major (N, d + d^2): the kept frame's
-        ``XJ`` if it is at t, else blended without inverting anything."""
-        if self._frame is not None and self._frame.t == t:
-            return self._frame.XJ
-        return np.concatenate([self.positions(t),
-                               self.jacobians(t).reshape(self.grid.num_nodes, -1)],
-                              axis=1)
-
-    def _forward_and_jacobian(self, XJ, z):
-        """X and the rows gradX at z from one interpolation matrix on ``XJ``."""
-        M = interp_matrix(self.grid, z)
-        vals, d = M @ XJ, self.dim
-        return vals[:, :d], vals[:, d:].T.reshape(d, d, -1)
-
-    def invert(self, t, x):
-        """Y(t, x): Newton iteration on X(t, z) - x = 0, seeded from the
-        reference node that :func:`_nearest_node` finds, the one whose stored
-        position X(t, z) is nearest to x for every point that can be inverted.
-
-        x has shape (npts, 2); any other shape, or a non-finite coordinate,
-        raises :class:`InvalidArgumentError`. Raises
-        :class:`InversionFailureError` if Newton has not converged."""
-        x = _checked_points(self.grid, x, t)
-        XJ = self._stack(t)
-        z = self.grid.node_coords()[_nearest_node(self.grid, XJ[:, :self.dim], x)]
-        lo = np.array(self.grid.lo)
-        hi = np.array(self.grid.hi)
-        for _ in range(_NEWTON_ITERATIONS):
-            X, J = self._forward_and_jacobian(XJ, z)
-            res = X - x
-            if np.max(np.abs(res), initial=0.0) <= _NEWTON_TOL:
-                return z
-            step = np.einsum("ijp,pj->pi", _mat_inv(J), res)
-            z = np.clip(z - step, lo, hi)
-        res = np.max(np.abs(self._forward_and_jacobian(XJ, z)[0] - x), axis=1)
-        worst = int(np.argmax(res))
-        raise InversionFailureError(
-            f"inverse map Newton stalled at t={t}, x={x[worst]}, residual {res[worst]:.3e}",
-            t=t, x=x[worst], residual=float(res[worst]))
 
 
 def advect_flow_map(V, grid, T, dt_map, *, with_hessian=False):

@@ -22,7 +22,6 @@ from .fields import (
     blend_levels,
     gradient_values,
     interp_matrix,
-    interpolate,
     level_bracket,
     level_fields,
     level_times,
@@ -81,6 +80,9 @@ class DiscreteVelocity:
         return vals[:, :2], vals[:, 2:6].reshape(-1, 2, 2)
 
 
+_FEET_TOL = 1e-10   # max |x - X(t, z)| at which x is read as the feet
+
+
 class DensityTrajectory:
     """Characteristics solution: feet, Jacobians, divergence integrals.
 
@@ -102,9 +104,17 @@ class DensityTrajectory:
         return Field(self.grid, vals.reshape(self.grid.shape), t)
 
     def eval_physical(self, t, x):
-        """rho(t, x) and Y(t, x) at physical points x of the current image."""
-        z = self.flow_map.invert(t, x)
-        return interpolate(self.density_field(t), z), z
+        """rho(t, x) and Y(t, x) at the feet x = X(t, z), in node order: the
+        density field's values and the nodes. Any other x (shape, distance
+        from the feet above ``_FEET_TOL``, NaN) raises
+        :class:`~nsmove.errors.InvalidArgumentError` naming t."""
+        feet, x = self.flow_map.positions(t), np.asarray(x, dtype=float)
+        gap = np.max(np.abs(x - feet)) if x.shape == feet.shape else np.nan
+        if not gap <= _FEET_TOL:
+            raise InvalidArgumentError(
+                f"rho is read at its feet only: at t={t}, x of shape {x.shape} is "
+                f"{gap:.3e} from X(t, z) of shape {feet.shape}")
+        return self.density_field(t).values.ravel(), self.grid.node_coords()
 
     def min_density(self, t):
         return float(np.min(self.density_field(t).values))
@@ -122,8 +132,11 @@ def solve_transport(rho0, v, T, dt):
     """
     if rho0.ncomp != 1:
         raise InvalidArgumentError(f"rho0 has {rho0.ncomp} components; expected 1")
-    if np.any(rho0.values <= 0):
-        raise PositivityViolationError("initial density must be positive")
+    rho, low = rho0.values.ravel(), int(np.argmin(rho0.values))
+    if not rho[low] > 0:
+        z = rho0.grid.node_coords()[low]
+        raise PositivityViolationError(
+            f"initial density {rho[low]:.3e} is not positive at t=0, z={z}", t=0.0, z=z)
     times, levels = _rk4_levels(v, rho0.grid, T, dt, "I")
     return DensityTrajectory(rho0, times, levels["X"], levels["J"], levels["I"])
 

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from nsmove.errors import InvalidArgumentError, NotSameDataError
+from nsmove.errors import InvalidArgumentError, NotSameDataError, PositivityViolationError
 from nsmove.fields import Field, Grid, _dot
 from nsmove.energy import (
     PressureLaw,
@@ -311,6 +311,30 @@ class TestRemainderTerm:
                            match=f"differ at t=0.05: node positions up to {gap:.3e}"):
             relative_energy_remainder(state, ref, LAW_G2, FluidParams(mu=0.3, bc="slip"),
                                       1, V=V)
+
+    @pytest.mark.parametrize("gamma", [1.4, 2.0])
+    @pytest.mark.parametrize("value, admissible", [(0.0, True), (-0.5, False)])
+    def test_state_density_below_zero_refused(self, gamma, value, admissible):
+        # a state density of -0.5 at one node returned NaN at gamma = 1.4,
+        # with only a RuntimeWarning, and a finite value at gamma = 2; vacuum
+        # is admissible on the weak side
+        g = Grid((9, 9), (0.0, 0.0), (1.0, 1.0))
+        times, k = np.array([0.0, 0.05, 0.1]), 30
+        node = g.node_coords()[k]
+        state = _static_trajectory(
+            g, times, lambda t, p: np.where(np.all(p == node, axis=1), value, 1.0),
+            lambda t, p: np.zeros_like(p))
+        ref = _static_trajectory(g, times, lambda t, p: np.ones(len(p)),
+                                 lambda t, p: np.zeros_like(p))
+        args = (state, ref, PressureLaw(gamma=gamma, coeff=1.0), FluidParams(mu=0.3, bc="slip"),
+                1, MotionField.zero())
+        if admissible:
+            assert np.isfinite(relative_energy_remainder(*args))
+            return
+        with pytest.raises(PositivityViolationError, match=r"-5\.000e-01 .* at t=0\.05") as err:
+            relative_energy_remainder(*args)
+        assert err.value.t == 0.05
+        assert np.array_equal(err.value.z, node)
 
     @pytest.mark.parametrize("case", ["times", "grid", "m-beyond-both", "m-beyond-reference",
                                       "m-negative"])

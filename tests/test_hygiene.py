@@ -8,7 +8,9 @@ A top-level function or class of ``src/nsmove``, or a method of such a
 class other than a dunder, counts as used when some code in ``src/``,
 ``tests/`` or ``perfbench/`` other than its definition names it (a read,
 an attribute, an import or an ``__all__`` entry). Exception classes are
-exempt: the error vocabulary is declared ahead of the layers that raise it.
+exempt from that check; instead, each class of ``errors.py`` but the base
+``NsmoveError`` is raised by some code in ``src/``, or is listed in
+``_UNRAISED`` with the ROADMAP item that will raise it.
 A definition that no code in ``src/`` or ``perfbench/`` outside a
 ``tests`` directory names is listed in ``_TEST_ONLY`` with the ROADMAP
 item that will give it a caller; a listed one that gains such a caller
@@ -214,6 +216,51 @@ def test_detects_test_only_name():
     others = {ROOT / "perfbench" / "probe.py": ast.parse("used()\nBox()\n"),
               ROOT / "tests" / "test_probe.py": ast.parse("tested()\nBox().get()\n")}
     assert _test_only(trees, others) == {"tested", "Box.get"}
+
+
+def _unraised_errors(errors, trees):
+    """Names of the classes of ``errors`` (the tree of ``errors.py``) other
+    than ``NsmoveError`` that no ``raise`` in ``trees`` ({path: tree})
+    raises, by name or as an attribute, called or not."""
+    raised = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = getattr(node.exc, "func", node.exc)
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    return {node.name for node in errors.body
+            if isinstance(node, ast.ClassDef) and node.name != "NsmoveError"} - raised
+
+
+# error classes that nothing in src/ raises yet, each with the ROADMAP item
+# that gives it a raiser or deletes it
+_UNRAISED = {
+    # item 17: the successive-approximation driver's monitors
+    "DivergenceError": 17,
+    "InstabilityError": 17,
+}
+
+
+def test_every_error_class_is_raised_or_listed():
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in SRC}
+    found = _unraised_errors(trees[ROOT / "src" / "nsmove" / "errors.py"], trees)
+    assert found <= set(_UNRAISED), (
+        f"raised nowhere in src/, with no ROADMAP item in _UNRAISED: {found - set(_UNRAISED)}")
+    assert found == set(_UNRAISED), (
+        f"listed as unraised but raised in src/: {set(_UNRAISED) - found}")
+
+
+def test_detects_unraised_error():
+    errors = ast.parse("class NsmoveError(Exception):\n    pass\n"
+                       "class AError(NsmoveError):\n    pass\n"
+                       "class BError(NsmoveError):\n    pass\n"
+                       "class CError(NsmoveError):\n    pass\n"
+                       "class DError(NsmoveError):\n    pass\n")
+    # a name alone is no raiser: a test may name C, an except clause D
+    trees = {ROOT / "src" / "nsmove" / "probe.py": ast.parse(
+        "raise AError('a', t=0)\nraise errors.BError\n"
+        "try:\n    pass\nexcept DError:\n    CError\n")}
+    assert _unraised_errors(errors, trees) == {"CError", "DError"}
 
 
 def _is_dataclass(node):
@@ -477,7 +524,7 @@ def test_moving_chain_loads_no_heavy_scipy():
         V = MotionField.shear(0.4)
         fm = advect_flow_map(V, g, 0.1, 0.05)
         traj = solve_transport(Field(g, np.ones(g.shape)), V, 0.1, 0.05)
-        rho, _ = traj.eval_physical(0.1, fm.positions(0.1))  # Newton's pull-back
+        rho, _ = traj.eval_physical(0.1, fm.positions(0.1))  # rho at its feet
         assert np.allclose(rho, 1.0)
         params = FluidParams(mu=0.3, eta=0.1, kappa=0.5, bc="slip")
         levels, _ = solve_linear_momentum(

@@ -64,14 +64,6 @@ class TestPullBack:
         with pytest.raises(InvalidArgumentError, match="at t=0.2 "):
             pull_back_state(rho, u, fm, 0.2)
 
-    def test_push_pull_round_trip(self):
-        g = grid2d(25, 0.0, 1.0)
-        fm = advect_flow_map(MotionField.dilation(0.2), g, 0.3, 1e-2)
-        ref = Field.from_function(g, lambda p: smooth_rho(p))
-        pos = fm.positions(0.3)
-        back = interpolate(ref, fm.invert(0.3, pos), out_of_bounds="clamp")
-        assert np.max(np.abs(back - ref.values[0].ravel())) < 1e-9
-
 
 # V = (v(x), 0) on the x-only embedding, each with its closed forms along x:
 # (v, v', v'', X(z, t), gradY(z, t), Y(x, t), Y''(x, t))

@@ -244,13 +244,18 @@ class TestBasics:
         assert np.array_equal(_slip_boundary_load(g, bc, params, 0.1), ref.ravel())
 
     def test_positivity_guard(self):
+        # the error named the time but not the node
         g = thin_grid(9)
-        N = g.num_nodes
+        N, k = g.num_nodes, 12
+        rho = np.ones(N)
+        rho[k] = -1.0
         params = FluidParams(mu=0.5, bc="no-slip")
-        with pytest.raises(PositivityViolationError):
+        with pytest.raises(PositivityViolationError, match=r"at t=0\.005, z=") as err:
             solve_linear_momentum(
-                lambda t: np.full(N, -1.0), lambda t: np.zeros((N, 2)),
+                lambda t: rho, lambda t: np.zeros((N, 2)),
                 MomentumBC.no_slip(zero_v), Field.zeros(g, ncomp=2), params, 0.01, 0.02)
+        assert err.value.t == 0.005
+        assert np.array_equal(err.value.z, g.node_coords()[k])
 
     def test_params_validation(self):
         with pytest.raises(InvalidArgumentError):

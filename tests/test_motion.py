@@ -1,17 +1,11 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from nsmove import motion, transport
 from nsmove.energy import PressureLaw, energy_inequality_residual
-from nsmove.errors import (
-    DegenerateMapError,
-    InvalidArgumentError,
-    InversionFailureError,
-)
+from nsmove.errors import DegenerateMapError, InvalidArgumentError
 from nsmove.extension import extend_boundary_data
-from nsmove.fields import Field, Grid, differentiate, interp_matrix
+from nsmove.fields import Field, Grid, differentiate
 from nsmove.lagrangian import (
     lagrangian_remainder,
     pull_back_state,
@@ -31,7 +25,7 @@ from nsmove.transport import (
     solve_transport,
 )
 from fixed_domain import fixed_map
-from xonly import thin_grid, x_dilation, x_motion, x_points
+from xonly import thin_grid, x_dilation, x_motion
 
 
 def _packed_rhs(V, t, **parts):
@@ -161,148 +155,6 @@ class TestAdvect:
         with pytest.raises(InvalidArgumentError, match="without dt_fn"):
             energy_inequality_residual(traj, V, PressureLaw(gamma=1.4),
                                        FluidParams(mu=0.3, eta=0.1, kappa=0.5, bc="slip"))
-
-
-def _forward(fm, t, z):
-    """X(t, z) at reference points z, interpolated from the node positions."""
-    return interp_matrix(fm.grid, z, out_of_bounds="clamp") @ fm.positions(t)
-
-
-class TestInvert:
-    def test_identity(self):
-        g = grid2d()
-        fm = advect_flow_map(MotionField.zero(), g, 0.5, 0.05)
-        x = np.array([[0.3, 0.7], [0.0, 1.0]])
-        assert np.array_equal(fm.invert(0.5, x), x)
-
-    def test_translation(self):
-        g = grid2d(17)
-        c = np.array([0.2, 0.1])
-        fm = advect_flow_map(MotionField.translation(c), g, 0.5, 0.05)
-        x = np.array([[0.6, 0.6], [0.25, 0.35]])
-        z = fm.invert(0.5, x)
-        assert np.max(np.abs(z - (x - 0.5 * c))) < 1e-9
-
-    def test_stall_reports_time_and_point(self):
-        # (5, 5) lies outside the image of the unit square; Newton clamps
-        # to the corner z = (1, 1), whose image is (1.1, 1.05)
-        g = grid2d(17)
-        fm = advect_flow_map(MotionField.translation([0.2, 0.1]), g, 0.5, 0.05)
-        with pytest.raises(InversionFailureError) as info:
-            fm.invert(0.5, np.array([[0.6, 0.6], [5.0, 5.0]]))
-        err = info.value
-        assert err.t == 0.5
-        assert np.array_equal(err.x, [5.0, 5.0])
-        assert err.residual == pytest.approx(3.95, abs=1e-9)
-
-    def test_dilation_round_trip(self):
-        g = thin_grid(33, 0.25, 1.25)
-        alpha = 0.4
-        fm = advect_flow_map(x_dilation(alpha), g, 0.5, 1e-2)
-        x = x_points(np.linspace(0.4, 1.5, 7))
-        z = fm.invert(0.5, x)
-        assert np.max(np.abs(z - x * [np.exp(-alpha * 0.5), 1.0])) < 1e-9
-        back = _forward(fm, 0.5, z)
-        assert np.max(np.abs(back - x)) < 1e-9
-
-    def test_round_trip_nonlinear(self):
-        g = grid2d(65)
-        fm = advect_flow_map(_nonlinear_2d(), g, 0.2, 0.01)
-        z0 = np.random.default_rng(3).uniform(0.05, 0.95, size=(500, 2))
-        x = _forward(fm, 0.2, z0)
-        z = fm.invert(0.2, x)
-        assert np.max(np.abs(_forward(fm, 0.2, z) - x)) <= 1e-10
-
-    def test_node_images_return_nodes(self):
-        g = grid2d(65)
-        fm = advect_flow_map(_nonlinear_2d(), g, 0.2, 0.01)
-        z = fm.invert(0.2, fm.positions(0.2))
-        assert np.max(np.abs(z - g.node_coords())) <= 1e-12
-
-    def test_invert_peak_allocation(self):
-        # the seed search must not build an all-pairs distance array
-        g = grid2d(65)
-        fm = advect_flow_map(_nonlinear_2d(), g, 0.2, 0.01)
-        x = fm.positions(0.2)
-        fm.invert(0.2, x)  # warm-up: fills the per-time interpolation cache
-        tracemalloc.start()
-        try:
-            fm.invert(0.2, x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2 ** 20
-
-    def test_wrong_shape_rejected(self):
-        fm = advect_flow_map(MotionField.shear(0.4), grid2d(), 0.5, 0.05)
-        with pytest.raises(InvalidArgumentError, match=r"t=0\.5 have shape \(1, 3\)"):
-            fm.invert(0.5, np.zeros((1, 3)))
-
-    def test_non_finite_point_rejected(self):
-        fm = advect_flow_map(MotionField.shear(0.4), grid2d(), 0.5, 0.05)
-        with pytest.raises(InvalidArgumentError, match=r"t=0\.5: \[0\.3 +nan\]"):
-            fm.invert(0.5, [[0.3, 0.5], [0.3, np.nan]])
-
-    def test_no_points(self):
-        # as interp_matrix gives a (0, N) matrix, no points invert to none
-        g = grid2d()
-        fm = advect_flow_map(MotionField.shear(0.4), g, 0.5, 0.05)
-        assert fm.invert(0.5, np.zeros((0, 2))).shape == (0, 2)
-        traj = solve_transport(Field(g, np.ones(g.shape)), MotionField.shear(0.4), 0.5, 0.05)
-        rho, z = traj.eval_physical(0.5, np.zeros((0, 2)))
-        assert rho.shape == (0,) and z.shape == (0, 2)
-
-
-def _chain_map():
-    """The affine flow map of the moving-domain benchmark chain at 129^2:
-    V = (0.3 x + 0.4 y, 0.3 y), T = 0.1."""
-    A = np.array([[0.3, 0.4], [0.0, 0.3]])
-    V = MotionField.expression(
-        lambda t, p: p @ A.T, 2,
-        grad_fn=lambda t, p: np.broadcast_to(A, p.shape + (2,)).copy())
-    return advect_flow_map(V, grid2d(129), 0.1, 0.01), 0.1
-
-
-_SEED_MAPS = {
-    "nonlinear-65": lambda: (advect_flow_map(_nonlinear_2d(), grid2d(65), 0.2, 0.01), 0.2),
-    "chain-129": _chain_map,
-    "dilation-1d": lambda: (advect_flow_map(x_dilation(0.4), thin_grid(33, 0.25, 1.25),
-                                            0.5, 1e-2), 0.5),
-    # a slanted image: the node nearest to a point outside it is often not
-    # in the window about the affine prediction, clipped to the grid
-    "shear-33": lambda: (advect_flow_map(MotionField.shear(2.0), grid2d(33), 1.0, 0.1), 1.0),
-}
-
-
-class TestNearestNode:
-    @pytest.mark.parametrize("name", sorted(_SEED_MAPS))
-    def test_matches_kd_tree(self, name):
-        # the one seed is the k-d tree's nearest node image for every point
-        # of the image, so Newton starts from the node it always has; a
-        # point outside the image may get another node, and Newton rejects
-        # it whichever it gets
-        from scipy.spatial import cKDTree
-
-        fm, t = _SEED_MAPS[name]()
-        g, images = fm.grid, fm.positions(t)
-        found = motion._nearest_node(g, images, images)
-        assert np.array_equal(found, np.arange(g.num_nodes))
-        z0 = np.random.default_rng(5).uniform(g.lo, g.hi, (2000, g.dim))
-        x = interp_matrix(g, z0) @ images
-        found = motion._nearest_node(g, images, x)
-        assert np.array_equal(found, cKDTree(images).query(x)[1])
-        with pytest.raises(InversionFailureError):
-            fm.invert(t, np.full((1, g.dim), 5.0))
-
-    def test_node_images_take_no_newton_step(self, monkeypatch):
-        # the benchmark's pull-back inverts every node image of the chain
-        # map: the seed is exact, so the one interpolation is the residual
-        # check, and the nodes come back bit for bit
-        fm, t = _chain_map()
-        calls = _count_calls(monkeypatch, FlowMap, ("_forward_and_jacobian",))
-        z = fm.invert(t, fm.positions(t))
-        assert calls == {"_forward_and_jacobian": 1}
-        assert np.array_equal(z, fm.grid.node_coords())
 
 
 class TestJacobians:
@@ -568,7 +420,7 @@ class TestFrame:
     def test_arrays_are_read_only(self):
         fm = advect_flow_map(MotionField.shear(0.5), grid2d(), 0.2, 0.02)
         fr = fm.frame(0.2)
-        for a in (fr.XJ, fr.X, fr.J, fr.inv, fr.det, *fr.faces["y1"]):
+        for a in (fr.X, fr.J, fr.inv, fr.det, *fr.faces["y1"]):
             with pytest.raises(ValueError):
                 a[0] = 0
 

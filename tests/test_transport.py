@@ -16,7 +16,7 @@ from nsmove.fields import (
     interpolate,
     sobolev_norm,
 )
-from nsmove.motion import FlowMap, MotionField, advect_flow_map
+from nsmove.motion import MotionField, advect_flow_map
 from nsmove.transport import (
     DiscreteVelocity,
     density_gradient,
@@ -148,8 +148,8 @@ class TestSolveTransport:
     @pytest.mark.parametrize("t", [0.05, 0.1])
     def test_density_at_the_node_images_is_the_density_field(self, t):
         # chain_moving's V at n = 33: transport by V has the flow map's feet,
-        # so the pull-back of rho at the node images X(t, z) inverts to the
-        # nodes exactly and reads the density field bit for bit
+        # so the pull-back of rho at the node images X(t, z) is read at the
+        # feet and returns the density field and the nodes bit for bit
         V, _ = _chain_motion()
         g = Grid((33, 33), (0.0, 0.0), (1.0, 1.0))
         fm = advect_flow_map(V, g, 0.1, 0.01)
@@ -158,14 +158,33 @@ class TestSolveTransport:
         assert np.array_equal(rho, traj.density_field(t).values.ravel())
         assert np.array_equal(z, g.node_coords())
 
+    @pytest.mark.parametrize("change", ["off the feet", "fewer points", "nan", "no points"])
+    def test_only_the_feet_are_read(self, change):
+        # rho is stored at the feet X(t, z) alone: x within 1e-10 of them
+        # reads the density field, and any other x is refused naming t
+        V, _ = _chain_motion()
+        g = Grid((9, 9), (0.0, 0.0), (1.0, 1.0))
+        traj = solve_transport(Field.from_function(g, bump), V, 0.1, 0.01)
+        feet = traj.flow_map.positions(0.05)
+        rho, z = traj.eval_physical(0.05, feet + 5e-11)
+        assert np.array_equal(rho, traj.density_field(0.05).values.ravel())
+        assert np.array_equal(z, g.node_coords())
+        x = feet.copy()
+        x[7, 1] += {"off the feet": 2e-10, "nan": np.nan}.get(change, 0.0)
+        x = {"fewer points": x[:-1], "no points": x[:0]}.get(change, x)
+        with pytest.raises(InvalidArgumentError, match=r"at t=0\.05, x of shape"):
+            traj.eval_physical(0.05, x)
+
     def test_constant_velocity_divergence_free(self):
         rho0 = x_field(thin_grid(65), rho_x)
-        traj = solve_transport(rho0, MotionField.translation([0.3, 0.0]), 0.5, 0.01)
+        c = np.array([0.3, 0.0])
+        traj = solve_transport(rho0, MotionField.translation(c), 0.5, 0.01)
         # density constant along characteristics
         assert np.allclose(traj.density_field(0.5).values, rho0.values, atol=1e-13)
-        # rho(t, x) = rho0(x - c t) at interior physical points
+        # rho(t, x) = rho0(x - c t) at interior physical points, the density
+        # field read at the closed-form inverse Y(t, x) = x - c t
         x = x_points(np.linspace(0.2, 1.1, 9))
-        vals, _ = traj.eval_physical(0.5, x)
+        vals = interpolate(traj.density_field(0.5), x - 0.5 * c)
         exact = 1.0 + 0.5 * np.sin(2 * np.pi * (x[:, 0] - 0.15))
         assert np.max(np.abs(vals - exact)) < 1e-5
 
@@ -187,9 +206,12 @@ class TestSolveTransport:
         assert np.array_equal(traj.flow_map.positions(0.0), rho0.grid.node_coords())
 
     def test_positive_initial_density_required(self):
+        # the error named neither the time nor the node
         bad = x_field(thin_grid(9), lambda x: 1.1 * x - 0.1)
-        with pytest.raises(PositivityViolationError):
+        with pytest.raises(PositivityViolationError, match=r"-1\.000e-01 .* at t=0, z=") as err:
             solve_transport(bad, MotionField.zero(), 0.1, 0.01)
+        assert err.value.t == 0.0
+        assert np.array_equal(err.value.z, [0.0, 0.0])
 
     def test_positivity_lower_bound(self):
         # min rho(t) >= min rho0 * exp(-t sup|div v|), slack <= 1e-10
@@ -273,10 +295,15 @@ class TestTimeDerivativeConsistency:
         traj = solve_transport(rho0, V, T + dt, dt)
         x = x_points(np.linspace(0.7, 1.2, 7))
         t = T / 2
-        plus, _ = traj.eval_physical(t + dt, x)
-        minus, _ = traj.eval_physical(t - dt, x)
-        drho_dt = (plus - minus) / (2 * dt)
-        vals, z = traj.eval_physical(t, x)
+
+        def rho_at(s):
+            """rho(s, x): the density field at the closed-form inverse
+            Y(s, x) = (x e^{-alpha s}, y), and Y(s, x)."""
+            z = x * [np.exp(-alpha * s), 1.0]
+            return interpolate(traj.density_field(s), z), z
+
+        drho_dt = (rho_at(t + dt)[0] - rho_at(t - dt)[0]) / (2 * dt)
+        vals, z = rho_at(t)
         gx = density_gradient(traj, t)
         gx_at = interpolate(Field(gx.grid, gx.values, t), z, out_of_bounds="clamp")[:, 0]
         rhs = -(alpha * x[:, 0]) * gx_at - vals * alpha
@@ -551,16 +578,6 @@ class TestReferenceFrameTransport:
             x, rho = physical_feet_and_density(traj, fm, t)
             assert np.array_equal(x, fm.positions(t))
             assert np.array_equal(rho, rho0.values.ravel() / fm.frame(t).det)
-
-    def test_no_inversion(self, monkeypatch):
-        calls = []
-        invert = FlowMap.invert
-        monkeypatch.setattr(FlowMap, "invert",
-                            lambda fm, t, x: calls.append(t) or invert(fm, t, x))
-        fm, rho0, dv = self._dilation_at_images(17)
-        traj = solve_transport(rho0, dv, 0.1, 0.01)
-        physical_feet_and_density(traj, fm, 0.1)
-        assert calls == []
 
     @pytest.mark.parametrize("motion, T, map_steps", [(_chain_motion, 0.1, 1),
                                                        (_curved_motion, 0.2, 4)],
