@@ -64,6 +64,17 @@ class TestPullBack:
         with pytest.raises(InvalidArgumentError, match="at t=0.2 "):
             pull_back_state(rho, u, fm, 0.2)
 
+    def test_push_pull_round_trip(self):
+        # rho~ pushed forward by the closed-form inverse of the dilation,
+        # rho(x) = rho~(x e^{-alpha t}), and pulled back at X(t, .) is rho~
+        g = grid2d(25, 0.0, 1.0)
+        alpha, t = 0.2, 0.3
+        fm = advect_flow_map(MotionField.dilation(alpha), g, t, 1e-2)
+        ref = Field.from_function(g, lambda p: smooth_rho(p))
+        pushed = lambda x: interpolate(ref, x * np.exp(-alpha * t), out_of_bounds="clamp")
+        back, _ = pull_back_state(pushed, smooth_u, fm, t)
+        assert np.max(np.abs(back.values - ref.values)) < 1e-9
+
 
 # V = (v(x), 0) on the x-only embedding, each with its closed forms along x:
 # (v, v', v'', X(z, t), gradY(z, t), Y(x, t), Y''(x, t))

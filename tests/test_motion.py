@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from nsmove import motion, transport
 from nsmove.energy import PressureLaw, energy_inequality_residual
 from nsmove.errors import DegenerateMapError, InvalidArgumentError
 from nsmove.extension import extend_boundary_data
-from nsmove.fields import Field, Grid, differentiate
+from nsmove.fields import Field, Grid, differentiate, interp_matrix
 from nsmove.lagrangian import (
     lagrangian_remainder,
     pull_back_state,
@@ -155,6 +157,182 @@ class TestAdvect:
         with pytest.raises(InvalidArgumentError, match="without dt_fn"):
             energy_inequality_residual(traj, V, PressureLaw(gamma=1.4),
                                        FluidParams(mu=0.3, eta=0.1, kappa=0.5, bc="slip"))
+
+
+def _transported(V, g, T, dt):
+    """The transport of rho0 = 1 + x y / 2 by V on g up to T."""
+    rho0 = Field.from_function(g, lambda p: 1.0 + 0.5 * p[:, 0] * p[:, 1])
+    return solve_transport(rho0, V, T, dt)
+
+
+class TestInvert:
+    """Y(t, .) is kept where the transformed equations read it: at the feet,
+    where the pull-back takes x = X(t, z) back to the nodes z, and node by
+    node as gradY = (gradX)^-1. Any other x is refused naming t."""
+
+    def test_identity(self):
+        g = grid2d()
+        traj = _transported(MotionField.zero(), g, 0.5, 0.05)
+        nodes = g.node_coords()
+        rho, z = traj.eval_physical(0.5, nodes)
+        assert np.array_equal(z, nodes)
+        assert np.array_equal(rho, traj.rho0.values.ravel())
+        assert np.array_equal(traj.flow_map.frame(0.5).inv,
+                              np.broadcast_to(np.eye(2)[..., None], (2, 2, g.num_nodes)))
+
+    def test_translation(self):
+        g = grid2d(17)
+        c = np.array([0.2, 0.1])
+        traj = _transported(MotionField.translation(c), g, 0.5, 0.05)
+        nodes = g.node_coords()
+        # Y(t, x) = x - c t takes the feet to the nodes, and the feet
+        # z + c t in closed form are read as the feet
+        assert np.max(np.abs(traj.flow_map.positions(0.5) - 0.5 * c - nodes)) < 1e-9
+        rho, z = traj.eval_physical(0.5, nodes + 0.5 * c)
+        assert np.array_equal(z, nodes)
+        assert np.array_equal(rho, traj.density_field(0.5).values.ravel())
+
+    def test_stall_reports_time_and_point(self):
+        # (5, 5) lies outside the image of the unit square; in place of the
+        # corner z = (1, 1), whose image is (1.1, 1.05), it is 3.95 off
+        g = grid2d(17)
+        traj = _transported(MotionField.translation([0.2, 0.1]), g, 0.5, 0.05)
+        x = traj.flow_map.positions(0.5).copy()
+        x[np.argmax(g.node_coords().sum(axis=1))] = 5.0
+        with pytest.raises(InvalidArgumentError,
+                           match=r"at t=0\.5, x of shape \(289, 2\) is 3\.950e\+00 from"):
+            traj.eval_physical(0.5, x)
+
+    def test_dilation_round_trip(self):
+        g = thin_grid(33, 0.25, 1.25)
+        alpha = 0.4
+        traj = _transported(x_dilation(alpha), g, 0.5, 1e-2)
+        nodes, shrink = g.node_coords(), np.array([np.exp(-alpha * 0.5), 1.0])
+        # Y(t, x) = (x e^{-alpha t}, y) takes the feet to the nodes, and
+        # X(t, z) = (z e^{alpha t}, y) of the nodes is read back as them
+        assert np.max(np.abs(traj.flow_map.positions(0.5) * shrink - nodes)) < 1e-9
+        _, z = traj.eval_physical(0.5, nodes / shrink)
+        assert np.array_equal(z, nodes)
+        inv = traj.flow_map.frame(0.5).inv
+        assert np.max(np.abs(inv - np.diag(shrink)[..., None])) < 1e-9
+
+    def test_round_trip_nonlinear(self):
+        # feet moved by less than 1e-10 are read back as the nodes; one
+        # coordinate moved by 2e-10 more is not
+        g = grid2d(65)
+        traj = _transported(_nonlinear_2d(), g, 0.2, 0.01)
+        feet = traj.flow_map.positions(0.2)
+        x = feet + np.random.default_rng(3).uniform(-0.9e-10, 0.9e-10, feet.shape)
+        rho, z = traj.eval_physical(0.2, x)
+        assert np.array_equal(z, g.node_coords())
+        assert np.array_equal(rho, traj.density_field(0.2).values.ravel())
+        x[500, 1] += 2e-10
+        with pytest.raises(InvalidArgumentError, match=r"at t=0\.2, x of shape \(4225, 2\)"):
+            traj.eval_physical(0.2, x)
+
+    def test_node_images_return_nodes(self):
+        # the node images of the map advected on its own are the feet of the
+        # transport by the same V, bit for bit
+        g = grid2d(65)
+        fm = advect_flow_map(_nonlinear_2d(), g, 0.2, 0.01)
+        traj = _transported(_nonlinear_2d(), g, 0.2, 0.01)
+        rho, z = traj.eval_physical(0.2, fm.positions(0.2))
+        assert np.array_equal(z, g.node_coords())
+        assert np.array_equal(rho, traj.density_field(0.2).values.ravel())
+
+    def test_invert_peak_allocation(self):
+        # reading the feet compares them once, with no per-point work
+        g = grid2d(65)
+        traj = _transported(_nonlinear_2d(), g, 0.2, 0.01)
+        x = traj.flow_map.positions(0.2).copy()
+        traj.eval_physical(0.2, x)  # warm-up
+        tracemalloc.start()
+        try:
+            traj.eval_physical(0.2, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
+    def test_wrong_shape_rejected(self):
+        traj = _transported(MotionField.shear(0.4), grid2d(), 0.5, 0.05)
+        with pytest.raises(InvalidArgumentError,
+                           match=r"t=0\.5, x of shape \(1, 3\) is nan from X\(t, z\) of "
+                                 r"shape \(81, 2\)"):
+            traj.eval_physical(0.5, np.zeros((1, 3)))
+
+    def test_non_finite_point_rejected(self):
+        traj = _transported(MotionField.shear(0.4), grid2d(), 0.5, 0.05)
+        x = traj.flow_map.positions(0.5).copy()
+        x[7, 1] = np.nan
+        with pytest.raises(InvalidArgumentError, match=r"t=0\.5, x of shape \(81, 2\) is nan"):
+            traj.eval_physical(0.5, x)
+
+    def test_no_points(self):
+        # no points are not the feet: refused as any other shape
+        traj = _transported(MotionField.shear(0.4), grid2d(), 0.5, 0.05)
+        with pytest.raises(InvalidArgumentError, match=r"t=0\.5, x of shape \(0, 2\) is nan"):
+            traj.eval_physical(0.5, np.zeros((0, 2)))
+
+
+def _chain_motion():
+    """The motion of the moving-domain benchmark chain: V = (0.3 x + 0.4 y, 0.3 y)."""
+    A = np.array([[0.3, 0.4], [0.0, 0.3]])
+    return MotionField.expression(
+        lambda t, p: p @ A.T, 2,
+        grad_fn=lambda t, p: np.broadcast_to(A, p.shape + (2,)).copy())
+
+
+_SEED_MAPS = {
+    "nonlinear-65": lambda: (_transported(_nonlinear_2d(), grid2d(65), 0.2, 0.01), 0.2),
+    "chain-129": lambda: (_transported(_chain_motion(), grid2d(129), 0.1, 0.01), 0.1),
+    "dilation-1d": lambda: (_transported(x_dilation(0.4), thin_grid(33, 0.25, 1.25),
+                                         0.5, 1e-2), 0.5),
+    "shear-33": lambda: (_transported(MotionField.shear(2.0), grid2d(33), 1.0, 0.1), 1.0),
+}
+
+
+class TestNearestNode:
+    @pytest.mark.parametrize("name", sorted(_SEED_MAPS))
+    def test_matches_kd_tree(self, name):
+        # the feet are read in node order: the k-d tree's nearest foot of
+        # each foot is its own node, and the next is far beyond the 1e-10
+        # within which x is read as the feet, so the nodes returned are the
+        # k-d tree's. Feet in another order, an image point between the
+        # feet and a point outside the image are refused
+        from scipy.spatial import cKDTree
+
+        traj, t = _SEED_MAPS[name]()
+        g, feet = traj.grid, traj.flow_map.positions(t)
+        tree = cKDTree(feet)
+        dist, near = tree.query(feet, k=2)
+        assert np.array_equal(near[:, 0], np.arange(g.num_nodes))
+        assert np.min(dist[:, 1]) > 1e-6
+        _, z = traj.eval_physical(t, feet)
+        assert np.array_equal(z, g.node_coords()[near[:, 0]])
+        swapped = feet.copy()
+        swapped[[0, near[0, 1]]] = feet[[near[0, 1], 0]]
+        between = interp_matrix(g, np.random.default_rng(5).uniform(g.lo, g.hi, (1, g.dim))) @ feet
+        inside = feet.copy()
+        inside[tree.query(between)[1]] = between
+        outside = feet.copy()
+        outside[0] = 5.0
+        for x in (swapped, inside, outside):
+            with pytest.raises(InvalidArgumentError, match=f"at t={t}, "):
+                traj.eval_physical(t, x)
+
+    def test_node_images_take_no_newton_step(self, monkeypatch):
+        # the benchmark's pull-back reads rho at every node image of the
+        # chain map: the nodes come back bit for bit, with no interpolation
+        # and no inverse of gradX
+        traj, t = _SEED_MAPS["chain-129"]()
+        fm = advect_flow_map(_chain_motion(), traj.grid, t, 0.01)
+        calls = _count_calls(monkeypatch, transport, ("interp_matrix",))
+        calls.update(_count_calls(monkeypatch, motion, ("_mat_inv",)))
+        rho, z = traj.eval_physical(t, fm.positions(t))
+        assert calls == {"interp_matrix": 0, "_mat_inv": 0}
+        assert np.array_equal(z, traj.grid.node_coords())
+        assert np.array_equal(rho, traj.density_field(t).values.ravel())
 
 
 class TestJacobians:

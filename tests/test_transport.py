@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from nsmove import transport
+from nsmove import motion, transport
 from nsmove.errors import InvalidArgumentError, OutOfDomainError, PositivityViolationError
 from nsmove.fields import (
     Field,
@@ -157,23 +157,6 @@ class TestSolveTransport:
         rho, z = traj.eval_physical(t, fm.positions(t))
         assert np.array_equal(rho, traj.density_field(t).values.ravel())
         assert np.array_equal(z, g.node_coords())
-
-    @pytest.mark.parametrize("change", ["off the feet", "fewer points", "nan", "no points"])
-    def test_only_the_feet_are_read(self, change):
-        # rho is stored at the feet X(t, z) alone: x within 1e-10 of them
-        # reads the density field, and any other x is refused naming t
-        V, _ = _chain_motion()
-        g = Grid((9, 9), (0.0, 0.0), (1.0, 1.0))
-        traj = solve_transport(Field.from_function(g, bump), V, 0.1, 0.01)
-        feet = traj.flow_map.positions(0.05)
-        rho, z = traj.eval_physical(0.05, feet + 5e-11)
-        assert np.array_equal(rho, traj.density_field(0.05).values.ravel())
-        assert np.array_equal(z, g.node_coords())
-        x = feet.copy()
-        x[7, 1] += {"off the feet": 2e-10, "nan": np.nan}.get(change, 0.0)
-        x = {"fewer points": x[:-1], "no points": x[:0]}.get(change, x)
-        with pytest.raises(InvalidArgumentError, match=r"at t=0\.05, x of shape"):
-            traj.eval_physical(0.05, x)
 
     def test_constant_velocity_divergence_free(self):
         rho0 = x_field(thin_grid(65), rho_x)
@@ -578,6 +561,17 @@ class TestReferenceFrameTransport:
             x, rho = physical_feet_and_density(traj, fm, t)
             assert np.array_equal(x, fm.positions(t))
             assert np.array_equal(rho, rho0.values.ravel() / fm.frame(t).det)
+
+    def test_no_inversion(self, monkeypatch):
+        # w already carries gradY, so the transport of q by w on the static
+        # grid inverts nothing: no point, and not gradX node by node
+        fm, rho0, dv = self._dilation_at_images(17)
+        calls = []
+        inverse = motion._mat_inv
+        monkeypatch.setattr(motion, "_mat_inv", lambda J: calls.append(J.shape) or inverse(J))
+        traj = solve_transport(rho0, dv, 0.1, 0.01)
+        traj.density_field(0.1)
+        assert calls == []
 
     @pytest.mark.parametrize("motion, T, map_steps", [(_chain_motion, 0.1, 1),
                                                        (_curved_motion, 0.2, 4)],
